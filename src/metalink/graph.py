@@ -7,9 +7,15 @@ is then just another backward pass over a larger graph, with no
 special-casing and no approximation.
 
 Values are float64 numpy arrays, computed at node construction time.  Every
-op checks its result for non-finite entries and raises NumericalError naming
-the op kind, so divergence surfaces at the first bad node instead of as a
-mystery NaN three modules later.
+node value is finite, and the op that would first produce a nan or inf raises
+NumericalError naming its kind, so divergence surfaces at the first bad node
+instead of as a mystery NaN three modules later.  Leaves and the ops that can
+create a non-finite value from finite inputs (arithmetic, products,
+reductions, exp, log, sqrt, cross-entropy) check their result as they are
+built.  The remaining ops (_FINITE_PRESERVING) only move, copy or zero
+entries, or map them into a bounded range, so finite inputs give finite
+outputs; since their inputs are nodes, and so already finite, they skip the
+check without weakening the invariant.
 
 Graphs are throwaway: build, differentiate, read values, drop.  Nothing here
 mutates a node after construction, and node ids increase in creation order,
@@ -51,11 +57,28 @@ class Node:
         return f"Node({self.kind}, uid={self.uid}, shape={np.shape(self.value)})"
 
 
+# Ops that cannot turn finite inputs into a non-finite output: transpose,
+# reshape, vslice, vpad and the broadcasts copy existing entries or zeros;
+# tanh lies in [-1, 1], relu_mask in {0, 1} and relu is an entry or 0; the
+# softmaxes lie in [0, 1], because the shifted exponents are <= 0 (an
+# overflowing shift is -inf, whose exp is 0) and each sum includes exp(0) = 1.
+_FINITE_PRESERVING = frozenset({
+    "transpose", "reshape", "vslice", "vpad",
+    "bcast", "bcast_rows", "bcast_cols",
+    "tanh", "relu", "relu_mask", "softmax", "softmax_rows",
+})
+
+
 def _make(kind, value, parents=(), meta=None):
     value = np.asarray(value, dtype=np.float64)
-    # A single reduction catches any nan/inf (inf sums stay non-finite).
-    if not math.isfinite(float(value.sum())):
-        raise NumericalError(f"non-finite value produced by op '{kind}'", op_kind=kind)
+    # Every op outside _FINITE_PRESERVING checks its result here, so every
+    # node value is finite and the first bad op is the one that raises.  One
+    # reduction catches any nan/inf (inf sums stay non-finite); a non-finite
+    # sum can also come from finite entries that overflow when added, so it
+    # is confirmed entrywise.
+    if kind not in _FINITE_PRESERVING:
+        if not math.isfinite(np.add.reduce(value, None)) and not np.isfinite(value).all():
+            raise NumericalError(f"non-finite value produced by op '{kind}'", op_kind=kind)
     return Node(kind, value, parents, meta)
 
 
@@ -321,36 +344,46 @@ def gradients(output, wrt):
     if np.ndim(output.value) != 0:
         raise ValueError("gradients() needs a scalar output node")
 
-    # Collect the ancestry of `output`.
+    # Collect the ancestry of `output`.  A parent is always older (smaller
+    # uid) than its child, so a node older than every wrt node cannot lie on
+    # a path from wrt to the output and the walk stops there: the gradient at
+    # inner step k of an unrolled meta-gradient does not walk steps 0..k-1.
+    wrt_ids = {w.uid for w in wrt}
+    oldest = min(wrt_ids, default=output.uid + 1)
     seen = {}
     stack = [output]
     while stack:
         node = stack.pop()
-        if node.uid in seen:
+        uid = node.uid
+        if uid < oldest or uid in seen:
             continue
-        seen[node.uid] = node
+        seen[uid] = node
         stack.extend(node.parents)
-    order = sorted(seen)
 
-    # Keep only nodes on a path from some wrt leaf to the output.
-    wrt_ids = {w.uid for w in wrt}
+    # Keep only nodes on a path from some wrt node to the output, in uid order.
     active = set()
-    for uid in order:
+    order = []
+    for uid in sorted(seen):
         node = seen[uid]
-        if uid in wrt_ids or any(p.uid in active for p in node.parents):
-            active.add(uid)
+        if uid not in wrt_ids:
+            for parent in node.parents:
+                if parent.uid in active:
+                    break
+            else:
+                continue
+        active.add(uid)
+        order.append(node)
 
     adjoint = {}
     if output.uid in active:
         adjoint[output.uid] = const(1.0)
-        for uid in reversed(order):
-            if uid not in adjoint or uid not in active:
+        for node in reversed(order):
+            g = adjoint.get(node.uid)
+            if g is None:
                 continue
-            node = seen[uid]
             builders = _VJPS.get(node.kind)
             if builders is None:  # input/constant leaves
                 continue
-            g = adjoint[uid]
             for parent, builder in zip(node.parents, builders):
                 if parent.uid not in active:
                     continue

@@ -21,6 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -183,9 +184,15 @@ class ExperimentConfig:
             raise ConfigurationError("pilot counts must be positive")
         if list(self.pilot_counts) != sorted(set(self.pilot_counts)):
             raise ConfigurationError("pilot_counts must be strictly ascending")
+        if not math.isfinite(self.snr_db):
+            raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
+        self.train_config(self.seed)  # delegate step-size/m/seed validation
         if not self.seeds:
             raise ConfigurationError("seeds must not be empty")
-        self.train_config(self.seed)  # delegate step-size/m validation
+        if any(s < 0 for s in self.seeds):
+            raise ConfigurationError(f"seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must not repeat, got {self.seeds}")
 
     def train_config(self, seed):
         return TrainConfig(

@@ -13,6 +13,7 @@ Conventions shared by every loop here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         # eta_inner = 0 is legal (adaptation becomes the identity, which some
         # equivalence checks rely on); a zero outer rate never makes sense.
+        if not (math.isfinite(self.eta_inner) and math.isfinite(self.eta_outer)):
+            raise ConfigurationError("step sizes must be finite")
         if self.eta_inner < 0 or self.eta_outer <= 0:
             raise ConfigurationError("step sizes must be positive (eta_inner may be 0)")
         if self.m < 1:
@@ -59,6 +62,8 @@ class TrainConfig:
             raise ConfigurationError("meta-batch size must be >= 1")
         if self.outer_iters < 0:
             raise ConfigurationError("outer_iters must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

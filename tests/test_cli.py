@@ -135,3 +135,29 @@ def test_module_runs_as_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "extra,flags",
+    [
+        ({}, ["--seed", "-1"]),
+        ({"seed": "-3"}, []),
+        ({"seeds": "0,-1"}, []),
+        ({"seeds": "0,0"}, []),
+        ({"eta_inner": "nan"}, []),
+        ({"eta_inner": "inf"}, []),
+        ({"eta_outer": "nan"}, []),
+        ({"eta_outer": "inf"}, []),
+        ({"snr_db": "nan"}, []),
+        ({"snr_db": "inf"}, []),
+        ({"snr_db": "-inf"}, []),
+    ],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else " ".join(v),
+)
+@pytest.mark.parametrize("command", ["meta-train", "sweep-pilots"])
+def test_rejected_config_values_exit_one(tmp_path, capsys, command, extra, flags):
+    cfg = _write_tiny_demod(tmp_path / "bad.cfg", **extra)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

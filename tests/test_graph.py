@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from metalink import graph
+from metalink import autodiff, graph
 from metalink.errors import NumericalError
+from metalink.learners import DEMOD_ARCH
+from metalink.nn import init_params, make_mlp_lossfn
+from metalink.tasks import TaskFamily, make_demod_split
 
 
 def _fd(fn, x, step=1e-6):
@@ -248,3 +252,165 @@ def test_relu_equals_masked_identity(xs):
     x = np.array(xs)
     p = graph.inp(x)
     assert np.array_equal(graph.relu(p).value, graph.mul(p, graph.relu_mask(p)).value)
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    with np.errstate(over="ignore"):
+        big = graph.const(np.array([1e308, 1e308]))
+        moved = graph.add(big, graph.const(np.zeros(2)))
+        assert np.array_equal(moved.value, [1e308, 1e308])
+        with pytest.raises(NumericalError) as exc:
+            graph.asum(big)  # here the value itself is inf
+    assert exc.value.op_kind == "sum"
+    with pytest.raises(NumericalError):
+        graph.inp(np.array([1e308, np.inf]))
+
+
+# ---------------------------------------------------------------------------
+# ops exempt from the eager finiteness check
+
+# one builder per exempt kind, from a finite matrix, its flattening and its
+# first entry as a scalar
+_EXEMPT_BUILDERS = {
+    "transpose": lambda mat, vec, sca: graph.transpose(mat),
+    "reshape": lambda mat, vec, sca: graph.reshape(mat, (mat.value.size,)),
+    "vslice": lambda mat, vec, sca: graph.vslice(vec, 1, vec.value.size),
+    "vpad": lambda mat, vec, sca: graph.vpad(vec, 1, vec.value.size + 2),
+    "bcast": lambda mat, vec, sca: graph.bcast(sca, (2, 3)),
+    "bcast_rows": lambda mat, vec, sca: graph.bcast_rows(vec, 3),
+    "bcast_cols": lambda mat, vec, sca: graph.bcast_cols(vec, 3),
+    "tanh": lambda mat, vec, sca: graph.tanh(mat),
+    "relu": lambda mat, vec, sca: graph.relu(mat),
+    "relu_mask": lambda mat, vec, sca: graph.relu_mask(mat),
+    "softmax": lambda mat, vec, sca: graph.softmax(vec),
+    "softmax_rows": lambda mat, vec, sca: graph.softmax_rows(mat),
+}
+
+_FINITE_EXTREMES = st.sampled_from([
+    np.finfo(np.float64).max, -np.finfo(np.float64).max, 1e308, -1e308,
+    np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny, 5e-324, -5e-324, 0.0, -0.0,
+])
+
+
+def test_exempt_ops_are_differentiable_op_kinds():
+    assert graph._FINITE_PRESERVING <= set(graph._VJPS)
+    assert set(_EXEMPT_BUILDERS) == graph._FINITE_PRESERVING
+
+
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
+    elements=st.one_of(_FINITE_EXTREMES, st.floats(allow_nan=False, allow_infinity=False)),
+))
+@settings(max_examples=200, deadline=None)
+def test_exempt_ops_map_finite_extremes_to_finite_values(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = graph.inp(x)
+        vec = graph.inp(x.ravel())
+        sca = graph.inp(x.flat[0])
+        for kind, build in _EXEMPT_BUILDERS.items():
+            out = build(mat, vec, sca)
+            assert out.kind == kind
+            assert np.isfinite(out.value).all(), kind
+
+
+# ---------------------------------------------------------------------------
+# the pruned backward sweep against the full-ancestry reference
+
+def _full_ancestry_gradients(output, wrt):
+    """The sweep as first written: walk the whole ancestry of `output`, mark
+    active nodes in uid order, then visit every ancestor in reverse."""
+    if np.ndim(output.value) != 0:
+        raise ValueError("gradients() needs a scalar output node")
+    seen = {}
+    stack = [output]
+    while stack:
+        node = stack.pop()
+        if node.uid in seen:
+            continue
+        seen[node.uid] = node
+        stack.extend(node.parents)
+    order = sorted(seen)
+
+    wrt_ids = {w.uid for w in wrt}
+    active = set()
+    for uid in order:
+        node = seen[uid]
+        if uid in wrt_ids or any(p.uid in active for p in node.parents):
+            active.add(uid)
+
+    adjoint = {}
+    if output.uid in active:
+        adjoint[output.uid] = graph.const(1.0)
+        for uid in reversed(order):
+            if uid not in adjoint or uid not in active:
+                continue
+            node = seen[uid]
+            builders = graph._VJPS.get(node.kind)
+            if builders is None:
+                continue
+            g = adjoint[uid]
+            for parent, builder in zip(node.parents, builders):
+                if parent.uid not in active:
+                    continue
+                contrib = builder(node, g)
+                if contrib is None:
+                    continue
+                prev = adjoint.get(parent.uid)
+                adjoint[parent.uid] = contrib if prev is None else graph.add(prev, contrib)
+
+    return [adjoint.get(w.uid) or graph.const(np.zeros_like(w.value)) for w in wrt]
+
+
+def _assert_same_adjoints(output, wrt):
+    pruned = graph.gradients(output, wrt)
+    reference = _full_ancestry_gradients(output, wrt)
+    for got, want in zip(pruned, reference, strict=True):
+        assert np.array_equal(got.value, want.value)
+
+
+def _demod_problem(seed):
+    task = TaskFamily().sample(np.random.default_rng(seed), task_id=seed)
+    split = make_demod_split(task, 4, 16, np.random.default_rng(seed + 100))
+    return make_mlp_lossfn(DEMOD_ARCH), init_params(DEMOD_ARCH, seed).values, split
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pruned_sweep_is_bit_identical_on_unrolled_meta_gradient(m, monkeypatch):
+    lossfn, theta, split = _demod_problem(m)
+    loss, grad = autodiff.unrolled_meta_gradient(lossfn, lossfn, theta, 0.1, m, split.train, split.test)
+
+    # the same trajectory by hand, differentiated with respect to theta and
+    # to every intermediate phi, where the pruning cuts the most
+    phis = [graph.inp(theta)]
+    for _ in range(m):
+        (g,) = graph.gradients(lossfn(phis[-1], split.train), [phis[-1]])
+        phis.append(graph.add(phis[-1], graph.scale(g, -0.1)))
+    meta_loss = lossfn(phis[-1], split.test)
+    _assert_same_adjoints(meta_loss, phis)
+    for phi in phis:
+        _assert_same_adjoints(meta_loss, [phi])
+
+    monkeypatch.setattr(graph, "gradients", _full_ancestry_gradients)
+    ref_loss, ref_grad = autodiff.unrolled_meta_gradient(lossfn, lossfn, theta, 0.1, m, split.train, split.test)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_pruned_sweep_is_bit_identical_on_hvp(monkeypatch):
+    lossfn, theta, split = _demod_problem(5)
+    v = np.random.default_rng(6).standard_normal(theta.shape)
+    hv = autodiff.hvp(lossfn, theta, v, split.train)
+    monkeypatch.setattr(graph, "gradients", _full_ancestry_gradients)
+    assert np.array_equal(hv, autodiff.hvp(lossfn, theta, v, split.train))
+
+
+def test_pruned_sweep_is_bit_identical_on_joint_loss():
+    lossfn, theta, _ = _demod_problem(7)
+    splits = [_demod_problem(seed)[2] for seed in (8, 9, 10)]
+    p = graph.inp(theta)
+    total = graph.mean_nodes([lossfn(p, split.train) for split in splits])
+    _assert_same_adjoints(total, [p])
+    (g,) = graph.gradients(total, [p])
+    v = graph.const(np.random.default_rng(11).standard_normal(theta.shape))
+    _assert_same_adjoints(graph.asum(graph.mul(g, v)), [p])
