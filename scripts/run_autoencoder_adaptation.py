@@ -8,9 +8,7 @@ Writes the aggregate BLER-vs-iteration curve as CSV.
 
 import argparse
 
-import numpy as np
-
-from metalink.harness import default_config, load_config, run_adaptation_sweep, write_curve
+from metalink.harness import default_config, load_config, median_of_seed_means, run_adaptation_sweep, write_curve
 
 
 def main():
@@ -28,15 +26,10 @@ def main():
 
     checkpoints = sorted({0, 1, 5, 10, config.adapt_iters_max} & set(range(config.adapt_iters_max + 1)))
     print(f"median over {len(config.seeds)} seeds of per-seed mean BLER:")
-    print("   iter  " + "  ".join(f"{m:>12s}" for m in ("maml", "conventional")))
+    methods = ("maml-fo" if config.first_order else "maml", "conventional")
+    print("   iter  " + "  ".join(f"{m:>12s}" for m in methods))
     for t in checkpoints:
-        cells = []
-        for method in ("maml", "conventional"):
-            per_seed = [
-                np.mean([r.value for r in result.records if (r.seed, r.method, r.sweep_value) == (s, method, float(t))])
-                for s in config.seeds
-            ]
-            cells.append(f"{np.median(per_seed):12.4f}")
+        cells = [f"{median_of_seed_means(result.records, m, 'bler', float(t)):12.4f}" for m in methods]
         print(f"  {t:5d}  " + "  ".join(cells))
 
 

@@ -10,9 +10,7 @@ of per-seed mean SER.
 
 import argparse
 
-import numpy as np
-
-from metalink.harness import default_config, load_config, run_pilot_sweep, write_curve
+from metalink.harness import default_config, load_config, median_of_seed_means, run_pilot_sweep, write_curve
 
 
 def main():
@@ -32,13 +30,7 @@ def main():
     print(f"median over {len(config.seeds)} seeds of per-seed mean SER:")
     print("  pilots  " + "  ".join(f"{m:>12s}" for m in methods))
     for n in config.pilot_counts:
-        cells = []
-        for method in methods:
-            per_seed = [
-                np.mean([r.value for r in result.records if (r.seed, r.method, r.sweep_value) == (s, method, float(n))])
-                for s in config.seeds
-            ]
-            cells.append(f"{np.median(per_seed):12.4f}")
+        cells = [f"{median_of_seed_means(result.records, m, 'ser', float(n)):12.4f}" for m in methods]
         print(f"  {n:6d}  " + "  ".join(cells))
 
 

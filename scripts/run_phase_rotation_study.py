@@ -8,41 +8,10 @@ both, mirroring the hardest case for the joint baseline.
 """
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
-from metalink.harness import evaluate_ser
-from metalink.learners import DEMOD_ARCH, TrainConfig, maml_adapt, meta_train, train_joint
-from metalink.nn import init_params
-from metalink.tasks import (
-    SCOPE_ADAPT_PILOTS,
-    SCOPE_EVAL,
-    SCOPE_TEST_TASK,
-    demod_task_pool,
-    make_pilot_dataset,
-    phase_rotation_family,
-    rng_for,
-    subsample_stream,
-)
-
-
-def run_seed(seed, snr_db, n_tasks, outer_iters, n_devices, n_pilots):
-    family = phase_rotation_family(snr_db)
-    pool = demod_task_pool(family, n_tasks, 8, 32, seed)
-    tc = TrainConfig(eta_inner=0.1, eta_outer=0.3, m=1, K_meta_batch=10, outer_iters=outer_iters, seed=seed)
-    init = init_params(DEMOD_ARCH, seed)
-    theta = meta_train(subsample_stream(pool, tc.K_meta_batch), tc, init=init).params
-    joint = train_joint(pool, replace(tc, outer_iters=300), init=init)
-
-    joint_ser, maml_ser = [], []
-    for device in range(n_devices):
-        task = family.sample(rng_for(seed, SCOPE_TEST_TASK, device), task_id=device)
-        joint_ser.append(evaluate_ser(joint, task, 2000, rng_for(seed, SCOPE_EVAL, device, 0)))
-        pilots = make_pilot_dataset(task, n_pilots, rng_for(seed, SCOPE_ADAPT_PILOTS, device, n_pilots))
-        adapted = maml_adapt(theta, pilots, tc.eta_inner, tc.m)
-        maml_ser.append(evaluate_ser(adapted, task, 2000, rng_for(seed, SCOPE_EVAL, device, n_pilots)))
-    return float(np.mean(joint_ser)), float(np.mean(maml_ser))
+from metalink.harness import run_phase_rotation_seed
 
 
 def main():
@@ -57,7 +26,7 @@ def main():
 
     joint_means, maml_means = [], []
     for seed in args.seeds:
-        joint_ser, maml_ser = run_seed(
+        joint_ser, maml_ser = run_phase_rotation_seed(
             seed, args.snr_db, args.tasks, args.outer_iters, args.devices, args.pilots
         )
         joint_means.append(joint_ser)

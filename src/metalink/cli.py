@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .checks import run_gradcheck
 from .errors import ConfigurationError, NumericalError
 from .harness import (
     default_config,
@@ -17,7 +18,6 @@ from .harness import (
     load_config,
     load_params,
     run_adaptation_sweep,
-    run_gradcheck,
     run_meta_train,
     run_pilot_sweep,
     save_params,

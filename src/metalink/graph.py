@@ -11,7 +11,7 @@ node value is finite, and the op that would first produce a nan or inf raises
 NumericalError naming its kind, so divergence surfaces at the first bad node
 instead of as a mystery NaN three modules later.  Leaves and the ops that can
 create a non-finite value from finite inputs (arithmetic, products,
-reductions, exp, log, sqrt, cross-entropy) check their result as they are
+reductions, exp, sqrt, cross-entropy) check their result as they are
 built.  The remaining ops (_FINITE_PRESERVING) only move, copy or zero
 entries, or map them into a bounded range, so finite inputs give finite
 outputs; since their inputs are nodes, and so already finite, they skip the
@@ -59,13 +59,14 @@ class Node:
 
 # Ops that cannot turn finite inputs into a non-finite output: transpose,
 # reshape, vslice, vpad and the broadcasts copy existing entries or zeros;
-# tanh lies in [-1, 1], relu_mask in {0, 1} and relu is an entry or 0; the
-# softmaxes lie in [0, 1], because the shifted exponents are <= 0 (an
-# overflowing shift is -inf, whose exp is 0) and each sum includes exp(0) = 1.
+# tanh lies in [-1, 1], relu_mask in {0, 1} and relu is an entry or 0;
+# softmax_rows lies in [0, 1], because the shifted exponents are <= 0 (an
+# overflowing shift is -inf, whose exp is 0) and each row sum includes
+# exp(0) = 1.
 _FINITE_PRESERVING = frozenset({
     "transpose", "reshape", "vslice", "vpad",
     "bcast", "bcast_rows", "bcast_cols",
-    "tanh", "relu", "relu_mask", "softmax", "softmax_rows",
+    "tanh", "relu", "relu_mask", "softmax_rows",
 })
 
 
@@ -123,19 +124,6 @@ def smul(s, a):
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-def matvec(w, x):
-    return _make("matvec", w.value @ x.value, (w, x))
-
-
-def matvec_t(w, x):
-    """w.T @ x without materialising the transpose."""
-    return _make("matvec_t", w.value.T @ x.value, (w, x))
-
-
-def outer(u, v):
-    return _make("outer", np.outer(u.value, v.value), (u, v))
-
 
 def matmat(a, b):
     return _make("matmat", a.value @ b.value, (a, b))
@@ -222,19 +210,8 @@ def exp(a):
     return _make("exp", np.exp(a.value), (a,))
 
 
-def log(a):
-    return _make("log", np.log(a.value), (a,))
-
-
 def sqrt(a):
     return _make("sqrt", np.sqrt(a.value), (a,))
-
-
-def softmax(v):
-    """Stable softmax of a 1-d node."""
-    z = v.value - v.value.max()
-    e = np.exp(z)
-    return _make("softmax", e / e.sum(), (v,))
 
 
 def softmax_rows(z):
@@ -272,11 +249,6 @@ def _tanh_vjp(n, g):
     return mul(g, add(one, scale(mul(n, n), -1.0)))
 
 
-def _softmax_vjp(n, g):
-    dot = asum(mul(g, n))
-    return mul(n, add(g, bcast(scale(dot, -1.0), n.value.shape)))
-
-
 def _softmax_rows_vjp(n, g):
     inner = row_sum(mul(g, n))
     return mul(n, add(g, scale(bcast_cols(inner, n.value.shape[1]), -1.0)))
@@ -300,9 +272,6 @@ _VJPS = {
         lambda n, g: scale(mul(g, div(n, n.parents[1])), -1.0),
     ),
     "smul": (lambda n, g: asum(mul(g, n.parents[1])), lambda n, g: smul(n.parents[0], g)),
-    "matvec": (lambda n, g: outer(g, n.parents[1]), lambda n, g: matvec_t(n.parents[0], g)),
-    "matvec_t": (lambda n, g: outer(n.parents[1], g), lambda n, g: matvec(n.parents[0], g)),
-    "outer": (lambda n, g: matvec(g, n.parents[1]), lambda n, g: matvec_t(g, n.parents[0])),
     "matmat": (
         lambda n, g: matmat(g, transpose(n.parents[1])),
         lambda n, g: matmat(transpose(n.parents[0]), g),
@@ -322,9 +291,7 @@ _VJPS = {
     "relu": (lambda n, g: mul(g, relu_mask(n.parents[0])),),
     "relu_mask": (lambda n, g: None,),
     "exp": (lambda n, g: mul(g, n),),
-    "log": (lambda n, g: div(g, n.parents[0]),),
     "sqrt": (lambda n, g: scale(div(g, n), 0.5),),
-    "softmax": (_softmax_vjp,),
     "softmax_rows": (_softmax_rows_vjp,),
     "softmax_xent": (_softmax_xent_vjp,),
 }

@@ -1,14 +1,19 @@
 """Experiment orchestration: sweeps, metrics, config files, CSV persistence.
 
-Two experiments ship with the package:
+Two experiments ship with the package, one per profile:
 
-* sweep_pilots: symbol error rate of a 16-QAM demodulator on unseen devices
-  versus the number of pilots, for four training strategies (conventional
-  from scratch, joint across devices, joint plus adaptation, meta-learned
-  initialization plus adaptation);
-* sweep_adaptation: block error rate of an end-to-end autoencoder on unseen
-  3-tap fading channels versus the number of adaptation iterations, starting
-  either from the meta-learned initialization or from a random one.
+* `metalink sweep-pilots` (demod, run_pilot_sweep): symbol error rate of a
+  16-QAM demodulator on unseen devices versus the number of pilots, for four
+  training strategies (conventional from scratch, joint across devices,
+  joint plus adaptation, meta-learned initialization plus adaptation);
+* `metalink sweep-adapt` (autoencoder, run_adaptation_sweep): block error
+  rate of an end-to-end autoencoder on unseen 3-tap fading channels versus
+  the number of adaptation iterations, starting either from the meta-learned
+  initialization or from a random one.
+
+`metalink meta-train` (run_meta_train) and `metalink eval`
+(evaluate_params) run single steps of the same per-profile pipeline: build
+the task pool, meta-train, adapt on test tasks, evaluate.
 
 Determinism contract: everything a run produces is a pure function of the
 config (including its seed list).  Per-purpose rng streams are derived from
@@ -27,7 +32,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .autodiff import eval_with_gradient
-from .checks import run_gradcheck  # noqa: F401  (re-exported: part of this module's API)
 from .errors import ConfigurationError
 from .learners import (
     DEMOD_ARCH,
@@ -60,6 +64,7 @@ from .tasks import (
     demod_task_pool,
     generate_autoencoder_batch,
     make_pilot_dataset,
+    phase_rotation_family,
     rng_for,
     subsample_stream,
 )
@@ -303,14 +308,14 @@ assert set(_FIELD_PARSERS) == {f.name for f in fields(ExperimentConfig)}
 def load_config(path):
     """Strict parse of a flat `key = value` file into an ExperimentConfig.
 
-    Unknown keys, repeated keys, or malformed lines are rejected with the
-    offending line number.  The `profile` key selects which defaults fill in
-    anything unspecified.
+    Unknown keys, repeated keys, malformed lines and values no run can
+    honour are rejected with the offending line number.  The `profile` key
+    selects which defaults fill in anything unspecified.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read config '{path}': {err}") from err
 
     pairs = {}
@@ -330,9 +335,9 @@ def load_config(path):
 
     if "profile" not in pairs:
         raise ConfigurationError(f"{path}: missing required key 'profile'")
-    profile = pairs.pop("profile")[1]
+    lineno, profile = pairs.pop("profile")
     if profile not in PROFILES:
-        raise ConfigurationError(f"{path}: unknown profile '{profile}'")
+        raise ConfigurationError(f"{path}:{lineno}: unknown profile '{profile}'")
 
     config = default_config(profile)
     overrides = {}
@@ -343,8 +348,14 @@ def load_config(path):
             raise ConfigurationError(f"{path}:{lineno}: bad value for '{key}': {err}") from err
     try:
         return replace(config, **overrides)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{path}: {err}") from err
+    except ConfigurationError:
+        # Name the line: the first override that fails when applied in file order.
+        for key, value in overrides.items():
+            try:
+                config = replace(config, **{key: value})
+            except ConfigurationError as err:
+                raise ConfigurationError(f"{path}:{pairs[key][0]}: {err}") from err
+        raise
 
 
 def _format_value(value):
@@ -391,7 +402,7 @@ def read_curve(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read curve '{path}': {err}") from err
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"{path}: missing curve header")
@@ -443,32 +454,77 @@ def evaluate_bler(enc, dec, task, n_blocks, rng):
 # sweeps
 
 
+_AE_SPEC = AutoencoderSpec()
+
+
 def _maml_label(config):
     return "maml-fo" if config.first_order else "maml"
 
 
+def _setup(config, seed, family=None):
+    """(task family, meta-training pool, meta-batch stream, initial params).
+
+    `family` replaces the profile's default task family.
+    """
+    family = family or TaskFamily(kind=config.profile, snr_db=config.snr_db)
+    if config.profile == "demod":
+        pool = demod_task_pool(
+            family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
+        )
+        return family, pool, subsample_stream(pool, config.K_meta_batch), init_params(DEMOD_ARCH, seed)
+    pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
+    stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
+    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed)
+
+
+def _test_task(family, seed, unit):
+    return family.sample(rng_for(seed, SCOPE_TEST_TASK, unit), task_id=unit)
+
+
+def _pilots(task, seed, device, n):
+    return make_pilot_dataset(task, n, rng_for(seed, SCOPE_ADAPT_PILOTS, device, n))
+
+
+def _ser(config, seed, params, task, device, n):
+    # Same eval stream for every method at a given (device, n): paired
+    # comparisons cut the Monte-Carlo variance of orderings.
+    return evaluate_ser(params, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
+
+
+def _adaptation(config, seed, task, unit, p):
+    """Autoencoder params after t = 0..adapt_iters_max SGD steps on fresh batches."""
+    lossfn = make_autoencoder_lossfn(_AE_SPEC)
+    step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
+    yield p
+    for _ in range(config.adapt_iters_max):
+        batch = generate_autoencoder_batch(task, config.n_train_blocks, step_rng, _AE_SPEC)
+        p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, config.eta_inner)
+        yield p
+
+
+def _bler(config, seed, params, task, unit, t):
+    enc, dec = split_autoencoder_params(params, _AE_SPEC)
+    return evaluate_bler(enc, dec, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t))
+
+
 def _pilot_seed_records(config, seed):
     """All raw SER measurements for one seed of the pilot sweep."""
-    family = TaskFamily(kind="demod", snr_db=config.snr_db)
-    pool = demod_task_pool(
-        family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
-    )
+    family, pool, stream, init = _setup(config, seed)
     tc = config.train_config(seed)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
     tc_base = replace(tc, outer_iters=config.baseline_iters)
-    init = init_params(DEMOD_ARCH, seed)
-    theta = meta_train(subsample_stream(pool, tc.K_meta_batch), tc, init=init).params
+    theta = meta_train(stream, tc, init=init).params
     joint = train_joint(pool, tc_base, init=init)
 
     label = _maml_label(config)
     records = []
     for device in range(config.n_meta_test_tasks):
-        task = family.sample(rng_for(seed, SCOPE_TEST_TASK, device), task_id=device)
+        task = _test_task(family, seed, device)
         for n in config.pilot_counts:
-            pilots = make_pilot_dataset(task, n, rng_for(seed, SCOPE_ADAPT_PILOTS, device, n))
+            pilots = _pilots(task, seed, device, n)
             candidates = (
                 ("conventional", train_conventional(task, n, tc_base, dataset=pilots, init=init)),
                 ("joint", joint),
@@ -476,44 +532,27 @@ def _pilot_seed_records(config, seed):
                 (label, maml_adapt(theta, pilots, tc.eta_inner, tc.m)),
             )
             for method, params in candidates:
-                # Same eval stream for every method at a given (device, n):
-                # paired comparisons cut the Monte-Carlo variance of orderings.
-                ser = evaluate_ser(
-                    params, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n)
-                )
+                ser = _ser(config, seed, params, task, device, n)
                 records.append(SweepRecord(seed, device, float(n), method, "ser", ser))
     return records
 
 
 def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
-    spec = AutoencoderSpec()
-    family = TaskFamily(kind="autoencoder", snr_db=config.snr_db)
-    pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
-    tc = config.train_config(seed)
-    stream = autoencoder_stream(pool, spec, tc.K_meta_batch, config.n_train_blocks)
-    theta = meta_train(stream, tc, init=init_autoencoder_params(spec, seed)).params
-    lossfn = make_autoencoder_lossfn(spec)
+    family, _, stream, init = _setup(config, seed)
+    theta = meta_train(stream, config.train_config(seed), init=init).params
 
     label = _maml_label(config)
     records = []
     for unit in range(config.n_meta_test_tasks):
-        task = family.sample(rng_for(seed, SCOPE_TEST_TASK, unit), task_id=unit)
+        task = _test_task(family, seed, unit)
         starts = (
             (label, theta),
-            ("conventional", init_autoencoder_params(spec, rng_for(seed, SCOPE_TASK, unit))),
+            ("conventional", init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit))),
         )
         for method, start in starts:
-            step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
-            p = start
-            for t in range(config.adapt_iters_max + 1):
-                if t > 0:
-                    batch = generate_autoencoder_batch(task, config.n_train_blocks, step_rng, spec)
-                    p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, tc.eta_inner)
-                enc, dec = split_autoencoder_params(p, spec)
-                bler = evaluate_bler(
-                    enc, dec, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t)
-                )
+            for t, p in enumerate(_adaptation(config, seed, task, unit, start)):
+                bler = _bler(config, seed, p, task, unit, t)
                 records.append(SweepRecord(seed, unit, float(t), method, "bler", bler))
     return records
 
@@ -531,41 +570,69 @@ def _aggregate(records, n_seeds):
     return CurveTable(tuple(rows))
 
 
-def _map_seeds(worker, config, workers):
-    if workers is None or workers <= 1:
+def _sweep(worker, profile, config, workers):
+    if config.profile != profile:
+        raise ConfigurationError(f"this sweep needs profile = {profile}, got '{config.profile}'")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         per_seed = [worker(config, s) for s in config.seeds]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(functools.partial(worker, config), config.seeds))
-    records = []
-    for chunk in per_seed:  # seeds order, not completion order
-        records.extend(chunk)
-    return tuple(records)
+    records = tuple(r for chunk in per_seed for r in chunk)  # seeds order, not completion order
+    return SweepResult(records, _aggregate(records, len(config.seeds)))
 
 
 def run_pilot_sweep(config, workers=1):
-    """Pilot sweep with raw records kept (per-seed medians need them)."""
-    if config.profile != "demod":
-        raise ConfigurationError("sweep_pilots needs profile = demod")
-    records = _map_seeds(_pilot_seed_records, config, workers)
-    return SweepResult(records, _aggregate(records, len(config.seeds)))
-
-
-def sweep_pilots(config, workers=1):
     """SER vs number of pilots across training strategies; see module doc."""
-    return run_pilot_sweep(config, workers).table
+    return _sweep(_pilot_seed_records, "demod", config, workers)
 
 
 def run_adaptation_sweep(config, workers=1):
-    if config.profile != "autoencoder":
-        raise ConfigurationError("sweep_adaptation needs profile = autoencoder")
-    records = _map_seeds(_adaptation_seed_records, config, workers)
-    return SweepResult(records, _aggregate(records, len(config.seeds)))
-
-
-def sweep_adaptation(config, workers=1):
     """BLER vs adaptation iterations from meta-learned and random inits."""
-    return run_adaptation_sweep(config, workers).table
+    return _sweep(_adaptation_seed_records, "autoencoder", config, workers)
+
+
+def median_of_seed_means(records, method, metric, sweep_value):
+    """Median over seeds of the per-seed mean of the matching records."""
+    by_seed = {}
+    for r in records:
+        if (r.method, r.metric, r.sweep_value) == (method, metric, sweep_value):
+            by_seed.setdefault(r.seed, []).append(r.value)
+    if not by_seed:
+        raise ConfigurationError(f"no records for {method}/{metric} at {sweep_value}")
+    return float(np.median([np.mean(vals) for vals in by_seed.values()]))
+
+
+def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_devices=10, n_pilots=16):
+    """Joint training against meta-learning on pure phase rotations, one seed.
+
+    Both learn from n_tasks rotation-only devices (8 adaptation and 32 test
+    pilots each).  Returns (mean SER of the joint model, mean SER of the
+    meta-learned model adapted on n_pilots pilots) over n_devices fresh
+    devices, each measured on 2000 symbols.
+    """
+    config = replace(
+        default_config("demod"),
+        snr_db=snr_db,
+        outer_iters=outer_iters,
+        n_meta_train_tasks=n_tasks,
+        meta_train_pilots=8,
+        meta_test_pilots=32,
+        n_meta_test_tasks=n_devices,
+    )
+    family, pool, stream, init = _setup(config, seed, phase_rotation_family(snr_db))
+    tc = config.train_config(seed)
+    theta = meta_train(stream, tc, init=init).params
+    joint = train_joint(pool, replace(tc, outer_iters=config.baseline_iters), init=init)
+    joint_ser, maml_ser = [], []
+    for device in range(n_devices):
+        task = _test_task(family, seed, device)
+        joint_ser.append(_ser(config, seed, joint, task, device, 0))
+        adapted = maml_adapt(theta, _pilots(task, seed, device, n_pilots), tc.eta_inner, tc.m)
+        maml_ser.append(_ser(config, seed, adapted, task, device, n_pilots))
+    return float(np.mean(joint_ser)), float(np.mean(maml_ser))
 
 
 # ---------------------------------------------------------------------------
@@ -575,56 +642,32 @@ def sweep_adaptation(config, workers=1):
 def run_meta_train(config, seed=None):
     """Meta-train one initialization per the config's profile."""
     seed = config.seed if seed is None else seed
-    tc = config.train_config(seed)
-    if config.profile == "demod":
-        family = TaskFamily(kind="demod", snr_db=config.snr_db)
-        pool = demod_task_pool(
-            family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
-        )
-        return meta_train(subsample_stream(pool, tc.K_meta_batch), tc, init=init_params(DEMOD_ARCH, seed))
-    spec = AutoencoderSpec()
-    family = TaskFamily(kind="autoencoder", snr_db=config.snr_db)
-    pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
-    stream = autoencoder_stream(pool, spec, tc.K_meta_batch, config.n_train_blocks)
-    return meta_train(stream, tc, init=init_autoencoder_params(spec, seed))
+    _, _, stream, init = _setup(config, seed)
+    return meta_train(stream, config.train_config(seed), init=init)
 
 
 def evaluate_params(config, params, seed=None):
     """Adapt saved parameters to fresh meta-test tasks and report the metric.
 
+    Each value is one point of the profile's sweep for the maml method.
     demod: adapt on max(pilot_counts) pilots with m steps, mean SER over
     n_meta_test_tasks devices.  autoencoder: adapt for adapt_iters_max
-    iterations, mean BLER over test channels.  Returns (metric_name, values).
+    iterations, BLER over test channels, measured on the sweep's t = 0
+    evaluation stream.  Returns (metric_name, values).
     """
     seed = config.seed if seed is None else seed
-    tc = config.train_config(seed)
+    family = TaskFamily(kind=config.profile, snr_db=config.snr_db)
+    n = max(config.pilot_counts)
     values = []
-    if config.profile == "demod":
-        family = TaskFamily(kind="demod", snr_db=config.snr_db)
-        n = max(config.pilot_counts)
-        for device in range(config.n_meta_test_tasks):
-            task = family.sample(rng_for(seed, SCOPE_TEST_TASK, device), task_id=device)
-            pilots = make_pilot_dataset(task, n, rng_for(seed, SCOPE_ADAPT_PILOTS, device, n))
-            adapted = maml_adapt(params, pilots, tc.eta_inner, tc.m)
-            values.append(
-                evaluate_ser(adapted, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
-            )
-        return "ser", values
-    spec = AutoencoderSpec()
-    family = TaskFamily(kind="autoencoder", snr_db=config.snr_db)
-    lossfn = make_autoencoder_lossfn(spec)
     for unit in range(config.n_meta_test_tasks):
-        task = family.sample(rng_for(seed, SCOPE_TEST_TASK, unit), task_id=unit)
-        step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
-        p = params
-        for _ in range(config.adapt_iters_max):
-            batch = generate_autoencoder_batch(task, config.n_train_blocks, step_rng, spec)
-            p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, tc.eta_inner)
-        enc, dec = split_autoencoder_params(p, spec)
-        values.append(
-            evaluate_bler(enc, dec, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, 0))
-        )
-    return "bler", values
+        task = _test_task(family, seed, unit)
+        if config.profile == "demod":
+            adapted = maml_adapt(params, _pilots(task, seed, unit, n), config.eta_inner, config.m)
+            values.append(_ser(config, seed, adapted, task, unit, n))
+        else:
+            *_, adapted = _adaptation(config, seed, task, unit, params)
+            values.append(_bler(config, seed, adapted, task, unit, 0))
+    return ("ser" if config.profile == "demod" else "bler"), values
 
 
 def save_params(path, p):

@@ -126,26 +126,38 @@ def loss_value(lossfn, p, data):
     return float(lossfn(theta, data).value)
 
 
+def _attempt(value_grad, p):
+    """(loss, gradient) at p, or None if the loss is non-finite or above the ceiling."""
+    try:
+        loss, grad = value_grad(p)
+    except NumericalError:
+        return None
+    return None if loss > LOSS_CEILING else (loss, grad)
+
+
+def _guarded_step(value_grad, p, prev, eta, what, it):
+    """Loss and gradient at p, under the divergence guard.
+
+    If the loss at p diverges, the last step is retried once at half size
+    from prev = (previous point, its gradient); with no previous step, or if
+    the retry diverges too, NumericalError.  Returns (point used, loss, grad).
+    """
+    out = _attempt(value_grad, p)
+    if out is None:
+        if prev is None:
+            raise NumericalError(f"{what}: loss diverged at the initial point")
+        p = sgd_step(prev[0], prev[1], 0.5 * eta)
+        out = _attempt(value_grad, p)
+        if out is None:
+            raise NumericalError(f"{what}: diverged at iteration {it}; half-step retry failed")
+    return (p, *out)
+
+
 def _guarded_descent(value_grad, p, eta, n_iters, what):
     """SGD with the retry-once-at-half-step divergence guard."""
     prev = None
     for it in range(n_iters):
-        try:
-            loss, grad = value_grad(p)
-            bad = loss > LOSS_CEILING
-        except NumericalError:
-            bad = True
-        if bad:
-            if prev is None:
-                raise NumericalError(f"{what}: loss diverged at the initial point")
-            p = sgd_step(prev[0], prev[1], 0.5 * eta)
-            try:
-                loss, grad = value_grad(p)
-                bad = loss > LOSS_CEILING
-            except NumericalError:
-                bad = True
-            if bad:
-                raise NumericalError(f"{what}: diverged at iteration {it}; half-step retry failed")
+        p, _, grad = _guarded_step(value_grad, p, prev, eta, what, it)
         prev = (p, grad)
         p = sgd_step(p, grad, eta)
     return p
@@ -287,24 +299,9 @@ def meta_train(task_stream, config, *, init=None):
     for it in range(config.outer_iters):
         batch = pending if pending is not None else task_stream(rng)
         pending = None
-        try:
-            loss, grad = _meta_value_grad(theta, batch, config)
-            bad = loss > LOSS_CEILING
-        except NumericalError:
-            bad = True
-        if bad:
-            if prev is None:
-                raise NumericalError("meta-training: loss diverged at the initial point")
-            theta = sgd_step(prev[0], prev[1], 0.5 * config.eta_outer)
-            try:
-                loss, grad = _meta_value_grad(theta, batch, config)
-                bad = loss > LOSS_CEILING
-            except NumericalError:
-                bad = True
-            if bad:
-                raise NumericalError(
-                    f"meta-training diverged at iteration {it}; half-step retry failed"
-                )
+        theta, loss, grad = _guarded_step(
+            lambda q: _meta_value_grad(q, batch, config), theta, prev, config.eta_outer, "meta-training", it
+        )
         history.append((it, loss))
         prev = (theta, grad)
         theta = sgd_step(theta, grad, config.eta_outer)

@@ -7,10 +7,11 @@ tuple of (fan_in, fan_out, activation) with activation one of
 "tanh" | "relu" | "linear"; the output layer of every network built here is
 linear (logits or channel symbols).
 
-Each network has two synchronized implementations: a graph builder used for
-training (returns Nodes, differentiable to any order) and a plain numpy
-forward used for evaluation.  Both execute the same numpy ops in the same
-order, so their outputs agree bit for bit.
+Each network has one forward, built from graph nodes: training
+differentiates it to any order, and evaluation (mlp_forward,
+autoencoder_forward) reads its value.  Like every graph value, evaluation
+logits are finite: an overflow raises NumericalError instead of being
+argmax-ed.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # graph builders
 
-def _apply_activation_node(z, act):
+def _activate(z, act):
     if act == "tanh":
         return graph.tanh(z)
     if act == "relu":
@@ -160,7 +161,7 @@ def mlp_logits_node(p_node, arch, x):
         offset += fan_in * fan_out
         b = graph.vslice(p_node, offset, offset + fan_out)
         offset += fan_out
-        h = _apply_activation_node(graph.bias_add(graph.matmat(h, w), b), act)
+        h = _activate(graph.bias_add(graph.matmat(h, w), b), act)
     if offset != p_node.value.shape[0]:
         raise ConfigurationError(
             f"architecture consumes {offset} parameters, vector has {p_node.value.shape[0]}"
@@ -188,53 +189,11 @@ def make_mlp_lossfn(arch, n_classes=None):
     return lossfn
 
 
-# ---------------------------------------------------------------------------
-# numpy twins
-
-def _apply_activation(z, act):
-    if act == "tanh":
-        return np.tanh(z)
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
 def mlp_forward(p, x):
-    """Plain numpy forward pass; accepts (d,) or (n, d) input."""
+    """Logits of the network p, as a plain array; accepts (d,) or (n, d) input."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = np.atleast_2d(x)
-    values, arch = p.values, p.arch
-    offset = 0
-    for fan_in, fan_out, act in arch:
-        if h.shape[1] != fan_in:
-            raise ConfigurationError(f"layer expects width {fan_in}, got {h.shape[1]}")
-        w = values[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = values[offset:offset + fan_out]
-        offset += fan_out
-        h = _apply_activation(h @ w + b, act)
-    return h[0] if single else h
-
-
-def softmax(logits):
-    """Stable softmax over the last axis."""
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def xent_loss(p, data):
-    """Mean cross-entropy of the network p on data, as a float.
-
-    Same arithmetic as the graph path (shift-stabilized log-sum-exp), so the
-    two agree bitwise on identical inputs.
-    """
-    if len(data) == 0:
-        raise ConfigurationError("cannot evaluate a loss on an empty dataset")
-    logits = mlp_forward(p, data.inputs)
-    return float(graph._xent_value(logits, data.targets))
+    logits = mlp_logits_node(graph.const(p.values), p.arch, np.atleast_2d(x)).value
+    return logits[0] if x.ndim == 1 else logits
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +255,8 @@ def split_autoencoder_params(p, spec):
     )
 
 
-def power_normalize(x, n_uses):
-    """Scale each row to squared norm n_uses (unit average power per use)."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    return x * (math.sqrt(n_uses) / norms)
-
-
 def power_normalize_node(s, n_uses):
-    """Graph version of per-row power normalization."""
+    """Scale each row to squared norm n_uses (unit average power per use)."""
     sq = graph.row_sum(graph.mul(s, s))
     scale_col = graph.div(graph.bcast(graph.const(math.sqrt(n_uses)), sq.value.shape), graph.sqrt(sq))
     return graph.mul(s, graph.bcast_cols(scale_col, s.value.shape[1]))
@@ -347,7 +299,7 @@ def make_autoencoder_lossfn(spec):
 def autoencoder_forward(enc, dec, message, channel, rng):
     """Send message(s) through encoder, fading channel, and decoder.
 
-    Inference-path twin of the training loss: encodes to 2*n_uses reals
+    Same graph forward as the training loss: encodes to 2*n_uses reals
     ([Re block; Im block]), power-normalizes, runs each complex block through
     the tapped channel with fresh noise, and returns decoder logits,
     shape (16,) for a scalar message or (n, 16) for an array.
@@ -363,16 +315,16 @@ def autoencoder_forward(enc, dec, message, channel, rng):
     if idx.min() < 0 or idx.max() >= n_messages:
         raise ConfigurationError(f"messages must lie in [0, {n_messages})")
 
-    coded = mlp_forward(enc, np.eye(n_messages)[idx])
-    if coded.shape[1] % 2:
+    coded = mlp_logits_node(graph.const(enc.values), enc.arch, np.eye(n_messages)[idx])
+    if coded.value.shape[1] % 2:
         raise ConfigurationError("encoder output width must be even (stacked re/im)")
-    n_uses = coded.shape[1] // 2
+    n_uses = coded.value.shape[1] // 2
     rx_width = 2 * (n_uses + channel.taps.shape[0] - 1)
     if dec.arch[0][0] != rx_width:
         raise ConfigurationError(
             f"decoder fan-in {dec.arch[0][0]} does not match channel output width {rx_width}"
         )
-    coded = power_normalize(coded, n_uses)
+    coded = power_normalize_node(coded, n_uses).value
     blocks = coded[:, :n_uses] + 1j * coded[:, n_uses:]
     received = np.stack([apply_channel_block(block, channel, rng) for block in blocks])
     stacked = np.concatenate([received.real, received.imag], axis=1)

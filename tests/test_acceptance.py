@@ -25,23 +25,12 @@ from metalink.checks import (
 )
 from metalink.harness import (
     default_config,
-    evaluate_ser,
+    median_of_seed_means,
     read_curve,
     run_adaptation_sweep,
+    run_phase_rotation_seed,
     run_pilot_sweep,
     write_config,
-)
-from metalink.learners import DEMOD_ARCH, TrainConfig, maml_adapt, meta_train, train_joint
-from metalink.nn import init_params
-from metalink.tasks import (
-    SCOPE_ADAPT_PILOTS,
-    SCOPE_EVAL,
-    SCOPE_TEST_TASK,
-    demod_task_pool,
-    make_pilot_dataset,
-    phase_rotation_family,
-    rng_for,
-    subsample_stream,
 )
 
 
@@ -57,15 +46,6 @@ def ae_sweep():
     t0 = time.perf_counter()
     result = run_adaptation_sweep(default_config("autoencoder"))
     return result, time.perf_counter() - t0
-
-
-def _median_of_seed_means(records, method, metric, sweep_value):
-    by_seed = {}
-    for r in records:
-        if (r.method, r.metric, r.sweep_value) == (method, metric, sweep_value):
-            by_seed.setdefault(r.seed, []).append(r.value)
-    assert by_seed, f"no records for {method}/{metric} at {sweep_value}"
-    return float(np.median([np.mean(vals) for vals in by_seed.values()]))
 
 
 def test_criterion_1_gradient_exactness():
@@ -115,9 +95,9 @@ def test_criterion_5_demod_pilot_sweep_ordering(demod_sweep):
     result, elapsed = demod_sweep
     lines = []
     for n in (2.0, 4.0, 8.0):
-        maml = _median_of_seed_means(result.records, "maml", "ser", n)
-        joint_adapt = _median_of_seed_means(result.records, "joint+adapt", "ser", n)
-        conventional = _median_of_seed_means(result.records, "conventional", "ser", n)
+        maml = median_of_seed_means(result.records, "maml", "ser", n)
+        joint_adapt = median_of_seed_means(result.records, "joint+adapt", "ser", n)
+        conventional = median_of_seed_means(result.records, "conventional", "ser", n)
         lines.append(
             f"  n={int(n)}: maml {maml:.4f}, joint+adapt {joint_adapt:.4f}, "
             f"conventional {conventional:.4f} (0.8x = {0.8 * conventional:.4f})"
@@ -138,9 +118,9 @@ def test_criterion_5_demod_pilot_sweep_ordering(demod_sweep):
 
 def test_criterion_6_autoencoder_adaptation(ae_sweep):
     result, elapsed = ae_sweep
-    maml_t10 = _median_of_seed_means(result.records, "maml", "bler", 10.0)
-    rand_t10 = _median_of_seed_means(result.records, "conventional", "bler", 10.0)
-    maml_t0 = _median_of_seed_means(result.records, "maml", "bler", 0.0)
+    maml_t10 = median_of_seed_means(result.records, "maml", "bler", 10.0)
+    rand_t10 = median_of_seed_means(result.records, "conventional", "bler", 10.0)
+    maml_t0 = median_of_seed_means(result.records, "maml", "bler", 0.0)
     print(
         f"criterion 6: BLER at t=10 maml {maml_t10:.4f} vs random-init {rand_t10:.4f} "
         f"(half = {0.5 * rand_t10:.4f}); maml t=0 {maml_t0:.4f} ({elapsed:.0f}s)"
@@ -156,27 +136,7 @@ def test_criterion_6_autoencoder_adaptation(ae_sweep):
 
 
 def test_criterion_7_joint_training_degeneracy_on_rotations():
-    family = phase_rotation_family(20.0)
-    joint_means, maml_means = [], []
-    for seed in (0, 1, 2):
-        pool = demod_task_pool(family, 50, 8, 32, seed)
-        tc = TrainConfig(eta_inner=0.1, eta_outer=0.3, m=1, K_meta_batch=10, outer_iters=1500, seed=seed)
-        init = init_params(DEMOD_ARCH, seed)
-        theta = meta_train(subsample_stream(pool, tc.K_meta_batch), tc, init=init).params
-        joint = train_joint(pool, replace(tc, outer_iters=300), init=init)
-        joint_ser, maml_ser = [], []
-        for device in range(10):
-            task = family.sample(rng_for(seed, SCOPE_TEST_TASK, device), task_id=device)
-            joint_ser.append(
-                evaluate_ser(joint, task, 2000, rng_for(seed, SCOPE_EVAL, device, 0))
-            )
-            pilots = make_pilot_dataset(task, 16, rng_for(seed, SCOPE_ADAPT_PILOTS, device, 16))
-            adapted = maml_adapt(theta, pilots, tc.eta_inner, tc.m)
-            maml_ser.append(
-                evaluate_ser(adapted, task, 2000, rng_for(seed, SCOPE_EVAL, device, 16))
-            )
-        joint_means.append(np.mean(joint_ser))
-        maml_means.append(np.mean(maml_ser))
+    joint_means, maml_means = zip(*(run_phase_rotation_seed(seed) for seed in (0, 1, 2)))
     joint_med = float(np.median(joint_means))
     maml_med = float(np.median(maml_means))
     print(

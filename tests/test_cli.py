@@ -161,3 +161,40 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, command, extra, flags
     assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("profile = demod\nm = 2\neta_inner = nan\n", "n.cfg:3: step sizes must be finite"),
+        ("profile = demod\nseeds = 0,0\n\nsnr_db = inf\n", "n.cfg:2: seeds must not repeat"),
+        ("# header\nsnr_db = -inf\nprofile = demod\n", "n.cfg:2: snr_db must be finite"),
+        ("profile = demod\npilot_counts = 4,2\n", "n.cfg:2: pilot_counts must be strictly ascending"),
+        ("m = 1\nprofile = qpsk\n", "n.cfg:2: unknown profile"),
+    ],
+)
+def test_rejected_config_value_names_its_line(tmp_path, capsys, text, where):
+    path = tmp_path / "n.cfg"
+    path.write_text(text)
+    assert cli.main(["meta-train", "--config", str(path), "--out", str(tmp_path / "p.npz")]) == cli.EXIT_CONFIG
+    assert where in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"profile = demod\nm = \xff\xfe\n")
+    assert cli.main(["sweep-pilots", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "latin.cfg" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sweep-pilots", "sweep-adapt"])
+def test_workers_below_one_exit_one(tmp_path, capsys, command, workers):
+    write = _write_tiny_demod if command == "sweep-pilots" else _write_tiny_ae
+    cfg = write(tmp_path / "w.cfg")
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == cli.EXIT_CONFIG
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -43,9 +43,6 @@ _OP_CASES = [
     ("mul", np.arange(1.0, 7.0), lambda p: graph.mul(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("div", np.arange(2.0, 8.0), lambda p: graph.div(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("smul", np.arange(1.0, 6.0), lambda p: graph.smul(graph.asum(graph.vslice(p, 0, 1)), graph.vslice(p, 1, 5))),
-    ("matvec", np.arange(1.0, 10.0), lambda p: graph.matvec(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
-    ("matvec_t", np.arange(1.0, 9.0), lambda p: graph.matvec_t(graph.reshape(graph.vslice(p, 0, 6), (3, 2)), graph.vslice(p, 5, 8))),
-    ("outer", np.arange(1.0, 6.0), lambda p: graph.outer(graph.vslice(p, 0, 2), graph.vslice(p, 2, 5))),
     ("matmat", np.arange(1.0, 13.0), lambda p: graph.matmat(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.reshape(graph.vslice(p, 6, 12), (3, 2)))),
     ("transpose", np.arange(1.0, 7.0), lambda p: graph.transpose(graph.reshape(p, (2, 3)))),
     ("reshape", np.arange(1.0, 7.0), lambda p: graph.reshape(p, (3, 2))),
@@ -61,9 +58,7 @@ _OP_CASES = [
     ("tanh", np.arange(1.0, 5.0) / 3.0, lambda p: graph.tanh(p)),
     ("relu", np.array([-2.0, -0.5, 0.7, 3.0]), lambda p: graph.relu(p)),
     ("exp", np.arange(1.0, 5.0) / 4.0, lambda p: graph.exp(p)),
-    ("log", np.arange(1.0, 5.0), lambda p: graph.log(p)),
     ("sqrt", np.arange(1.0, 5.0), lambda p: graph.sqrt(p)),
-    ("softmax", np.array([0.3, -1.2, 2.0, 0.1]), lambda p: graph.softmax(p)),
     ("softmax_rows", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_rows(graph.reshape(p, (2, 3)))),
     ("softmax_xent", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_xent(graph.reshape(p, (2, 3)), np.array([2, 0]))),
 ]
@@ -95,8 +90,8 @@ def test_forward_values_simple_ops():
 
 
 def test_softmax_sums_to_one_and_survives_huge_logits():
-    big = graph.inp(np.array([1e4, -1e4, 0.0, 5e3]))
-    s = graph.softmax(big)
+    big = graph.inp(np.array([[1e4, -1e4, 0.0, 5e3]]))
+    s = graph.softmax_rows(big)
     assert np.all(np.isfinite(s.value))
     assert abs(s.value.sum() - 1.0) < 1e-12
 
@@ -184,7 +179,7 @@ def test_backward_sweep_is_deterministic():
 
     def build():
         p = graph.inp(x0)
-        h = graph.tanh(graph.matvec(graph.const(rng_w), p))
+        h = graph.tanh(graph.matmat(graph.const(rng_w), graph.reshape(p, (6, 1))))
         loss = graph.asum(graph.mul(h, h))
         (g,) = graph.gradients(loss, [p])
         return g.value
@@ -241,7 +236,7 @@ def test_mean_nodes_duplicate_invariance_is_exact(k):
 @given(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_softmax_normalization_property(logits):
-    s = graph.softmax(graph.inp(np.array(logits)))
+    s = graph.softmax_rows(graph.inp(np.array([logits])))
     assert abs(s.value.sum() - 1.0) < 1e-12
     assert np.all(s.value >= 0.0)
 
@@ -282,7 +277,6 @@ _EXEMPT_BUILDERS = {
     "tanh": lambda mat, vec, sca: graph.tanh(mat),
     "relu": lambda mat, vec, sca: graph.relu(mat),
     "relu_mask": lambda mat, vec, sca: graph.relu_mask(mat),
-    "softmax": lambda mat, vec, sca: graph.softmax(vec),
     "softmax_rows": lambda mat, vec, sca: graph.softmax_rows(mat),
 }
 

@@ -1,10 +1,12 @@
 """Experiment harness tests: metrics, config parsing, CSV persistence, sweep
 structure, and run-to-run byte determinism at toy scale."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metalink.autodiff import eval_with_gradient
 from metalink.errors import ConfigurationError
@@ -13,18 +15,19 @@ from metalink.harness import (
     CurveRow,
     CurveTable,
     ExperimentConfig,
+    SweepRecord,
     default_config,
     evaluate_bler,
     evaluate_params,
     evaluate_ser,
     load_config,
     load_params,
+    median_of_seed_means,
     read_curve,
     run_adaptation_sweep,
     run_meta_train,
     run_pilot_sweep,
     save_params,
-    sweep_pilots,
     write_config,
     write_curve,
 )
@@ -224,6 +227,10 @@ def test_read_curve_rejects_malformed_files(tmp_path):
         read_curve(bad_fields)
     with pytest.raises(ConfigurationError):
         read_curve(tmp_path / "missing.csv")
+    not_utf8 = tmp_path / "c.csv"
+    not_utf8.write_bytes(CSV_HEADER.encode() + b"\n1.0,ma\xffml,ser,0.5,0,1\n")
+    with pytest.raises(ConfigurationError, match="c.csv"):
+        read_curve(not_utf8)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +287,30 @@ def test_load_config_diagnostics(tmp_path):
         load_config(path)
 
 
+_CONFIG_LINES = st.lists(
+    st.tuples(
+        st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["", "bogus", "#"]),
+        st.sampled_from(["=", " = ", "", "=="]),
+        st.one_of(
+            st.sampled_from(["demod", "autoencoder", "nan", "-inf", "1e400", "-1", "0", "0,0", "4,2", "true", ""]),
+            st.text(max_size=12),
+        ),
+    ).map(lambda kv: "".join(kv)),
+    max_size=8,
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@given(st.one_of(st.binary(max_size=200), _CONFIG_LINES))
+@settings(max_examples=300, deadline=None)
+def test_load_config_gives_a_config_or_an_error_naming_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_config(path), ExperimentConfig)
+    except ConfigurationError as err:
+        assert str(path) in str(err)
+
+
 def test_experiment_config_validation():
     base = default_config("demod")
     for bad in (
@@ -333,7 +364,7 @@ def test_pilot_sweep_structure_and_determinism(tmp_path):
 
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_curve(result.table, a)
-    write_curve(sweep_pilots(cfg), b)
+    write_curve(run_pilot_sweep(cfg).table, b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -389,6 +420,25 @@ def test_run_meta_train_and_evaluate_demod():
     assert metric == "ser"
     assert len(values) == cfg.n_meta_test_tasks
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_evaluate_params_is_the_sweeps_maml_point():
+    cfg = _tiny_demod_config(seeds=(3,), seed=3)
+    n = max(cfg.pilot_counts)
+    sweep = run_pilot_sweep(cfg).records
+    _, values = evaluate_params(cfg, run_meta_train(cfg).params)
+    assert values == [r.value for r in sweep if r.method == "maml" and r.sweep_value == n]
+
+
+def test_median_of_seed_means():
+    records = [
+        SweepRecord(seed, unit, 2.0, "maml", "ser", value)
+        for seed, unit, value in ((0, 0, 0.1), (0, 1, 0.3), (1, 0, 0.5), (2, 0, 0.9), (2, 1, 0.7))
+    ]
+    # per-seed means 0.2, 0.5, 0.8
+    assert median_of_seed_means(records, "maml", "ser", 2.0) == 0.5
+    with pytest.raises(ConfigurationError, match="no records"):
+        median_of_seed_means(records, "joint", "ser", 2.0)
 
 
 def test_run_meta_train_and_evaluate_autoencoder():

@@ -410,3 +410,22 @@ def test_meta_train_guard_initial_point():
     cfg = TrainConfig(eta_inner=0.001, outer_iters=1, K_meta_batch=1)
     with pytest.raises(NumericalError, match="meta-training"):
         meta_train(lambda rng: batch, cfg, init=np.array([1000.0]))
+
+
+def test_meta_train_guard_half_step_retry_success():
+    # eta_inner = 0 makes the meta-loss the plain loss, so the dynamics are
+    # those of test_guard_half_step_retry_success; the history keeps the
+    # retry point's loss (2.94e5 at -14) for the retried iteration.
+    batch = MetaBatch("demod", (_synthetic_item(_steep(1500.0)),))
+    cfg = TrainConfig(eta_inner=0.0, eta_outer=0.01, outer_iters=2, K_meta_batch=1)
+    out = meta_train(lambda rng: batch, cfg, init=np.array([1.0]))
+    assert np.array_equal(out.params, [406.0])
+    assert out.history == ((0, 1500.0), (1, 294000.0))
+
+
+def test_meta_train_guard_half_step_retry_failure():
+    batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
+    cfg = TrainConfig(eta_inner=0.0, eta_outer=0.001, outer_iters=2, K_meta_batch=1)
+    with pytest.raises(NumericalError, match="meta-training") as exc:
+        meta_train(lambda rng: batch, cfg, init=np.array([1.0]))
+    assert "half-step retry failed" in str(exc.value)

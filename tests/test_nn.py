@@ -1,5 +1,5 @@
-"""Network tests: parameter layout, twin forward passes (graph vs numpy),
-losses, and the autoencoder building blocks."""
+"""Network tests: parameter layout, the graph forward against plain numpy
+references, losses, and the autoencoder building blocks."""
 
 import math
 
@@ -12,8 +12,8 @@ from scipy.special import logsumexp
 from metalink import graph
 from metalink.autodiff import eval_with_gradient
 from metalink.checks import fd_gradient, relative_error
-from metalink.errors import ConfigurationError
-from metalink.learners import sgd_step
+from metalink.errors import ConfigurationError, NumericalError
+from metalink.learners import loss_value, sgd_step
 from metalink.nn import (
     AutoencoderSpec,
     Dataset,
@@ -27,11 +27,8 @@ from metalink.nn import (
     mlp_forward,
     mlp_logits_node,
     param_count,
-    power_normalize,
     power_normalize_node,
-    softmax,
     split_autoencoder_params,
-    xent_loss,
 )
 from metalink.channel import ChannelRealization
 
@@ -106,7 +103,7 @@ def test_zero_parameters_give_uniform_softmax():
     p = ParamVector(np.zeros(param_count(arch)), arch)
     logits = mlp_forward(p, np.array([[0.3, -0.7], [2.0, 1.0]]))
     assert np.array_equal(logits, np.zeros((2, 4)))
-    assert np.allclose(softmax(logits), 0.25, atol=1e-15)
+    assert np.allclose(graph.softmax_rows(graph.const(logits)).value, 0.25, atol=1e-15)
 
 
 def test_single_identity_layer_reproduces_input():
@@ -136,9 +133,18 @@ def test_numpy_forward_equals_graph_forward(hidden):
     arch = mlp_arch((3, 7, 5), hidden=hidden)
     p = init_params(arch, 21)
     x = rng.standard_normal((6, 3))
-    twin = mlp_forward(p, x)
+    # plain numpy reference: same ops in the same order, so equal bit for bit
+    h = x
+    offset = 0
+    for fan_in, fan_out, act in arch:
+        w = p.values[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        h = h @ w + p.values[offset:offset + fan_out]
+        offset += fan_out
+        h = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "linear": lambda z: z}[act](h)
     node = mlp_logits_node(graph.inp(p.values), arch, x)
-    assert np.array_equal(twin, node.value)
+    assert np.array_equal(h, node.value)
+    assert np.array_equal(h, mlp_forward(p, x))
 
 
 def test_forward_rejects_wrong_input_width():
@@ -147,11 +153,26 @@ def test_forward_rejects_wrong_input_width():
         mlp_forward(p, np.zeros((3, 5)))
 
 
+def test_forward_raises_on_non_finite_logits():
+    # Finite weights whose logits overflow: evaluation raises instead of
+    # taking an argmax over inf/nan.
+    arch = ((1, 2, "linear"),)
+    p = ParamVector(np.array([1e300, -1e300, 0.0, 0.0]), arch)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        mlp_forward(p, np.array([[1e10]]))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        mlp_forward(init_params(mlp_arch((2, 3)), 0), np.array([[np.nan, 0.0]]))
+
+
+def _xent(p, data):
+    return loss_value(make_mlp_lossfn(p.arch), p, data)
+
+
 def test_xent_uniform_logits_equals_log_class_count():
     arch = mlp_arch((2, 16))
     p = ParamVector(np.zeros(param_count(arch)), arch)
     data = Dataset(np.random.default_rng(0).standard_normal((9, 2)), np.arange(9) % 16, 16)
-    assert abs(xent_loss(p, data) - math.log(16.0)) < 1e-15
+    assert abs(_xent(p, data) - math.log(16.0)) < 1e-15
 
 
 def test_xent_vanishes_as_correct_logit_grows():
@@ -173,7 +194,7 @@ def test_xent_matches_independent_formula():
     data = Dataset(rng.standard_normal((8, 2)), rng.integers(0, 4, 8), 4)
     logits = mlp_forward(p, data.inputs)
     direct = float(np.mean(logsumexp(logits, axis=1) - logits[np.arange(8), data.targets]))
-    assert abs(xent_loss(p, data) - direct) < 1e-12
+    assert abs(_xent(p, data) - direct) < 1e-12
 
 
 def test_xent_is_nonnegative_and_exceeds_entropy_only_off_uniform():
@@ -181,7 +202,7 @@ def test_xent_is_nonnegative_and_exceeds_entropy_only_off_uniform():
     arch = mlp_arch((2, 5, 3))
     p = init_params(arch, 14)
     data = Dataset(rng.standard_normal((10, 2)), rng.integers(0, 3, 10), 3)
-    loss = xent_loss(p, data)
+    loss = _xent(p, data)
     assert loss >= 0.0
     assert abs(loss - math.log(3.0)) > 1e-6  # non-constant logits
 
@@ -215,7 +236,7 @@ def test_power_normalize_row_energy(rows):
     if np.any((x * x).sum(axis=1) < 1e-6):  # degenerate rows cannot normalize
         return
     n_uses = 2
-    y = power_normalize(x, n_uses)
+    y = power_normalize_node(graph.const(x), n_uses).value
     assert np.allclose((y * y).sum(axis=1), n_uses, rtol=0, atol=1e-12)
 
 
@@ -223,7 +244,9 @@ def test_power_normalize_node_matches_numpy_twin():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((5, 8))
     node = power_normalize_node(graph.const(x), 4)
-    assert np.array_equal(node.value, power_normalize(x, 4))
+    # plain numpy reference: same ops in the same order, so equal bit for bit
+    want = x * (math.sqrt(4) / np.sqrt((x * x).sum(axis=1, keepdims=True)))
+    assert np.array_equal(node.value, want)
 
 
 def test_power_normalize_gradient_matches_finite_differences():
@@ -323,7 +346,7 @@ def test_trained_toy_autoencoder_recovers_messages_without_noise():
 
 def test_autoencoder_forward_matches_training_loss_path():
     # Same draw, both routes: the graph loss on a frozen batch and the
-    # numpy forward through the channel must see identical logits.
+    # evaluation forward through the channel must see identical logits.
     spec = AutoencoderSpec()
     rng = np.random.default_rng(51)
     taps = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(6.0)
