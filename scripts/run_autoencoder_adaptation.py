@@ -7,7 +7,9 @@ Writes the aggregate BLER-vs-iteration curve as CSV.
 """
 
 import argparse
+import sys
 
+from metalink.errors import ConfigurationError
 from metalink.harness import default_config, load_config, median_of_seed_means, run_adaptation_sweep, write_curve
 
 
@@ -34,4 +36,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigurationError as err:
+        sys.exit(f"config error: {err}")

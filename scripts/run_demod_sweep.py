@@ -9,7 +9,9 @@ of per-seed mean SER.
 """
 
 import argparse
+import sys
 
+from metalink.errors import ConfigurationError
 from metalink.harness import default_config, load_config, median_of_seed_means, run_pilot_sweep, write_curve
 
 
@@ -35,4 +37,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigurationError as err:
+        sys.exit(f"config error: {err}")

@@ -8,9 +8,11 @@ both, mirroring the hardest case for the joint baseline.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from metalink.errors import ConfigurationError
 from metalink.harness import run_phase_rotation_seed
 
 
@@ -41,4 +43,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigurationError as err:
+        sys.exit(f"config error: {err}")

@@ -30,6 +30,9 @@ QAM16.flags.writeable = False
 
 _SNR_DB_CAP = 300.0
 
+# Taps of the multipath block channel the autoencoder is trained over.
+BLOCK_TAPS = 3
+
 
 def qam16_modulate(indices):
     """Map integer symbol indices in [0, 16) to unit-energy Gray-coded points."""
@@ -47,6 +50,10 @@ def noise_variance(snr_db):
 def awgn(signal, snr_db, rng):
     """Add circularly symmetric complex Gaussian noise at the given Es/N0.
 
+    One draw covers the whole signal, and each row along the last axis takes
+    all its real parts, then all its imaginary parts.  So a stack of blocks
+    consumes the stream exactly as one call per block would.
+
     rng=None selects noiseless mode: the signal passes through untouched
     (exactly, not merely at high SNR), used by linearity and convolution
     oracles that demand bit-level agreement.
@@ -55,7 +62,9 @@ def awgn(signal, snr_db, rng):
     if rng is None:
         return signal
     sigma = np.sqrt(noise_variance(snr_db) / 2.0)
-    noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
+    shape = np.atleast_1d(signal).shape
+    z = rng.standard_normal(shape[:-1] + (2,) + shape[-1:])
+    noise = (z[..., 0, :] + 1j * z[..., 1, :]).reshape(signal.shape)
     return signal + sigma * noise
 
 
@@ -122,26 +131,32 @@ def apply_channel_demod(indices, ch, rng):
 def apply_channel_block(symbols, ch, rng):
     """Multipath use case: full linear convolution with 3 taps, then noise.
 
-    A block of n complex samples comes out as n + 2 samples.  rng=None skips
-    the noise (see awgn).
+    symbols is one block (n,) or a stack of blocks (n_blocks, n); each block
+    of n complex samples comes out as n + 2 samples, and a stack gets noise
+    as if its blocks were sent one call at a time.  rng=None skips the noise
+    (see awgn).
     """
-    if ch.taps.shape[0] != 3:
+    if ch.taps.shape[0] != BLOCK_TAPS:
         raise ConfigurationError("block channel expects exactly three taps")
-    symbols = np.asarray(symbols)
-    if symbols.ndim != 1 or symbols.size < 1:
-        raise ConfigurationError("block must be a non-empty 1-d complex vector")
-    n = symbols.shape[0]
-    # Scalar complex arithmetic, taps in ascending order: the evaluation
-    # order is part of the contract.  Noiseless output reproduces a direct
-    # y_t = sum_l h_l x_{t-l} double loop bit for bit, which numpy's
-    # vectorized multiply would break (SIMD lanes round differently).
-    taps = ch.taps.tolist()
-    vals = symbols.astype(np.complex128, copy=False).tolist()
-    out = [0j] * (n + len(taps) - 1)
-    for lag, tap in enumerate(taps):
-        for i, v in enumerate(vals):
-            out[lag + i] += tap * v
-    return awgn(np.asarray(out, dtype=np.complex128), ch.snr_db, rng)
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim not in (1, 2) or symbols.size < 1:
+        raise ConfigurationError("blocks must be a non-empty (n,) or (n_blocks, n) complex array")
+    # Taps in ascending order, real and imaginary parts kept apart and
+    # combined as in the scalar complex product (hr*xr - hi*xi,
+    # hr*xi + hi*xr): the output equals a direct y_t = sum_l h_l x_{t-l}
+    # double loop over Python complex numbers bit for bit, which numpy's
+    # complex multiply would not (its SIMD lanes round differently).
+    n = symbols.shape[-1]
+    xr, xi = symbols.real, symbols.imag
+    re = np.zeros(symbols.shape[:-1] + (n + BLOCK_TAPS - 1,))
+    im = np.zeros_like(re)
+    for lag, tap in enumerate(ch.taps.tolist()):
+        hr, hi = tap.real, tap.imag
+        re[..., lag:lag + n] += hr * xr - hi * xi
+        im[..., lag:lag + n] += hr * xi + hi * xr
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return awgn(out, ch.snr_db, rng)
 
 
 def channel_conv_matrix(taps, n):
@@ -155,11 +170,18 @@ def channel_conv_matrix(taps, n):
     length = taps.shape[0]
     if n < 1 or length < 1:
         raise ConfigurationError("convolution matrix needs positive sizes")
-    conv = np.zeros((n + length - 1, n), dtype=np.complex128)
-    for k in range(n):
-        conv[k:k + length, k] = taps
+    rows = n + length - 1
+    conv = np.zeros((rows, n), dtype=np.complex128)
+    flat = conv.reshape(-1)  # a view: C[k + lag, k] is flat[lag*n + k*(n+1)]
+    for lag, tap in enumerate(taps.tolist()):
+        flat[lag * n::n + 1][:n] = tap
     a, b = conv.real, conv.imag
-    return np.block([[a, -b], [b, a]])
+    stacked = np.empty((2 * rows, 2 * n))
+    stacked[:rows, :n] = a
+    stacked[:rows, n:] = -b
+    stacked[rows:, :n] = b
+    stacked[rows:, n:] = a
+    return stacked
 
 
 def qam16_min_distance_detect(received, ch):

@@ -47,11 +47,14 @@ def _build_parser():
         p.add_argument("--seed", type=int, help="override the config's seed / seed list")
         p.add_argument("--out", help="output path (overrides config.output_path)")
         p.add_argument("--first-order", action="store_true", help="use the first-order meta-gradient")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers over seeds")
+        return p
 
     common(sub.add_parser("meta-train", help="learn an initialization"), "demod")
-    common(sub.add_parser("sweep-pilots", help="SER vs pilot count"), "demod")
-    common(sub.add_parser("sweep-adapt", help="BLER vs adaptation iteration"), "autoencoder")
+    for sweep in (
+        common(sub.add_parser("sweep-pilots", help="SER vs pilot count"), "demod"),
+        common(sub.add_parser("sweep-adapt", help="BLER vs adaptation iteration"), "autoencoder"),
+    ):
+        sweep.add_argument("--workers", type=int, default=1, help="parallel workers over seeds")
 
     check = sub.add_parser("gradcheck", help="run the derivative verification suites")
     check.add_argument("--scale", choices=("small", "full"), default="small")

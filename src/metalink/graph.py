@@ -172,12 +172,16 @@ def bcast(s, shape):
 
 def bcast_rows(v, n_rows):
     """1-d node tiled as the rows of an (n_rows, len(v)) matrix."""
-    return _make("bcast_rows", np.broadcast_to(v.value, (n_rows, v.value.shape[0])).copy(), (v,), n_rows)
+    value = np.empty((n_rows, v.value.shape[0]))
+    value[...] = v.value
+    return _make("bcast_rows", value, (v,), n_rows)
 
 
 def bcast_cols(v, n_cols):
     """1-d node tiled as the columns of a (len(v), n_cols) matrix."""
-    return _make("bcast_cols", np.broadcast_to(v.value[:, None], (v.value.shape[0], n_cols)).copy(), (v,), n_cols)
+    value = np.empty((v.value.shape[0], n_cols))
+    value[...] = v.value[:, None]
+    return _make("bcast_cols", value, (v,), n_cols)
 
 
 def bias_add(z, b):

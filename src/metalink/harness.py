@@ -192,6 +192,12 @@ class ExperimentConfig:
         if not math.isfinite(self.snr_db):
             raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
         self.train_config(self.seed)  # delegate step-size/m/seed validation
+        if self.profile == "autoencoder" and self.K_meta_batch > self.n_meta_train_tasks:
+            # The demod stream degenerates to the full pool instead; the
+            # autoencoder stream cannot.
+            raise ConfigurationError(
+                f"K_meta_batch {self.K_meta_batch} exceeds n_meta_train_tasks {self.n_meta_train_tasks}"
+            )
         if not self.seeds:
             raise ConfigurationError("seeds must not be empty")
         if any(s < 0 for s in self.seeds):
@@ -413,9 +419,12 @@ def read_curve(path):
         parts = line.split(",")
         if len(parts) != 6:
             raise ConfigurationError(f"{path}:{lineno}: expected 6 fields")
-        rows.append(
-            CurveRow(float(parts[0]), parts[1], parts[2], float(parts[3]), float(parts[4]), int(parts[5]))
-        )
+        try:
+            rows.append(
+                CurveRow(float(parts[0]), parts[1], parts[2], float(parts[3]), float(parts[4]), int(parts[5]))
+            )
+        except (ValueError, ConfigurationError) as err:
+            raise ConfigurationError(f"{path}:{lineno}: {err}") from err
     return CurveTable(tuple(rows))
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph
+from .channel import BLOCK_TAPS
 from .errors import ConfigurationError
 
 _ACTIVATIONS = ("tanh", "relu", "linear")
@@ -201,21 +202,20 @@ def mlp_forward(p, x):
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
-    """Message set size, complex channel uses, tap count, and the two nets.
+    """Message set size, complex channel uses, and the two nets.
 
     The decoder consumes the channel output of a linear convolution with
-    n_taps taps, which stretches n_uses complex samples to
-    n_uses + n_taps - 1, stacked into reals; hence its fan-in.
+    BLOCK_TAPS taps, which stretches n_uses complex samples to
+    n_uses + BLOCK_TAPS - 1, stacked into reals; hence its fan-in.
     """
 
     n_messages: int = 16
     n_uses: int = 8
-    n_taps: int = 3
     enc_hidden: tuple = (32,)
     dec_hidden: tuple = (32,)
 
     def __post_init__(self):
-        if min(self.n_messages, self.n_uses, self.n_taps) < 1:
+        if min(self.n_messages, self.n_uses) < 1:
             raise ConfigurationError("autoencoder dimensions must be positive")
 
     @property
@@ -224,7 +224,7 @@ class AutoencoderSpec:
 
     @property
     def dec_arch(self):
-        rx_width = 2 * (self.n_uses + self.n_taps - 1)
+        rx_width = 2 * (self.n_uses + BLOCK_TAPS - 1)
         return mlp_arch((rx_width, *self.dec_hidden, self.n_messages))
 
     @property
@@ -326,7 +326,7 @@ def autoencoder_forward(enc, dec, message, channel, rng):
         )
     coded = power_normalize_node(coded, n_uses).value
     blocks = coded[:, :n_uses] + 1j * coded[:, n_uses:]
-    received = np.stack([apply_channel_block(block, channel, rng) for block in blocks])
+    received = apply_channel_block(blocks, channel, rng)
     stacked = np.concatenate([received.real, received.imag], axis=1)
     logits = mlp_forward(dec, stacked)
     return logits[0] if single else logits

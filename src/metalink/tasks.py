@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, channel_conv_matrix, noise_variance, rayleigh_taps
+from .channel import BLOCK_TAPS, ChannelRealization, channel_conv_matrix, noise_variance, rayleigh_taps
 from .channel import apply_channel_demod
 from .errors import ConfigurationError
 from .nn import AutoencoderSpec, Dataset
@@ -114,7 +114,7 @@ class TaskFamily:
                 phase = rng.uniform(0.0, 2.0 * math.pi)
                 nonideality = (eps3, phase)
             return Task(task_id, ChannelRealization(taps, self.snr_db, nonideality), "demod")
-        taps = rayleigh_taps(3, rng)
+        taps = rayleigh_taps(BLOCK_TAPS, rng)
         return Task(task_id, ChannelRealization(taps, self.snr_db, (0.0, 0.0)), "autoencoder")
 
 
@@ -179,7 +179,7 @@ class AutoencoderBatch:
     def __post_init__(self):
         messages = np.asarray(self.messages, dtype=np.int64)
         noise = np.asarray(self.noise, dtype=np.float64)
-        rx_width = 2 * (self.spec.n_uses + self.spec.n_taps - 1)
+        rx_width = 2 * (self.spec.n_uses + BLOCK_TAPS - 1)
         if messages.ndim != 1 or messages.size < 1:
             raise ConfigurationError("batch needs at least one message")
         if messages.min() < 0 or messages.max() >= self.spec.n_messages:
@@ -204,12 +204,12 @@ def generate_autoencoder_batch(task, n_blocks, rng, spec=None):
     if n_blocks < 1:
         raise ConfigurationError("need at least one block")
     spec = spec if spec is not None else AutoencoderSpec()
-    if task.realization.taps.shape[0] != spec.n_taps:
+    if task.realization.taps.shape[0] != BLOCK_TAPS:
         raise ConfigurationError(
-            f"task has {task.realization.taps.shape[0]} taps, spec expects {spec.n_taps}"
+            f"task has {task.realization.taps.shape[0]} taps, block channel needs {BLOCK_TAPS}"
         )
     messages = rng.integers(0, spec.n_messages, size=n_blocks)
-    rx_width = 2 * (spec.n_uses + spec.n_taps - 1)
+    rx_width = 2 * (spec.n_uses + BLOCK_TAPS - 1)
     sigma = math.sqrt(noise_variance(task.realization.snr_db) / 2.0)
     noise = sigma * rng.standard_normal((n_blocks, rx_width))
     matrix = channel_conv_matrix(task.realization.taps, spec.n_uses)

@@ -121,6 +121,25 @@ def test_awgn_reproducible_from_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5)])
+def test_awgn_matches_reference_draw_order(shape):
+    # Real parts of a row, then its imaginary parts; rows in order.  A 1-d
+    # or 0-d signal takes exactly the two draws written out here.
+    rng = np.random.default_rng(4)
+    sig = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = awgn(sig, 6.0, got_rng)
+    sigma = np.sqrt(noise_variance(6.0) / 2.0)
+    rows = np.reshape(sig, (-1, shape[-1] if shape else 1))
+    want = np.stack([
+        row + sigma * (want_rng.standard_normal(row.shape) + 1j * want_rng.standard_normal(row.shape))
+        for row in rows
+    ]).reshape(shape)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # fading taps
 
@@ -287,14 +306,34 @@ def test_block_channel_scaling_by_power_of_two_is_bitwise():
 def test_block_channel_validation_and_reproducibility():
     ch, rng = _random_channel(15)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    with pytest.raises(ConfigurationError):
-        apply_channel_block(np.array([], dtype=complex), ch, None)
+    for bad in (np.array([], dtype=complex), np.ones((3, 0), dtype=complex), np.ones((2, 2, 4), dtype=complex)):
+        with pytest.raises(ConfigurationError):
+            apply_channel_block(bad, ch, None)
     single_tap = ChannelRealization(np.array([1.0 + 0.0j]), 10.0)
     with pytest.raises(ConfigurationError):
         apply_channel_block(x, single_tap, None)
     a = apply_channel_block(x, ch, np.random.default_rng(16))
     b = apply_channel_block(x, ch, np.random.default_rng(16))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_block_channel_batch_equals_per_block_calls(noisy):
+    # Random taps, SNRs and shapes: a stack of blocks in one call gives the
+    # bytes, and leaves the generator in the state, of one call per block.
+    draw = np.random.default_rng(20)
+    for seed in range(200):
+        ch = ChannelRealization(rayleigh_taps(3, draw), draw.uniform(-5.0, 30.0))
+        n_blocks, n = draw.integers(1, 12), draw.integers(1, 17)
+        blocks = draw.standard_normal((n_blocks, n)) + 1j * draw.standard_normal((n_blocks, n))
+        batch_rng = np.random.default_rng(seed) if noisy else None
+        loop_rng = np.random.default_rng(seed) if noisy else None
+        got = apply_channel_block(blocks, ch, batch_rng)
+        want = np.stack([apply_channel_block(block, ch, loop_rng) for block in blocks])
+        assert got.shape == (n_blocks, n + 2) and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes(), seed
+        if noisy:
+            assert batch_rng.bit_generator.state == loop_rng.bit_generator.state, seed
 
 
 def test_conv_matrix_agrees_with_block_channel():

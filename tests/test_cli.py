@@ -1,11 +1,14 @@
 """Command-line interface tests: exit codes, file outputs, flag overrides,
 and one end-to-end subprocess invocation."""
 
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import metalink
 from metalink import cli
 from metalink.checks import CheckReport, CheckResult
 from metalink.harness import load_params, read_curve
@@ -171,6 +174,8 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, command, extra, flags
         ("# header\nsnr_db = -inf\nprofile = demod\n", "n.cfg:2: snr_db must be finite"),
         ("profile = demod\npilot_counts = 4,2\n", "n.cfg:2: pilot_counts must be strictly ascending"),
         ("m = 1\nprofile = qpsk\n", "n.cfg:2: unknown profile"),
+        ("profile = autoencoder\nn_meta_train_tasks = 4\n", "n.cfg:2: K_meta_batch 10 exceeds n_meta_train_tasks 4"),
+        ("profile = autoencoder\nn_meta_train_tasks = 12\nK_meta_batch = 13\n", "n.cfg:3: K_meta_batch 13 exceeds"),
     ],
 )
 def test_rejected_config_value_names_its_line(tmp_path, capsys, text, where):
@@ -198,3 +203,42 @@ def test_workers_below_one_exit_one(tmp_path, capsys, command, workers):
     assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == cli.EXIT_CONFIG
     assert "workers must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["meta-train", "eval"])
+def test_workers_is_rejected_where_it_is_not_honoured(tmp_path, capsys, command):
+    cfg = _write_tiny_demod(tmp_path / "w.cfg", seeds="0")
+    out = tmp_path / "p.npz"
+    argv = [command, "--config", cfg, "--out", str(out), "--workers", "2"]
+    if command == "eval":
+        argv += ["--params", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("run_autoencoder_adaptation.py", ["--config", "{cfg}"]),
+        ("run_demod_sweep.py", ["--config", "{cfg}"]),
+        ("run_phase_rotation_study.py", ["--tasks", "0"]),
+    ],
+)
+def test_scripts_report_config_errors_without_a_traceback(tmp_path, script, args):
+    cfg = _write_tiny_ae(tmp_path / "bad.cfg", K_meta_batch=4)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(metalink.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPTS / script), *(a.format(cfg=cfg) for a in args)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert "Traceback" not in proc.stderr

@@ -233,6 +233,22 @@ def test_read_curve_rejects_malformed_files(tmp_path):
         read_curve(not_utf8)
 
 
+
+@pytest.mark.parametrize(
+    "rows,where",
+    [
+        ("x,maml,ser,0.5,0,1\n", "d.csv:2: could not convert"),
+        ("1.0,maml,ser,0.5,0,1\n2.0,maml,ser,0.5,0,two\n", "d.csv:3: invalid literal"),
+        ("1.0,maml,ser,0.5,0,1\n\n2.0,maml,ser,1.5,0,1\n", "d.csv:4: ser mean 1.5 outside"),
+        ("1.0,magic,ser,0.5,0,1\n", "d.csv:2: unknown method label"),
+    ],
+)
+def test_read_curve_names_the_line_of_a_bad_row(tmp_path, rows, where):
+    path = tmp_path / "d.csv"
+    path.write_text(CSV_HEADER + "\n" + rows)
+    with pytest.raises(ConfigurationError, match=where):
+        read_curve(path)
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -326,6 +342,15 @@ def test_experiment_config_validation():
             replace(base, **bad)
     with pytest.raises(ConfigurationError):
         default_config("qpsk")
+
+
+def test_autoencoder_meta_batch_must_fit_the_task_pool():
+    ae = default_config("autoencoder")
+    assert replace(ae, K_meta_batch=7, n_meta_train_tasks=7).K_meta_batch == 7
+    with pytest.raises(ConfigurationError, match="K_meta_batch 8 exceeds n_meta_train_tasks 7"):
+        replace(ae, K_meta_batch=8, n_meta_train_tasks=7)
+    # The demod stream takes the whole pool when the batch outgrows it.
+    assert replace(default_config("demod"), K_meta_batch=8, n_meta_train_tasks=7).K_meta_batch == 8
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from metalink.nn import (
     power_normalize_node,
     split_autoencoder_params,
 )
-from metalink.channel import ChannelRealization
+from metalink.channel import BLOCK_TAPS, ChannelRealization
 
 
 def test_mlp_arch_layout():
@@ -291,7 +291,7 @@ def test_autoencoder_params_split_round_trip():
 def _toy_batch(spec, taps, messages, snr_db=10.0):
     from metalink.channel import channel_conv_matrix
 
-    rx_width = 2 * (spec.n_uses + spec.n_taps - 1)
+    rx_width = 2 * (spec.n_uses + BLOCK_TAPS - 1)
     return type(
         "Batch",
         (),
