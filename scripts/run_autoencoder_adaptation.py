@@ -6,19 +6,18 @@ iterations, against the same procedure started from a random initialization.
 Writes the aggregate BLER-vs-iteration curve as CSV.
 """
 
-import argparse
 import sys
 
-from metalink.errors import ConfigurationError
+from metalink.cli import Parser, run
 from metalink.harness import default_config, load_config, median_of_seed_means, run_adaptation_sweep, write_curve
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv):
+    parser = Parser(description=__doc__)
     parser.add_argument("--config", help="key = value config file (default: autoencoder profile)")
     parser.add_argument("--out", help="CSV path (default: config output_path)")
     parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     config = load_config(args.config) if args.config else default_config("autoencoder")
     result = run_adaptation_sweep(config, workers=args.workers)
@@ -36,7 +35,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except ConfigurationError as err:
-        sys.exit(f"config error: {err}")
+    sys.exit(run(main, sys.argv[1:]))

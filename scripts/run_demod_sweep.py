@@ -8,19 +8,18 @@ adaptation.  Writes the aggregate curve as CSV and prints per-method medians
 of per-seed mean SER.
 """
 
-import argparse
 import sys
 
-from metalink.errors import ConfigurationError
+from metalink.cli import Parser, run
 from metalink.harness import default_config, load_config, median_of_seed_means, run_pilot_sweep, write_curve
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv):
+    parser = Parser(description=__doc__)
     parser.add_argument("--config", help="key = value config file (default: demod profile)")
     parser.add_argument("--out", help="CSV path (default: config output_path)")
     parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     config = load_config(args.config) if args.config else default_config("demod")
     result = run_pilot_sweep(config, workers=args.workers)
@@ -37,7 +36,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except ConfigurationError as err:
-        sys.exit(f"config error: {err}")
+    sys.exit(run(main, sys.argv[1:]))

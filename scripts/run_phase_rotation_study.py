@@ -7,24 +7,23 @@ handful of pilots recovers the rotation per device.  This script measures
 both, mirroring the hardest case for the joint baseline.
 """
 
-import argparse
 import sys
 
 import numpy as np
 
-from metalink.errors import ConfigurationError
+from metalink.cli import Parser, run
 from metalink.harness import run_phase_rotation_seed
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv):
+    parser = Parser(description=__doc__)
     parser.add_argument("--snr-db", type=float, default=20.0)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--tasks", type=int, default=50)
     parser.add_argument("--outer-iters", type=int, default=1500)
     parser.add_argument("--devices", type=int, default=10)
     parser.add_argument("--pilots", type=int, default=16)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     joint_means, maml_means = [], []
     for seed in args.seeds:
@@ -43,7 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except ConfigurationError as err:
-        sys.exit(f"config error: {err}")
+    sys.exit(run(main, sys.argv[1:]))

@@ -2,7 +2,8 @@
 
 Subcommands: meta-train, sweep-pilots, sweep-adapt, gradcheck, eval.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification-check failure.
+3 verification-check failure.  The scripts in scripts/ parse with Parser
+and run under run(), so they map errors to the same codes and messages.
 """
 
 from __future__ import annotations
@@ -30,15 +31,34 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of calling sys.exit(2)."""
+class Parser(argparse.ArgumentParser):
+    """argparse that raises ConfigurationError instead of calling sys.exit(2)."""
 
     def error(self, message):
         raise ConfigurationError(message)
 
 
+def run(body, argv):
+    """body(argv), with errors turned into exit codes and one-line messages.
+
+    ConfigurationError (bad arguments included) prints `config error: ...`
+    and gives 1, NumericalError prints `numerical failure: ...` and gives 2;
+    --help prints the usage and gives 0.
+    """
+    try:
+        return body(argv)
+    except SystemExit as done:  # raised only by argparse's --help
+        return done.code
+    except ConfigurationError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
 def _build_parser():
-    parser = _Parser(prog="metalink", description=__doc__)
+    parser = Parser(prog="metalink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, profile_default):
@@ -115,27 +135,21 @@ def _cmd_eval(args):
     return EXIT_OK
 
 
+def _dispatch(argv):
+    args = _build_parser().parse_args(argv)
+    if args.command == "meta-train":
+        return _cmd_meta_train(args)
+    if args.command == "sweep-pilots":
+        return _cmd_sweep(args, run_pilot_sweep)
+    if args.command == "sweep-adapt":
+        return _cmd_sweep(args, run_adaptation_sweep)
+    if args.command == "gradcheck":
+        return _cmd_gradcheck(args)
+    return _cmd_eval(args)
+
+
 def main(argv=None):
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "meta-train":
-            return _cmd_meta_train(args)
-        if args.command == "sweep-pilots":
-            return _cmd_sweep(args, run_pilot_sweep)
-        if args.command == "sweep-adapt":
-            return _cmd_sweep(args, run_adaptation_sweep)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    return run(_dispatch, argv)
 
 
 if __name__ == "__main__":

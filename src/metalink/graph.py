@@ -11,7 +11,7 @@ node value is finite, and the op that would first produce a nan or inf raises
 NumericalError naming its kind, so divergence surfaces at the first bad node
 instead of as a mystery NaN three modules later.  Leaves and the ops that can
 create a non-finite value from finite inputs (arithmetic, products,
-reductions, exp, sqrt, cross-entropy) check their result as they are
+reductions, sqrt, cross-entropy) check their result as they are
 built.  The remaining ops (_FINITE_PRESERVING) only move, copy or zero
 entries, or map them into a bounded range, so finite inputs give finite
 outputs; since their inputs are nodes, and so already finite, they skip the
@@ -210,10 +210,6 @@ def relu_mask(a):
     return _make("relu_mask", (a.value > 0.0).astype(np.float64), (a,))
 
 
-def exp(a):
-    return _make("exp", np.exp(a.value), (a,))
-
-
 def sqrt(a):
     return _make("sqrt", np.sqrt(a.value), (a,))
 
@@ -294,7 +290,6 @@ _VJPS = {
     "tanh": (_tanh_vjp,),
     "relu": (lambda n, g: mul(g, relu_mask(n.parents[0])),),
     "relu_mask": (lambda n, g: None,),
-    "exp": (lambda n, g: mul(g, n),),
     "sqrt": (lambda n, g: scale(div(g, n), 0.5),),
     "softmax_rows": (_softmax_rows_vjp,),
     "softmax_xent": (_softmax_xent_vjp,),

@@ -13,7 +13,10 @@ Two experiments ship with the package, one per profile:
 
 `metalink meta-train` (run_meta_train) and `metalink eval`
 (evaluate_params) run single steps of the same per-profile pipeline: build
-the task pool, meta-train, adapt on test tasks, evaluate.
+the task pool, meta-train, adapt on test tasks, evaluate.  Both metrics
+score the network through the forward its training differentiates: SER
+through mlp_forward on fresh symbols, BLER through
+nn.autoencoder_logits_node on a fresh generate_autoencoder_batch draw.
 
 Determinism contract: everything a run produces is a pure function of the
 config (including its seed list).  Per-purpose rng streams are derived from
@@ -31,6 +34,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import graph
 from .autodiff import eval_with_gradient
 from .errors import ConfigurationError
 from .learners import (
@@ -45,12 +49,11 @@ from .learners import (
 from .nn import (
     AutoencoderSpec,
     ParamVector,
-    autoencoder_forward,
+    autoencoder_logits_node,
     init_autoencoder_params,
     init_params,
     make_autoencoder_lossfn,
     mlp_forward,
-    split_autoencoder_params,
 )
 from .tasks import (
     SCOPE_ADAPT_PILOTS,
@@ -321,7 +324,7 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: undecodable bytes, a NUL in the path
         raise ConfigurationError(f"cannot read config '{path}': {err}") from err
 
     pairs = {}
@@ -380,7 +383,7 @@ def write_config(config, path):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    except OSError as err:
+    except (OSError, ValueError) as err:
         raise ConfigurationError(f"cannot write config '{path}': {err}") from err
 
 
@@ -400,7 +403,7 @@ def write_curve(table, path):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    except OSError as err:
+    except (OSError, ValueError) as err:
         raise ConfigurationError(f"cannot write curve '{path}': {err}") from err
 
 
@@ -408,7 +411,7 @@ def read_curve(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise ConfigurationError(f"cannot read curve '{path}': {err}") from err
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"{path}: missing curve header")
@@ -448,15 +451,16 @@ def evaluate_ser(p, task, n_symbols, rng):
     return float(np.mean(predicted != labels))
 
 
-def evaluate_bler(enc, dec, task, n_blocks, rng):
-    """Block error rate of an encoder/decoder pair on fresh channel uses."""
-    if task.kind != "autoencoder":
-        raise ConfigurationError("evaluate_bler needs an autoencoder task")
-    n_messages = enc.arch[0][0]
-    messages = rng.integers(0, n_messages, size=n_blocks)
-    logits = autoencoder_forward(enc, dec, messages, task.realization, rng)
-    predicted = np.argmax(logits, axis=1)
-    return float(np.mean(predicted != messages))
+def evaluate_bler(p, spec, task, n_blocks, rng):
+    """Block error rate of the autoencoder p over a fresh batch from the task.
+
+    The batch (messages, then one noise draw) is a generate_autoencoder_batch
+    draw, and the logits are the training forward's, autoencoder_logits_node.
+    Ties in the argmax resolve to the lowest message index.
+    """
+    batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
+    logits = autoencoder_logits_node(graph.const(p.values), spec, batch).value
+    return float(np.mean(np.argmax(logits, axis=1) != batch.messages))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +516,8 @@ def _adaptation(config, seed, task, unit, p):
 
 
 def _bler(config, seed, params, task, unit, t):
-    enc, dec = split_autoencoder_params(params, _AE_SPEC)
-    return evaluate_bler(enc, dec, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t))
+    rng = rng_for(seed, SCOPE_EVAL, unit, t)
+    return evaluate_bler(params, _AE_SPEC, task, config.n_eval_symbols_or_blocks, rng)
 
 
 def _pilot_seed_records(config, seed):
@@ -535,7 +539,7 @@ def _pilot_seed_records(config, seed):
         for n in config.pilot_counts:
             pilots = _pilots(task, seed, device, n)
             candidates = (
-                ("conventional", train_conventional(task, n, tc_base, dataset=pilots, init=init)),
+                ("conventional", train_conventional(task, tc_base, dataset=pilots, init=init)),
                 ("joint", joint),
                 ("joint+adapt", maml_adapt(joint, pilots, tc.eta_inner, tc.m)),
                 (label, maml_adapt(theta, pilots, tc.eta_inner, tc.m)),
@@ -684,7 +688,7 @@ def save_params(path, p):
     arch_json = json.dumps([[fi, fo, act] for fi, fo, act in p.arch])
     try:
         np.savez(path, values=p.values, arch=np.array(arch_json))
-    except OSError as err:
+    except (OSError, ValueError) as err:
         raise ConfigurationError(f"cannot write parameters '{path}': {err}") from err
 
 

@@ -6,9 +6,10 @@ Conventions shared by every loop here:
   and joint baselines, outer_iters doubles as their step count;
 * a divergence guard: if a loss comes back non-finite or above 1e6, the
   previous step is retried once at half size, and training aborts with a
-  NumericalError if that does not cure it;
-* everything is a pure function of (inputs, config.seed): no hidden state,
-  repeated calls give bit-identical results.
+  NumericalError, chained to the last divergence, if that does not cure it;
+* everything is a pure function of (inputs, init, config): no hidden state,
+  no default initialization or data, and repeated calls give bit-identical
+  results.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ import numpy as np
 from . import graph
 from .autodiff import eval_with_gradient, unrolled_meta_gradient
 from .errors import ConfigurationError, NumericalError
-from .nn import (
-    Dataset,
-    ParamVector,
-    init_autoencoder_params,
-    init_params,
-    make_autoencoder_lossfn,
-    make_mlp_lossfn,
-    mlp_arch,
-)
-from .tasks import SCOPE_META_STREAM, SCOPE_PILOTS_TRAIN, rng_for
+from .nn import Dataset, ParamVector, make_autoencoder_lossfn, make_mlp_lossfn, mlp_arch
+from .tasks import SCOPE_META_STREAM, rng_for
 
 DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
 
@@ -120,19 +113,15 @@ def _lossfn_for_data(arch, data):
     raise ConfigurationError(f"cannot build a loss for data of type {type(data).__name__}")
 
 
-def loss_value(lossfn, p, data):
-    """Loss as a plain float, no gradient."""
-    theta = graph.inp(np.asarray(getattr(p, "values", p), dtype=np.float64))
-    return float(lossfn(theta, data).value)
-
-
 def _attempt(value_grad, p):
-    """(loss, gradient) at p, or None if the loss is non-finite or above the ceiling."""
+    """(loss, gradient) at p, or the NumericalError saying why the loss diverged."""
     try:
         loss, grad = value_grad(p)
-    except NumericalError:
-        return None
-    return None if loss > LOSS_CEILING else (loss, grad)
+    except NumericalError as err:
+        return err
+    if loss > LOSS_CEILING:
+        return NumericalError(f"loss {loss:.6g} above the ceiling {LOSS_CEILING:g}")
+    return loss, grad
 
 
 def _guarded_step(value_grad, p, prev, eta, what, it):
@@ -140,16 +129,19 @@ def _guarded_step(value_grad, p, prev, eta, what, it):
 
     If the loss at p diverges, the last step is retried once at half size
     from prev = (previous point, its gradient); with no previous step, or if
-    the retry diverges too, NumericalError.  Returns (point used, loss, grad).
+    the retry diverges too, NumericalError, chained to the last divergence
+    and carrying its message and op kind.  Returns (point used, loss, grad).
     """
     out = _attempt(value_grad, p)
-    if out is None:
+    if isinstance(out, NumericalError):
         if prev is None:
-            raise NumericalError(f"{what}: loss diverged at the initial point")
-        p = sgd_step(prev[0], prev[1], 0.5 * eta)
-        out = _attempt(value_grad, p)
-        if out is None:
-            raise NumericalError(f"{what}: diverged at iteration {it}; half-step retry failed")
+            where = "loss diverged at the initial point"
+        else:
+            p = sgd_step(prev[0], prev[1], 0.5 * eta)
+            out = _attempt(value_grad, p)
+            where = f"diverged at iteration {it}; half-step retry failed"
+        if isinstance(out, NumericalError):
+            raise NumericalError(f"{what}: {where}: {out}", op_kind=out.op_kind) from out
     return (p, *out)
 
 
@@ -163,40 +155,30 @@ def _guarded_descent(value_grad, p, eta, n_iters, what):
     return p
 
 
-def train_conventional(task, n_pilots, config, *, dataset=None, init=None):
-    """Train a demodulator for one task from scratch on its pilots.
+def train_conventional(task, config, *, dataset, init):
+    """Train a demodulator for one task from init on its pilot dataset.
 
-    Runs config.outer_iters full-batch steps at rate config.eta_inner.  The
-    pilot set defaults to a fresh draw from the task (seeded by config.seed
-    and the task id); pass dataset= to reuse an existing one.
+    Runs config.outer_iters full-batch steps at rate config.eta_inner.
     """
     if task.kind != "demod":
         raise ConfigurationError("conventional training is defined for demodulator tasks")
-    if dataset is None:
-        from .tasks import make_pilot_dataset
-
-        dataset = make_pilot_dataset(
-            task, n_pilots, rng_for(config.seed, SCOPE_PILOTS_TRAIN, task.id)
-        )
-    p = init if init is not None else init_params(DEMOD_ARCH, config.seed)
-    lossfn = make_mlp_lossfn(p.arch)
+    lossfn = make_mlp_lossfn(init.arch)
 
     def value_grad(params):
         r = eval_with_gradient(lossfn, params, dataset)
         return r.value, r.gradient
 
-    return _guarded_descent(value_grad, p, config.eta_inner, config.outer_iters, f"task {task.id}")
+    return _guarded_descent(value_grad, init, config.eta_inner, config.outer_iters, f"task {task.id}")
 
 
-def train_joint(meta_batch, config, *, init=None):
+def train_joint(meta_batch, config, *, init):
     """Train one shared model on the pooled training data of all tasks.
 
     The objective is the mean of per-task losses, reduced pairwise so a batch
     of identical tasks reproduces single-task training bit for bit.  No
     adaptation happens here; this is the common-model baseline.
     """
-    p = init if init is not None else _default_init(meta_batch, config.seed)
-    arch = getattr(p, "arch", None)
+    arch = getattr(init, "arch", None)
     lossfns = [_lossfn_for_data(arch, item.train) for item in meta_batch.items]
 
     def value_grad(params):
@@ -206,7 +188,7 @@ def train_joint(meta_batch, config, *, init=None):
         (g,) = graph.gradients(total, [theta])
         return float(total.value), g.value
 
-    return _guarded_descent(value_grad, p, config.eta_inner, config.outer_iters, "joint training")
+    return _guarded_descent(value_grad, init, config.eta_inner, config.outer_iters, "joint training")
 
 
 def maml_adapt(theta, d_tr, eta, m):
@@ -223,16 +205,6 @@ def maml_adapt(theta, d_tr, eta, m):
         r = eval_with_gradient(lossfn, p, d_tr)
         p = sgd_step(p, r.gradient, eta)
     return p
-
-
-def maml_meta_loss(theta, meta_batch, config):
-    """Mean over tasks of the post-adaptation test loss."""
-    total = 0.0
-    arch = getattr(theta, "arch", None)
-    for item in meta_batch.items:
-        phi = maml_adapt(theta, item.train, config.eta_inner, config.m)
-        total += loss_value(_lossfn_for_data(arch, item.test), phi, item.test)
-    return total / len(meta_batch.items)
 
 
 def _per_task_meta_grad(theta, item, config):
@@ -263,42 +235,23 @@ def _meta_value_grad(theta, meta_batch, config):
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 
-def maml_meta_step(theta, meta_batch, config):
-    """One outer update: theta - eta_outer * (mean per-task meta-gradient).
-
-    Uses the exact unrolled meta-gradient unless config.first_order, which
-    drops the curvature factor and evaluates the plain test-loss gradient at
-    the adapted parameters.
-    """
-    _, grad = _meta_value_grad(theta, meta_batch, config)
-    return sgd_step(theta, grad, config.eta_outer)
-
-
-def _default_init(meta_batch, seed):
-    if meta_batch.kind == "demod":
-        return init_params(DEMOD_ARCH, seed)
-    return init_autoencoder_params(meta_batch.ae_spec, seed)
-
-
-def meta_train(task_stream, config, *, init=None):
-    """Full meta-training loop over a stream of meta-batches.
+def meta_train(task_stream, config, *, init):
+    """Full meta-training loop over a stream of meta-batches, from init.
 
     task_stream is a callable rng -> MetaBatch; it is drawn once per outer
     iteration from a generator derived from config.seed, so the run is a pure
-    function of (stream definition, config).  Returns the learned
-    initialization and the meta-loss history [(iteration, loss), ...].
+    function of (stream definition, config, init).  Each outer update is
+    theta - eta_outer * (mean per-task meta-gradient): the exact unrolled
+    meta-gradient, or with config.first_order the plain test-loss gradient at
+    the adapted parameters.  Returns the learned initialization and the
+    meta-loss history [(iteration, loss at the point stepped from), ...].
     """
     rng = rng_for(config.seed, SCOPE_META_STREAM)
-    pending = None
-    if init is None:
-        pending = task_stream(rng)
-        init = _default_init(pending, config.seed)
     theta = init
     history = []
     prev = None
     for it in range(config.outer_iters):
-        batch = pending if pending is not None else task_stream(rng)
-        pending = None
+        batch = task_stream(rng)
         theta, loss, grad = _guarded_step(
             lambda q: _meta_value_grad(q, batch, config), theta, prev, config.eta_outer, "meta-training", it
         )

@@ -8,16 +8,17 @@ tuple of (fan_in, fan_out, activation) with activation one of
 linear (logits or channel symbols).
 
 Each network has one forward, built from graph nodes: training
-differentiates it to any order, and evaluation (mlp_forward,
-autoencoder_forward) reads its value.  Like every graph value, evaluation
-logits are finite: an overflow raises NumericalError instead of being
-argmax-ed.
+differentiates it to any order, and evaluation reads its value (mlp_forward
+for the demodulator; harness.evaluate_bler reads autoencoder_logits_node on
+a fresh batch).  Like every graph value, evaluation logits are finite: an
+overflow raises NumericalError instead of being argmax-ed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -218,20 +219,20 @@ class AutoencoderSpec:
         if min(self.n_messages, self.n_uses) < 1:
             raise ConfigurationError("autoencoder dimensions must be positive")
 
-    @property
+    @cached_property
     def enc_arch(self):
         return mlp_arch((self.n_messages, *self.enc_hidden, 2 * self.n_uses))
 
-    @property
+    @cached_property
     def dec_arch(self):
         rx_width = 2 * (self.n_uses + BLOCK_TAPS - 1)
         return mlp_arch((rx_width, *self.dec_hidden, self.n_messages))
 
-    @property
+    @cached_property
     def arch(self):
         return self.enc_arch + self.dec_arch
 
-    @property
+    @cached_property
     def n_enc_params(self):
         return param_count(self.enc_arch)
 
@@ -244,22 +245,36 @@ def init_autoencoder_params(spec, seed):
     return ParamVector(np.concatenate([enc.values, dec.values]), spec.arch)
 
 
-def split_autoencoder_params(p, spec):
-    """(encoder ParamVector, decoder ParamVector) views of the joint vector."""
-    n_enc = spec.n_enc_params
-    if len(p) != n_enc + param_count(spec.dec_arch):
-        raise ConfigurationError("parameter vector does not match autoencoder spec")
-    return (
-        ParamVector(p.values[:n_enc], spec.enc_arch),
-        ParamVector(p.values[n_enc:], spec.dec_arch),
-    )
-
-
 def power_normalize_node(s, n_uses):
     """Scale each row to squared norm n_uses (unit average power per use)."""
     sq = graph.row_sum(graph.mul(s, s))
     scale_col = graph.div(graph.bcast(graph.const(math.sqrt(n_uses)), sq.value.shape), graph.sqrt(sq))
     return graph.mul(s, graph.bcast_cols(scale_col, s.value.shape[1]))
+
+
+def autoencoder_logits_node(p_node, spec, batch):
+    """Decoder logits (n_blocks, n_messages) for one frozen draw, as graph nodes.
+
+    The one encoder -> channel -> decoder composition: one-hot messages are
+    encoded to 2*n_uses reals ([Re block; Im block]), power-normalized, sent
+    through the batch's real-stacked channel matrix plus its real-stacked
+    noise, and decoded.  Training differentiates it; evaluation reads it.
+    """
+    n_enc, n_total = spec.n_enc_params, param_count(spec.arch)
+    if p_node.value.shape[0] != n_total:
+        raise ConfigurationError(
+            f"autoencoder needs {n_total} parameters, vector has {p_node.value.shape[0]}"
+        )
+    messages = np.asarray(batch.messages)
+    if messages.size == 0:
+        raise ConfigurationError("cannot evaluate the autoencoder on an empty batch")
+    encoded = mlp_logits_node(graph.vslice(p_node, 0, n_enc), spec.enc_arch, np.eye(spec.n_messages)[messages])
+    coded = power_normalize_node(encoded, spec.n_uses)
+    received = graph.add(
+        graph.matmat(coded, graph.const(batch.channel_matrix.T)),
+        graph.const(batch.noise),
+    )
+    return mlp_logits_node(graph.vslice(p_node, n_enc, n_total), spec.dec_arch, received)
 
 
 def make_autoencoder_lossfn(spec):
@@ -270,63 +285,8 @@ def make_autoencoder_lossfn(spec):
     smooth function of the joint encoder/decoder parameter vector and can be
     differentiated to any order.
     """
-    enc_arch, dec_arch = spec.enc_arch, spec.dec_arch
-    n_enc = spec.n_enc_params
-    n_total = param_count(spec.arch)
-    eye = np.eye(spec.n_messages)
 
     def lossfn(p_node, batch):
-        if p_node.value.shape[0] != n_total:
-            raise ConfigurationError(
-                f"autoencoder needs {n_total} parameters, vector has {p_node.value.shape[0]}"
-            )
-        messages = np.asarray(batch.messages)
-        if messages.size == 0:
-            raise ConfigurationError("cannot evaluate a loss on an empty batch")
-        p_enc = graph.vslice(p_node, 0, n_enc)
-        p_dec = graph.vslice(p_node, n_enc, n_total)
-        coded = power_normalize_node(mlp_logits_node(p_enc, enc_arch, eye[messages]), spec.n_uses)
-        received = graph.add(
-            graph.matmat(coded, graph.const(batch.channel_matrix.T)),
-            graph.const(batch.noise),
-        )
-        logits = mlp_logits_node(p_dec, dec_arch, received)
-        return graph.softmax_xent(logits, messages)
+        return graph.softmax_xent(autoencoder_logits_node(p_node, spec, batch), batch.messages)
 
     return lossfn
-
-
-def autoencoder_forward(enc, dec, message, channel, rng):
-    """Send message(s) through encoder, fading channel, and decoder.
-
-    Same graph forward as the training loss: encodes to 2*n_uses reals
-    ([Re block; Im block]), power-normalizes, runs each complex block through
-    the tapped channel with fresh noise, and returns decoder logits,
-    shape (16,) for a scalar message or (n, 16) for an array.
-    """
-    from .channel import apply_channel_block
-
-    message = np.asarray(message)
-    single = message.ndim == 0
-    idx = np.atleast_1d(message)
-    n_messages = enc.arch[0][0]
-    if idx.size == 0:
-        raise ConfigurationError("no messages to send")
-    if idx.min() < 0 or idx.max() >= n_messages:
-        raise ConfigurationError(f"messages must lie in [0, {n_messages})")
-
-    coded = mlp_logits_node(graph.const(enc.values), enc.arch, np.eye(n_messages)[idx])
-    if coded.value.shape[1] % 2:
-        raise ConfigurationError("encoder output width must be even (stacked re/im)")
-    n_uses = coded.value.shape[1] // 2
-    rx_width = 2 * (n_uses + channel.taps.shape[0] - 1)
-    if dec.arch[0][0] != rx_width:
-        raise ConfigurationError(
-            f"decoder fan-in {dec.arch[0][0]} does not match channel output width {rx_width}"
-        )
-    coded = power_normalize_node(coded, n_uses).value
-    blocks = coded[:, :n_uses] + 1j * coded[:, n_uses:]
-    received = apply_channel_block(blocks, channel, rng)
-    stacked = np.concatenate([received.real, received.imag], axis=1)
-    logits = mlp_forward(dec, stacked)
-    return logits[0] if single else logits

@@ -67,15 +67,12 @@ class MetaBatch:
 
     kind: str
     items: tuple
-    ae_spec: AutoencoderSpec | None = None
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind '{self.kind}'")
         if not self.items:
             raise ConfigurationError("a meta-batch needs at least one task")
-        if self.kind == "autoencoder" and self.ae_spec is None:
-            raise ConfigurationError("autoencoder meta-batches need an AutoencoderSpec")
 
     def __len__(self):
         return len(self.items)
@@ -243,7 +240,7 @@ def subsample_stream(pool, k):
         if k >= len(pool.items):
             return pool
         chosen = sorted(rng.choice(len(pool.items), size=k, replace=False))
-        return MetaBatch(pool.kind, tuple(pool.items[i] for i in chosen), pool.ae_spec)
+        return MetaBatch(pool.kind, tuple(pool.items[i] for i in chosen))
 
     return stream
 
@@ -274,7 +271,7 @@ def autoencoder_stream(tasks, spec, k, n_blocks):
             train = generate_autoencoder_batch(tasks[i], n_blocks, rng, spec)
             test = generate_autoencoder_batch(tasks[i], n_blocks, rng, spec)
             items.append(TaskSplit(tasks[i], train, test))
-        return MetaBatch("autoencoder", tuple(items), spec)
+        return MetaBatch("autoencoder", tuple(items))
 
     return stream
 

@@ -337,12 +337,14 @@ def test_block_channel_batch_equals_per_block_calls(noisy):
 
 
 def test_conv_matrix_agrees_with_block_channel():
-    ch, rng = _random_channel(17)
-    x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    m = channel_conv_matrix(ch.taps, 8)
-    assert m.shape == (20, 16)
-    stacked = m @ np.concatenate([x.real, x.imag])
-    y = apply_channel_block(x, ch, None)
-    assert np.allclose(stacked, np.concatenate([y.real, y.imag]), rtol=0, atol=1e-12)
+    # Exactly: the matrix's columns are the noiseless block channel's
+    # responses to the basis inputs [I; iI], stacked as [Re; Im].
+    for draw in range(2000):
+        ch, _ = _random_channel(1000 + draw)
+        n = 1 + draw % 16
+        m = channel_conv_matrix(ch.taps, n)
+        assert m.shape == (2 * (n + 2), 2 * n)
+        y = apply_channel_block(np.concatenate([np.eye(n), 1j * np.eye(n)]), ch, None)
+        assert np.array_equal(m, np.concatenate([y.real, y.imag], axis=1).T)
     with pytest.raises(ConfigurationError):
         channel_conv_matrix(ch.taps, 0)

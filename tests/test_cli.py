@@ -1,17 +1,23 @@
 """Command-line interface tests: exit codes, file outputs, flag overrides,
 and one end-to-end subprocess invocation."""
 
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import metalink
 from metalink import cli
 from metalink.checks import CheckReport, CheckResult
-from metalink.harness import load_params, read_curve
+from metalink.harness import CurveTable, load_params, read_curve
+from metalink.learners import MetaTrainResult
 
 
 def _write_tiny_demod(path, **extra):
@@ -70,6 +76,8 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
         ["meta-train", "--profile", "qpsk"],
         ["eval", "--profile", "demod"],  # --params is required
         [],
+        ["meta-train", "--config", _write_tiny_demod(tmp_path / "t.cfg", seeds="0"), "--out", "a\x00b"],
+        ["sweep-pilots", "--config", str(tmp_path / "t.cfg"), "--out", "a\x00b"],
     ):
         assert cli.main(argv) == cli.EXIT_CONFIG, argv
         assert "config error" in capsys.readouterr().err
@@ -226,19 +234,62 @@ _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
         ("run_autoencoder_adaptation.py", ["--config", "{cfg}"]),
         ("run_demod_sweep.py", ["--config", "{cfg}"]),
         ("run_phase_rotation_study.py", ["--tasks", "0"]),
+        ("run_demod_sweep.py", ["--workers", "x"]),
+        ("run_demod_sweep.py", ["--config", "{diverge}"]),
     ],
 )
 def test_scripts_report_config_errors_without_a_traceback(tmp_path, script, args):
+    # The scripts exit as `metalink` does: 1 on bad input, 2 on divergence.
     cfg = _write_tiny_ae(tmp_path / "bad.cfg", K_meta_batch=4)
+    diverge = _write_tiny_demod(tmp_path / "diverge.cfg", eta_outer="1e9", seeds="0")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(metalink.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, str(_SCRIPTS / script), *(a.format(cfg=cfg) for a in args)],
+        [sys.executable, str(_SCRIPTS / script), *(a.format(cfg=cfg, diverge=diverge) for a in args)],
         capture_output=True,
         text=True,
         timeout=120,
         cwd=tmp_path,
         env=env,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("config error: ")
+    code, prefix = (2, "numerical failure: ") if "{diverge}" in args else (1, "config error: ")
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
+
+
+_SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "gradcheck", "eval"]
+_FLAGS = [
+    "--config", "--profile", "--seed", "--out", "--first-order", "--workers", "--params", "--scale",
+    "-h", "--help", "demod", "autoencoder", "small", "full", "0", "-1", "2", "x.npz", "",
+]
+
+
+def _stub_work(monkeypatch):
+    """Replace every sweep, trainer, check and file write in cli's namespace."""
+    monkeypatch.setattr(cli, "run_meta_train", lambda config: MetaTrainResult(None, ((0, 1.0),)))
+    for name in ("run_pilot_sweep", "run_adaptation_sweep"):
+        monkeypatch.setattr(cli, name, lambda config, workers: SimpleNamespace(table=CurveTable(())))
+    monkeypatch.setattr(cli, "run_gradcheck", lambda scale: CheckReport((), 0.0))
+    monkeypatch.setattr(cli, "evaluate_params", lambda config, params: ("ser", [0.5]))
+    monkeypatch.setattr(cli, "load_params", lambda path: None)
+    monkeypatch.setattr(cli, "save_params", lambda path, p: None)
+    monkeypatch.setattr(cli, "write_curve", lambda table, path: None)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_SUBCOMMANDS), st.sampled_from(_FLAGS), st.text(max_size=12)),
+        max_size=8,
+    )
+)
+@example(["meta-train", "--config", "a\x00b"])  # open() raises ValueError on a NUL
+@settings(max_examples=300, deadline=None)
+def test_main_never_raises_on_arbitrary_argv(argv):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _stub_work(monkeypatch)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), (argv, err.getvalue())
+    if code == cli.EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")

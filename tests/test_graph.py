@@ -57,7 +57,6 @@ _OP_CASES = [
     ("bias_add", np.arange(1.0, 10.0), lambda p: graph.bias_add(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
     ("tanh", np.arange(1.0, 5.0) / 3.0, lambda p: graph.tanh(p)),
     ("relu", np.array([-2.0, -0.5, 0.7, 3.0]), lambda p: graph.relu(p)),
-    ("exp", np.arange(1.0, 5.0) / 4.0, lambda p: graph.exp(p)),
     ("sqrt", np.arange(1.0, 5.0), lambda p: graph.sqrt(p)),
     ("softmax_rows", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_rows(graph.reshape(p, (2, 3)))),
     ("softmax_xent", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_xent(graph.reshape(p, (2, 3)), np.array([2, 0]))),
@@ -193,18 +192,18 @@ def test_backward_sweep_is_deterministic():
 def test_uid_order_is_topological():
     p = graph.inp(np.arange(4.0))
     y = graph.tanh(graph.scale(p, 0.5))
-    z = graph.add(y, graph.exp(p))
+    z = graph.add(y, graph.mul(p, p))
     for node in (y, z):
         assert all(parent.uid < node.uid for parent in node.parents)
 
 
 def test_nonfinite_value_raises_naming_the_op():
-    p = graph.inp(np.array([1000.0]))
+    p = graph.inp(np.array([1e200]))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError) as exc:
-            graph.exp(p)
-    assert exc.value.op_kind == "exp"
-    assert "exp" in str(exc.value)
+            graph.mul(p, p)
+    assert exc.value.op_kind == "mul"
+    assert "'mul'" in str(exc.value)
 
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericalError) as exc:

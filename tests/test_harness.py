@@ -38,7 +38,6 @@ from metalink.nn import (
     init_params,
     make_autoencoder_lossfn,
     mlp_arch,
-    split_autoencoder_params,
 )
 from metalink.channel import ChannelRealization
 from metalink.tasks import (
@@ -94,7 +93,7 @@ def test_evaluate_ser_perfect_after_clean_training():
     task = family.sample(np.random.default_rng(60))
     cfg = TrainConfig(outer_iters=300, seed=1)
     pilots = make_pilot_dataset(task, 64, np.random.default_rng(61))
-    trained = train_conventional(task, 64, cfg, dataset=pilots)
+    trained = train_conventional(task, cfg, dataset=pilots, init=init_params(DEMOD_ARCH, cfg.seed))
     assert evaluate_ser(trained, task, 2000, np.random.default_rng(62)) == 0.0
 
 
@@ -114,8 +113,7 @@ def test_evaluate_ser_requires_demod_task():
 def test_evaluate_bler_untrained_is_chance_level():
     spec = AutoencoderSpec()
     task = sample_task("autoencoder", np.random.default_rng(66))
-    enc, dec = split_autoencoder_params(init_autoencoder_params(spec, 2), spec)
-    bler = evaluate_bler(enc, dec, task, 2000, np.random.default_rng(67))
+    bler = evaluate_bler(init_autoencoder_params(spec, 2), spec, task, 2000, np.random.default_rng(67))
     assert abs(bler - 15.0 / 16.0) < 0.06
 
 
@@ -124,12 +122,12 @@ def test_evaluate_bler_drops_after_training_on_the_task():
     task = sample_task("autoencoder", np.random.default_rng(68), snr_db=20.0)
     lossfn = make_autoencoder_lossfn(spec)
     p = init_autoencoder_params(spec, 3)
-    before = evaluate_bler(*split_autoencoder_params(p, spec), task, 1000, np.random.default_rng(69))
+    before = evaluate_bler(p, spec, task, 1000, np.random.default_rng(69))
     rng = np.random.default_rng(70)
     for _ in range(200):
         batch = generate_autoencoder_batch(task, 128, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.05)
-    after = evaluate_bler(*split_autoencoder_params(p, spec), task, 1000, np.random.default_rng(69))
+    after = evaluate_bler(p, spec, task, 1000, np.random.default_rng(69))
     assert after < before - 0.2
 
 
@@ -142,8 +140,7 @@ def test_evaluate_bler_trained_toy_is_error_free_without_noise():
     for _ in range(400):
         batch = generate_autoencoder_batch(delta, 64, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.5)
-    enc, dec = split_autoencoder_params(p, spec)
-    assert evaluate_bler(enc, dec, delta, 500, np.random.default_rng(73)) == 0.0
+    assert evaluate_bler(p, spec, delta, 500, np.random.default_rng(73)) == 0.0
 
 
 def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
@@ -156,18 +153,16 @@ def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
     for _ in range(150):
         batch = generate_autoencoder_batch(clean, 128, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.05)
-    enc, dec = split_autoencoder_params(p, spec)
-    at_20 = evaluate_bler(enc, dec, clean, 2000, np.random.default_rng(76))
-    at_0 = evaluate_bler(enc, dec, noisy, 2000, np.random.default_rng(76))
+    at_20 = evaluate_bler(p, spec, clean, 2000, np.random.default_rng(76))
+    at_0 = evaluate_bler(p, spec, noisy, 2000, np.random.default_rng(76))
     assert at_20 <= at_0
 
 
 def test_evaluate_bler_requires_autoencoder_task():
     spec = AutoencoderSpec()
-    enc, dec = split_autoencoder_params(init_autoencoder_params(spec, 0), spec)
     demod = sample_task("demod", np.random.default_rng(71))
     with pytest.raises(ConfigurationError):
-        evaluate_bler(enc, dec, demod, 100, np.random.default_rng(0))
+        evaluate_bler(init_autoencoder_params(spec, 0), spec, demod, 100, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

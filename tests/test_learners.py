@@ -1,20 +1,20 @@
 """Training-loop tests: the SGD primitive, the three learners, the meta
 objective against hand-worked quadratic oracles, and the divergence guard."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from metalink import graph
+from metalink.autodiff import eval_with_gradient
 from metalink.errors import ConfigurationError, NumericalError
 from metalink.learners import (
     DEMOD_ARCH,
     MetaTrainResult,
     SyntheticObjective,
     TrainConfig,
-    loss_value,
     maml_adapt,
-    maml_meta_loss,
-    maml_meta_step,
     meta_train,
     sgd_step,
     train_conventional,
@@ -23,6 +23,7 @@ from metalink.learners import (
 from metalink.nn import (
     AutoencoderSpec,
     Dataset,
+    init_autoencoder_params,
     init_params,
     make_mlp_lossfn,
     mlp_arch,
@@ -65,6 +66,21 @@ def _synthetic_item(build_tr, build_te=None, task_id=0):
 # 0.5*1.1^2 = 0.605, and the chain rule gives (1-0.1)*1.1 = 0.99.
 ORACLE_ITEM = _synthetic_item(_quadratic(1.0), _quadratic(-1.0))
 ORACLE_BATCH = MetaBatch("demod", (ORACLE_ITEM,))
+
+
+def _loss(lossfn, p, data):
+    return eval_with_gradient(lossfn, p, data).value
+
+
+def _meta_run(batch, cfg, theta, steps=1):
+    """meta_train on a fixed meta-batch: `steps` outer updates from theta."""
+    return meta_train(lambda rng: batch, replace(cfg, outer_iters=steps), init=theta)
+
+
+def _meta_loss(batch, cfg, theta):
+    """Meta-loss at theta: the history entry of one outer iteration from it."""
+    ((_, loss),) = _meta_run(batch, cfg, theta).history
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +127,9 @@ def test_train_config_validation():
 
 def test_loss_value_on_synthetic_objective():
     lossfn = SyntheticObjective(_quadratic(2.0)).make_lossfn()
-    assert abs(loss_value(lossfn, np.array([5.0]), None) - 4.5) < 1e-15
+    r = eval_with_gradient(lossfn, np.array([5.0]), None)
+    assert abs(r.value - 4.5) < 1e-15
+    assert np.array_equal(r.gradient, [3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +139,8 @@ def test_loss_value_on_synthetic_objective():
 def test_conventional_zero_iters_returns_init():
     task = sample_task("demod", np.random.default_rng(40))
     init = init_params(DEMOD_ARCH, 7)
-    out = train_conventional(task, 8, TrainConfig(outer_iters=0), init=init)
+    pilots = make_pilot_dataset(task, 8, np.random.default_rng(40))
+    out = train_conventional(task, TrainConfig(outer_iters=0), dataset=pilots, init=init)
     assert np.array_equal(out.values, init.values)
 
 
@@ -130,19 +149,9 @@ def test_conventional_descends_on_pilots():
     cfg = TrainConfig(outer_iters=60, seed=3)
     pilots = make_pilot_dataset(task, 16, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
-    trained = train_conventional(task, 16, cfg, dataset=pilots, init=init)
+    trained = train_conventional(task, cfg, dataset=pilots, init=init)
     lossfn = make_mlp_lossfn(DEMOD_ARCH)
-    assert loss_value(lossfn, trained, pilots) <= loss_value(lossfn, init, pilots)
-
-
-def test_conventional_default_pilots_are_the_seeded_draw():
-    task = sample_task("demod", np.random.default_rng(42), task_id=5)
-    cfg = TrainConfig(outer_iters=10, seed=11)
-    implicit = train_conventional(task, 8, cfg)
-    explicit = train_conventional(
-        task, 8, cfg, dataset=make_pilot_dataset(task, 8, rng_for(11, SCOPE_PILOTS_TRAIN, 5))
-    )
-    assert np.array_equal(implicit.values, explicit.values)
+    assert _loss(lossfn, trained, pilots) <= _loss(lossfn, init, pilots)
 
 
 def test_conventional_solves_separable_toy():
@@ -159,21 +168,25 @@ def test_conventional_solves_separable_toy():
     data = Dataset(inputs, targets, 2)
     task = sample_task("demod", np.random.default_rng(44))
     cfg = TrainConfig(eta_inner=0.5, outer_iters=150)
-    trained = train_conventional(task, n, cfg, dataset=data, init=init_params(arch, 0))
-    assert loss_value(make_mlp_lossfn(arch), trained, data) < 0.05
+    trained = train_conventional(task, cfg, dataset=data, init=init_params(arch, 0))
+    assert _loss(make_mlp_lossfn(arch), trained, data) < 0.05
 
 
 def test_conventional_rejects_autoencoder_tasks():
     ae = sample_task("autoencoder", np.random.default_rng(45))
+    demod = sample_task("demod", np.random.default_rng(45))
+    pilots = make_pilot_dataset(demod, 8, np.random.default_rng(45))
     with pytest.raises(ConfigurationError):
-        train_conventional(ae, 8, TrainConfig())
+        train_conventional(ae, TrainConfig(), dataset=pilots, init=init_params(DEMOD_ARCH, 0))
 
 
 def test_conventional_is_pure():
     task = sample_task("demod", np.random.default_rng(46))
     cfg = TrainConfig(outer_iters=25, seed=2)
-    a = train_conventional(task, 8, cfg)
-    b = train_conventional(task, 8, cfg)
+    pilots = make_pilot_dataset(task, 8, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
+    init = init_params(DEMOD_ARCH, cfg.seed)
+    a = train_conventional(task, cfg, dataset=pilots, init=init)
+    b = train_conventional(task, cfg, dataset=pilots, init=init)
     assert np.array_equal(a.values, b.values)
 
 
@@ -186,7 +199,7 @@ def test_joint_single_task_matches_conventional_bitwise():
     cfg = TrainConfig(outer_iters=30, seed=4)
     init = init_params(DEMOD_ARCH, 4)
     joint = train_joint(pool, cfg, init=init)
-    conv = train_conventional(pool.items[0].task, 8, cfg, dataset=pool.items[0].train, init=init)
+    conv = train_conventional(pool.items[0].task, cfg, dataset=pool.items[0].train, init=init)
     assert np.array_equal(joint.values, conv.values)
 
 
@@ -239,61 +252,65 @@ def test_adapt_two_steps_compose():
 
 def test_meta_loss_oracle_value():
     cfg = TrainConfig(eta_inner=0.1, m=1)
-    assert abs(maml_meta_loss(np.array([0.0]), ORACLE_BATCH, cfg) - 0.605) < 1e-12
+    assert abs(_meta_loss(ORACLE_BATCH, cfg, np.array([0.0])) - 0.605) < 1e-12
 
 
 def test_meta_loss_zero_rate_is_test_loss_at_theta():
     cfg = TrainConfig(eta_inner=0.0, m=1)
     theta = np.array([0.0])
-    got = maml_meta_loss(theta, ORACLE_BATCH, cfg)
-    want = loss_value(ORACLE_ITEM.test.make_lossfn(), theta, None)
+    got = _meta_loss(ORACLE_BATCH, cfg, theta)
+    want = _loss(ORACLE_ITEM.test.make_lossfn(), theta, None)
     assert got == want
 
 
 def test_meta_loss_duplicate_invariance():
     cfg = TrainConfig(eta_inner=0.1, m=1)
     dup = MetaBatch("demod", ORACLE_BATCH.items * 3)
-    assert maml_meta_loss(np.array([0.0]), dup, cfg) == maml_meta_loss(
-        np.array([0.0]), ORACLE_BATCH, cfg
-    )
+    assert _meta_loss(dup, cfg, np.array([0.0])) == _meta_loss(ORACLE_BATCH, cfg, np.array([0.0]))
 
 
 def test_meta_step_oracle_update():
     cfg = TrainConfig(eta_inner=0.1, eta_outer=1.0, m=1)
-    theta = maml_meta_step(np.array([0.0]), ORACLE_BATCH, cfg)
+    theta = _meta_run(ORACLE_BATCH, cfg, np.array([0.0])).params
     assert abs(theta[0] - (-0.99)) < 1e-12
 
 
 def test_meta_step_first_order_equals_full_at_zero_rate():
     pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=51)
     theta = init_params(DEMOD_ARCH, 12)
-    full = maml_meta_step(theta, pool, TrainConfig(eta_inner=0.0))
-    fo = maml_meta_step(theta, pool, TrainConfig(eta_inner=0.0, first_order=True))
+    full = _meta_run(pool, TrainConfig(eta_inner=0.0), theta).params
+    fo = _meta_run(pool, TrainConfig(eta_inner=0.0, first_order=True), theta).params
     assert np.array_equal(full.values, fo.values)
     # and at a nonzero rate the curvature term must show up
-    full = maml_meta_step(theta, pool, TrainConfig(eta_inner=0.1))
-    fo = maml_meta_step(theta, pool, TrainConfig(eta_inner=0.1, first_order=True))
+    full = _meta_run(pool, TrainConfig(eta_inner=0.1), theta).params
+    fo = _meta_run(pool, TrainConfig(eta_inner=0.1, first_order=True), theta).params
     assert not np.array_equal(full.values, fo.values)
 
 
 def test_meta_step_descends_on_fixed_demod_batch():
+    # history[100] is the meta-loss after 100 outer updates on the same batch
     pool = demod_task_pool(TaskFamily(), 10, 4, 16, seed=52)
     cfg = TrainConfig(eta_inner=0.1, eta_outer=0.3, m=1)
-    theta = init_params(DEMOD_ARCH, 13)
-    before = maml_meta_loss(theta, pool, cfg)
-    for _ in range(100):
-        theta = maml_meta_step(theta, pool, cfg)
-    assert maml_meta_loss(theta, pool, cfg) < before
+    history = dict(_meta_run(pool, cfg, init_params(DEMOD_ARCH, 13), steps=101).history)
+    assert history[100] < history[0]
 
 
 def test_meta_step_reports_failing_task():
+    # The guard's error names the task, keeps the failing op and chains the
+    # engine's error as its cause.
     def explode(p):
-        return graph.asum(graph.exp(graph.scale(p, 400.0)))
+        big = graph.scale(p, 1e200)
+        return graph.asum(graph.mul(big, big))
 
     item = _synthetic_item(explode, task_id=3)
     cfg = TrainConfig(eta_inner=0.1)
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="task 3"):
-        maml_meta_step(np.array([2.0]), MetaBatch("demod", (item,)), cfg)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="task 3") as exc:
+        _meta_run(MetaBatch("demod", (item,)), cfg, np.array([2.0]))
+    assert "meta-training: loss diverged at the initial point" in str(exc.value)
+    assert "'mul'" in str(exc.value)
+    assert exc.value.op_kind == "mul"
+    assert isinstance(exc.value.__cause__, NumericalError)
+    assert exc.value.__cause__.op_kind == "mul"
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +329,12 @@ def test_meta_train_zero_iters_returns_init():
 def test_meta_train_deterministic():
     pool = demod_task_pool(TaskFamily(), 6, 4, 8, seed=54)
     cfg = TrainConfig(outer_iters=20, K_meta_batch=4, seed=6)
-    a = meta_train(subsample_stream(pool, 4), cfg)
-    b = meta_train(subsample_stream(pool, 4), cfg)
+    init = init_params(DEMOD_ARCH, 6)
+    a = meta_train(subsample_stream(pool, 4), cfg, init=init)
+    b = meta_train(subsample_stream(pool, 4), cfg, init=init)
     assert np.array_equal(a.params.values, b.params.values)
     assert a.history == b.history
-    assert a.params.arch == DEMOD_ARCH  # default init was inferred from the batch kind
+    assert a.params.arch == DEMOD_ARCH
     assert [it for it, _ in a.history] == list(range(20))
 
 
@@ -326,7 +344,7 @@ def test_meta_train_improves_meta_loss():
     init = init_params(DEMOD_ARCH, 7)
     result = meta_train(subsample_stream(pool, 4), cfg, init=init)
     eval_cfg = TrainConfig(eta_inner=0.1, m=1)
-    assert maml_meta_loss(result.params, pool, eval_cfg) < maml_meta_loss(init, pool, eval_cfg)
+    assert _meta_loss(pool, eval_cfg, result.params) < _meta_loss(pool, eval_cfg, init)
 
 
 def test_meta_train_demod_profile_loss_drops_by_iteration_500():
@@ -338,7 +356,7 @@ def test_meta_train_demod_profile_loss_drops_by_iteration_500():
         cfg = TrainConfig(
             eta_inner=0.1, eta_outer=0.3, m=1, K_meta_batch=10, outer_iters=501, seed=seed
         )
-        history = dict(meta_train(subsample_stream(pool, 10), cfg).history)
+        history = dict(meta_train(subsample_stream(pool, 10), cfg, init=init_params(DEMOD_ARCH, seed)).history)
         first.append(history[0])
         late.append(history[500])
     assert np.median(late) < np.median(first)
@@ -348,7 +366,8 @@ def test_meta_train_runs_on_autoencoder_stream():
     tasks = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=10.0), 2, seed=56)
     spec = AutoencoderSpec()
     stream = autoencoder_stream(tasks, spec, k=2, n_blocks=8)
-    result = meta_train(stream, TrainConfig(eta_inner=0.05, eta_outer=0.05, outer_iters=5, K_meta_batch=2))
+    cfg = TrainConfig(eta_inner=0.05, eta_outer=0.05, outer_iters=5, K_meta_batch=2)
+    result = meta_train(stream, cfg, init=init_autoencoder_params(spec, 0))
     assert result.params.arch == spec.arch
     assert result.params.values.shape == (param_count(spec.arch),)
     assert len(result.history) == 5
@@ -399,10 +418,10 @@ def test_adapt_has_no_guard():
     assert phi[0] == -29000.0
     # real numerical failure still surfaces
     def explode(p):
-        return graph.asum(graph.exp(p))
+        return graph.asum(graph.mul(p, p))
 
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        maml_adapt(np.array([800.0]), SyntheticObjective(explode), 0.1, 1)
+        maml_adapt(np.array([1e200]), SyntheticObjective(explode), 0.1, 1)
 
 
 def test_meta_train_guard_initial_point():

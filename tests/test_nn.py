@@ -13,12 +13,12 @@ from metalink import graph
 from metalink.autodiff import eval_with_gradient
 from metalink.checks import fd_gradient, relative_error
 from metalink.errors import ConfigurationError, NumericalError
-from metalink.learners import loss_value, sgd_step
+from metalink.learners import sgd_step
 from metalink.nn import (
     AutoencoderSpec,
     Dataset,
     ParamVector,
-    autoencoder_forward,
+    autoencoder_logits_node,
     init_autoencoder_params,
     init_params,
     make_autoencoder_lossfn,
@@ -28,9 +28,9 @@ from metalink.nn import (
     mlp_logits_node,
     param_count,
     power_normalize_node,
-    split_autoencoder_params,
 )
-from metalink.channel import BLOCK_TAPS, ChannelRealization
+from metalink.channel import BLOCK_TAPS, ChannelRealization, apply_channel_block
+from metalink.tasks import AutoencoderBatch, Task, generate_autoencoder_batch
 
 
 def test_mlp_arch_layout():
@@ -127,21 +127,25 @@ def test_two_two_two_network_against_hand_computation():
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _numpy_mlp(values, arch, h):
+    """Plain numpy reference: the graph's ops in the same order, so equal bit for bit."""
+    offset = 0
+    for fan_in, fan_out, act in arch:
+        w = values[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        h = h @ w + values[offset:offset + fan_out]
+        offset += fan_out
+        h = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "linear": lambda z: z}[act](h)
+    return h
+
+
 @pytest.mark.parametrize("hidden", ["tanh", "relu"])
 def test_numpy_forward_equals_graph_forward(hidden):
     rng = np.random.default_rng(21)
     arch = mlp_arch((3, 7, 5), hidden=hidden)
     p = init_params(arch, 21)
     x = rng.standard_normal((6, 3))
-    # plain numpy reference: same ops in the same order, so equal bit for bit
-    h = x
-    offset = 0
-    for fan_in, fan_out, act in arch:
-        w = p.values[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        h = h @ w + p.values[offset:offset + fan_out]
-        offset += fan_out
-        h = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "linear": lambda z: z}[act](h)
+    h = _numpy_mlp(p.values, arch, x)
     node = mlp_logits_node(graph.inp(p.values), arch, x)
     assert np.array_equal(h, node.value)
     assert np.array_equal(h, mlp_forward(p, x))
@@ -165,7 +169,7 @@ def test_forward_raises_on_non_finite_logits():
 
 
 def _xent(p, data):
-    return loss_value(make_mlp_lossfn(p.arch), p, data)
+    return eval_with_gradient(make_mlp_lossfn(p.arch), p, data).value
 
 
 def test_xent_uniform_logits_equals_log_class_count():
@@ -278,14 +282,16 @@ def test_autoencoder_spec_shapes():
 
 
 def test_autoencoder_params_split_round_trip():
+    # One flat vector: the encoder's parameters, then the decoder's, both
+    # drawn from one generator in that order.
     spec = AutoencoderSpec()
     p = init_autoencoder_params(spec, 3)
     assert np.array_equal(p.values, init_autoencoder_params(spec, 3).values)
-    enc, dec = split_autoencoder_params(p, spec)
-    assert enc.arch == spec.enc_arch and dec.arch == spec.dec_arch
-    assert np.array_equal(np.concatenate([enc.values, dec.values]), p.values)
-    with pytest.raises(ConfigurationError):
-        split_autoencoder_params(init_params(mlp_arch((2, 3)), 0), spec)
+    assert p.arch == spec.arch
+    rng = np.random.default_rng(3)
+    enc, dec = init_params(spec.enc_arch, rng), init_params(spec.dec_arch, rng)
+    assert np.array_equal(p.values[:spec.n_enc_params], enc.values)
+    assert np.array_equal(p.values[spec.n_enc_params:], dec.values)
 
 
 def _toy_batch(spec, taps, messages, snr_db=10.0):
@@ -338,47 +344,43 @@ def test_trained_toy_autoencoder_recovers_messages_without_noise():
         p = sgd_step(p, r.gradient, 0.5)
     assert eval_with_gradient(lossfn, p, batch).value < 0.05
 
-    enc, dec = split_autoencoder_params(p, spec)
-    channel = ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 300.0)
-    logits = autoencoder_forward(enc, dec, np.array([0, 1]), channel, None)
+    logits = autoencoder_logits_node(graph.const(p.values), spec, batch).value
     assert np.array_equal(np.argmax(logits, axis=1), [0, 1])
 
 
 def test_autoencoder_forward_matches_training_loss_path():
-    # Same draw, both routes: the graph loss on a frozen batch and the
-    # evaluation forward through the channel must see identical logits.
+    # The forward the loss differentiates, against a plain numpy forward
+    # through the exact complex convolution of the block channel.
     spec = AutoencoderSpec()
     rng = np.random.default_rng(51)
     taps = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(6.0)
     messages = rng.integers(0, 16, size=4)
     batch = _toy_batch(spec, taps, messages)
     p = init_autoencoder_params(spec, 51)
+    graph_logits = autoencoder_logits_node(graph.inp(p.values), spec, batch).value
+    loss = make_autoencoder_lossfn(spec)(graph.inp(p.values), batch).value
+    assert loss == graph.softmax_xent(graph.const(graph_logits), messages).value
 
-    p_node = graph.inp(p.values)
-    enc_node = mlp_logits_node(graph.vslice(p_node, 0, spec.n_enc_params), spec.enc_arch, np.eye(16)[messages])
-    coded = power_normalize_node(enc_node, spec.n_uses)
-    received = graph.add(graph.matmat(coded, graph.const(batch.channel_matrix.T)), graph.const(batch.noise))
-    graph_logits = mlp_logits_node(
-        graph.vslice(p_node, spec.n_enc_params, len(p)), spec.dec_arch, received
-    ).value
-
-    enc, dec = split_autoencoder_params(p, spec)
-    channel = ChannelRealization(taps, 300.0)
-    forward_logits = autoencoder_forward(enc, dec, messages, channel, None)
-    assert np.allclose(forward_logits, graph_logits, rtol=0, atol=1e-12)
+    n = spec.n_uses
+    coded = _numpy_mlp(p.values[:spec.n_enc_params], spec.enc_arch, np.eye(16)[messages])
+    coded = coded * (math.sqrt(n) / np.sqrt((coded * coded).sum(axis=1, keepdims=True)))
+    received = apply_channel_block(coded[:, :n] + 1j * coded[:, n:], ChannelRealization(taps, 10.0), None)
+    stacked = np.concatenate([received.real, received.imag], axis=1)
+    numpy_logits = _numpy_mlp(p.values[spec.n_enc_params:], spec.dec_arch, stacked)
+    assert np.allclose(graph_logits, numpy_logits, rtol=0, atol=1e-12)
 
 
 def test_autoencoder_forward_shapes_and_validation():
     spec = AutoencoderSpec()
-    p = init_autoencoder_params(spec, 0)
-    enc, dec = split_autoencoder_params(p, spec)
-    channel = ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 20.0)
+    p = graph.const(init_autoencoder_params(spec, 0).values)
+    task = Task(0, ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 20.0), "autoencoder")
     rng = np.random.default_rng(0)
-    single = autoencoder_forward(enc, dec, 3, channel, rng)
-    assert single.shape == (16,)
-    many = autoencoder_forward(enc, dec, np.array([0, 5, 15]), channel, rng)
-    assert many.shape == (3, 16)
+    for n_blocks in (1, 3):
+        batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
+        assert autoencoder_logits_node(p, spec, batch).value.shape == (n_blocks, 16)
     with pytest.raises(ConfigurationError):
-        autoencoder_forward(enc, dec, np.array([16]), channel, rng)
+        autoencoder_logits_node(graph.const(np.zeros(3)), spec, batch)
     with pytest.raises(ConfigurationError):
-        autoencoder_forward(enc, dec, np.array([], dtype=int), channel, rng)
+        AutoencoderBatch(np.array([16]), batch.noise[:1], batch.channel_matrix, spec)
+    with pytest.raises(ConfigurationError):
+        autoencoder_logits_node(p, spec, _toy_batch(spec, [1.0, 0.0, 0.0], np.array([], dtype=int)))

@@ -218,7 +218,7 @@ def test_meta_batch_validation():
         MetaBatch("demod", ())
     pool = demod_task_pool(TaskFamily(), 1, 2, 2, seed=24)
     with pytest.raises(ConfigurationError):
-        MetaBatch("autoencoder", pool.items)  # needs an ae_spec
+        MetaBatch("qpsk", pool.items)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +324,6 @@ def test_audit_catches_demod_leak():
 def test_audit_catches_autoencoder_leak():
     tasks = autoencoder_task_pool(TaskFamily(kind="autoencoder"), 1, seed=38)
     batch = generate_autoencoder_batch(tasks[0], 8, np.random.default_rng(39))
-    leaked = MetaBatch("autoencoder", (TaskSplit(tasks[0], batch, batch),), batch.spec)
+    leaked = MetaBatch("autoencoder", (TaskSplit(tasks[0], batch, batch),))
     with pytest.raises(ConfigurationError, match="leaked"):
         audit_meta_batch(leaked)
