@@ -8,11 +8,12 @@ both, mirroring the hardest case for the joint baseline.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from metalink.cli import Parser, run
-from metalink.harness import run_phase_rotation_seed
+from metalink.harness import default_config, run_phase_rotation_seed
 
 
 def main(argv):
@@ -24,6 +25,8 @@ def main(argv):
     parser.add_argument("--devices", type=int, default=10)
     parser.add_argument("--pilots", type=int, default=16)
     args = parser.parse_args(argv)
+    # a sweep's seed rules hold here too: non-negative, none repeated
+    replace(default_config("demod"), seeds=tuple(args.seeds))
 
     joint_means, maml_means = [], []
     for seed in args.seeds:

@@ -10,12 +10,17 @@ Values are float64 numpy arrays, computed at node construction time.  Every
 node value is finite, and the op that would first produce a nan or inf raises
 NumericalError naming its kind, so divergence surfaces at the first bad node
 instead of as a mystery NaN three modules later.  Leaves and the ops that can
-create a non-finite value from finite inputs (arithmetic, products,
-reductions, sqrt, cross-entropy) check their result as they are
-built.  The remaining ops (_FINITE_PRESERVING) only move, copy or zero
-entries, or map them into a bounded range, so finite inputs give finite
-outputs; since their inputs are nodes, and so already finite, they skip the
-check without weakening the invariant.
+create a non-finite value from finite inputs (arithmetic, products, sums,
+sqrt, cross-entropy) check their result as they are built.  The remaining
+ops (_FINITE_PRESERVING) only move, copy or zero entries, or map them into a
+bounded range, so finite inputs give finite outputs; since their inputs are
+nodes, and so already finite, they skip the check without weakening the
+invariant.
+
+Broadcasting has one rule, numpy's: add, mul and div accept any two
+broadcast-compatible operands, and their VJPs sum each adjoint back to its
+operand's shape with asum(g, shape).  asum and bcast are each other's VJP;
+between them they are every reduction and every broadcast the models need.
 
 Graphs are throwaway: build, differentiate, read values, drop.  Nothing here
 mutates a node after construction, and node ids increase in creation order,
@@ -24,6 +29,7 @@ which doubles as a topological order for the backward sweep.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 
@@ -40,7 +46,8 @@ class Node:
     kind    op name, e.g. "matmat" or "softmax_xent"
     value   cached float64 result, computed eagerly
     parents predecessor nodes, in positional order
-    meta    op-specific static data (slice bounds, targets, a python scalar)
+    meta    op-specific static data (slice bounds, targets, a python scalar,
+            whether broadcast operand shapes differ)
     uid     creation counter; parent.uid < child.uid always holds
     """
 
@@ -58,16 +65,23 @@ class Node:
 
 
 # Ops that cannot turn finite inputs into a non-finite output: transpose,
-# reshape, vslice, vpad and the broadcasts copy existing entries or zeros;
-# tanh lies in [-1, 1], relu_mask in {0, 1} and relu is an entry or 0;
-# softmax_rows lies in [0, 1], because the shifted exponents are <= 0 (an
-# overflowing shift is -inf, whose exp is 0) and each row sum includes
-# exp(0) = 1.
+# reshape, vslice, vpad and bcast copy existing entries or zeros (sum, which
+# adds entries, can overflow and is checked); tanh lies in [-1, 1], relu_mask
+# in {0, 1} and relu is an entry or 0; softmax_rows lies in [0, 1], because
+# the shifted exponents are <= 0 (an overflowing shift is -inf, whose exp is
+# 0) and each row sum includes exp(0) = 1.
 _FINITE_PRESERVING = frozenset({
-    "transpose", "reshape", "vslice", "vpad",
-    "bcast", "bcast_rows", "bcast_cols",
+    "transpose", "reshape", "vslice", "vpad", "bcast",
     "tanh", "relu", "relu_mask", "softmax_rows",
 })
+
+# The finiteness check sums in this context, where numpy ignores overflow and
+# invalid results, so finite entries whose sum overflows raise no warning.
+# Unlike an np.errstate block it adds no measurable time per node; it admits one
+# thread at a time, and graphs are built on one thread.
+_QUIET = contextvars.copy_context()
+_QUIET.run(np.seterr, over="ignore", invalid="ignore")
+_ADD_REDUCE = np.add.reduce
 
 
 def _make(kind, value, parents=(), meta=None):
@@ -78,7 +92,7 @@ def _make(kind, value, parents=(), meta=None):
     # sum can also come from finite entries that overflow when added, so it
     # is confirmed entrywise.
     if kind not in _FINITE_PRESERVING:
-        if not math.isfinite(np.add.reduce(value, None)) and not np.isfinite(value).all():
+        if not math.isfinite(_QUIET.run(_ADD_REDUCE, value, None)) and not np.isfinite(value).all():
             raise NumericalError(f"non-finite value produced by op '{kind}'", op_kind=kind)
     return Node(kind, value, parents, meta)
 
@@ -98,9 +112,12 @@ def const(x):
 
 # ---------------------------------------------------------------------------
 # arithmetic
+#
+# add, mul and div broadcast by numpy's rule; meta records whether the
+# operand shapes differ, so their VJPs look at shapes only when they do.
 
 def add(a, b):
-    return _make("add", a.value + b.value, (a, b))
+    return _make("add", a.value + b.value, (a, b), a.value.shape != b.value.shape)
 
 
 def scale(a, c):
@@ -109,17 +126,11 @@ def scale(a, c):
 
 
 def mul(a, b):
-    """Elementwise product; both operands the same shape."""
-    return _make("mul", a.value * b.value, (a, b))
+    return _make("mul", a.value * b.value, (a, b), a.value.shape != b.value.shape)
 
 
 def div(a, b):
-    return _make("div", a.value / b.value, (a, b))
-
-
-def smul(s, a):
-    """Scalar node s times array node a."""
-    return _make("smul", s.value * a.value, (s, a))
+    return _make("div", a.value / b.value, (a, b), a.value.shape != b.value.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -152,41 +163,29 @@ def vpad(a, lo, n):
 # ---------------------------------------------------------------------------
 # reductions and broadcasts
 
-def asum(a):
-    """Sum of all entries; scalar output."""
-    return _make("sum", a.value.sum(), (a,))
+def asum(a, shape=()):
+    """Sum of a down to `shape`: over the leading axes a has beyond len(shape),
+    and over the axes where shape has size 1.  The default sums everything
+    to a scalar.  The adjoint of a broadcast to a's shape."""
+    v = a.value
+    if not shape:
+        value = v.sum()
+    elif shape == v.shape[1:]:  # rows onto one row
+        value = v.sum(axis=0)
+    elif v.ndim == 2 and shape == (v.shape[0], 1):  # columns onto one column
+        value = v.sum(axis=1, keepdims=True)
+    else:
+        lead = v.ndim - len(shape)
+        axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+        value = v.sum(axis=axes, keepdims=True).reshape(shape)
+    return _make("sum", value, (a,))
 
 
-def row_sum(a):
-    return _make("row_sum", a.value.sum(axis=1), (a,))
-
-
-def col_sum(a):
-    return _make("col_sum", a.value.sum(axis=0), (a,))
-
-
-def bcast(s, shape):
-    """Scalar node broadcast to a full array."""
-    return _make("bcast", np.full(shape, float(s.value)), (s,), tuple(shape))
-
-
-def bcast_rows(v, n_rows):
-    """1-d node tiled as the rows of an (n_rows, len(v)) matrix."""
-    value = np.empty((n_rows, v.value.shape[0]))
-    value[...] = v.value
-    return _make("bcast_rows", value, (v,), n_rows)
-
-
-def bcast_cols(v, n_cols):
-    """1-d node tiled as the columns of a (len(v), n_cols) matrix."""
-    value = np.empty((v.value.shape[0], n_cols))
-    value[...] = v.value[:, None]
-    return _make("bcast_cols", value, (v,), n_cols)
-
-
-def bias_add(z, b):
-    """Add a bias row-vector b to every row of matrix z."""
-    return _make("bias_add", z.value + b.value, (z, b))
+def bcast(a, shape):
+    """a broadcast to `shape` by numpy's rule; the adjoint of asum."""
+    value = np.empty(shape)
+    value[...] = a.value
+    return _make("bcast", value, (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +243,17 @@ def _xent_value(logits, targets):
 # VJP table: kind -> one builder per parent, each (node, adjoint) -> Node.
 # A builder may return None for "contributes nothing" (relu_mask).
 
+# One 0-d constant shared by every tanh VJP.  It is older than any node a
+# caller differentiates with respect to, so the sweep never walks it.
+_ONE = const(1.0)
+
 def _tanh_vjp(n, g):
-    one = const(np.ones_like(n.value))
-    return mul(g, add(one, scale(mul(n, n), -1.0)))
+    return mul(g, add(_ONE, scale(mul(n, n), -1.0)))
 
 
 def _softmax_rows_vjp(n, g):
-    inner = row_sum(mul(g, n))
-    return mul(n, add(g, scale(bcast_cols(inner, n.value.shape[1]), -1.0)))
+    inner = asum(mul(g, n), (n.value.shape[0], 1))
+    return mul(n, add(g, scale(inner, -1.0)))
 
 
 def _softmax_xent_vjp(n, g):
@@ -260,18 +262,26 @@ def _softmax_xent_vjp(n, g):
     onehot = np.zeros((n_rows, n_cols))
     onehot[np.arange(n_rows), n.meta] = 1.0
     diff = add(softmax_rows(logits), const(-onehot))
-    return smul(scale(g, 1.0 / n_rows), diff)
+    return mul(scale(g, 1.0 / n_rows), diff)
+
+
+def _fit(d, n, i):
+    """Adjoint d of parent i of the broadcasting op n, summed to its shape."""
+    if n.meta:
+        shape = n.parents[i].value.shape
+        if d.value.shape != shape:
+            return asum(d, shape)
+    return d
 
 
 _VJPS = {
-    "add": (lambda n, g: g, lambda n, g: g),
+    "add": (lambda n, g: _fit(g, n, 0), lambda n, g: _fit(g, n, 1)),
     "scale": (lambda n, g: scale(g, n.meta),),
-    "mul": (lambda n, g: mul(g, n.parents[1]), lambda n, g: mul(g, n.parents[0])),
+    "mul": (lambda n, g: _fit(mul(g, n.parents[1]), n, 0), lambda n, g: _fit(mul(g, n.parents[0]), n, 1)),
     "div": (
-        lambda n, g: div(g, n.parents[1]),
-        lambda n, g: scale(mul(g, div(n, n.parents[1])), -1.0),
+        lambda n, g: _fit(div(g, n.parents[1]), n, 0),
+        lambda n, g: scale(_fit(mul(g, div(n, n.parents[1])), n, 1), -1.0),
     ),
-    "smul": (lambda n, g: asum(mul(g, n.parents[1])), lambda n, g: smul(n.parents[0], g)),
     "matmat": (
         lambda n, g: matmat(g, transpose(n.parents[1])),
         lambda n, g: matmat(transpose(n.parents[0]), g),
@@ -281,12 +291,7 @@ _VJPS = {
     "vslice": (lambda n, g: vpad(g, n.meta[0], n.parents[0].value.shape[0]),),
     "vpad": (lambda n, g: vslice(g, n.meta[0], n.meta[0] + n.parents[0].value.shape[0]),),
     "sum": (lambda n, g: bcast(g, n.parents[0].value.shape),),
-    "row_sum": (lambda n, g: bcast_cols(g, n.parents[0].value.shape[1]),),
-    "col_sum": (lambda n, g: bcast_rows(g, n.parents[0].value.shape[0]),),
-    "bcast": (lambda n, g: asum(g),),
-    "bcast_rows": (lambda n, g: col_sum(g),),
-    "bcast_cols": (lambda n, g: row_sum(g),),
-    "bias_add": (lambda n, g: g, lambda n, g: col_sum(g)),
+    "bcast": (lambda n, g: asum(g, n.parents[0].value.shape),),
     "tanh": (_tanh_vjp,),
     "relu": (lambda n, g: mul(g, relu_mask(n.parents[0])),),
     "relu_mask": (lambda n, g: None,),

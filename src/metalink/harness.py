@@ -146,8 +146,9 @@ class SweepResult:
 class ExperimentConfig:
     """Everything a sweep needs; see default_config() for per-profile values.
 
-    Training fields mirror TrainConfig; `seed` seeds single runs
-    (meta-train/eval subcommands) while `seeds` drives sweeps.
+    Training fields mirror TrainConfig; K_meta_batch is the number of tasks
+    the meta-train stream draws per outer iteration.  `seed` seeds single
+    runs (meta-train/eval subcommands) while `seeds` drives sweeps.
     """
 
     profile: str
@@ -175,6 +176,7 @@ class ExperimentConfig:
         if self.profile not in PROFILES:
             raise ConfigurationError(f"unknown profile '{self.profile}'")
         for name in (
+            "K_meta_batch",
             "baseline_iters",
             "adapt_iters_max",
             "n_meta_train_tasks",
@@ -213,7 +215,6 @@ class ExperimentConfig:
             eta_inner=self.eta_inner,
             eta_outer=self.eta_outer,
             m=self.m,
-            K_meta_batch=self.K_meta_batch,
             outer_iters=self.outer_iters,
             first_order=self.first_order,
             seed=seed,

@@ -32,12 +32,11 @@ LOSS_CEILING = 1.0e6
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Step sizes, inner/outer step counts, meta-batch size, variant flags."""
+    """Step sizes, inner/outer step counts, variant flags."""
 
     eta_inner: float = 0.1
     eta_outer: float = 0.3
     m: int = 1
-    K_meta_batch: int = 10
     outer_iters: int = 100
     first_order: bool = False
     seed: int = 0
@@ -51,8 +50,6 @@ class TrainConfig:
             raise ConfigurationError("step sizes must be positive (eta_inner may be 0)")
         if self.m < 1:
             raise ConfigurationError("inner step count m must be >= 1")
-        if self.K_meta_batch < 1:
-            raise ConfigurationError("meta-batch size must be >= 1")
         if self.outer_iters < 0:
             raise ConfigurationError("outer_iters must be >= 0")
         if self.seed < 0:

@@ -163,7 +163,7 @@ def mlp_logits_node(p_node, arch, x):
         offset += fan_in * fan_out
         b = graph.vslice(p_node, offset, offset + fan_out)
         offset += fan_out
-        h = _activate(graph.bias_add(graph.matmat(h, w), b), act)
+        h = _activate(graph.add(graph.matmat(h, w), b), act)
     if offset != p_node.value.shape[0]:
         raise ConfigurationError(
             f"architecture consumes {offset} parameters, vector has {p_node.value.shape[0]}"
@@ -247,9 +247,13 @@ def init_autoencoder_params(spec, seed):
 
 def power_normalize_node(s, n_uses):
     """Scale each row to squared norm n_uses (unit average power per use)."""
-    sq = graph.row_sum(graph.mul(s, s))
-    scale_col = graph.div(graph.bcast(graph.const(math.sqrt(n_uses)), sq.value.shape), graph.sqrt(sq))
-    return graph.mul(s, graph.bcast_cols(scale_col, s.value.shape[1]))
+    sq = graph.asum(graph.mul(s, s), (s.value.shape[0], 1))
+    factor = graph.div(graph.const(math.sqrt(n_uses)), graph.sqrt(sq))
+    # An explicit bcast, not a broadcasting mul: the product and its VJP both
+    # read the stretched factor, and the bcast node sums their adjoints across
+    # each row at once, where mul would sum each one apart and move exact
+    # second-order meta-gradients in the last ulp.
+    return graph.mul(s, graph.bcast(factor, s.value.shape))
 
 
 def autoencoder_logits_node(p_node, spec, batch):

@@ -184,6 +184,7 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, command, extra, flags
         ("m = 1\nprofile = qpsk\n", "n.cfg:2: unknown profile"),
         ("profile = autoencoder\nn_meta_train_tasks = 4\n", "n.cfg:2: K_meta_batch 10 exceeds n_meta_train_tasks 4"),
         ("profile = autoencoder\nn_meta_train_tasks = 12\nK_meta_batch = 13\n", "n.cfg:3: K_meta_batch 13 exceeds"),
+        ("profile = demod\n\nK_meta_batch = 0\n", "n.cfg:3: K_meta_batch must be positive"),
     ],
 )
 def test_rejected_config_value_names_its_line(tmp_path, capsys, text, where):
@@ -236,6 +237,8 @@ _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
         ("run_phase_rotation_study.py", ["--tasks", "0"]),
         ("run_demod_sweep.py", ["--workers", "x"]),
         ("run_demod_sweep.py", ["--config", "{diverge}"]),
+        ("run_phase_rotation_study.py", ["--seeds", "-1"]),
+        ("run_phase_rotation_study.py", ["--seeds", "0", "0"]),
     ],
 )
 def test_scripts_report_config_errors_without_a_traceback(tmp_path, script, args):

@@ -3,6 +3,7 @@ differences, determinism of the backward sweep, and closure (gradients are
 nodes, so they can be differentiated again)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,25 +37,28 @@ def _contract(node, seed):
     return graph.asum(graph.mul(node, graph.const(r)))
 
 
-# one entry per differentiable op: (name, x0, builder p_node -> node)
+# one entry per differentiable op, and per reduction or broadcast that the
+# models and VJPs build from asum, bcast and add/mul: (name, x0, builder
+# p_node -> node)
 _OP_CASES = [
     ("add", np.arange(1.0, 7.0), lambda p: graph.add(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("scale", np.arange(1.0, 5.0), lambda p: graph.scale(p, -2.5)),
     ("mul", np.arange(1.0, 7.0), lambda p: graph.mul(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("div", np.arange(2.0, 8.0), lambda p: graph.div(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
-    ("smul", np.arange(1.0, 6.0), lambda p: graph.smul(graph.asum(graph.vslice(p, 0, 1)), graph.vslice(p, 1, 5))),
+    ("smul", np.arange(1.0, 6.0), lambda p: graph.mul(graph.asum(graph.vslice(p, 0, 1)), graph.vslice(p, 1, 5))),
     ("matmat", np.arange(1.0, 13.0), lambda p: graph.matmat(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.reshape(graph.vslice(p, 6, 12), (3, 2)))),
     ("transpose", np.arange(1.0, 7.0), lambda p: graph.transpose(graph.reshape(p, (2, 3)))),
     ("reshape", np.arange(1.0, 7.0), lambda p: graph.reshape(p, (3, 2))),
     ("vslice", np.arange(1.0, 8.0), lambda p: graph.vslice(p, 2, 5)),
     ("vpad", np.arange(1.0, 4.0), lambda p: graph.vpad(p, 2, 8)),
     ("sum", np.arange(1.0, 6.0), lambda p: graph.asum(p)),
-    ("row_sum", np.arange(1.0, 7.0), lambda p: graph.row_sum(graph.reshape(p, (2, 3)))),
-    ("col_sum", np.arange(1.0, 7.0), lambda p: graph.col_sum(graph.reshape(p, (2, 3)))),
+    ("row_sum", np.arange(1.0, 7.0), lambda p: graph.asum(graph.reshape(p, (2, 3)), (2, 1))),
+    ("col_sum", np.arange(1.0, 7.0), lambda p: graph.asum(graph.reshape(p, (2, 3)), (3,))),
+    ("sum_to_shape", np.arange(1.0, 13.0), lambda p: graph.asum(graph.reshape(p, (2, 3, 2)), (3, 1))),
     ("bcast", np.array([1.5]), lambda p: graph.bcast(graph.asum(p), (2, 3))),
-    ("bcast_rows", np.arange(1.0, 4.0), lambda p: graph.bcast_rows(p, 4)),
-    ("bcast_cols", np.arange(1.0, 4.0), lambda p: graph.bcast_cols(p, 4)),
-    ("bias_add", np.arange(1.0, 10.0), lambda p: graph.bias_add(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
+    ("bcast_rows", np.arange(1.0, 4.0), lambda p: graph.bcast(p, (4, 3))),
+    ("bcast_cols", np.arange(1.0, 4.0), lambda p: graph.bcast(graph.reshape(p, (3, 1)), (3, 4))),
+    ("bias_add", np.arange(1.0, 10.0), lambda p: graph.add(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
     ("tanh", np.arange(1.0, 5.0) / 3.0, lambda p: graph.tanh(p)),
     ("relu", np.array([-2.0, -0.5, 0.7, 3.0]), lambda p: graph.relu(p)),
     ("sqrt", np.arange(1.0, 5.0), lambda p: graph.sqrt(p)),
@@ -74,6 +78,39 @@ def test_vjp_matches_finite_differences(name, x0, builder):
     fd = _fd(value, x0)
     err = np.abs(g.value - fd).max() / (np.abs(fd).max() + 1e-12)
     assert err < 1e-7, f"{name}: VJP vs finite differences, rel err {err:.3e}"
+
+
+@st.composite
+def _broadcast_operands(draw):
+    """Two arrays of broadcast-compatible shapes: an (n, k) matrix and a
+    scalar, a row vector, an (n, 1) column or another (n, k) matrix, in
+    either order, with entries away from zero so both can divide."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shapes = [(n, k), draw(st.sampled_from([(), (k,), (n, 1), (n, k)]))]
+    if draw(st.booleans()):
+        shapes.reverse()
+    entries = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+    return [draw(hnp.arrays(np.float64, shape, elements=entries)) for shape in shapes]
+
+
+@given(_broadcast_operands(), st.sampled_from(["add", "mul", "div"]))
+@settings(max_examples=120, deadline=None)
+def test_broadcasting_adjoints_have_operand_shapes_and_match_differences(operands, kind):
+    op = getattr(graph, kind)
+    x, y = operands
+    a, b = graph.inp(x), graph.inp(y)
+    adjoints = graph.gradients(_contract(op(a, b), seed=5), [a, b])
+    for i, (operand, g) in enumerate(zip(operands, adjoints)):
+        assert g.value.shape == operand.shape, f"{kind}: adjoint {i} has shape {g.value.shape}"
+
+        def value(flat, i=i):
+            args = [graph.inp(v) for v in operands]
+            args[i] = graph.inp(flat.reshape(operand.shape))
+            return float(_contract(op(*args), seed=5).value)
+
+        fd = _fd(value, operand.ravel()).reshape(operand.shape)
+        err = np.abs(g.value - fd).max() / (np.abs(fd).max() + 1e-12)
+        assert err < 1e-7, f"{kind}: adjoint {i} vs finite differences, rel err {err:.3e}"
 
 
 def test_forward_values_simple_ops():
@@ -249,10 +286,16 @@ def test_relu_equals_masked_identity(xs):
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
-    with np.errstate(over="ignore"):
+    # accepted silently: the check's own sum may overflow (1e308 + 1e308)
+    # or meet +max and -max, and neither is a warning
+    top = np.finfo(np.float64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         big = graph.const(np.array([1e308, 1e308]))
+        graph.const(np.array([top, top, -top, -top]))
         moved = graph.add(big, graph.const(np.zeros(2)))
-        assert np.array_equal(moved.value, [1e308, 1e308])
+    assert np.array_equal(moved.value, [1e308, 1e308])
+    with np.errstate(over="ignore"):
         with pytest.raises(NumericalError) as exc:
             graph.asum(big)  # here the value itself is inf
     assert exc.value.op_kind == "sum"
@@ -270,9 +313,7 @@ _EXEMPT_BUILDERS = {
     "reshape": lambda mat, vec, sca: graph.reshape(mat, (mat.value.size,)),
     "vslice": lambda mat, vec, sca: graph.vslice(vec, 1, vec.value.size),
     "vpad": lambda mat, vec, sca: graph.vpad(vec, 1, vec.value.size + 2),
-    "bcast": lambda mat, vec, sca: graph.bcast(sca, (2, 3)),
-    "bcast_rows": lambda mat, vec, sca: graph.bcast_rows(vec, 3),
-    "bcast_cols": lambda mat, vec, sca: graph.bcast_cols(vec, 3),
+    "bcast": lambda mat, vec, sca: graph.bcast(mat, (3, *mat.value.shape)),
     "tanh": lambda mat, vec, sca: graph.tanh(mat),
     "relu": lambda mat, vec, sca: graph.relu(mat),
     "relu_mask": lambda mat, vec, sca: graph.relu_mask(mat),

@@ -118,7 +118,6 @@ def test_train_config_validation():
         dict(eta_inner=-0.1),
         dict(eta_outer=0.0),
         dict(m=0),
-        dict(K_meta_batch=0),
         dict(outer_iters=-1),
     ):
         with pytest.raises(ConfigurationError):
@@ -328,7 +327,7 @@ def test_meta_train_zero_iters_returns_init():
 
 def test_meta_train_deterministic():
     pool = demod_task_pool(TaskFamily(), 6, 4, 8, seed=54)
-    cfg = TrainConfig(outer_iters=20, K_meta_batch=4, seed=6)
+    cfg = TrainConfig(outer_iters=20, seed=6)
     init = init_params(DEMOD_ARCH, 6)
     a = meta_train(subsample_stream(pool, 4), cfg, init=init)
     b = meta_train(subsample_stream(pool, 4), cfg, init=init)
@@ -340,7 +339,7 @@ def test_meta_train_deterministic():
 
 def test_meta_train_improves_meta_loss():
     pool = demod_task_pool(TaskFamily(), 8, 4, 16, seed=55)
-    cfg = TrainConfig(outer_iters=150, K_meta_batch=4, seed=7)
+    cfg = TrainConfig(outer_iters=150, seed=7)
     init = init_params(DEMOD_ARCH, 7)
     result = meta_train(subsample_stream(pool, 4), cfg, init=init)
     eval_cfg = TrainConfig(eta_inner=0.1, m=1)
@@ -354,7 +353,7 @@ def test_meta_train_demod_profile_loss_drops_by_iteration_500():
     for seed in range(5):
         pool = demod_task_pool(TaskFamily(), 100, 4, 64, seed=seed)
         cfg = TrainConfig(
-            eta_inner=0.1, eta_outer=0.3, m=1, K_meta_batch=10, outer_iters=501, seed=seed
+            eta_inner=0.1, eta_outer=0.3, m=1, outer_iters=501, seed=seed
         )
         history = dict(meta_train(subsample_stream(pool, 10), cfg, init=init_params(DEMOD_ARCH, seed)).history)
         first.append(history[0])
@@ -366,7 +365,7 @@ def test_meta_train_runs_on_autoencoder_stream():
     tasks = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=10.0), 2, seed=56)
     spec = AutoencoderSpec()
     stream = autoencoder_stream(tasks, spec, k=2, n_blocks=8)
-    cfg = TrainConfig(eta_inner=0.05, eta_outer=0.05, outer_iters=5, K_meta_batch=2)
+    cfg = TrainConfig(eta_inner=0.05, eta_outer=0.05, outer_iters=5)
     result = meta_train(stream, cfg, init=init_autoencoder_params(spec, 0))
     assert result.params.arch == spec.arch
     assert result.params.values.shape == (param_count(spec.arch),)
@@ -426,7 +425,7 @@ def test_adapt_has_no_guard():
 
 def test_meta_train_guard_initial_point():
     batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
-    cfg = TrainConfig(eta_inner=0.001, outer_iters=1, K_meta_batch=1)
+    cfg = TrainConfig(eta_inner=0.001, outer_iters=1)
     with pytest.raises(NumericalError, match="meta-training"):
         meta_train(lambda rng: batch, cfg, init=np.array([1000.0]))
 
@@ -436,7 +435,7 @@ def test_meta_train_guard_half_step_retry_success():
     # those of test_guard_half_step_retry_success; the history keeps the
     # retry point's loss (2.94e5 at -14) for the retried iteration.
     batch = MetaBatch("demod", (_synthetic_item(_steep(1500.0)),))
-    cfg = TrainConfig(eta_inner=0.0, eta_outer=0.01, outer_iters=2, K_meta_batch=1)
+    cfg = TrainConfig(eta_inner=0.0, eta_outer=0.01, outer_iters=2)
     out = meta_train(lambda rng: batch, cfg, init=np.array([1.0]))
     assert np.array_equal(out.params, [406.0])
     assert out.history == ((0, 1500.0), (1, 294000.0))
@@ -444,7 +443,7 @@ def test_meta_train_guard_half_step_retry_success():
 
 def test_meta_train_guard_half_step_retry_failure():
     batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
-    cfg = TrainConfig(eta_inner=0.0, eta_outer=0.001, outer_iters=2, K_meta_batch=1)
+    cfg = TrainConfig(eta_inner=0.0, eta_outer=0.001, outer_iters=2)
     with pytest.raises(NumericalError, match="meta-training") as exc:
         meta_train(lambda rng: batch, cfg, init=np.array([1.0]))
     assert "half-step retry failed" in str(exc.value)
