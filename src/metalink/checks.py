@@ -4,7 +4,9 @@ Every check compares the engine against an independent route: central finite
 differences for first derivatives, finite differences of exact gradients for
 Hessian-vector products, a dense-Hessian closed form for one-step
 meta-gradients, and the analytic relation between the full and first-order
-meta-gradients as the inner step vanishes.  Tolerances live here, in one
+meta-gradients as the inner step vanishes.  A stacked instance covers the
+task axis: its gradient against central differences, and each row against
+the same network's gradient computed alone.  Tolerances live here, in one
 place, and the check functions take the computed quantities as inputs where
 practical so a corrupted value demonstrably fails (negative controls in the
 test suite rely on that).
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .autodiff import eval_with_gradient, hvp, unrolled_meta_gradient
-from .nn import Dataset, init_params, make_mlp_lossfn, mlp_arch
+from .nn import Dataset, init_params, make_mlp_lossfn, mlp_arch, stack_datasets
 from .tasks import SCOPE_CHECKS, rng_for
 
 GRAD_FD_TOL = 1.0e-6
@@ -182,6 +185,37 @@ def check_hvp_symmetry(n_instances=10):
     )
 
 
+def check_stacked_gradient(n_tasks=3):
+    """A (T, P) stack of T tanh MLPs on T datasets, T = n_tasks.
+
+    The gradient of the summed per-task losses must match central
+    differences, and row t of it must equal network t's gradient computed
+    alone, bit for bit (that error is the largest absolute difference).
+    """
+    rng = rng_for(4321, SCOPE_CHECKS, n_tasks)
+    arch = mlp_arch((3, 6, 4))
+    lossfn = make_mlp_lossfn(arch)
+    tasks = [Dataset(rng.standard_normal((8, 3)), rng.integers(0, 4, 8), 4) for _ in range(n_tasks)]
+    stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
+    stack = stack + 0.05 * rng.standard_normal(stack.shape)
+    data = stack_datasets(tasks)
+
+    def value(x):
+        return float(graph.asum(lossfn(graph.const(x.reshape(stack.shape)), data)).value)
+
+    p = graph.inp(stack)
+    (got,) = graph.gradients(graph.asum(lossfn(p, data)), [p])
+    fd_err = relative_error(got.value, fd_gradient(value, stack.ravel()).reshape(stack.shape))
+    row_err = max(
+        float(np.abs(got.value[t] - eval_with_gradient(lossfn, stack[t], task).gradient).max())
+        for t, task in enumerate(tasks)
+    )
+    return (
+        CheckResult(f"stacked (T={n_tasks}) gradient vs central differences", fd_err, GRAD_FD_TOL),
+        CheckResult("stacked gradient rows vs each row alone", row_err, 0.0),
+    )
+
+
 def closed_form_meta_gradient(lossfn, theta, eta, d_tr, d_te):
     """(I - eta H_tr(theta)) grad L_te(phi_1) via the dense Hessian.
 
@@ -223,7 +257,6 @@ def check_quadratic_oracle():
     L_tr = 0.5 (phi - 1)^2 and L_te = 0.5 (phi + 1)^2 give phi_1 = 0.1,
     meta-loss 0.605, meta-gradient (1 - eta) * (phi_1 + 1) = 0.99.
     """
-    from . import graph
 
     def f_tr(t, _):
         d = graph.add(t, graph.const(np.array([-1.0])))
@@ -274,7 +307,7 @@ def run_gradcheck(scale="small"):
     n_grad = 20 if scale == "full" else 5
     n_hvp = 10 if scale == "full" else 3
     t0 = time.perf_counter()
-    results = [check_gradients(n_grad), check_hvp(n_hvp)]
+    results = [check_gradients(n_grad), *check_stacked_gradient(), check_hvp(n_hvp)]
     results.extend(check_hvp_symmetry(n_hvp))
     results.append(check_meta_closed_form(5 if scale == "full" else 2))
     results.append(check_quadratic_oracle())

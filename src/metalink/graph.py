@@ -22,6 +22,17 @@ broadcast-compatible operands, and their VJPs sum each adjoint back to its
 operand's shape with asum(g, shape).  asum and bcast are each other's VJP;
 between them they are every reduction and every broadcast the models need.
 
+The structural ops act on the last axes, so a leading task axis passes
+through them: vslice and scatter cut and place entries on the last axis,
+transpose swaps the last two, matmat multiplies matrix by matrix for each
+leading index, and softmax_rows and softmax_xent work row by row on the last
+two (softmax_xent gives one mean per leading index).  A (T, P) stack of
+parameter vectors and (T, n, d) data then run T independent models in one
+graph, each row bit for bit as it runs alone.  gradients() builds the
+adjoint of a node read through several slices (a flat parameter vector) as
+one scatter of all the slice adjoints, instead of one zero-padded copy per
+slice added up in turn.
+
 Graphs are throwaway: build, differentiate, read values, drop.  Nothing here
 mutates a node after construction, and node ids increase in creation order,
 which doubles as a topological order for the backward sweep.
@@ -65,13 +76,15 @@ class Node:
 
 
 # Ops that cannot turn finite inputs into a non-finite output: transpose,
-# reshape, vslice, vpad and bcast copy existing entries or zeros (sum, which
-# adds entries, can overflow and is checked); tanh lies in [-1, 1], relu_mask
-# in {0, 1} and relu is an entry or 0; softmax_rows lies in [0, 1], because
-# the shifted exponents are <= 0 (an overflowing shift is -inf, whose exp is
-# 0) and each row sum includes exp(0) = 1.
+# reshape, vslice and bcast copy existing entries, and scatter copies its
+# parts into zeros (sum, which adds entries, can overflow and is checked, and
+# so is a scatter whose parts overlap and are added, in scatter() itself);
+# tanh lies in [-1, 1], relu_mask in {0, 1} and relu is an entry or 0;
+# softmax_rows lies in [0, 1], because the shifted exponents are <= 0 (an
+# overflowing shift is -inf, whose exp is 0) and each row sum includes
+# exp(0) = 1.
 _FINITE_PRESERVING = frozenset({
-    "transpose", "reshape", "vslice", "vpad", "bcast",
+    "transpose", "reshape", "vslice", "scatter", "bcast",
     "tanh", "relu", "relu_mask", "softmax_rows",
 })
 
@@ -84,16 +97,20 @@ _QUIET.run(np.seterr, over="ignore", invalid="ignore")
 _ADD_REDUCE = np.add.reduce
 
 
+def _check(kind, value):
+    # One reduction catches any nan/inf (inf sums stay non-finite); a
+    # non-finite sum can also come from finite entries that overflow when
+    # added, so it is confirmed entrywise.
+    if not math.isfinite(_QUIET.run(_ADD_REDUCE, value, None)) and not np.isfinite(value).all():
+        raise NumericalError(f"non-finite value produced by op '{kind}'", op_kind=kind)
+
+
 def _make(kind, value, parents=(), meta=None):
     value = np.asarray(value, dtype=np.float64)
     # Every op outside _FINITE_PRESERVING checks its result here, so every
-    # node value is finite and the first bad op is the one that raises.  One
-    # reduction catches any nan/inf (inf sums stay non-finite); a non-finite
-    # sum can also come from finite entries that overflow when added, so it
-    # is confirmed entrywise.
+    # node value is finite and the first bad op is the one that raises.
     if kind not in _FINITE_PRESERVING:
-        if not math.isfinite(_QUIET.run(_ADD_REDUCE, value, None)) and not np.isfinite(value).all():
-            raise NumericalError(f"non-finite value produced by op '{kind}'", op_kind=kind)
+        _check(kind, value)
     return Node(kind, value, parents, meta)
 
 
@@ -141,7 +158,8 @@ def matmat(a, b):
 
 
 def transpose(a):
-    return _make("transpose", a.value.T, (a,))
+    """Swap of the last two axes."""
+    return _make("transpose", a.value.swapaxes(-1, -2), (a,))
 
 
 def reshape(a, shape):
@@ -149,15 +167,29 @@ def reshape(a, shape):
 
 
 def vslice(a, lo, hi):
-    """Contiguous slice of a 1-d node."""
-    return _make("vslice", a.value[lo:hi], (a,), (lo, hi))
+    """Entries lo:hi of a's last axis."""
+    return _make("vslice", a.value[..., lo:hi], (a,), (lo, hi))
 
 
-def vpad(a, lo, n):
-    """Embed a 1-d node into a zero vector of length n starting at lo."""
-    out = np.zeros(n)
-    out[lo:lo + a.value.shape[0]] = a.value
-    return _make("vpad", out, (a,), (lo, n))
+def scatter(parts, los, n):
+    """Zeros of length n on the last axis with parts[i] added in at los[i].
+
+    The parts share their leading axes.  Overlapping parts are added in the
+    order given, and only then can the result overflow, so only then is it
+    checked.  The adjoint of vslice, and of all the slices of one node at
+    once in gradients().
+    """
+    parts, los = tuple(parts), tuple(los)
+    out = np.zeros(parts[0].value.shape[:-1] + (n,))
+    spans = []
+    for part, lo in zip(parts, los):
+        hi = lo + part.value.shape[-1]
+        out[..., lo:hi] += part.value
+        spans.append((lo, hi))
+    spans.sort()
+    if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
+        _check("scatter", out)
+    return _make("scatter", out, parts, los)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +204,8 @@ def asum(a, shape=()):
         value = v.sum()
     elif shape == v.shape[1:]:  # rows onto one row
         value = v.sum(axis=0)
-    elif v.ndim == 2 and shape == (v.shape[0], 1):  # columns onto one column
-        value = v.sum(axis=1, keepdims=True)
+    elif shape == v.shape[:-1] + (1,):  # each row of the last axis onto one entry
+        value = v.sum(axis=-1, keepdims=True)
     else:
         lead = v.ndim - len(shape)
         axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
@@ -214,18 +246,19 @@ def sqrt(a):
 
 
 def softmax_rows(z):
-    """Row-wise stable softmax of a 2-d node."""
-    shifted = z.value - z.value.max(axis=1, keepdims=True)
+    """Stable softmax of each row (last axis) of a 2-d node or of a stack."""
+    shifted = z.value - z.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return _make("softmax_rows", e / e.sum(axis=1, keepdims=True), (z,))
+    return _make("softmax_rows", e / e.sum(axis=-1, keepdims=True), (z,))
 
 
 def softmax_xent(z, targets):
     """Mean cross-entropy of logits z (n, c) against integer targets (n,).
 
-    The per-row max is subtracted before exponentiation; by shift invariance
-    of softmax this changes no value and no derivative of any order, it only
-    keeps exp() in range.
+    For a stack, logits (T, n, c) and targets (T, n), the value is the (T,)
+    vector of per-task means.  The per-row max is subtracted before
+    exponentiation; by shift invariance of softmax this changes no value and
+    no derivative of any order, it only keeps exp() in range.
     """
     targets = np.asarray(targets)
     value = _xent_value(z.value, targets)
@@ -233,10 +266,11 @@ def softmax_xent(z, targets):
 
 
 def _xent_value(logits, targets):
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    picked = logits[np.arange(logits.shape[0]), targets]
-    return (lse - picked).mean()
+    m = logits.max(axis=-1)
+    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    rows = logits.reshape(-1, logits.shape[-1])
+    picked = rows[np.arange(rows.shape[0]), targets.ravel()].reshape(targets.shape)
+    return (lse - picked).mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +286,27 @@ def _tanh_vjp(n, g):
 
 
 def _softmax_rows_vjp(n, g):
-    inner = asum(mul(g, n), (n.value.shape[0], 1))
+    inner = asum(mul(g, n), n.value.shape[:-1] + (1,))
     return mul(n, add(g, scale(inner, -1.0)))
 
 
 def _softmax_xent_vjp(n, g):
     logits = n.parents[0]
-    n_rows, n_cols = logits.value.shape
-    onehot = np.zeros((n_rows, n_cols))
-    onehot[np.arange(n_rows), n.meta] = 1.0
+    *_, n_rows, n_cols = logits.value.shape
+    onehot = (n.meta[..., None] == np.arange(n_cols)).astype(np.float64)
     diff = add(softmax_rows(logits), const(-onehot))
-    return mul(scale(g, 1.0 / n_rows), diff)
+    weight = scale(g, 1.0 / n_rows)
+    if g.value.ndim:  # one weight per task of a stack, over its (n, c) block
+        weight = reshape(weight, g.value.shape + (1, 1))
+    return mul(weight, diff)
+
+
+class _EachPart:
+    """The VJP builders of a scatter, one per part: part i's adjoint is its
+    slice of the scatter's adjoint."""
+
+    def __getitem__(self, i):
+        return lambda n, g: vslice(g, n.meta[i], n.meta[i] + n.parents[i].value.shape[-1])
 
 
 def _fit(d, n, i):
@@ -288,8 +332,8 @@ _VJPS = {
     ),
     "transpose": (lambda n, g: transpose(g),),
     "reshape": (lambda n, g: reshape(g, n.parents[0].value.shape),),
-    "vslice": (lambda n, g: vpad(g, n.meta[0], n.parents[0].value.shape[0]),),
-    "vpad": (lambda n, g: vslice(g, n.meta[0], n.meta[0] + n.parents[0].value.shape[0]),),
+    "vslice": (lambda n, g: scatter((g,), (n.meta[0],), n.parents[0].value.shape[-1]),),
+    "scatter": _EachPart(),
     "sum": (lambda n, g: bcast(g, n.parents[0].value.shape),),
     "bcast": (lambda n, g: asum(g, n.parents[0].value.shape),),
     "tanh": (_tanh_vjp,),
@@ -345,12 +389,29 @@ def gradients(output, wrt):
         active.add(uid)
         order.append(node)
 
+    # A node read through vslices (a flat parameter vector, or a stack of
+    # them) has the slices' adjoints collected in `parts`, in sweep order,
+    # and placed by one scatter when the sweep reaches it; that scatter is
+    # then added to the sum of its other adjoints, if it has any.
     adjoint = {}
+    parts = {}
     if output.uid in active:
         adjoint[output.uid] = const(1.0)
         for node in reversed(order):
-            g = adjoint.get(node.uid)
+            uid = node.uid
+            g = adjoint.get(uid)
+            pending = parts.pop(uid, None)
+            if pending is not None:
+                placed = scatter(pending[0], pending[1], node.value.shape[-1])
+                g = adjoint[uid] = placed if g is None else add(g, placed)
             if g is None:
+                continue
+            if node.kind == "vslice":
+                parent = node.parents[0]
+                if parent.uid in active:
+                    adjs, los = parts.setdefault(parent.uid, ([], []))
+                    adjs.append(g)
+                    los.append(node.meta[0])
                 continue
             builders = _VJPS.get(node.kind)
             if builders is None:  # input/constant leaves
@@ -371,23 +432,3 @@ def gradients(output, wrt):
             node = const(np.zeros_like(w.value))
         out.append(node)
     return out
-
-
-def mean_nodes(nodes):
-    """Mean of scalar nodes by balanced pairwise reduction.
-
-    Balanced pairing makes the reduction exactly reproducible under
-    duplication: for k a power of two, k copies of the same loss reduce to
-    bit-identical partial sums, so joint training on duplicated tasks matches
-    single-task training to the last ulp.
-    """
-    if not nodes:
-        raise ValueError("mean_nodes() needs at least one node")
-    k = len(nodes)
-    work = list(nodes)
-    while len(work) > 1:
-        nxt = [add(work[i], work[i + 1]) for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return scale(work[0], 1.0 / k)

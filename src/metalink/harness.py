@@ -532,18 +532,22 @@ def _pilot_seed_records(config, seed):
     tc_base = replace(tc, outer_iters=config.baseline_iters)
     theta = meta_train(stream, tc, init=init).params
     joint = train_joint(pool, tc_base, init=init)
+    tasks = [_test_task(family, seed, device) for device in range(config.n_meta_test_tasks)]
+    pilots = {
+        n: [_pilots(task, seed, device, n) for device, task in enumerate(tasks)] for n in config.pilot_counts
+    }
+    # all the devices of one pilot count train as one stack
+    conventional = {n: train_conventional(tasks, tc_base, datasets=ds, init=init) for n, ds in pilots.items()}
 
     label = _maml_label(config)
     records = []
-    for device in range(config.n_meta_test_tasks):
-        task = _test_task(family, seed, device)
+    for device, task in enumerate(tasks):
         for n in config.pilot_counts:
-            pilots = _pilots(task, seed, device, n)
             candidates = (
-                ("conventional", train_conventional(task, tc_base, dataset=pilots, init=init)),
+                ("conventional", conventional[n][device]),
                 ("joint", joint),
-                ("joint+adapt", maml_adapt(joint, pilots, tc.eta_inner, tc.m)),
-                (label, maml_adapt(theta, pilots, tc.eta_inner, tc.m)),
+                ("joint+adapt", maml_adapt(joint, pilots[n][device], tc.eta_inner, tc.m)),
+                (label, maml_adapt(theta, pilots[n][device], tc.eta_inner, tc.m)),
             )
             for method, params in candidates:
                 ser = _ser(config, seed, params, task, device, n)
@@ -627,6 +631,8 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
     meta-learned model adapted on n_pilots pilots) over n_devices fresh
     devices, each measured on 2000 symbols.
     """
+    if n_pilots < 1:
+        raise ConfigurationError(f"need at least one pilot, got {n_pilots}")
     config = replace(
         default_config("demod"),
         snr_db=snr_db,

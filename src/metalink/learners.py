@@ -10,10 +10,20 @@ Conventions shared by every loop here:
 * everything is a pure function of (inputs, init, config): no hidden state,
   no default initialization or data, and repeated calls give bit-identical
   results.
+
+The two baselines run all their tasks in one graph per step, on a task axis
+(see graph): train_joint broadcasts its shared parameters to one row per task
+and descends on the mean of the per-task loss vector, and train_conventional
+trains a stack of per-device models, one row each, on the sum of their
+losses, so each row gets its own gradient and keeps its own guard.  Each row
+of a stack computes bit for bit what it computes alone.  Meta-training,
+adaptation and evaluation stay per task: a stacked exact meta-gradient needs
+more peak memory than the per-task loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +32,7 @@ import numpy as np
 from . import graph
 from .autodiff import eval_with_gradient, unrolled_meta_gradient
 from .errors import ConfigurationError, NumericalError
-from .nn import Dataset, ParamVector, make_autoencoder_lossfn, make_mlp_lossfn, mlp_arch
+from .nn import Dataset, ParamVector, make_autoencoder_lossfn, make_mlp_lossfn, mlp_arch, stack_datasets
 from .tasks import SCOPE_META_STREAM, rng_for
 
 DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
@@ -95,6 +105,17 @@ class SyntheticObjective:
         return lambda p_node, _data: build(p_node)
 
 
+def _synthetic_stack_loss(p_stack, objectives):
+    """Objective t at row t of the (T, P) stack p_stack, as the (T,) loss vector."""
+    n_tasks, n_params = p_stack.value.shape
+    flat = graph.reshape(p_stack, (n_tasks * n_params,))
+    losses = [
+        graph.reshape(obj.build(graph.vslice(flat, t * n_params, (t + 1) * n_params)), (1,))
+        for t, obj in enumerate(objectives)
+    ]
+    return graph.scatter(losses, range(n_tasks), n_tasks)
+
+
 def _lossfn_for_data(arch, data):
     """Pick the loss builder matching the data container."""
     maker = getattr(data, "make_lossfn", None)
@@ -108,6 +129,16 @@ def _lossfn_for_data(arch, data):
     if spec is not None:
         return make_autoencoder_lossfn(spec)
     raise ConfigurationError(f"cannot build a loss for data of type {type(data).__name__}")
+
+
+def _stacked_lossfn(arch, datas):
+    """(lossfn, data) for a stack of tasks' data: lossfn(p_stack, data) is the
+    (T,) vector whose entry t is task t's loss at row t of p_stack."""
+    if all(isinstance(d, Dataset) for d in datas):
+        return _lossfn_for_data(arch, datas[0]), stack_datasets(datas)
+    if all(isinstance(d, SyntheticObjective) for d in datas):
+        return _synthetic_stack_loss, tuple(datas)
+    raise ConfigurationError("a task stack needs demodulator datasets (or synthetic objectives) only")
 
 
 def _attempt(value_grad, p):
@@ -152,36 +183,95 @@ def _guarded_descent(value_grad, p, eta, n_iters, what):
     return p
 
 
-def train_conventional(task, config, *, dataset, init):
-    """Train a demodulator for one task from init on its pilot dataset.
+class _StackDiverged(Exception):
+    """A stacked step diverged in `rows` (every row, when the step raised)."""
 
-    Runs config.outer_iters full-batch steps at rate config.eta_inner.
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.rows = rows
+
+
+def train_conventional(tasks, config, *, datasets, init):
+    """Train one demodulator per task from init, each on its own pilot dataset.
+
+    Runs config.outer_iters full-batch steps at rate config.eta_inner for all
+    tasks at once: row t of a (T, P) parameter stack is task t's model, and
+    the gradient of the summed losses holds task t's own gradient at row t.
+    Returns the trained parameters, one ParamVector per task, each bit for
+    bit what training that task alone gives.
+
+    Each task keeps its own divergence guard.  If a stacked step raises, or
+    a task's loss is above LOSS_CEILING, the stack stops; its failing tasks
+    (all of them, if the step raised) then train alone through the same
+    code, a stack of one, where the guard retries once at half step and its
+    NumericalError names the task, and the tasks between them train again
+    as stacks, so the first task in order that diverges alone is reported.
     """
-    if task.kind != "demod":
+    tasks, datasets = tuple(tasks), tuple(datasets)
+    if len(tasks) != len(datasets):
+        raise ConfigurationError(f"{len(tasks)} tasks but {len(datasets)} pilot datasets")
+    if any(task.kind != "demod" for task in tasks):
         raise ConfigurationError("conventional training is defined for demodulator tasks")
     lossfn = make_mlp_lossfn(init.arch)
 
-    def value_grad(params):
-        r = eval_with_gradient(lossfn, params, dataset)
-        return r.value, r.gradient
+    def train(rows):
+        data = stack_datasets(datasets[r] for r in rows)
 
-    return _guarded_descent(value_grad, init, config.eta_inner, config.outer_iters, f"task {task.id}")
+        def value_grad(stack):
+            try:
+                p = graph.inp(stack)
+                losses = lossfn(p, data)
+                (g,) = graph.gradients(graph.asum(losses), [p])
+            except NumericalError:
+                if len(rows) > 1:
+                    raise _StackDiverged(rows) from None
+                raise
+            over = losses.value > LOSS_CEILING
+            if len(rows) > 1 and over.any():
+                raise _StackDiverged([r for r, bad in zip(rows, over) if bad])
+            # the loss of a stack of one; a larger stack is under the ceiling here
+            return float(losses.value.max()), g.value
+
+        start = np.tile(init.values, (len(rows), 1))
+        try:
+            # only a stack of one reaches the guard's own error, so it names that task
+            trained = _guarded_descent(
+                value_grad, start, config.eta_inner, config.outer_iters, f"task {tasks[rows[0]].id}"
+            )
+        except _StackDiverged as err:
+            out = []
+            for failing, group in itertools.groupby(rows, key=set(err.rows).__contains__):
+                group = list(group)
+                if failing:
+                    for r in group:
+                        out.extend(train([r]))
+                else:
+                    out.extend(train(group))
+            return out
+        return [init.with_values(row) for row in trained]
+
+    return tuple(train(list(range(len(tasks)))))
 
 
 def train_joint(meta_batch, config, *, init):
     """Train one shared model on the pooled training data of all tasks.
 
-    The objective is the mean of per-task losses, reduced pairwise so a batch
-    of identical tasks reproduces single-task training bit for bit.  No
+    The objective is the mean of the per-task losses, built in one graph per
+    step: theta is broadcast to a (T, P) stack with one row per task, and
+    the stacked loss gives the (T,) vector of per-task losses.  The rows go
+    in reverse task order, so the broadcast's adjoint, which adds the rows
+    first to last, sums the per-task gradients latest task first.  No
     adaptation happens here; this is the common-model baseline.
     """
-    arch = getattr(init, "arch", None)
-    lossfns = [_lossfn_for_data(arch, item.train) for item in meta_batch.items]
+    items = meta_batch.items[::-1]
+    lossfn, data = _stacked_lossfn(getattr(init, "arch", None), [item.train for item in items])
+    n_tasks = len(items)
 
     def value_grad(params):
-        theta = graph.inp(getattr(params, "values", params))
-        per_task = [fn(theta, item.train) for fn, item in zip(lossfns, meta_batch.items)]
-        total = graph.mean_nodes(per_task)
+        values = getattr(params, "values", params)
+        theta = graph.inp(values)
+        per_task = lossfn(graph.bcast(theta, (n_tasks, *values.shape)), data)
+        total = graph.scale(graph.asum(per_task), 1.0 / n_tasks)
         (g,) = graph.gradients(total, [theta])
         return float(total.value), g.value
 

@@ -110,7 +110,11 @@ def init_params(arch, seed):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Supervised batch: real-valued inputs and integer class targets."""
+    """Supervised batch: real-valued inputs and integer class targets.
+
+    inputs are (n, d) with targets (n,), or a stack of T tasks' batches,
+    (T, n, d) with targets (T, n) (see stack_datasets); len() is n.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -119,11 +123,11 @@ class Dataset:
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         targets = np.asarray(self.targets, dtype=np.int64)
-        if inputs.ndim != 2:
-            raise ConfigurationError(f"inputs must be (n, d), got {inputs.shape}")
-        if targets.shape != (inputs.shape[0],):
+        if inputs.ndim not in (2, 3):
+            raise ConfigurationError(f"inputs must be (n, d) or (T, n, d), got {inputs.shape}")
+        if targets.shape != inputs.shape[:-1]:
             raise ConfigurationError(
-                f"targets shape {targets.shape} does not match {inputs.shape[0]} inputs"
+                f"targets shape {targets.shape} does not match inputs {inputs.shape}"
             )
         if self.n_classes < 1:
             raise ConfigurationError("n_classes must be positive")
@@ -135,7 +139,20 @@ class Dataset:
         object.__setattr__(self, "targets", targets)
 
     def __len__(self):
-        return self.inputs.shape[0]
+        return self.inputs.shape[-2]
+
+
+def stack_datasets(datasets):
+    """One Dataset holding equally shaped task datasets along a leading task axis."""
+    datasets = tuple(datasets)
+    shapes = {(d.inputs.shape, d.n_classes) for d in datasets}
+    if len(shapes) != 1 or datasets[0].inputs.ndim != 2:
+        raise ConfigurationError(
+            f"a stack needs (n, d) datasets of one shape and class count, got {sorted(shapes)}"
+        )
+    return Dataset(
+        np.stack([d.inputs for d in datasets]), np.stack([d.targets for d in datasets]), datasets[0].n_classes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +167,40 @@ def _activate(z, act):
 
 
 def mlp_logits_node(p_node, arch, x):
-    """Forward pass as graph nodes; x is an (n, d) array or an (n, d) Node."""
+    """Forward pass as graph nodes; x is an (n, d) array or an (n, d) Node.
+
+    p_node may also be a (T, P) stack of parameter vectors, with (T, n, d)
+    inputs: the (T, n, k) logits then hold network t on inputs t at row t.
+    """
     _check_arch(arch)
     h = x if isinstance(x, graph.Node) else graph.const(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    lead = p_node.value.shape[:-1]
     offset = 0
     for fan_in, fan_out, act in arch:
-        if h.value.shape[1] != fan_in:
+        if h.value.shape[-1] != fan_in:
             raise ConfigurationError(
-                f"layer expects width {fan_in}, got {h.value.shape[1]}"
+                f"layer expects width {fan_in}, got {h.value.shape[-1]}"
             )
-        w = graph.reshape(graph.vslice(p_node, offset, offset + fan_in * fan_out), (fan_in, fan_out))
+        w = graph.reshape(graph.vslice(p_node, offset, offset + fan_in * fan_out), lead + (fan_in, fan_out))
         offset += fan_in * fan_out
         b = graph.vslice(p_node, offset, offset + fan_out)
+        if lead:  # one bias row per task, broadcast over that task's samples
+            b = graph.reshape(b, lead + (1, fan_out))
         offset += fan_out
         h = _activate(graph.add(graph.matmat(h, w), b), act)
-    if offset != p_node.value.shape[0]:
+    if offset != p_node.value.shape[-1]:
         raise ConfigurationError(
-            f"architecture consumes {offset} parameters, vector has {p_node.value.shape[0]}"
+            f"architecture consumes {offset} parameters, vector has {p_node.value.shape[-1]}"
         )
     return h
 
 
 def make_mlp_lossfn(arch, n_classes=None):
-    """Loss function f(p_node, dataset) -> mean cross-entropy Node."""
+    """Loss function f(p_node, dataset) -> mean cross-entropy Node.
+
+    For a (T, P) parameter stack and a stacked dataset (stack_datasets) the
+    loss is the (T,) vector of per-task mean cross-entropies.
+    """
     _check_arch(arch)
     out_width = arch[-1][1]
     if n_classes is not None and n_classes != out_width:

@@ -53,10 +53,12 @@ def test_small_gradcheck_passes_quickly():
     report = run_gradcheck("small")
     assert report.passed
     assert report.seconds < 10.0
-    assert len(report.results) == 7
+    assert len(report.results) == 9
     text = report.format()
     assert "all checks passed" in text
-    for fragment in ("central differences", "hvp", "symmetry", "linearity", "closed form", "oracle", "first-order"):
+    for fragment in (
+        "central differences", "hvp", "symmetry", "linearity", "closed form", "oracle", "first-order", "stacked",
+    ):
         assert fragment in text, f"missing {fragment!r} in report"
     with pytest.raises(ValueError):
         run_gradcheck("huge")

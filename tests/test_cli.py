@@ -239,6 +239,8 @@ _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
         ("run_demod_sweep.py", ["--config", "{diverge}"]),
         ("run_phase_rotation_study.py", ["--seeds", "-1"]),
         ("run_phase_rotation_study.py", ["--seeds", "0", "0"]),
+        ("run_phase_rotation_study.py", ["--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "-3"]),
+        ("run_phase_rotation_study.py", ["--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "0"]),
     ],
 )
 def test_scripts_report_config_errors_without_a_traceback(tmp_path, script, args):

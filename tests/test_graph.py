@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from metalink import autodiff, graph
 from metalink.errors import NumericalError
 from metalink.learners import DEMOD_ARCH
-from metalink.nn import init_params, make_mlp_lossfn
+from metalink.nn import Dataset, init_params, make_mlp_lossfn, mlp_arch, param_count, stack_datasets
 from metalink.tasks import TaskFamily, make_demod_split
 
 
@@ -50,7 +50,7 @@ _OP_CASES = [
     ("transpose", np.arange(1.0, 7.0), lambda p: graph.transpose(graph.reshape(p, (2, 3)))),
     ("reshape", np.arange(1.0, 7.0), lambda p: graph.reshape(p, (3, 2))),
     ("vslice", np.arange(1.0, 8.0), lambda p: graph.vslice(p, 2, 5)),
-    ("vpad", np.arange(1.0, 4.0), lambda p: graph.vpad(p, 2, 8)),
+    ("scatter", np.arange(1.0, 7.0), lambda p: graph.scatter([graph.vslice(p, 0, 3), graph.vslice(p, 1, 5)], [2, 3], 8)),
     ("sum", np.arange(1.0, 6.0), lambda p: graph.asum(p)),
     ("row_sum", np.arange(1.0, 7.0), lambda p: graph.asum(graph.reshape(p, (2, 3)), (2, 1))),
     ("col_sum", np.arange(1.0, 7.0), lambda p: graph.asum(graph.reshape(p, (2, 3)), (3,))),
@@ -122,7 +122,9 @@ def test_forward_values_simple_ops():
     assert graph.asum(a).value == 2.0
     assert np.array_equal(graph.relu(a).value, [1.0, 0.0, 3.0])
     assert np.array_equal(graph.relu_mask(a).value, [1.0, 0.0, 1.0])
-    assert np.array_equal(graph.vpad(graph.vslice(a, 0, 2), 1, 4).value, [0.0, 1.0, -2.0, 0.0])
+    assert np.array_equal(graph.scatter([graph.vslice(a, 0, 2)], [1], 4).value, [0.0, 1.0, -2.0, 0.0])
+    # overlapping parts are added
+    assert np.array_equal(graph.scatter([a, b], [0, 1], 4).value, [1.0, 2.0, 8.0, 6.0])
 
 
 def test_softmax_sums_to_one_and_survives_huge_logits():
@@ -253,22 +255,6 @@ def test_constant_leaf_rejects_nan():
         graph.const(np.array([np.nan]))
 
 
-def test_mean_nodes_value_and_empty_rejection():
-    nodes = [graph.inp(np.asarray(v)) for v in (1.0, 2.0, 4.0)]
-    assert abs(graph.mean_nodes(nodes).value - 7.0 / 3.0) < 1e-15
-    with pytest.raises(ValueError):
-        graph.mean_nodes([])
-
-
-@pytest.mark.parametrize("k", [1, 2, 4, 8])
-def test_mean_nodes_duplicate_invariance_is_exact(k):
-    # k copies of one scalar reduce pairwise to exactly that scalar: the
-    # partial sums are exact doublings and 1/k is a power of two.
-    value = 0.7613451
-    nodes = [graph.inp(np.asarray(value)) for _ in range(k)]
-    assert float(graph.mean_nodes(nodes).value) == value
-
-
 @given(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_softmax_normalization_property(logits):
@@ -303,6 +289,16 @@ def test_finite_values_whose_sum_overflows_are_accepted():
         graph.inp(np.array([1e308, np.inf]))
 
 
+def test_overlapping_scatter_is_checked():
+    # disjoint parts only move entries; overlapping ones are added and can overflow
+    big = graph.const(np.array([1e308, 1e308]))
+    assert np.array_equal(graph.scatter([big, big], [0, 2], 4).value, [1e308] * 4)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError) as exc:
+            graph.scatter([big, big], [0, 1], 3)
+    assert exc.value.op_kind == "scatter"
+
+
 # ---------------------------------------------------------------------------
 # ops exempt from the eager finiteness check
 
@@ -312,7 +308,7 @@ _EXEMPT_BUILDERS = {
     "transpose": lambda mat, vec, sca: graph.transpose(mat),
     "reshape": lambda mat, vec, sca: graph.reshape(mat, (mat.value.size,)),
     "vslice": lambda mat, vec, sca: graph.vslice(vec, 1, vec.value.size),
-    "vpad": lambda mat, vec, sca: graph.vpad(vec, 1, vec.value.size + 2),
+    "scatter": lambda mat, vec, sca: graph.scatter([vec, vec], [0, vec.value.size + 1], 2 * vec.value.size + 2),
     "bcast": lambda mat, vec, sca: graph.bcast(mat, (3, *mat.value.shape)),
     "tanh": lambda mat, vec, sca: graph.tanh(mat),
     "relu": lambda mat, vec, sca: graph.relu(mat),
@@ -440,11 +436,58 @@ def test_pruned_sweep_is_bit_identical_on_hvp(monkeypatch):
 
 
 def test_pruned_sweep_is_bit_identical_on_joint_loss():
+    # the joint loss as train_joint builds it: theta broadcast to one row per
+    # task, the mean of the stacked per-task losses
     lossfn, theta, _ = _demod_problem(7)
-    splits = [_demod_problem(seed)[2] for seed in (8, 9, 10)]
+    data = stack_datasets(_demod_problem(seed)[2].train for seed in (8, 9, 10))
     p = graph.inp(theta)
-    total = graph.mean_nodes([lossfn(p, split.train) for split in splits])
+    total = graph.scale(graph.asum(lossfn(graph.bcast(p, (3, theta.size)), data)), 1.0 / 3)
     _assert_same_adjoints(total, [p])
     (g,) = graph.gradients(total, [p])
     v = graph.const(np.random.default_rng(11).standard_normal(theta.shape))
     _assert_same_adjoints(graph.asum(graph.mul(g, v)), [p])
+
+
+# ---------------------------------------------------------------------------
+# a leading task axis: a stack computes what each of its rows computes alone
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+    st.sampled_from(["tanh", "relu"]), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_stack_matches_its_rows_bit_for_bit(n_tasks, n, d, k, hidden, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_tasks, n, d))
+    w = rng.standard_normal((n_tasks, d, k))
+    y = rng.standard_normal((n_tasks, n, k))
+    classes = rng.integers(0, d, (n_tasks, n))
+    lo = int(rng.integers(0, d))
+    hi = int(rng.integers(lo + 1, d + 1))
+    cases = {
+        "matmat": (lambda a, b: graph.matmat(graph.inp(a), graph.inp(b)), x, w),
+        "transpose": (lambda a: graph.transpose(graph.inp(a)), x),
+        "vslice": (lambda a: graph.vslice(graph.inp(a), lo, hi), x),
+        # y at 1..k+1 overlaps x at lo..lo+d unless lo > k
+        "scatter": (lambda a, b: graph.scatter([graph.inp(a), graph.inp(b)], [lo, 1], lo + d + k + 1), x, y),
+        "softmax_rows": (lambda a: graph.softmax_rows(graph.inp(a)), x),
+        "softmax_xent": (lambda a, t: graph.softmax_xent(graph.inp(a), t), x, classes),
+    }
+    for name, (build, *arrays) in cases.items():
+        stacked = build(*arrays).value
+        assert stacked.shape[0] == n_tasks, name
+        for t in range(n_tasks):
+            assert np.array_equal(stacked[t], build(*(a[t] for a in arrays)).value), name
+
+    arch = mlp_arch((d, 3, k), hidden=hidden)
+    lossfn = make_mlp_lossfn(arch)
+    params = rng.standard_normal((n_tasks, param_count(arch)))
+    tasks = [Dataset(x[t], rng.integers(0, k, n), k) for t in range(n_tasks)]
+    p = graph.inp(params)
+    losses = lossfn(p, stack_datasets(tasks))
+    (g,) = graph.gradients(graph.asum(losses), [p])
+    for t, data in enumerate(tasks):
+        alone = autodiff.eval_with_gradient(lossfn, params[t], data)
+        assert losses.value[t] == alone.value
+        assert np.array_equal(g.value[t], alone.gradient)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metalink import harness
 from metalink.autodiff import eval_with_gradient
 from metalink.errors import ConfigurationError
 from metalink.harness import (
@@ -26,6 +27,7 @@ from metalink.harness import (
     read_curve,
     run_adaptation_sweep,
     run_meta_train,
+    run_phase_rotation_seed,
     run_pilot_sweep,
     save_params,
     write_config,
@@ -93,7 +95,7 @@ def test_evaluate_ser_perfect_after_clean_training():
     task = family.sample(np.random.default_rng(60))
     cfg = TrainConfig(outer_iters=300, seed=1)
     pilots = make_pilot_dataset(task, 64, np.random.default_rng(61))
-    trained = train_conventional(task, cfg, dataset=pilots, init=init_params(DEMOD_ARCH, cfg.seed))
+    (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init_params(DEMOD_ARCH, cfg.seed))
     assert evaluate_ser(trained, task, 2000, np.random.default_rng(62)) == 0.0
 
 
@@ -448,6 +450,31 @@ def test_evaluate_params_is_the_sweeps_maml_point():
     sweep = run_pilot_sweep(cfg).records
     _, values = evaluate_params(cfg, run_meta_train(cfg).params)
     assert values == [r.value for r in sweep if r.method == "maml" and r.sweep_value == n]
+
+
+def test_pilot_sweep_conventional_records_are_each_device_trained_alone():
+    cfg = _tiny_demod_config(seeds=(4,), seed=4)
+    records = run_pilot_sweep(cfg).records
+    family, _, _, init = harness._setup(cfg, 4)
+    tc = replace(cfg.train_config(4), outer_iters=cfg.baseline_iters)
+    for r in records:
+        if r.method == "conventional":
+            task = harness._test_task(family, 4, r.unit)
+            n = int(r.sweep_value)
+            pilots = harness._pilots(task, 4, r.unit, n)
+            (alone,) = train_conventional([task], tc, datasets=[pilots], init=init)
+            assert r.value == harness._ser(cfg, 4, alone, task, r.unit, n)
+
+
+@pytest.mark.parametrize("n_pilots", [0, -3])
+def test_phase_rotation_rejects_a_pilot_count_before_training(monkeypatch, n_pilots):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the pilot count")
+
+    monkeypatch.setattr(harness, "meta_train", no_training)
+    monkeypatch.setattr(harness, "train_joint", no_training)
+    with pytest.raises(ConfigurationError, match="need at least one pilot"):
+        run_phase_rotation_seed(0, n_tasks=2, outer_iters=1, n_devices=1, n_pilots=n_pilots)
 
 
 def test_median_of_seed_means():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metalink import graph
+from metalink import graph, learners
 from metalink.autodiff import eval_with_gradient
 from metalink.errors import ConfigurationError, NumericalError
 from metalink.learners import (
@@ -139,7 +139,7 @@ def test_conventional_zero_iters_returns_init():
     task = sample_task("demod", np.random.default_rng(40))
     init = init_params(DEMOD_ARCH, 7)
     pilots = make_pilot_dataset(task, 8, np.random.default_rng(40))
-    out = train_conventional(task, TrainConfig(outer_iters=0), dataset=pilots, init=init)
+    (out,) = train_conventional([task], TrainConfig(outer_iters=0), datasets=[pilots], init=init)
     assert np.array_equal(out.values, init.values)
 
 
@@ -148,7 +148,7 @@ def test_conventional_descends_on_pilots():
     cfg = TrainConfig(outer_iters=60, seed=3)
     pilots = make_pilot_dataset(task, 16, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
-    trained = train_conventional(task, cfg, dataset=pilots, init=init)
+    (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init)
     lossfn = make_mlp_lossfn(DEMOD_ARCH)
     assert _loss(lossfn, trained, pilots) <= _loss(lossfn, init, pilots)
 
@@ -167,7 +167,7 @@ def test_conventional_solves_separable_toy():
     data = Dataset(inputs, targets, 2)
     task = sample_task("demod", np.random.default_rng(44))
     cfg = TrainConfig(eta_inner=0.5, outer_iters=150)
-    trained = train_conventional(task, cfg, dataset=data, init=init_params(arch, 0))
+    (trained,) = train_conventional([task], cfg, datasets=[data], init=init_params(arch, 0))
     assert _loss(make_mlp_lossfn(arch), trained, data) < 0.05
 
 
@@ -176,7 +176,7 @@ def test_conventional_rejects_autoencoder_tasks():
     demod = sample_task("demod", np.random.default_rng(45))
     pilots = make_pilot_dataset(demod, 8, np.random.default_rng(45))
     with pytest.raises(ConfigurationError):
-        train_conventional(ae, TrainConfig(), dataset=pilots, init=init_params(DEMOD_ARCH, 0))
+        train_conventional([demod, ae], TrainConfig(), datasets=[pilots, pilots], init=init_params(DEMOD_ARCH, 0))
 
 
 def test_conventional_is_pure():
@@ -184,9 +184,86 @@ def test_conventional_is_pure():
     cfg = TrainConfig(outer_iters=25, seed=2)
     pilots = make_pilot_dataset(task, 8, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
-    a = train_conventional(task, cfg, dataset=pilots, init=init)
-    b = train_conventional(task, cfg, dataset=pilots, init=init)
+    (a,) = train_conventional([task], cfg, datasets=[pilots], init=init)
+    (b,) = train_conventional([task], cfg, datasets=[pilots], init=init)
     assert np.array_equal(a.values, b.values)
+
+
+def _devices(n_devices, n_pilots, seed):
+    family = TaskFamily()
+    tasks = [family.sample(np.random.default_rng([seed, d]), task_id=10 + d) for d in range(n_devices)]
+    pilots = [make_pilot_dataset(t, n_pilots, np.random.default_rng([seed, d, 1])) for d, t in enumerate(tasks)]
+    return tasks, pilots
+
+
+@pytest.mark.parametrize("n_pilots", [1, 8])
+def test_conventional_stack_equals_stacks_of_one(n_pilots):
+    tasks, pilots = _devices(5, n_pilots, 57)
+    cfg = TrainConfig(outer_iters=12, seed=8)
+    init = init_params(DEMOD_ARCH, 8)
+    stacked = train_conventional(tasks, cfg, datasets=pilots, init=init)
+    assert len(stacked) == len(tasks)
+    for task, data, got in zip(tasks, pilots, stacked, strict=True):
+        (alone,) = train_conventional([task], cfg, datasets=[data], init=init)
+        assert got.arch == DEMOD_ARCH
+        assert np.array_equal(got.values, alone.values)
+
+
+@pytest.mark.parametrize("huge", [[1], [1, 2]])
+def test_conventional_divergence_names_the_device_in_a_stack(huge):
+    # First-layer weights of 1e9 saturate tanh on ordinary pilots, but inputs
+    # of 1e300 overflow in that layer's matmat.  The stacked step raises, the
+    # stack's tasks train alone, and the error names the first diverging
+    # device's task and carries the failing op.
+    tasks, pilots = _devices(4, 4, 58)
+    for d in huge:
+        pilots[d] = Dataset(np.full_like(pilots[d].inputs, 1e300), pilots[d].targets, 16)
+    init = init_params(DEMOD_ARCH, 9)
+    init = init.with_values(np.concatenate([1e9 * init.values[:64], init.values[64:]]))
+    cfg = TrainConfig(outer_iters=3, seed=9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=f"^task {tasks[huge[0]].id}: ") as exc:
+            train_conventional(tasks, cfg, datasets=pilots, init=init)
+    assert exc.value.op_kind == "matmat"
+    assert "'matmat'" in str(exc.value)
+    assert isinstance(exc.value.__cause__, NumericalError)
+
+
+def _count_retries(monkeypatch):
+    """Count value_grad calls beyond the planned steps of every guarded descent."""
+    retries = []
+    orig = learners._guarded_descent
+
+    def counting(value_grad, p, eta, n_iters, what):
+        calls = [0]
+
+        def counted(params):
+            calls[0] += 1
+            return value_grad(params)
+
+        try:
+            return orig(counted, p, eta, n_iters, what)
+        finally:
+            retries.append(max(calls[0] - n_iters, 0))
+
+    monkeypatch.setattr(learners, "_guarded_descent", counting)
+    return retries
+
+
+def test_conventional_guard_retries_only_the_diverging_device(monkeypatch):
+    # At this rate device 0's loss passes the ceiling at iteration 2 and its
+    # half-step retry succeeds; devices 1 and 2 never diverge.  The stack
+    # stops there, device 0 trains alone with exactly one retry, 1 and 2
+    # train again as a stack, and each ends as trained alone.
+    tasks, pilots = _devices(3, 4, 59)
+    cfg = TrainConfig(eta_inner=1.47e5, outer_iters=3, seed=10)
+    init = init_params(DEMOD_ARCH, 10)
+    retries = _count_retries(monkeypatch)
+    stacked = train_conventional(tasks, cfg, datasets=pilots, init=init)
+    assert sum(retries) == 1
+    for task, data, got in zip(tasks, pilots, stacked, strict=True):
+        (alone,) = train_conventional([task], cfg, datasets=[data], init=init)
+        assert np.array_equal(got.values, alone.values)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +275,27 @@ def test_joint_single_task_matches_conventional_bitwise():
     cfg = TrainConfig(outer_iters=30, seed=4)
     init = init_params(DEMOD_ARCH, 4)
     joint = train_joint(pool, cfg, init=init)
-    conv = train_conventional(pool.items[0].task, cfg, dataset=pool.items[0].train, init=init)
+    (conv,) = train_conventional([pool.items[0].task], cfg, datasets=[pool.items[0].train], init=init)
     assert np.array_equal(joint.values, conv.values)
+
+
+def test_joint_matches_per_task_reference_bitwise():
+    # the reference: one loss branch per task on a shared theta, added up
+    # in task order and scaled by 1/k, stepped by hand
+    pool = demod_task_pool(TaskFamily(), 12, 8, 8, seed=60)
+    cfg = TrainConfig(outer_iters=6, seed=11)
+    init = init_params(DEMOD_ARCH, 11)
+    lossfn = make_mlp_lossfn(DEMOD_ARCH)
+    p = init.values
+    for _ in range(cfg.outer_iters):
+        theta = graph.inp(p)
+        branches = [lossfn(theta, item.train) for item in pool.items]
+        total = branches[0]
+        for branch in branches[1:]:
+            total = graph.add(total, branch)
+        (g,) = graph.gradients(graph.scale(total, 1.0 / len(branches)), [theta])
+        p = p - cfg.eta_inner * g.value
+    assert np.array_equal(train_joint(pool, cfg, init=init).values, p)
 
 
 @pytest.mark.parametrize("copies", [2, 4])
