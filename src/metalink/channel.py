@@ -95,7 +95,7 @@ class ChannelRealization:
     nonideality: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.complex128)
+        taps = np.array(self.taps, dtype=np.complex128)  # a copy: freezing must not reach the caller
         if taps.ndim != 1 or taps.size < 1:
             raise ConfigurationError(f"taps must be a non-empty 1-d array, got shape {taps.shape}")
         if len(self.nonideality) != 2:

@@ -30,6 +30,7 @@ import concurrent.futures
 import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -53,6 +54,7 @@ from .nn import (
     init_autoencoder_params,
     init_params,
     make_autoencoder_lossfn,
+    make_mlp_lossfn,
     mlp_forward,
 )
 from .tasks import (
@@ -289,30 +291,9 @@ def _parse_int_tuple(text):
     return tuple(int(part.strip()) for part in text.split(","))
 
 
-_FIELD_PARSERS = {
-    "profile": str.strip,
-    "eta_inner": float,
-    "eta_outer": float,
-    "m": int,
-    "K_meta_batch": int,
-    "outer_iters": int,
-    "baseline_iters": int,
-    "first_order": _parse_bool,
-    "seed": int,
-    "snr_db": float,
-    "pilot_counts": _parse_int_tuple,
-    "adapt_iters_max": int,
-    "n_meta_train_tasks": int,
-    "n_meta_test_tasks": int,
-    "n_eval_symbols_or_blocks": int,
-    "meta_train_pilots": int,
-    "meta_test_pilots": int,
-    "n_train_blocks": int,
-    "seeds": _parse_int_tuple,
-    "output_path": str.strip,
-}
-
-assert set(_FIELD_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+# each config value is parsed by its field's annotation
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple: _parse_int_tuple, str: str.strip}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def load_config(path):
@@ -337,7 +318,7 @@ def load_config(path):
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key '{key}'")
         if key in pairs:
             raise ConfigurationError(f"{path}:{lineno}: repeated key '{key}'")
@@ -353,7 +334,7 @@ def load_config(path):
     overrides = {}
     for key, (lineno, value) in pairs.items():
         try:
-            overrides[key] = _FIELD_PARSERS[key](value)
+            overrides[key] = _PARSERS[_FIELD_TYPES[key]](value)
         except (ValueError, ConfigurationError) as err:
             raise ConfigurationError(f"{path}:{lineno}: bad value for '{key}': {err}") from err
     try:
@@ -469,6 +450,7 @@ def evaluate_bler(p, spec, task, n_blocks, rng):
 
 
 _AE_SPEC = AutoencoderSpec()
+_AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
 
 
 def _maml_label(config):
@@ -476,19 +458,22 @@ def _maml_label(config):
 
 
 def _setup(config, seed, family=None):
-    """(task family, meta-training pool, meta-batch stream, initial params).
+    """(task family, meta-training pool, meta-batch stream, initial params, loss).
 
-    `family` replaces the profile's default task family.
+    The loss is the profile's lossfn(p_node, data), the one every learner
+    and the adaptation trace of the run descend.  `family` replaces the
+    profile's default task family.
     """
     family = family or TaskFamily(kind=config.profile, snr_db=config.snr_db)
     if config.profile == "demod":
         pool = demod_task_pool(
             family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
         )
-        return family, pool, subsample_stream(pool, config.K_meta_batch), init_params(DEMOD_ARCH, seed)
+        stream = subsample_stream(pool, config.K_meta_batch)
+        return family, pool, stream, init_params(DEMOD_ARCH, seed), make_mlp_lossfn(DEMOD_ARCH)
     pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
     stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
-    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed)
+    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
 
 
 def _test_task(family, seed, unit):
@@ -505,9 +490,8 @@ def _ser(config, seed, params, task, device, n):
     return evaluate_ser(params, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
 
 
-def _adaptation(config, seed, task, unit, p):
+def _adaptation(config, seed, task, unit, p, lossfn):
     """Autoencoder params after t = 0..adapt_iters_max SGD steps on fresh batches."""
-    lossfn = make_autoencoder_lossfn(_AE_SPEC)
     step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
     yield p
     for _ in range(config.adapt_iters_max):
@@ -523,14 +507,14 @@ def _bler(config, seed, params, task, unit, t):
 
 def _pilot_seed_records(config, seed):
     """All raw SER measurements for one seed of the pilot sweep."""
-    family, pool, stream, init = _setup(config, seed)
+    family, pool, stream, init, lossfn = _setup(config, seed)
     tc = config.train_config(seed)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
     tc_base = replace(tc, outer_iters=config.baseline_iters)
-    theta = meta_train(stream, tc, init=init).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn).params
     joint = train_joint(pool, tc_base, init=init)
     tasks = [_test_task(family, seed, device) for device in range(config.n_meta_test_tasks)]
     pilots = {
@@ -546,8 +530,8 @@ def _pilot_seed_records(config, seed):
             candidates = (
                 ("conventional", conventional[n][device]),
                 ("joint", joint),
-                ("joint+adapt", maml_adapt(joint, pilots[n][device], tc.eta_inner, tc.m)),
-                (label, maml_adapt(theta, pilots[n][device], tc.eta_inner, tc.m)),
+                ("joint+adapt", maml_adapt(joint, pilots[n][device], tc.eta_inner, tc.m, lossfn=lossfn)),
+                (label, maml_adapt(theta, pilots[n][device], tc.eta_inner, tc.m, lossfn=lossfn)),
             )
             for method, params in candidates:
                 ser = _ser(config, seed, params, task, device, n)
@@ -557,8 +541,8 @@ def _pilot_seed_records(config, seed):
 
 def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
-    family, _, stream, init = _setup(config, seed)
-    theta = meta_train(stream, config.train_config(seed), init=init).params
+    family, _, stream, init, lossfn = _setup(config, seed)
+    theta = meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn).params
 
     label = _maml_label(config)
     records = []
@@ -569,7 +553,7 @@ def _adaptation_seed_records(config, seed):
             ("conventional", init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit))),
         )
         for method, start in starts:
-            for t, p in enumerate(_adaptation(config, seed, task, unit, start)):
+            for t, p in enumerate(_adaptation(config, seed, task, unit, start, lossfn)):
                 bler = _bler(config, seed, p, task, unit, t)
                 records.append(SweepRecord(seed, unit, float(t), method, "bler", bler))
     return records
@@ -642,15 +626,16 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
         meta_test_pilots=32,
         n_meta_test_tasks=n_devices,
     )
-    family, pool, stream, init = _setup(config, seed, phase_rotation_family(snr_db))
+    family, pool, stream, init, lossfn = _setup(config, seed, phase_rotation_family(snr_db))
     tc = config.train_config(seed)
-    theta = meta_train(stream, tc, init=init).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn).params
     joint = train_joint(pool, replace(tc, outer_iters=config.baseline_iters), init=init)
     joint_ser, maml_ser = [], []
     for device in range(n_devices):
         task = _test_task(family, seed, device)
         joint_ser.append(_ser(config, seed, joint, task, device, 0))
-        adapted = maml_adapt(theta, _pilots(task, seed, device, n_pilots), tc.eta_inner, tc.m)
+        pilots = _pilots(task, seed, device, n_pilots)
+        adapted = maml_adapt(theta, pilots, tc.eta_inner, tc.m, lossfn=lossfn)
         maml_ser.append(_ser(config, seed, adapted, task, device, n_pilots))
     return float(np.mean(joint_ser)), float(np.mean(maml_ser))
 
@@ -662,8 +647,8 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
 def run_meta_train(config, seed=None):
     """Meta-train one initialization per the config's profile."""
     seed = config.seed if seed is None else seed
-    _, _, stream, init = _setup(config, seed)
-    return meta_train(stream, config.train_config(seed), init=init)
+    _, _, stream, init, lossfn = _setup(config, seed)
+    return meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn)
 
 
 def evaluate_params(config, params, seed=None):
@@ -677,15 +662,19 @@ def evaluate_params(config, params, seed=None):
     """
     seed = config.seed if seed is None else seed
     family = TaskFamily(kind=config.profile, snr_db=config.snr_db)
+    # demod adapts the saved network on its own architecture, which need not
+    # be the profile's: it is the network mlp_forward then scores.
+    lossfn = make_mlp_lossfn(params.arch) if config.profile == "demod" else _AE_LOSSFN
     n = max(config.pilot_counts)
     values = []
     for unit in range(config.n_meta_test_tasks):
         task = _test_task(family, seed, unit)
         if config.profile == "demod":
-            adapted = maml_adapt(params, _pilots(task, seed, unit, n), config.eta_inner, config.m)
+            pilots = _pilots(task, seed, unit, n)
+            adapted = maml_adapt(params, pilots, config.eta_inner, config.m, lossfn=lossfn)
             values.append(_ser(config, seed, adapted, task, unit, n))
         else:
-            *_, adapted = _adaptation(config, seed, task, unit, params)
+            *_, adapted = _adaptation(config, seed, task, unit, params, lossfn)
             values.append(_bler(config, seed, adapted, task, unit, 0))
     return ("ser" if config.profile == "demod" else "bler"), values
 

@@ -9,7 +9,13 @@ Conventions shared by every loop here:
   NumericalError, chained to the last divergence, if that does not cure it;
 * everything is a pure function of (inputs, init, config): no hidden state,
   no default initialization or data, and repeated calls give bit-identical
-  results.
+  results;
+* the caller owns the loss: meta_train and maml_adapt take lossfn(p_node,
+  data) -> scalar Node, the contract of autodiff, and apply it to whatever
+  data the tasks carry; the two baselines are demodulator-only and build
+  make_mlp_lossfn(init.arch) themselves.  No learner looks at its data to
+  choose a loss, so a closed-form objective (a quadratic with a known
+  minimum) is just another lossfn, with no wrapper type for its data.
 
 The two baselines run all their tasks in one graph per step, on a task axis
 (see graph): train_joint broadcasts its shared parameters to one row per task
@@ -32,7 +38,7 @@ import numpy as np
 from . import graph
 from .autodiff import eval_with_gradient, unrolled_meta_gradient
 from .errors import ConfigurationError, NumericalError
-from .nn import Dataset, ParamVector, make_autoencoder_lossfn, make_mlp_lossfn, mlp_arch, stack_datasets
+from .nn import ParamVector, make_mlp_lossfn, mlp_arch, stack_datasets
 from .tasks import SCOPE_META_STREAM, rng_for
 
 DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
@@ -87,58 +93,6 @@ def sgd_step(p, gradient, eta):
     if gradient.shape != p.shape:
         raise ConfigurationError(f"gradient shape {gradient.shape} does not match {p.shape}")
     return p - eta * gradient
-
-
-@dataclass(frozen=True)
-class SyntheticObjective:
-    """Hand-built differentiable objective for oracle tests and toy tasks.
-
-    Wraps a callable p_node -> scalar Node; trainers and meta ops treat it
-    like task data, so closed-form problems (quadratics with known minima)
-    can exercise the exact same code paths as real tasks.
-    """
-
-    build: object
-
-    def make_lossfn(self):
-        build = self.build
-        return lambda p_node, _data: build(p_node)
-
-
-def _synthetic_stack_loss(p_stack, objectives):
-    """Objective t at row t of the (T, P) stack p_stack, as the (T,) loss vector."""
-    n_tasks, n_params = p_stack.value.shape
-    flat = graph.reshape(p_stack, (n_tasks * n_params,))
-    losses = [
-        graph.reshape(obj.build(graph.vslice(flat, t * n_params, (t + 1) * n_params)), (1,))
-        for t, obj in enumerate(objectives)
-    ]
-    return graph.scatter(losses, range(n_tasks), n_tasks)
-
-
-def _lossfn_for_data(arch, data):
-    """Pick the loss builder matching the data container."""
-    maker = getattr(data, "make_lossfn", None)
-    if maker is not None:
-        return maker()
-    if isinstance(data, Dataset):
-        if arch is None:
-            raise ConfigurationError("dataset tasks need parameters with an architecture")
-        return make_mlp_lossfn(arch)
-    spec = getattr(data, "spec", None)
-    if spec is not None:
-        return make_autoencoder_lossfn(spec)
-    raise ConfigurationError(f"cannot build a loss for data of type {type(data).__name__}")
-
-
-def _stacked_lossfn(arch, datas):
-    """(lossfn, data) for a stack of tasks' data: lossfn(p_stack, data) is the
-    (T,) vector whose entry t is task t's loss at row t of p_stack."""
-    if all(isinstance(d, Dataset) for d in datas):
-        return _lossfn_for_data(arch, datas[0]), stack_datasets(datas)
-    if all(isinstance(d, SyntheticObjective) for d in datas):
-        return _synthetic_stack_loss, tuple(datas)
-    raise ConfigurationError("a task stack needs demodulator datasets (or synthetic objectives) only")
 
 
 def _attempt(value_grad, p):
@@ -254,7 +208,7 @@ def train_conventional(tasks, config, *, datasets, init):
 
 
 def train_joint(meta_batch, config, *, init):
-    """Train one shared model on the pooled training data of all tasks.
+    """Train one shared demodulator on the pooled training data of all tasks.
 
     The objective is the mean of the per-task losses, built in one graph per
     step: theta is broadcast to a (T, P) stack with one row per task, and
@@ -263,14 +217,16 @@ def train_joint(meta_batch, config, *, init):
     first to last, sums the per-task gradients latest task first.  No
     adaptation happens here; this is the common-model baseline.
     """
+    if meta_batch.kind != "demod":
+        raise ConfigurationError("joint training is defined for demodulator tasks")
     items = meta_batch.items[::-1]
-    lossfn, data = _stacked_lossfn(getattr(init, "arch", None), [item.train for item in items])
+    lossfn = make_mlp_lossfn(init.arch)
+    data = stack_datasets(item.train for item in items)
     n_tasks = len(items)
 
     def value_grad(params):
-        values = getattr(params, "values", params)
-        theta = graph.inp(values)
-        per_task = lossfn(graph.bcast(theta, (n_tasks, *values.shape)), data)
+        theta = graph.inp(params.values)
+        per_task = lossfn(graph.bcast(theta, (n_tasks, len(params))), data)
         total = graph.scale(graph.asum(per_task), 1.0 / n_tasks)
         (g,) = graph.gradients(total, [theta])
         return float(total.value), g.value
@@ -278,15 +234,14 @@ def train_joint(meta_batch, config, *, init):
     return _guarded_descent(value_grad, init, config.eta_inner, config.outer_iters, "joint training")
 
 
-def maml_adapt(theta, d_tr, eta, m):
-    """m plain SGD steps on the adaptation data, starting from theta.
+def maml_adapt(theta, d_tr, eta, m, *, lossfn):
+    """m plain SGD steps on lossfn(., d_tr), starting from theta.
 
     This is the deployment-time procedure; it has no divergence guard and no
     randomness, and NumericalErrors propagate to the caller.
     """
     if m < 0:
         raise ConfigurationError("adaptation step count must be >= 0")
-    lossfn = _lossfn_for_data(getattr(theta, "arch", None), d_tr)
     p = theta
     for _ in range(m):
         r = eval_with_gradient(lossfn, p, d_tr)
@@ -294,44 +249,41 @@ def maml_adapt(theta, d_tr, eta, m):
     return p
 
 
-def _per_task_meta_grad(theta, item, config):
-    arch = getattr(theta, "arch", None)
-    f_tr = _lossfn_for_data(arch, item.train)
-    f_te = _lossfn_for_data(arch, item.test)
+def _per_task_meta_grad(theta, item, config, lossfn):
     if config.first_order:
-        phi = maml_adapt(theta, item.train, config.eta_inner, config.m)
-        r = eval_with_gradient(f_te, phi, item.test)
+        phi = maml_adapt(theta, item.train, config.eta_inner, config.m, lossfn=lossfn)
+        r = eval_with_gradient(lossfn, phi, item.test)
         return r.value, r.gradient
-    return unrolled_meta_gradient(
-        f_tr, f_te, getattr(theta, "values", theta), config.eta_inner, config.m, item.train, item.test
-    )
+    return unrolled_meta_gradient(lossfn, lossfn, theta, config.eta_inner, config.m, item.train, item.test)
 
 
-def _meta_value_grad(theta, meta_batch, config):
+def _meta_value_grad(theta, meta_batch, config, lossfn):
     """Meta-loss and meta-gradient averaged over the batch's tasks."""
     losses = []
     grads = []
     for item in meta_batch.items:
         try:
-            loss, grad = _per_task_meta_grad(theta, item, config)
+            loss, grad = _per_task_meta_grad(theta, item, config, lossfn)
         except NumericalError as err:
-            task_id = getattr(item.task, "id", "?")
-            raise NumericalError(f"task {task_id}: {err}", op_kind=err.op_kind) from err
+            raise NumericalError(f"task {item.task.id}: {err}", op_kind=err.op_kind) from err
         losses.append(loss)
         grads.append(grad)
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 
-def meta_train(task_stream, config, *, init):
+def meta_train(task_stream, config, *, init, lossfn):
     """Full meta-training loop over a stream of meta-batches, from init.
 
     task_stream is a callable rng -> MetaBatch; it is drawn once per outer
     iteration from a generator derived from config.seed, so the run is a pure
-    function of (stream definition, config, init).  Each outer update is
-    theta - eta_outer * (mean per-task meta-gradient): the exact unrolled
-    meta-gradient, or with config.first_order the plain test-loss gradient at
-    the adapted parameters.  Returns the learned initialization and the
-    meta-loss history [(iteration, loss at the point stepped from), ...].
+    function of (stream definition, config, init, lossfn).  lossfn(p_node,
+    data) is the per-task loss on both sides of every task split: the
+    adaptation steps descend it on the train data, the meta-objective is it
+    on the test data.  Each outer update is theta - eta_outer * (mean
+    per-task meta-gradient): the exact unrolled meta-gradient, or with
+    config.first_order the plain test-loss gradient at the adapted
+    parameters.  Returns the learned initialization and the meta-loss
+    history [(iteration, loss at the point stepped from), ...].
     """
     rng = rng_for(config.seed, SCOPE_META_STREAM)
     theta = init
@@ -340,7 +292,8 @@ def meta_train(task_stream, config, *, init):
     for it in range(config.outer_iters):
         batch = task_stream(rng)
         theta, loss, grad = _guarded_step(
-            lambda q: _meta_value_grad(q, batch, config), theta, prev, config.eta_outer, "meta-training", it
+            lambda q: _meta_value_grad(q, batch, config, lossfn),
+            theta, prev, config.eta_outer, "meta-training", it,
         )
         history.append((it, loss))
         prev = (theta, grad)

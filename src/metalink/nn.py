@@ -121,8 +121,9 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.int64)
+        # copies: freezing must not reach the caller's arrays
+        inputs = np.array(self.inputs, dtype=np.float64)
+        targets = np.array(self.targets, dtype=np.int64)
         if inputs.ndim not in (2, 3):
             raise ConfigurationError(f"inputs must be (n, d) or (T, n, d), got {inputs.shape}")
         if targets.shape != inputs.shape[:-1]:

@@ -174,8 +174,10 @@ class AutoencoderBatch:
     spec: AutoencoderSpec
 
     def __post_init__(self):
-        messages = np.asarray(self.messages, dtype=np.int64)
-        noise = np.asarray(self.noise, dtype=np.float64)
+        # copies: freezing must not reach the caller's arrays
+        messages = np.array(self.messages, dtype=np.int64)
+        noise = np.array(self.noise, dtype=np.float64)
+        matrix = np.array(self.channel_matrix, dtype=np.float64)
         rx_width = 2 * (self.spec.n_uses + BLOCK_TAPS - 1)
         if messages.ndim != 1 or messages.size < 1:
             raise ConfigurationError("batch needs at least one message")
@@ -183,12 +185,11 @@ class AutoencoderBatch:
             raise ConfigurationError("message indices out of range")
         if noise.shape != (messages.shape[0], rx_width):
             raise ConfigurationError(f"noise must be ({messages.shape[0]}, {rx_width})")
-        if self.channel_matrix.shape != (rx_width, 2 * self.spec.n_uses):
+        if matrix.shape != (rx_width, 2 * self.spec.n_uses):
             raise ConfigurationError("channel matrix shape does not match the spec")
-        for arr in (messages, noise):
+        for name, arr in (("messages", messages), ("noise", noise), ("channel_matrix", matrix)):
             arr.flags.writeable = False
-        object.__setattr__(self, "messages", messages)
-        object.__setattr__(self, "noise", noise)
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return self.messages.shape[0]

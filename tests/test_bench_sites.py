@@ -11,7 +11,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from metalink import learners
+from metalink import autodiff, harness, learners
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import calibrate  # noqa: E402
@@ -35,3 +35,16 @@ def test_guard_wrap_point_keeps_its_call_shape():
     # the tracer's retry counter calls the original as orig(counted, p, eta, n_iters, what)
     names = list(inspect.signature(learners._guarded_descent).parameters)
     assert names == ["value_grad", "p", "eta", "n_iters", "what"]
+
+
+def test_positional_reads_of_the_tracer_keep_their_names():
+    # tracer._phase reads meta_train's config as args[1], evaluate_ser's
+    # symbol count as args[2] and evaluate_bler's block count as args[3]
+    for func, index, name in (
+        (learners.meta_train, 1, "config"),
+        (harness.evaluate_ser, 2, "n_symbols"),
+        (harness.evaluate_bler, 3, "n_blocks"),
+    ):
+        assert list(inspect.signature(func).parameters)[index] == name, func.__name__
+    # and its eval_with_gradient counter wraps harness's name as well as learners'
+    assert harness.eval_with_gradient is autodiff.eval_with_gradient

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import metalink
 from metalink import cli
 from metalink.checks import CheckReport, CheckResult
-from metalink.harness import CurveTable, load_params, read_curve
+from metalink.harness import CurveTable, load_params, read_curve, save_params
 from metalink.learners import MetaTrainResult
+from metalink.nn import AutoencoderSpec, init_autoencoder_params, init_params, mlp_arch
 
 
 def _write_tiny_demod(path, **extra):
@@ -99,6 +100,36 @@ def test_meta_train_then_eval_round_trip(tmp_path, capsys):
     assert cli.main(["eval", "--config", cfg, "--params", str(out)]) == cli.EXIT_OK
     text = capsys.readouterr().out
     assert "ser over 2 meta-test tasks" in text
+
+
+@pytest.mark.parametrize(
+    "params, code, printed",
+    [
+        # a relu net of the profile's size adapts and is scored on its own activation
+        (
+            lambda: init_params(mlp_arch((2, 32, 32, 16), hidden="relu"), 3),
+            cli.EXIT_OK,
+            "ser over 20 meta-test tasks: mean 0.92902, min 0.86900, max 0.98850\n",
+        ),
+        # so does a smaller net than the profile's
+        (
+            lambda: init_params(mlp_arch((2, 8, 16)), 4),
+            cli.EXIT_OK,
+            "ser over 20 meta-test tasks: mean 0.92257, min 0.82450, max 0.99650\n",
+        ),
+        (lambda: init_autoencoder_params(AutoencoderSpec(), 5), cli.EXIT_CONFIG, ""),
+    ],
+    ids=["relu", "small", "autoencoder"],
+)
+def test_eval_demod_adapts_the_saved_network(tmp_path, capsys, params, code, printed):
+    path = tmp_path / "p.npz"
+    save_params(path, params())
+    assert cli.main(["eval", "--profile", "demod", "--params", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == printed
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_CONFIG:
+        assert captured.err.startswith("config error: ")
 
 
 def test_sweep_pilots_writes_deterministic_csv(tmp_path, capsys):

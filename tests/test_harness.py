@@ -455,7 +455,7 @@ def test_evaluate_params_is_the_sweeps_maml_point():
 def test_pilot_sweep_conventional_records_are_each_device_trained_alone():
     cfg = _tiny_demod_config(seeds=(4,), seed=4)
     records = run_pilot_sweep(cfg).records
-    family, _, _, init = harness._setup(cfg, 4)
+    family, _, _, init, _ = harness._setup(cfg, 4)
     tc = replace(cfg.train_config(4), outer_iters=cfg.baseline_iters)
     for r in records:
         if r.method == "conventional":

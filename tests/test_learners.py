@@ -12,7 +12,6 @@ from metalink.errors import ConfigurationError, NumericalError
 from metalink.learners import (
     DEMOD_ARCH,
     MetaTrainResult,
-    SyntheticObjective,
     TrainConfig,
     maml_adapt,
     meta_train,
@@ -25,6 +24,7 @@ from metalink.nn import (
     Dataset,
     init_autoencoder_params,
     init_params,
+    make_autoencoder_lossfn,
     make_mlp_lossfn,
     mlp_arch,
     param_count,
@@ -45,26 +45,25 @@ from metalink.tasks import (
 )
 
 
-def _quadratic(center, weight=0.5):
-    """p -> weight * sum((p - center)^2) as a graph builder."""
-
-    def build(p):
-        d = graph.add(p, graph.const(np.array([-center])))
-        return graph.scale(graph.asum(graph.mul(d, d)), weight)
-
-    return build
+DEMOD_LOSS = make_mlp_lossfn(DEMOD_ARCH)
 
 
-def _synthetic_item(build_tr, build_te=None, task_id=0):
+def quadratic(p, center):
+    """0.5 * sum((p - center)^2): a lossfn whose data is the centre array."""
+    d = graph.add(p, graph.const(-center))
+    return graph.scale(graph.asum(graph.mul(d, d)), 0.5)
+
+
+def _item(train, test=None, task_id=0):
+    """A task split carrying `train` and `test` (default: `train`) as its data."""
     task = Task(task_id, sample_task("demod", np.random.default_rng(0)).realization, "demod")
-    te = build_te if build_te is not None else build_tr
-    return TaskSplit(task, SyntheticObjective(build_tr), SyntheticObjective(te))
+    return TaskSplit(task, train, train if test is None else test)
 
 
 # The hand-worked oracle: adapt on 0.5(p-1)^2, evaluate on 0.5(p+1)^2.
 # From theta=0 with eta=0.1, one step lands at phi=0.1, the outer loss is
 # 0.5*1.1^2 = 0.605, and the chain rule gives (1-0.1)*1.1 = 0.99.
-ORACLE_ITEM = _synthetic_item(_quadratic(1.0), _quadratic(-1.0))
+ORACLE_ITEM = _item(np.array([1.0]), np.array([-1.0]))
 ORACLE_BATCH = MetaBatch("demod", (ORACLE_ITEM,))
 
 
@@ -72,14 +71,14 @@ def _loss(lossfn, p, data):
     return eval_with_gradient(lossfn, p, data).value
 
 
-def _meta_run(batch, cfg, theta, steps=1):
+def _meta_run(batch, cfg, theta, steps=1, lossfn=quadratic):
     """meta_train on a fixed meta-batch: `steps` outer updates from theta."""
-    return meta_train(lambda rng: batch, replace(cfg, outer_iters=steps), init=theta)
+    return meta_train(lambda rng: batch, replace(cfg, outer_iters=steps), init=theta, lossfn=lossfn)
 
 
-def _meta_loss(batch, cfg, theta):
+def _meta_loss(batch, cfg, theta, lossfn=quadratic):
     """Meta-loss at theta: the history entry of one outer iteration from it."""
-    ((_, loss),) = _meta_run(batch, cfg, theta).history
+    ((_, loss),) = _meta_run(batch, cfg, theta, lossfn=lossfn).history
     return loss
 
 
@@ -124,13 +123,6 @@ def test_train_config_validation():
             TrainConfig(**bad)
 
 
-def test_loss_value_on_synthetic_objective():
-    lossfn = SyntheticObjective(_quadratic(2.0)).make_lossfn()
-    r = eval_with_gradient(lossfn, np.array([5.0]), None)
-    assert abs(r.value - 4.5) < 1e-15
-    assert np.array_equal(r.gradient, [3.0])
-
-
 # ---------------------------------------------------------------------------
 # conventional training
 
@@ -149,8 +141,7 @@ def test_conventional_descends_on_pilots():
     pilots = make_pilot_dataset(task, 16, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
     (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init)
-    lossfn = make_mlp_lossfn(DEMOD_ARCH)
-    assert _loss(lossfn, trained, pilots) <= _loss(lossfn, init, pilots)
+    assert _loss(DEMOD_LOSS, trained, pilots) <= _loss(DEMOD_LOSS, init, pilots)
 
 
 def test_conventional_solves_separable_toy():
@@ -309,13 +300,28 @@ def test_joint_duplicate_tasks_change_nothing(copies):
     )
 
 
-def test_joint_quadratics_converge_to_midpoint():
-    batch = MetaBatch(
-        "demod", (_synthetic_item(_quadratic(1.0)), _synthetic_item(_quadratic(4.0), task_id=1))
-    )
-    cfg = TrainConfig(eta_inner=0.5, outer_iters=100)
-    out = train_joint(batch, cfg, init=np.array([0.0]))
-    assert abs(out[0] - 2.5) < 1e-9
+def test_joint_divergence_at_the_initial_point_names_the_op():
+    # pilots of 1e300 overflow in the first layer's matmat of the stacked
+    # step, under first-layer weights of 1e9 as in the conventional test
+    pool = demod_task_pool(TaskFamily(), 3, 4, 4, seed=61)
+    items = list(pool.items)
+    bad = items[1].train
+    items[1] = replace(items[1], train=Dataset(np.full_like(bad.inputs, 1e300), bad.targets, 16))
+    init = init_params(DEMOD_ARCH, 12)
+    init = init.with_values(np.concatenate([1e9 * init.values[:64], init.values[64:]]))
+    cfg = TrainConfig(outer_iters=3, seed=12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^joint training: loss diverged at the initial point: ") as exc:
+            train_joint(MetaBatch("demod", tuple(items)), cfg, init=init)
+    assert exc.value.op_kind == "matmat"
+    assert isinstance(exc.value.__cause__, NumericalError)
+
+
+def test_joint_rejects_autoencoder_tasks():
+    tasks = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=10.0), 2, seed=62)
+    batch = autoencoder_stream(tasks, AutoencoderSpec(), k=2, n_blocks=4)(np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match="demodulator"):
+        train_joint(batch, TrainConfig(), init=init_params(DEMOD_ARCH, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +329,14 @@ def test_joint_quadratics_converge_to_midpoint():
 
 
 def test_adapt_single_step_on_quadratic():
-    phi = maml_adapt(np.array([0.0]), SyntheticObjective(_quadratic(1.0)), 0.1, 1)
+    phi = maml_adapt(np.array([0.0]), np.array([1.0]), 0.1, 1, lossfn=quadratic)
     assert abs(phi[0] - 0.1) < 1e-15
 
 
 def test_adapt_zero_rate_is_identity():
     theta = init_params(DEMOD_ARCH, 9)
     pool = demod_task_pool(TaskFamily(), 1, 8, 8, seed=49)
-    phi = maml_adapt(theta, pool.items[0].train, 0.0, 3)
+    phi = maml_adapt(theta, pool.items[0].train, 0.0, 3, lossfn=DEMOD_LOSS)
     assert np.array_equal(phi.values, theta.values)
 
 
@@ -338,11 +344,14 @@ def test_adapt_two_steps_compose():
     theta = init_params(DEMOD_ARCH, 10)
     pool = demod_task_pool(TaskFamily(), 1, 8, 8, seed=50)
     data = pool.items[0].train
-    once_twice = maml_adapt(maml_adapt(theta, data, 0.1, 1), data, 0.1, 1)
-    assert np.array_equal(maml_adapt(theta, data, 0.1, 2).values, once_twice.values)
-    assert maml_adapt(theta, data, 0.1, 0) is theta
+
+    def adapt(p, m):
+        return maml_adapt(p, data, 0.1, m, lossfn=DEMOD_LOSS)
+
+    assert np.array_equal(adapt(theta, 2).values, adapt(adapt(theta, 1), 1).values)
+    assert adapt(theta, 0) is theta
     with pytest.raises(ConfigurationError):
-        maml_adapt(theta, data, 0.1, -1)
+        adapt(theta, -1)
 
 
 def test_meta_loss_oracle_value():
@@ -354,7 +363,7 @@ def test_meta_loss_zero_rate_is_test_loss_at_theta():
     cfg = TrainConfig(eta_inner=0.0, m=1)
     theta = np.array([0.0])
     got = _meta_loss(ORACLE_BATCH, cfg, theta)
-    want = _loss(ORACLE_ITEM.test.make_lossfn(), theta, None)
+    want = _loss(quadratic, theta, ORACLE_ITEM.test)
     assert got == want
 
 
@@ -373,12 +382,12 @@ def test_meta_step_oracle_update():
 def test_meta_step_first_order_equals_full_at_zero_rate():
     pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=51)
     theta = init_params(DEMOD_ARCH, 12)
-    full = _meta_run(pool, TrainConfig(eta_inner=0.0), theta).params
-    fo = _meta_run(pool, TrainConfig(eta_inner=0.0, first_order=True), theta).params
+    full = _meta_run(pool, TrainConfig(eta_inner=0.0), theta, lossfn=DEMOD_LOSS).params
+    fo = _meta_run(pool, TrainConfig(eta_inner=0.0, first_order=True), theta, lossfn=DEMOD_LOSS).params
     assert np.array_equal(full.values, fo.values)
     # and at a nonzero rate the curvature term must show up
-    full = _meta_run(pool, TrainConfig(eta_inner=0.1), theta).params
-    fo = _meta_run(pool, TrainConfig(eta_inner=0.1, first_order=True), theta).params
+    full = _meta_run(pool, TrainConfig(eta_inner=0.1), theta, lossfn=DEMOD_LOSS).params
+    fo = _meta_run(pool, TrainConfig(eta_inner=0.1, first_order=True), theta, lossfn=DEMOD_LOSS).params
     assert not np.array_equal(full.values, fo.values)
 
 
@@ -386,21 +395,21 @@ def test_meta_step_descends_on_fixed_demod_batch():
     # history[100] is the meta-loss after 100 outer updates on the same batch
     pool = demod_task_pool(TaskFamily(), 10, 4, 16, seed=52)
     cfg = TrainConfig(eta_inner=0.1, eta_outer=0.3, m=1)
-    history = dict(_meta_run(pool, cfg, init_params(DEMOD_ARCH, 13), steps=101).history)
+    history = dict(_meta_run(pool, cfg, init_params(DEMOD_ARCH, 13), steps=101, lossfn=DEMOD_LOSS).history)
     assert history[100] < history[0]
 
 
 def test_meta_step_reports_failing_task():
     # The guard's error names the task, keeps the failing op and chains the
     # engine's error as its cause.
-    def explode(p):
+    def explode(p, _data):
         big = graph.scale(p, 1e200)
         return graph.asum(graph.mul(big, big))
 
-    item = _synthetic_item(explode, task_id=3)
+    item = _item(None, task_id=3)
     cfg = TrainConfig(eta_inner=0.1)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="task 3") as exc:
-        _meta_run(MetaBatch("demod", (item,)), cfg, np.array([2.0]))
+        _meta_run(MetaBatch("demod", (item,)), cfg, np.array([2.0]), lossfn=explode)
     assert "meta-training: loss diverged at the initial point" in str(exc.value)
     assert "'mul'" in str(exc.value)
     assert exc.value.op_kind == "mul"
@@ -415,7 +424,7 @@ def test_meta_step_reports_failing_task():
 def test_meta_train_zero_iters_returns_init():
     pool = demod_task_pool(TaskFamily(), 3, 4, 8, seed=53)
     init = init_params(DEMOD_ARCH, 14)
-    result = meta_train(subsample_stream(pool, 2), TrainConfig(outer_iters=0), init=init)
+    result = meta_train(subsample_stream(pool, 2), TrainConfig(outer_iters=0), init=init, lossfn=DEMOD_LOSS)
     assert isinstance(result, MetaTrainResult)
     assert np.array_equal(result.params.values, init.values)
     assert result.history == ()
@@ -425,8 +434,8 @@ def test_meta_train_deterministic():
     pool = demod_task_pool(TaskFamily(), 6, 4, 8, seed=54)
     cfg = TrainConfig(outer_iters=20, seed=6)
     init = init_params(DEMOD_ARCH, 6)
-    a = meta_train(subsample_stream(pool, 4), cfg, init=init)
-    b = meta_train(subsample_stream(pool, 4), cfg, init=init)
+    a = meta_train(subsample_stream(pool, 4), cfg, init=init, lossfn=DEMOD_LOSS)
+    b = meta_train(subsample_stream(pool, 4), cfg, init=init, lossfn=DEMOD_LOSS)
     assert np.array_equal(a.params.values, b.params.values)
     assert a.history == b.history
     assert a.params.arch == DEMOD_ARCH
@@ -437,9 +446,9 @@ def test_meta_train_improves_meta_loss():
     pool = demod_task_pool(TaskFamily(), 8, 4, 16, seed=55)
     cfg = TrainConfig(outer_iters=150, seed=7)
     init = init_params(DEMOD_ARCH, 7)
-    result = meta_train(subsample_stream(pool, 4), cfg, init=init)
+    result = meta_train(subsample_stream(pool, 4), cfg, init=init, lossfn=DEMOD_LOSS)
     eval_cfg = TrainConfig(eta_inner=0.1, m=1)
-    assert _meta_loss(pool, eval_cfg, result.params) < _meta_loss(pool, eval_cfg, init)
+    assert _meta_loss(pool, eval_cfg, result.params, DEMOD_LOSS) < _meta_loss(pool, eval_cfg, init, DEMOD_LOSS)
 
 
 def test_meta_train_demod_profile_loss_drops_by_iteration_500():
@@ -451,7 +460,8 @@ def test_meta_train_demod_profile_loss_drops_by_iteration_500():
         cfg = TrainConfig(
             eta_inner=0.1, eta_outer=0.3, m=1, outer_iters=501, seed=seed
         )
-        history = dict(meta_train(subsample_stream(pool, 10), cfg, init=init_params(DEMOD_ARCH, seed)).history)
+        init = init_params(DEMOD_ARCH, seed)
+        history = dict(meta_train(subsample_stream(pool, 10), cfg, init=init, lossfn=DEMOD_LOSS).history)
         first.append(history[0])
         late.append(history[500])
     assert np.median(late) < np.median(first)
@@ -462,7 +472,7 @@ def test_meta_train_runs_on_autoencoder_stream():
     spec = AutoencoderSpec()
     stream = autoencoder_stream(tasks, spec, k=2, n_blocks=8)
     cfg = TrainConfig(eta_inner=0.05, eta_outer=0.05, outer_iters=5)
-    result = meta_train(stream, cfg, init=init_autoencoder_params(spec, 0))
+    result = meta_train(stream, cfg, init=init_autoencoder_params(spec, 0), lossfn=make_autoencoder_lossfn(spec))
     assert result.params.arch == spec.arch
     assert result.params.values.shape == (param_count(spec.arch),)
     assert len(result.history) == 5
@@ -475,71 +485,75 @@ def test_meta_train_runs_on_autoencoder_stream():
 def _steep(scale):
     """p -> scale * sum(p^2), gradient 2*scale*p; eta*2*scale = 30 diverges."""
 
-    def build(p):
+    def lossfn(p, _data):
         return graph.scale(graph.asum(graph.mul(p, p)), scale)
 
-    return build
+    return lossfn
+
+
+def _descend(lossfn, init, eta, n_iters):
+    """The baselines' guarded SGD on lossfn, named as joint training names it."""
+
+    def value_grad(p):
+        r = eval_with_gradient(lossfn, p)
+        return r.value, r.gradient
+
+    return learners._guarded_descent(value_grad, init, eta, n_iters, "joint training")
 
 
 def test_guard_initial_point_divergence():
-    batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
-    cfg = TrainConfig(eta_inner=0.001, outer_iters=1)
-    with pytest.raises(NumericalError, match="initial point"):
-        train_joint(batch, cfg, init=np.array([1000.0]))
+    with pytest.raises(NumericalError, match="^joint training: loss diverged at the initial point"):
+        _descend(_steep(15000.0), np.array([1000.0]), 0.001, 1)
 
 
 def test_guard_half_step_retry_failure():
     # eta * curvature = 30, so step 1 lands at -29 (loss 1.26e7) and the
     # half-step retry at -14 still sits above the ceiling (2.94e6).
-    batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
-    cfg = TrainConfig(eta_inner=0.001, outer_iters=2)
-    with pytest.raises(NumericalError, match="half-step retry failed"):
-        train_joint(batch, cfg, init=np.array([1.0]))
+    with pytest.raises(NumericalError, match="^joint training: diverged at iteration 1; half-step retry failed"):
+        _descend(_steep(15000.0), np.array([1.0]), 0.001, 2)
 
 
 def test_guard_half_step_retry_success():
     # Same dynamics a decade lower: the retry point -14 has loss 2.94e5,
     # under the ceiling, so training resumes at full rate and ends at 406.
-    batch = MetaBatch("demod", (_synthetic_item(_steep(1500.0)),))
-    cfg = TrainConfig(eta_inner=0.01, outer_iters=2)
-    out = train_joint(batch, cfg, init=np.array([1.0]))
+    out = _descend(_steep(1500.0), np.array([1.0]), 0.01, 2)
     assert out[0] == 406.0
 
 
 def test_adapt_has_no_guard():
     # A huge-but-finite loss is the guard's business and adaptation has none:
     # it happily returns the exploded parameters.
-    phi = maml_adapt(np.array([1000.0]), SyntheticObjective(_steep(15000.0)), 0.001, 1)
+    phi = maml_adapt(np.array([1000.0]), None, 0.001, 1, lossfn=_steep(15000.0))
     assert phi[0] == -29000.0
     # real numerical failure still surfaces
-    def explode(p):
+    def explode(p, _data):
         return graph.asum(graph.mul(p, p))
 
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        maml_adapt(np.array([1e200]), SyntheticObjective(explode), 0.1, 1)
+        maml_adapt(np.array([1e200]), None, 0.1, 1, lossfn=explode)
+
+
+STEEP_BATCH = MetaBatch("demod", (_item(None),))
 
 
 def test_meta_train_guard_initial_point():
-    batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
     cfg = TrainConfig(eta_inner=0.001, outer_iters=1)
     with pytest.raises(NumericalError, match="meta-training"):
-        meta_train(lambda rng: batch, cfg, init=np.array([1000.0]))
+        meta_train(lambda rng: STEEP_BATCH, cfg, init=np.array([1000.0]), lossfn=_steep(15000.0))
 
 
 def test_meta_train_guard_half_step_retry_success():
     # eta_inner = 0 makes the meta-loss the plain loss, so the dynamics are
     # those of test_guard_half_step_retry_success; the history keeps the
     # retry point's loss (2.94e5 at -14) for the retried iteration.
-    batch = MetaBatch("demod", (_synthetic_item(_steep(1500.0)),))
     cfg = TrainConfig(eta_inner=0.0, eta_outer=0.01, outer_iters=2)
-    out = meta_train(lambda rng: batch, cfg, init=np.array([1.0]))
+    out = meta_train(lambda rng: STEEP_BATCH, cfg, init=np.array([1.0]), lossfn=_steep(1500.0))
     assert np.array_equal(out.params, [406.0])
     assert out.history == ((0, 1500.0), (1, 294000.0))
 
 
 def test_meta_train_guard_half_step_retry_failure():
-    batch = MetaBatch("demod", (_synthetic_item(_steep(15000.0)),))
     cfg = TrainConfig(eta_inner=0.0, eta_outer=0.001, outer_iters=2)
     with pytest.raises(NumericalError, match="meta-training") as exc:
-        meta_train(lambda rng: batch, cfg, init=np.array([1.0]))
+        meta_train(lambda rng: STEEP_BATCH, cfg, init=np.array([1.0]), lossfn=_steep(15000.0))
     assert "half-step retry failed" in str(exc.value)

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chi2
 
 from metalink.channel import (
+    BLOCK_TAPS,
     QAM16,
     ChannelRealization,
     channel_conv_matrix,
@@ -16,7 +17,7 @@ from metalink.channel import (
     tx_nonideality,
 )
 from metalink.errors import ConfigurationError
-from metalink.nn import AutoencoderSpec
+from metalink.nn import AutoencoderSpec, Dataset
 from metalink.tasks import (
     SCOPE_EVAL,
     SCOPE_TASK,
@@ -247,6 +248,35 @@ def test_autoencoder_batch_statistics():
     half_n0 = noise_variance(task.realization.snr_db) / 2.0
     measured = float(np.mean(batch.noise[:1000] ** 2))
     assert abs(measured - half_n0) < 0.02 * half_n0
+
+
+def test_constructors_freeze_a_copy_not_the_callers_array():
+    spec = AutoencoderSpec()
+    rx_width = 2 * (spec.n_uses + BLOCK_TAPS - 1)
+    cases = (
+        (Dataset, dict(inputs=np.zeros((2, 2)), targets=np.array([0, 1]), n_classes=2)),
+        (ChannelRealization, dict(taps=np.array([1.0 + 0.5j, 0.2j]), snr_db=10.0)),
+        (
+            AutoencoderBatch,
+            dict(
+                messages=np.array([0, 3]),
+                noise=np.zeros((2, rx_width)),
+                channel_matrix=np.zeros((rx_width, 2 * spec.n_uses)),
+                spec=spec,
+            ),
+        ),
+    )
+    for cls, kwargs in cases:
+        obj = cls(**kwargs)
+        for name, arr in kwargs.items():
+            if not isinstance(arr, np.ndarray):
+                continue
+            held = getattr(obj, name)
+            assert not held.flags.writeable, f"{cls.__name__}.{name}"
+            assert arr.flags.writeable, f"{cls.__name__}.{name}"
+            before = held.copy()
+            arr[0] = 1
+            assert np.array_equal(held, before), f"{cls.__name__}.{name}"
 
 
 def test_autoencoder_batch_validation():
