@@ -6,6 +6,16 @@ backward pass of graph.gradients emits nodes, second derivatives come from
 running it twice, and the m-step unrolled meta-gradient comes from building
 the adaptation trajectory inside one graph and differentiating through it.
 No finite differences, no first-order shortcuts, anywhere in this module.
+
+Every entry point also takes a (T, P) stack of parameter vectors, with data
+that f maps to the (T,) vector of per-row losses (nn.stack_datasets for the
+MLP loss).  The sweep then starts from the sum of the rows' losses, so row t
+of the result is row t's own value and derivative, bit for bit what the row
+gives alone: T problems in one graph.
+
+A sweep whose adjoints are only read, not differentiated again (the
+gradient, the second sweep of hvp, the final sweep of the meta-gradient),
+runs with create_graph=False and keeps no adjoint graph.
 """
 
 from __future__ import annotations
@@ -20,27 +30,47 @@ from .errors import NumericalError
 
 @dataclass(frozen=True)
 class GradientResult:
-    """Loss value and flat gradient from a single forward/backward pass."""
+    """Loss value and gradient from a single forward/backward pass.
+
+    For a (T, P) stack, value is the (T,) array of per-row losses and
+    gradient the (T, P) stack of per-row gradients.
+    """
 
     value: float
     gradient: np.ndarray
 
 
-def _flat_values(p):
-    """Accept a ParamVector-like (has .values) or a bare array."""
+def _param_values(p):
+    """Accept a ParamVector-like (has .values), a bare vector or a (T, P) stack."""
     values = getattr(p, "values", p)
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"parameters must be a flat vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"parameters must be a flat vector or a (T, P) stack, got shape {arr.shape}")
     return arr
+
+
+def _objective(loss, p_node):
+    """The scalar a sweep starts from: the loss, or a stack's summed row losses."""
+    if p_node.value.ndim == 1:
+        return loss
+    rows = p_node.value.shape[:1]
+    if loss.value.shape != rows:
+        raise ValueError(
+            f"a stack of {rows[0]} parameter rows needs a {rows} loss vector, got {loss.value.shape}"
+        )
+    return graph.asum(loss)
+
+
+def _loss_value(loss):
+    return float(loss.value) if loss.value.ndim == 0 else loss.value
 
 
 def eval_with_gradient(f, p, data=None):
     """Evaluate f at p and return GradientResult(value, dL/dp)."""
-    theta = graph.inp(_flat_values(p))
+    theta = graph.inp(_param_values(p))
     loss = f(theta, data)
-    (grad,) = graph.gradients(loss, [theta])
-    return GradientResult(float(loss.value), grad.value)
+    (grad,) = graph.gradients(_objective(loss, theta), [theta], create_graph=False)
+    return GradientResult(_loss_value(loss), grad.value)
 
 
 def hvp(f, p, v, data=None):
@@ -49,15 +79,14 @@ def hvp(f, p, v, data=None):
     Differentiates s(p) = grad(f)(p) . v, so the cost is a small constant
     times one gradient, independent of the parameter count.
     """
-    flat = _flat_values(p)
+    flat = _param_values(p)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != flat.shape:
         raise ValueError(f"direction shape {v.shape} != parameter shape {flat.shape}")
     theta = graph.inp(flat)
-    loss = f(theta, data)
-    (grad_node,) = graph.gradients(loss, [theta])
+    (grad_node,) = graph.gradients(_objective(f(theta, data), theta), [theta])
     s = graph.asum(graph.mul(grad_node, graph.const(v)))
-    (hv,) = graph.gradients(s, [theta])
+    (hv,) = graph.gradients(s, [theta], create_graph=False)
     return hv.value
 
 
@@ -78,18 +107,18 @@ def unrolled_meta_gradient(f_tr, f_te, theta, eta, m, d_tr=None, d_te=None):
     if m < 1:
         raise ValueError(f"inner step count must be >= 1, got {m}")
 
-    theta_node = graph.inp(_flat_values(theta))
+    theta_node = graph.inp(_param_values(theta))
     phi = theta_node
     for step in range(m):
         try:
-            inner_loss = f_tr(phi, d_tr)
+            inner_loss = _objective(f_tr(phi, d_tr), phi)
             (g,) = graph.gradients(inner_loss, [phi])
-            phi = graph.add(phi, graph.scale(g, -eta))
+            phi = graph.add_scaled(phi, g, -eta)
         except NumericalError as err:
             raise NumericalError(
                 f"inner step {step} of {m} diverged: {err}", op_kind=err.op_kind
             ) from err
 
     meta_loss = f_te(phi, d_te)
-    (meta_grad,) = graph.gradients(meta_loss, [theta_node])
-    return float(meta_loss.value), meta_grad.value
+    (meta_grad,) = graph.gradients(_objective(meta_loss, theta_node), [theta_node], create_graph=False)
+    return _loss_value(meta_loss), meta_grad.value

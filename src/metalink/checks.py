@@ -6,10 +6,11 @@ Hessian-vector products, a dense-Hessian closed form for one-step
 meta-gradients, and the analytic relation between the full and first-order
 meta-gradients as the inner step vanishes.  A stacked instance covers the
 task axis: its gradient against central differences, and each row against
-the same network's gradient computed alone.  Tolerances live here, in one
-place, and the check functions take the computed quantities as inputs where
-practical so a corrupted value demonstrably fails (negative controls in the
-test suite rely on that).
+the same network's gradient computed alone; a stacked exact meta-gradient
+is held to each row's meta-gradient computed alone.  Tolerances live here,
+in one place, and the check functions take the computed quantities as
+inputs where practical so a corrupted value demonstrably fails (negative
+controls in the test suite rely on that).
 """
 
 from __future__ import annotations
@@ -216,6 +217,30 @@ def check_stacked_gradient(n_tasks=3):
     )
 
 
+def check_stacked_meta_gradient(n_tasks=3, m=2, meta_fn=None):
+    """The exact m-step meta-gradient of a (T, P) stack of T tasks.
+
+    Row t of the stacked meta-gradient, and of the meta-loss, must equal task
+    t's computed alone by unrolled_meta_gradient, bit for bit (the error is
+    the largest absolute difference).  meta_fn replaces the stacked route.
+    """
+    rng = rng_for(4322, SCOPE_CHECKS, n_tasks)
+    arch = mlp_arch((3, 6, 4))
+    lossfn = make_mlp_lossfn(arch)
+    d_tr = [Dataset(rng.standard_normal((5, 3)), rng.integers(0, 4, 5), 4) for _ in range(n_tasks)]
+    d_te = [Dataset(rng.standard_normal((7, 3)), rng.integers(0, 4, 7), 4) for _ in range(n_tasks)]
+    stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
+    stack = stack + 0.05 * rng.standard_normal(stack.shape)
+    losses, grads = (meta_fn or unrolled_meta_gradient)(
+        lossfn, lossfn, stack, 0.1, m, stack_datasets(d_tr), stack_datasets(d_te)
+    )
+    err = 0.0
+    for t in range(n_tasks):
+        loss, grad = unrolled_meta_gradient(lossfn, lossfn, stack[t], 0.1, m, d_tr[t], d_te[t])
+        err = max(err, abs(float(losses[t]) - loss), float(np.abs(grads[t] - grad).max()))
+    return CheckResult(f"stacked (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
+
+
 def closed_form_meta_gradient(lossfn, theta, eta, d_tr, d_te):
     """(I - eta H_tr(theta)) grad L_te(phi_1) via the dense Hessian.
 
@@ -307,7 +332,7 @@ def run_gradcheck(scale="small"):
     n_grad = 20 if scale == "full" else 5
     n_hvp = 10 if scale == "full" else 3
     t0 = time.perf_counter()
-    results = [check_gradients(n_grad), *check_stacked_gradient(), check_hvp(n_hvp)]
+    results = [check_gradients(n_grad), *check_stacked_gradient(), check_stacked_meta_gradient(), check_hvp(n_hvp)]
     results.extend(check_hvp_symmetry(n_hvp))
     results.append(check_meta_closed_form(5 if scale == "full" else 2))
     results.append(check_quadratic_oracle())

@@ -33,9 +33,23 @@ adjoint of a node read through several slices (a flat parameter vector) as
 one scatter of all the slice adjoints, instead of one zero-padded copy per
 slice added up in turn.
 
+Two fused ops keep the tape short where the models and the meta-gradient
+spend their nodes: affine(h, w, b) is h @ w + b, one node per network layer,
+and add_scaled(a, b, c) is a + c * b, one node per inner SGD step and per
+tanh VJP.  Each computes the same expression as the ops it fuses and builds
+the same adjoints, so values and derivatives of every order are unchanged.
+
+A caller that only reads the values of the gradients passes
+create_graph=False: the sweep is the same, but the adjoints it builds hold
+no parents, and each is dropped once its node is swept, so no adjoint graph
+outlives the sweep and peak memory is that of the forward graph plus a few
+adjoints.
+
 Graphs are throwaway: build, differentiate, read values, drop.  Nothing here
-mutates a node after construction, and node ids increase in creation order,
-which doubles as a topological order for the backward sweep.
+mutates a node after construction, apart from such a sweep cutting the
+parents of the adjoints it has just built, which nothing else holds; node
+ids increase in creation order, which doubles as a topological order for the
+backward sweep.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ class Node:
     uid     creation counter; parent.uid < child.uid always holds
     """
 
-    __slots__ = ("kind", "value", "parents", "meta", "uid")
+    __slots__ = ("kind", "value", "parents", "meta", "uid", "__weakref__")
 
     def __init__(self, kind, value, parents=(), meta=None):
         self.kind = kind
@@ -142,6 +156,16 @@ def scale(a, c):
     return _make("scale", a.value * float(c), (a,), float(c))
 
 
+def add_scaled(a, b, c):
+    """a + c * b for a python scalar c, as one node: add(a, scale(b, c)).
+
+    b has the result's shape and a broadcasts to it (the 0-d one of tanh's
+    1 - n*n, or a parameter vector stepped by its gradient).
+    """
+    c = float(c)
+    return _make("add_scaled", a.value + b.value * c, (a, b), c)
+
+
 def mul(a, b):
     return _make("mul", a.value * b.value, (a, b), a.value.shape != b.value.shape)
 
@@ -155,6 +179,16 @@ def div(a, b):
 
 def matmat(a, b):
     return _make("matmat", a.value @ b.value, (a, b))
+
+
+def affine(h, w, b):
+    """h @ w + b as one node: add(matmat(h, w), b), b broadcast over rows.
+
+    Its parents are (b, h, w): the sweep builds b's adjoint first and then
+    h's and w's, the order it built them in for add and then matmat, so a
+    further backward adds up their contributions in the same order.
+    """
+    return _make("affine", h.value @ w.value + b.value, (b, h, w))
 
 
 def transpose(a):
@@ -275,14 +309,16 @@ def _xent_value(logits, targets):
 
 # ---------------------------------------------------------------------------
 # VJP table: kind -> one builder per parent, each (node, adjoint) -> Node.
-# A builder may return None for "contributes nothing" (relu_mask).
+# A builder may return None for "contributes nothing" (relu_mask).  It
+# returns the adjoint itself or a node built from it, never a node of the
+# forward graph, whose parents a create_graph=False sweep would cut.
 
 # One 0-d constant shared by every tanh VJP.  It is older than any node a
 # caller differentiates with respect to, so the sweep never walks it.
 _ONE = const(1.0)
 
 def _tanh_vjp(n, g):
-    return mul(g, add(_ONE, scale(mul(n, n), -1.0)))
+    return mul(g, add_scaled(_ONE, mul(n, n), -1.0))
 
 
 def _softmax_rows_vjp(n, g):
@@ -309,18 +345,21 @@ class _EachPart:
         return lambda n, g: vslice(g, n.meta[i], n.meta[i] + n.parents[i].value.shape[-1])
 
 
+def _sum_to(d, parent):
+    """Adjoint d summed to the shape of parent, which it may broadcast."""
+    shape = parent.value.shape
+    return d if d.value.shape == shape else asum(d, shape)
+
+
 def _fit(d, n, i):
     """Adjoint d of parent i of the broadcasting op n, summed to its shape."""
-    if n.meta:
-        shape = n.parents[i].value.shape
-        if d.value.shape != shape:
-            return asum(d, shape)
-    return d
+    return _sum_to(d, n.parents[i]) if n.meta else d
 
 
 _VJPS = {
     "add": (lambda n, g: _fit(g, n, 0), lambda n, g: _fit(g, n, 1)),
     "scale": (lambda n, g: scale(g, n.meta),),
+    "add_scaled": (lambda n, g: _sum_to(g, n.parents[0]), lambda n, g: scale(g, n.meta)),
     "mul": (lambda n, g: _fit(mul(g, n.parents[1]), n, 0), lambda n, g: _fit(mul(g, n.parents[0]), n, 1)),
     "div": (
         lambda n, g: _fit(div(g, n.parents[1]), n, 0),
@@ -329,6 +368,11 @@ _VJPS = {
     "matmat": (
         lambda n, g: matmat(g, transpose(n.parents[1])),
         lambda n, g: matmat(transpose(n.parents[0]), g),
+    ),
+    "affine": (
+        lambda n, g: _sum_to(g, n.parents[0]),
+        lambda n, g: matmat(g, transpose(n.parents[2])),
+        lambda n, g: matmat(transpose(n.parents[1]), g),
     ),
     "transpose": (lambda n, g: transpose(g),),
     "reshape": (lambda n, g: reshape(g, n.parents[0].value.shape),),
@@ -345,12 +389,18 @@ _VJPS = {
 }
 
 
-def gradients(output, wrt):
+def gradients(output, wrt, create_graph=True):
     """Adjoints of scalar node `output` with respect to each node in `wrt`.
 
     Returns a list of nodes (not arrays) so the result can itself be
     differentiated.  Nodes in `wrt` that `output` does not depend on get a
     zero constant of the right shape.
+
+    With create_graph=False the sweep is the same and the values are bit for
+    bit the same, but every adjoint it builds (each contribution, and each
+    sum of them) holds no parents, and each is dropped once its node is
+    swept.  The returned nodes then only carry values: a caller that reads
+    .value and differentiates no further keeps no adjoint graph alive.
 
     Deterministic by construction: the sweep visits nodes in descending uid
     order and parents in positional order, so repeated calls on an identical
@@ -392,20 +442,27 @@ def gradients(output, wrt):
     # A node read through vslices (a flat parameter vector, or a stack of
     # them) has the slices' adjoints collected in `parts`, in sweep order,
     # and placed by one scatter when the sweep reaches it; that scatter is
-    # then added to the sum of its other adjoints, if it has any.
+    # then added to the sum of its other adjoints, if it has any.  An
+    # adjoint leaves `adjoint` when its node is swept; those of wrt nodes
+    # are kept in `found`.
     adjoint = {}
     parts = {}
+    found = {}
     if output.uid in active:
         adjoint[output.uid] = const(1.0)
         for node in reversed(order):
             uid = node.uid
-            g = adjoint.get(uid)
+            g = adjoint.pop(uid, None)
             pending = parts.pop(uid, None)
             if pending is not None:
                 placed = scatter(pending[0], pending[1], node.value.shape[-1])
-                g = adjoint[uid] = placed if g is None else add(g, placed)
+                g = placed if g is None else add(g, placed)
+                if not create_graph:
+                    g.parents = ()
             if g is None:
                 continue
+            if uid in wrt_ids:
+                found[uid] = g
             if node.kind == "vslice":
                 parent = node.parents[0]
                 if parent.uid in active:
@@ -423,11 +480,15 @@ def gradients(output, wrt):
                 if contrib is None:
                     continue
                 prev = adjoint.get(parent.uid)
-                adjoint[parent.uid] = contrib if prev is None else add(prev, contrib)
+                if prev is not None:
+                    contrib = add(prev, contrib)
+                if not create_graph:
+                    contrib.parents = ()
+                adjoint[parent.uid] = contrib
 
     out = []
     for w in wrt:
-        node = adjoint.get(w.uid)
+        node = found.get(w.uid)
         if node is None:
             node = const(np.zeros_like(w.value))
         out.append(node)

@@ -56,6 +56,7 @@ from .nn import (
     make_autoencoder_lossfn,
     make_mlp_lossfn,
     mlp_forward,
+    stack_datasets,
 )
 from .tasks import (
     SCOPE_ADAPT_PILOTS,
@@ -438,11 +439,17 @@ def evaluate_bler(p, spec, task, n_blocks, rng):
 
     The batch (messages, then one noise draw) is a generate_autoencoder_batch
     draw, and the logits are the training forward's, autoencoder_logits_node.
-    Ties in the argmax resolve to the lowest message index.
+    Ties in the argmax resolve to the lowest message index.  p may also be a
+    tuple of autoencoders, all scored on the one draw; the result is then the
+    tuple of their rates.
     """
     batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
-    logits = autoencoder_logits_node(graph.const(p.values), spec, batch).value
-    return float(np.mean(np.argmax(logits, axis=1) != batch.messages))
+
+    def rate(q):
+        logits = autoencoder_logits_node(graph.const(q.values), spec, batch).value
+        return float(np.mean(np.argmax(logits, axis=1) != batch.messages))
+
+    return rate(p) if isinstance(p, ParamVector) else tuple(rate(q) for q in p)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +465,14 @@ def _maml_label(config):
 
 
 def _setup(config, seed, family=None):
-    """(task family, meta-training pool, meta-batch stream, initial params, loss).
+    """(task family, meta-training pool, meta-batch stream, initial params,
+    loss, stacker).
 
     The loss is the profile's lossfn(p_node, data), the one every learner
-    and the adaptation trace of the run descend.  `family` replaces the
+    and the adaptation trace of the run descend.  The stacker is meta_train's
+    stack_data: stack_datasets for demod, whose meta-batches run as one task
+    stack, and None for the autoencoder, whose stacked meta-gradient would
+    hold a tape several times larger than one task's.  `family` replaces the
     profile's default task family.
     """
     family = family or TaskFamily(kind=config.profile, snr_db=config.snr_db)
@@ -470,10 +481,10 @@ def _setup(config, seed, family=None):
             family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
         )
         stream = subsample_stream(pool, config.K_meta_batch)
-        return family, pool, stream, init_params(DEMOD_ARCH, seed), make_mlp_lossfn(DEMOD_ARCH)
+        return family, pool, stream, init_params(DEMOD_ARCH, seed), make_mlp_lossfn(DEMOD_ARCH), stack_datasets
     pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
     stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
-    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
+    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN, None
 
 
 def _test_task(family, seed, unit):
@@ -490,31 +501,37 @@ def _ser(config, seed, params, task, device, n):
     return evaluate_ser(params, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
 
 
-def _adaptation(config, seed, task, unit, p, lossfn):
-    """Autoencoder params after t = 0..adapt_iters_max SGD steps on fresh batches."""
+def _adaptation(config, seed, task, unit, starts, lossfn):
+    """Autoencoder params after t = 0..adapt_iters_max SGD steps on fresh batches.
+
+    Each start adapts on the unit's one stream of batches, so all of them
+    step in lockstep on one draw per step; yields the tuple of their params.
+    """
     step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
-    yield p
+    ps = tuple(starts)
+    yield ps
     for _ in range(config.adapt_iters_max):
         batch = generate_autoencoder_batch(task, config.n_train_blocks, step_rng, _AE_SPEC)
-        p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, config.eta_inner)
-        yield p
+        ps = tuple(sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, config.eta_inner) for p in ps)
+        yield ps
 
 
 def _bler(config, seed, params, task, unit, t):
+    """BLERs of a tuple of params, on the unit's one evaluation draw at t."""
     rng = rng_for(seed, SCOPE_EVAL, unit, t)
     return evaluate_bler(params, _AE_SPEC, task, config.n_eval_symbols_or_blocks, rng)
 
 
 def _pilot_seed_records(config, seed):
     """All raw SER measurements for one seed of the pilot sweep."""
-    family, pool, stream, init, lossfn = _setup(config, seed)
+    family, pool, stream, init, lossfn, stack_data = _setup(config, seed)
     tc = config.train_config(seed)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
     tc_base = replace(tc, outer_iters=config.baseline_iters)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, stack_data=stack_data).params
     joint = train_joint(pool, tc_base, init=init)
     tasks = [_test_task(family, seed, device) for device in range(config.n_meta_test_tasks)]
     pilots = {
@@ -541,21 +558,19 @@ def _pilot_seed_records(config, seed):
 
 def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
-    family, _, stream, init, lossfn = _setup(config, seed)
-    theta = meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn).params
+    family, _, stream, init, lossfn, stack_data = _setup(config, seed)
+    theta = meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn, stack_data=stack_data).params
 
-    label = _maml_label(config)
+    methods = (_maml_label(config), "conventional")
     records = []
     for unit in range(config.n_meta_test_tasks):
         task = _test_task(family, seed, unit)
-        starts = (
-            (label, theta),
-            ("conventional", init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit))),
-        )
-        for method, start in starts:
-            for t, p in enumerate(_adaptation(config, seed, task, unit, start, lossfn)):
-                bler = _bler(config, seed, p, task, unit, t)
-                records.append(SweepRecord(seed, unit, float(t), method, "bler", bler))
+        starts = (theta, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit)))
+        # both starts adapt and are scored on the same draws, in lockstep
+        trajectory = _adaptation(config, seed, task, unit, starts, lossfn)
+        blers = [_bler(config, seed, ps, task, unit, t) for t, ps in enumerate(trajectory)]
+        for method, curve in zip(methods, zip(*blers)):
+            records.extend(SweepRecord(seed, unit, float(t), method, "bler", b) for t, b in enumerate(curve))
     return records
 
 
@@ -626,9 +641,9 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
         meta_test_pilots=32,
         n_meta_test_tasks=n_devices,
     )
-    family, pool, stream, init, lossfn = _setup(config, seed, phase_rotation_family(snr_db))
+    family, pool, stream, init, lossfn, stack_data = _setup(config, seed, phase_rotation_family(snr_db))
     tc = config.train_config(seed)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, stack_data=stack_data).params
     joint = train_joint(pool, replace(tc, outer_iters=config.baseline_iters), init=init)
     joint_ser, maml_ser = [], []
     for device in range(n_devices):
@@ -647,8 +662,8 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
 def run_meta_train(config, seed=None):
     """Meta-train one initialization per the config's profile."""
     seed = config.seed if seed is None else seed
-    _, _, stream, init, lossfn = _setup(config, seed)
-    return meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn)
+    _, _, stream, init, lossfn, stack_data = _setup(config, seed)
+    return meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn, stack_data=stack_data)
 
 
 def evaluate_params(config, params, seed=None):
@@ -674,8 +689,9 @@ def evaluate_params(config, params, seed=None):
             adapted = maml_adapt(params, pilots, config.eta_inner, config.m, lossfn=lossfn)
             values.append(_ser(config, seed, adapted, task, unit, n))
         else:
-            *_, adapted = _adaptation(config, seed, task, unit, params, lossfn)
-            values.append(_bler(config, seed, adapted, task, unit, 0))
+            *_, adapted = _adaptation(config, seed, task, unit, (params,), lossfn)
+            (bler,) = _bler(config, seed, adapted, task, unit, 0)
+            values.append(bler)
     return ("ser" if config.profile == "demod" else "bler"), values
 
 
@@ -693,6 +709,7 @@ def load_params(path):
         with np.load(path, allow_pickle=False) as data:
             values = data["values"]
             arch = tuple((int(fi), int(fo), str(act)) for fi, fo, act in json.loads(str(data["arch"])))
-    except (OSError, KeyError, ValueError) as err:
+    except (OSError, KeyError, ValueError, TypeError) as err:
+        # TypeError: an arch entry that is not a (fan_in, fan_out, act) triple of scalars
         raise ConfigurationError(f"cannot load parameters '{path}': {err}") from err
     return ParamVector(values, arch)

@@ -21,10 +21,13 @@ The two baselines run all their tasks in one graph per step, on a task axis
 (see graph): train_joint broadcasts its shared parameters to one row per task
 and descends on the mean of the per-task loss vector, and train_conventional
 trains a stack of per-device models, one row each, on the sum of their
-losses, so each row gets its own gradient and keeps its own guard.  Each row
-of a stack computes bit for bit what it computes alone.  Meta-training,
-adaptation and evaluation stay per task: a stacked exact meta-gradient needs
-more peak memory than the per-task loop.
+losses, so each row gets its own gradient and keeps its own guard.
+meta_train, given stack_data, runs each meta-batch as one (K, P) stack too:
+row k of the stacked meta-gradient, exact or first-order, is task k's.  Each
+row of a stack computes bit for bit what it computes alone.  Without
+stack_data (the autoencoder, whose stacked tape would be several times
+larger), and to name the task after a stack raises, meta-training loops over
+the tasks; adaptation and evaluation stay per task.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def train_conventional(tasks, config, *, datasets, init):
             try:
                 p = graph.inp(stack)
                 losses = lossfn(p, data)
-                (g,) = graph.gradients(graph.asum(losses), [p])
+                (g,) = graph.gradients(graph.asum(losses), [p], create_graph=False)
             except NumericalError:
                 if len(rows) > 1:
                     raise _StackDiverged(rows) from None
@@ -228,7 +231,7 @@ def train_joint(meta_batch, config, *, init):
         theta = graph.inp(params.values)
         per_task = lossfn(graph.bcast(theta, (n_tasks, len(params))), data)
         total = graph.scale(graph.asum(per_task), 1.0 / n_tasks)
-        (g,) = graph.gradients(total, [theta])
+        (g,) = graph.gradients(total, [theta], create_graph=False)
         return float(total.value), g.value
 
     return _guarded_descent(value_grad, init, config.eta_inner, config.outer_iters, "joint training")
@@ -249,21 +252,42 @@ def maml_adapt(theta, d_tr, eta, m, *, lossfn):
     return p
 
 
-def _per_task_meta_grad(theta, item, config, lossfn):
+def _meta_grad(theta, d_tr, d_te, config, lossfn):
+    """Meta-loss and meta-gradient of one task, or per row of a (K, P) stack."""
     if config.first_order:
-        phi = maml_adapt(theta, item.train, config.eta_inner, config.m, lossfn=lossfn)
-        r = eval_with_gradient(lossfn, phi, item.test)
+        phi = maml_adapt(theta, d_tr, config.eta_inner, config.m, lossfn=lossfn)
+        r = eval_with_gradient(lossfn, phi, d_te)
         return r.value, r.gradient
-    return unrolled_meta_gradient(lossfn, lossfn, theta, config.eta_inner, config.m, item.train, item.test)
+    return unrolled_meta_gradient(lossfn, lossfn, theta, config.eta_inner, config.m, d_tr, d_te)
 
 
-def _meta_value_grad(theta, meta_batch, config, lossfn):
-    """Meta-loss and meta-gradient averaged over the batch's tasks."""
+def _meta_value_grad(theta, meta_batch, config, lossfn, stack_data=None):
+    """Meta-loss and meta-gradient averaged over the batch's tasks.
+
+    With stack_data, the K tasks run as one (K, P) stack, row k task k;
+    without it, or if the stack raises, task by task, so that the error
+    names the first task that diverges alone.
+    """
+    items = meta_batch.items
+    if stack_data is not None:
+        flat = theta.values if isinstance(theta, ParamVector) else theta
+        try:
+            losses, grads = _meta_grad(
+                np.tile(flat, (len(items), 1)),
+                stack_data([item.train for item in items]),
+                stack_data([item.test for item in items]),
+                config,
+                lossfn,
+            )
+        except NumericalError:
+            pass  # rerun task by task below, to name the task that diverges
+        else:
+            return float(np.mean(losses)), np.mean(grads, axis=0)
     losses = []
     grads = []
-    for item in meta_batch.items:
+    for item in items:
         try:
-            loss, grad = _per_task_meta_grad(theta, item, config, lossfn)
+            loss, grad = _meta_grad(theta, item.train, item.test, config, lossfn)
         except NumericalError as err:
             raise NumericalError(f"task {item.task.id}: {err}", op_kind=err.op_kind) from err
         losses.append(loss)
@@ -271,7 +295,7 @@ def _meta_value_grad(theta, meta_batch, config, lossfn):
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 
-def meta_train(task_stream, config, *, init, lossfn):
+def meta_train(task_stream, config, *, init, lossfn, stack_data=None):
     """Full meta-training loop over a stream of meta-batches, from init.
 
     task_stream is a callable rng -> MetaBatch; it is drawn once per outer
@@ -284,6 +308,13 @@ def meta_train(task_stream, config, *, init, lossfn):
     config.first_order the plain test-loss gradient at the adapted
     parameters.  Returns the learned initialization and the meta-loss
     history [(iteration, loss at the point stepped from), ...].
+
+    stack_data, if given, maps the train (or test) data of a meta-batch's
+    tasks, in task order, to one data object on which lossfn of a (K, P)
+    parameter stack is the (K,) vector of per-task losses (nn.stack_datasets
+    for the MLP loss).  Each meta-batch then runs as one stack, with the same
+    result bit for bit; the per-task loop remains for losses that do not
+    stack, and reruns a stack that raised, so the error names its task.
     """
     rng = rng_for(config.seed, SCOPE_META_STREAM)
     theta = init
@@ -292,7 +323,7 @@ def meta_train(task_stream, config, *, init, lossfn):
     for it in range(config.outer_iters):
         batch = task_stream(rng)
         theta, loss, grad = _guarded_step(
-            lambda q: _meta_value_grad(q, batch, config, lossfn),
+            lambda q: _meta_value_grad(q, batch, config, lossfn, stack_data),
             theta, prev, config.eta_outer, "meta-training", it,
         )
         history.append((it, loss))

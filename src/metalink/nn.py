@@ -188,7 +188,7 @@ def mlp_logits_node(p_node, arch, x):
         if lead:  # one bias row per task, broadcast over that task's samples
             b = graph.reshape(b, lead + (1, fan_out))
         offset += fan_out
-        h = _activate(graph.add(graph.matmat(h, w), b), act)
+        h = _activate(graph.affine(h, w, b), act)
     if offset != p_node.value.shape[-1]:
         raise ConfigurationError(
             f"architecture consumes {offset} parameters, vector has {p_node.value.shape[-1]}"
@@ -303,10 +303,7 @@ def autoencoder_logits_node(p_node, spec, batch):
         raise ConfigurationError("cannot evaluate the autoencoder on an empty batch")
     encoded = mlp_logits_node(graph.vslice(p_node, 0, n_enc), spec.enc_arch, np.eye(spec.n_messages)[messages])
     coded = power_normalize_node(encoded, spec.n_uses)
-    received = graph.add(
-        graph.matmat(coded, graph.const(batch.channel_matrix.T)),
-        graph.const(batch.noise),
-    )
+    received = graph.affine(coded, graph.const(batch.channel_matrix.T), graph.const(batch.noise))
     return mlp_logits_node(graph.vslice(p_node, n_enc, n_total), spec.dec_arch, received)
 
 

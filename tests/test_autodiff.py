@@ -15,7 +15,7 @@ from metalink import graph
 from metalink.autodiff import eval_with_gradient, hvp, unrolled_meta_gradient
 from metalink.checks import dense_hessian, fd_gradient, fd_hvp, relative_error
 from metalink.errors import NumericalError
-from metalink.nn import Dataset, init_params, make_mlp_lossfn, mlp_arch
+from metalink.nn import Dataset, init_params, make_mlp_lossfn, mlp_arch, stack_datasets
 
 
 def _square(p_node, _data):
@@ -76,8 +76,31 @@ def test_eval_with_gradient_accepts_param_vector_and_array():
 
 
 def test_eval_with_gradient_rejects_matrix_parameters():
+    # a (T, P) matrix is a stack of T parameter rows, and needs a (T,) loss
     with pytest.raises(ValueError):
         eval_with_gradient(_square, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        eval_with_gradient(_square, np.zeros((2, 2, 2)))
+
+
+def test_entry_points_on_a_stack_give_each_row_its_own_result():
+    instances = [_mlp_instance(seed) for seed in (20, 21, 22)]
+    lossfn = instances[0][0]
+    stack = np.stack([p.values for _, p, _ in instances])
+    data = stack_datasets(d for _, _, d in instances)
+    te = stack_datasets(_mlp_instance(seed)[2] for seed in (23, 24, 25))
+    v = np.random.default_rng(26).standard_normal(stack.shape)
+    r = eval_with_gradient(lossfn, stack, data)
+    hv = hvp(lossfn, stack, v, data)
+    losses, grads = unrolled_meta_gradient(lossfn, lossfn, stack, 0.1, 2, data, te)
+    for t, (_, p, d) in enumerate(instances):
+        alone = eval_with_gradient(lossfn, p, d)
+        assert r.value[t] == alone.value
+        assert np.array_equal(r.gradient[t], alone.gradient)
+        assert np.array_equal(hv[t], hvp(lossfn, p, v[t], d))
+        loss, grad = unrolled_meta_gradient(lossfn, lossfn, p, 0.1, 2, d, _mlp_instance(23 + t)[2])
+        assert losses[t] == loss
+        assert np.array_equal(grads[t], grad)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from metalink.checks import (
     check_hvp,
     check_meta_closed_form,
     check_quadratic_oracle,
+    check_stacked_meta_gradient,
     dense_hessian,
     fd_gradient,
     fd_hvp,
@@ -53,7 +54,7 @@ def test_small_gradcheck_passes_quickly():
     report = run_gradcheck("small")
     assert report.passed
     assert report.seconds < 10.0
-    assert len(report.results) == 9
+    assert len(report.results) == 10
     text = report.format()
     assert "all checks passed" in text
     for fragment in (
@@ -92,3 +93,14 @@ def test_corrupted_meta_gradient_is_caught():
 
     assert check_meta_closed_form(1, meta_fn=skewed).passed is False
     assert check_meta_closed_form(1).passed
+
+
+def test_stacked_meta_gradient_row_off_by_one_ulp_is_caught():
+    def nudged(f_tr, f_te, theta, eta, m, d_tr, d_te):
+        losses, grads = unrolled_meta_gradient(f_tr, f_te, theta, eta, m, d_tr, d_te)
+        grads = grads.copy()
+        grads[-1, 0] = np.nextafter(grads[-1, 0], np.inf)
+        return losses, grads
+
+    assert check_stacked_meta_gradient(meta_fn=nudged).passed is False
+    assert check_stacked_meta_gradient().passed

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,9 @@ def test_gradcheck_failure_exits_three(monkeypatch, capsys):
 
 
 def test_configuration_errors_exit_one(tmp_path, capsys):
+    # parameter files whose arch is not a list of (fan_in, fan_out, act) triples
+    for name, arch in (("flat", "[1, 2]"), ("null", '[[null, 2, "tanh"]]')):
+        np.savez(tmp_path / f"{name}.npz", values=np.zeros(3), arch=np.array(arch))
     for argv in (
         ["gradcheck", "--bogus"],
         ["sweep-pilots", "--config", str(tmp_path / "missing.cfg")],
@@ -79,6 +83,8 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
         [],
         ["meta-train", "--config", _write_tiny_demod(tmp_path / "t.cfg", seeds="0"), "--out", "a\x00b"],
         ["sweep-pilots", "--config", str(tmp_path / "t.cfg"), "--out", "a\x00b"],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "flat.npz")],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "null.npz")],
     ):
         assert cli.main(argv) == cli.EXIT_CONFIG, argv
         assert "config error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ nodes, so they can be differentiated again)."""
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -43,10 +44,21 @@ def _contract(node, seed):
 _OP_CASES = [
     ("add", np.arange(1.0, 7.0), lambda p: graph.add(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("scale", np.arange(1.0, 5.0), lambda p: graph.scale(p, -2.5)),
+    ("add_scaled", np.arange(1.0, 7.0), lambda p: graph.add_scaled(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6), -0.7)),
+    ("add_scaled_bcast", np.arange(1.0, 5.0), lambda p: graph.add_scaled(
+        graph.asum(graph.vslice(p, 0, 1)), graph.reshape(graph.vslice(p, 1, 4), (3, 1)), 1.5)),
     ("mul", np.arange(1.0, 7.0), lambda p: graph.mul(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("div", np.arange(2.0, 8.0), lambda p: graph.div(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
     ("smul", np.arange(1.0, 6.0), lambda p: graph.mul(graph.asum(graph.vslice(p, 0, 1)), graph.vslice(p, 1, 5))),
     ("matmat", np.arange(1.0, 13.0), lambda p: graph.matmat(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.reshape(graph.vslice(p, 6, 12), (3, 2)))),
+    ("affine", np.arange(1.0, 15.0) / 4.0, lambda p: graph.affine(
+        graph.reshape(graph.vslice(p, 0, 6), (2, 3)),
+        graph.reshape(graph.vslice(p, 6, 12), (3, 2)),
+        graph.vslice(p, 12, 14))),
+    ("affine_stack", np.arange(1.0, 27.0) / 8.0, lambda p: graph.affine(
+        graph.reshape(graph.vslice(p, 0, 8), (2, 2, 2)),
+        graph.reshape(graph.vslice(p, 8, 20), (2, 2, 3)),
+        graph.reshape(graph.vslice(p, 20, 26), (2, 1, 3)))),
     ("transpose", np.arange(1.0, 7.0), lambda p: graph.transpose(graph.reshape(p, (2, 3)))),
     ("reshape", np.arange(1.0, 7.0), lambda p: graph.reshape(p, (3, 2))),
     ("vslice", np.arange(1.0, 8.0), lambda p: graph.vslice(p, 2, 5)),
@@ -347,9 +359,11 @@ def test_exempt_ops_map_finite_extremes_to_finite_values(x):
 # ---------------------------------------------------------------------------
 # the pruned backward sweep against the full-ancestry reference
 
-def _full_ancestry_gradients(output, wrt):
+def _full_ancestry_gradients(output, wrt, create_graph=True):
     """The sweep as first written: walk the whole ancestry of `output`, mark
-    active nodes in uid order, then visit every ancestor in reverse."""
+    active nodes in uid order, then visit every ancestor in reverse.  It
+    always builds the adjoint graph; callers that pass create_graph=False
+    read only its values."""
     if np.ndim(output.value) != 0:
         raise ValueError("gradients() needs a scalar output node")
     seen = {}
@@ -415,7 +429,7 @@ def test_pruned_sweep_is_bit_identical_on_unrolled_meta_gradient(m, monkeypatch)
     phis = [graph.inp(theta)]
     for _ in range(m):
         (g,) = graph.gradients(lossfn(phis[-1], split.train), [phis[-1]])
-        phis.append(graph.add(phis[-1], graph.scale(g, -0.1)))
+        phis.append(graph.add_scaled(phis[-1], g, -0.1))
     meta_loss = lossfn(phis[-1], split.test)
     _assert_same_adjoints(meta_loss, phis)
     for phi in phis:
@@ -446,6 +460,112 @@ def test_pruned_sweep_is_bit_identical_on_joint_loss():
     (g,) = graph.gradients(total, [p])
     v = graph.const(np.random.default_rng(11).standard_normal(theta.shape))
     _assert_same_adjoints(graph.asum(graph.mul(g, v)), [p])
+
+
+# ---------------------------------------------------------------------------
+# the values-only sweep
+
+
+def _unrolled_objective(m, n_tasks=None):
+    """An m-step unrolled meta-loss on demod data and its theta: the deepest
+    graph the models build.  With n_tasks, a stack of that many tasks."""
+    lossfn, theta, split = _demod_problem(m)
+    train, test = split.train, split.test
+    if n_tasks:
+        splits = [_demod_problem(m + 10 * t)[2] for t in range(n_tasks)]
+        theta = np.tile(theta, (n_tasks, 1))
+        train = stack_datasets(s.train for s in splits)
+        test = stack_datasets(s.test for s in splits)
+    t = graph.inp(theta)
+    phi = t
+    for _ in range(m):
+        (g,) = graph.gradients(graph.asum(lossfn(phi, train)), [phi])
+        phi = graph.add_scaled(phi, g, -0.1)
+    return graph.asum(lossfn(phi, test)), t, phi
+
+
+@pytest.mark.parametrize("m,n_tasks", [(1, None), (3, None), (2, 3)])
+def test_values_only_sweep_equals_the_node_sweep(m, n_tasks):
+    meta_loss, theta, phi = _unrolled_objective(m, n_tasks)
+    kept = graph.gradients(meta_loss, [theta, phi])
+    bare = graph.gradients(meta_loss, [theta, phi], create_graph=False)
+    for got, want in zip(bare, kept, strict=True):
+        assert np.array_equal(got.value, want.value)
+        assert got.parents == ()
+    assert kept[0].parents  # the node sweep's gradient can be differentiated
+
+
+def test_values_only_sweep_drops_each_adjoint_once_its_node_is_swept(monkeypatch):
+    # Spy on the adjoints that reach tanh nodes.  When the sweep reaches a
+    # tanh node, the adjoint of the tanh node swept before it must be gone;
+    # the node sweep, which keeps the adjoint graph, keeps it alive.
+    meta_loss, theta, _ = _unrolled_objective(2)
+    (vjp,) = graph._VJPS["tanh"]
+    refs = []
+    alive = []
+
+    def spy(n, g):
+        if refs:
+            alive.append(refs[-1]() is not None)
+        refs.append(weakref.ref(g))
+        return vjp(n, g)
+
+    monkeypatch.setitem(graph._VJPS, "tanh", (spy,))
+    (bare,) = graph.gradients(meta_loss, [theta], create_graph=False)
+    assert len(refs) >= 4 and not any(alive)
+    assert all(ref() is None for ref in refs)
+
+    refs.clear()
+    alive.clear()
+    (kept,) = graph.gradients(meta_loss, [theta])
+    assert all(alive) and all(ref() is not None for ref in refs)
+    assert np.array_equal(bare.value, kept.value)
+
+
+# ---------------------------------------------------------------------------
+# the fused ops build the graphs of the ops they fuse
+
+
+def _unfused_mlp_loss(arch):
+    """make_mlp_lossfn(arch) built from add(matmat(h, w), b), on one task."""
+
+    def lossfn(p, data):
+        h = graph.const(data.inputs)
+        offset = 0
+        for fan_in, fan_out, act in arch:
+            w = graph.reshape(graph.vslice(p, offset, offset + fan_in * fan_out), (fan_in, fan_out))
+            offset += fan_in * fan_out
+            b = graph.vslice(p, offset, offset + fan_out)
+            offset += fan_out
+            h = graph.add(graph.matmat(h, w), b)
+            h = graph.tanh(h) if act == "tanh" else h
+        return graph.softmax_xent(h, data.targets)
+
+    return lossfn
+
+
+def _unfused_tanh_vjp(n, g):
+    return graph.mul(g, graph.add(graph._ONE, graph.scale(graph.mul(n, n), -1.0)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_fused_ops_give_the_unfused_meta_gradient_bit_for_bit(m, monkeypatch):
+    # affine for add(matmat), add_scaled for add(scale) in the inner step and
+    # in the tanh VJP: the same values, and adjoints built in the same order,
+    # so second-order sums are added up in the same order too
+    lossfn, theta, split = _demod_problem(m)
+    fused = autodiff.unrolled_meta_gradient(lossfn, lossfn, theta, 0.1, m, split.train, split.test)
+
+    monkeypatch.setitem(graph._VJPS, "tanh", (_unfused_tanh_vjp,))
+    unfused_loss = _unfused_mlp_loss(DEMOD_ARCH)
+    phi = t = graph.inp(theta)
+    for _ in range(m):
+        (g,) = graph.gradients(unfused_loss(phi, split.train), [phi])
+        phi = graph.add(phi, graph.scale(g, -0.1))
+    meta_loss = unfused_loss(phi, split.test)
+    (grad,) = graph.gradients(meta_loss, [t])
+    assert fused[0] == float(meta_loss.value)
+    assert np.array_equal(fused[1], grad.value)
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,14 @@ from metalink.nn import (
 )
 from metalink.channel import ChannelRealization
 from metalink.tasks import (
+    SCOPE_ADAPT_STEPS,
+    SCOPE_EVAL,
+    SCOPE_TASK,
     Task,
     TaskFamily,
     generate_autoencoder_batch,
     make_pilot_dataset,
+    rng_for,
     sample_task,
 )
 
@@ -429,6 +433,42 @@ def test_adaptation_sweep_structure_and_determinism():
         run_adaptation_sweep(_tiny_demod_config())
 
 
+def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
+    # Both starts adapt on the unit's one step stream and are scored on its
+    # one evaluation stream, so each step and each t draws one batch.
+    cfg = _tiny_ae_config()
+    sizes = []
+    draw = harness.generate_autoencoder_batch
+
+    def counted(task, n_blocks, rng, spec=None):
+        sizes.append(n_blocks)
+        return draw(task, n_blocks, rng, spec)
+
+    monkeypatch.setattr(harness, "generate_autoencoder_batch", counted)
+    result = run_adaptation_sweep(cfg)
+    steps = cfg.adapt_iters_max
+    assert sizes.count(cfg.n_train_blocks) == cfg.n_meta_test_tasks * steps
+    assert sizes.count(cfg.n_eval_symbols_or_blocks) == cfg.n_meta_test_tasks * (steps + 1)
+
+    # the conventional curve of unit 1, adapted and scored alone
+    seed, unit = 0, 1
+    spec = AutoencoderSpec()
+    lossfn = make_autoencoder_lossfn(spec)
+    family = TaskFamily(kind="autoencoder", snr_db=cfg.snr_db)
+    task = family.sample(rng_for(seed, harness.SCOPE_TEST_TASK, unit), task_id=unit)
+    p = init_autoencoder_params(spec, rng_for(seed, SCOPE_TASK, unit))
+    step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
+    for t in range(steps + 1):
+        want = evaluate_bler(p, spec, task, cfg.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t))
+        got = [r.value for r in result.records if (r.unit, r.method, r.sweep_value) == (unit, "conventional", t)]
+        assert got == [want]
+        batch = draw(task, cfg.n_train_blocks, step_rng, spec)
+        p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, cfg.eta_inner)
+    # records keep their order: per unit, the maml curve, then the conventional one
+    first_unit = [r.method for r in result.records[: 2 * (steps + 1)]]
+    assert first_unit == ["maml"] * (steps + 1) + ["conventional"] * (steps + 1)
+
+
 # ---------------------------------------------------------------------------
 # single-run entry points
 
@@ -455,7 +495,7 @@ def test_evaluate_params_is_the_sweeps_maml_point():
 def test_pilot_sweep_conventional_records_are_each_device_trained_alone():
     cfg = _tiny_demod_config(seeds=(4,), seed=4)
     records = run_pilot_sweep(cfg).records
-    family, _, _, init, _ = harness._setup(cfg, 4)
+    family, _, _, init, *_ = harness._setup(cfg, 4)
     tc = replace(cfg.train_config(4), outer_iters=cfg.baseline_iters)
     for r in records:
         if r.method == "conventional":

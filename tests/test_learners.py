@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metalink import graph, learners
 from metalink.autodiff import eval_with_gradient
@@ -28,6 +30,7 @@ from metalink.nn import (
     make_mlp_lossfn,
     mlp_arch,
     param_count,
+    stack_datasets,
 )
 from metalink.tasks import (
     SCOPE_PILOTS_TRAIN,
@@ -203,7 +206,7 @@ def test_conventional_stack_equals_stacks_of_one(n_pilots):
 @pytest.mark.parametrize("huge", [[1], [1, 2]])
 def test_conventional_divergence_names_the_device_in_a_stack(huge):
     # First-layer weights of 1e9 saturate tanh on ordinary pilots, but inputs
-    # of 1e300 overflow in that layer's matmat.  The stacked step raises, the
+    # of 1e300 overflow in that layer's affine op.  The stacked step raises, the
     # stack's tasks train alone, and the error names the first diverging
     # device's task and carries the failing op.
     tasks, pilots = _devices(4, 4, 58)
@@ -215,8 +218,8 @@ def test_conventional_divergence_names_the_device_in_a_stack(huge):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=f"^task {tasks[huge[0]].id}: ") as exc:
             train_conventional(tasks, cfg, datasets=pilots, init=init)
-    assert exc.value.op_kind == "matmat"
-    assert "'matmat'" in str(exc.value)
+    assert exc.value.op_kind == "affine"
+    assert "'affine'" in str(exc.value)
     assert isinstance(exc.value.__cause__, NumericalError)
 
 
@@ -301,7 +304,7 @@ def test_joint_duplicate_tasks_change_nothing(copies):
 
 
 def test_joint_divergence_at_the_initial_point_names_the_op():
-    # pilots of 1e300 overflow in the first layer's matmat of the stacked
+    # pilots of 1e300 overflow in the first layer's affine op of the stacked
     # step, under first-layer weights of 1e9 as in the conventional test
     pool = demod_task_pool(TaskFamily(), 3, 4, 4, seed=61)
     items = list(pool.items)
@@ -313,7 +316,7 @@ def test_joint_divergence_at_the_initial_point_names_the_op():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="^joint training: loss diverged at the initial point: ") as exc:
             train_joint(MetaBatch("demod", tuple(items)), cfg, init=init)
-    assert exc.value.op_kind == "matmat"
+    assert exc.value.op_kind == "affine"
     assert isinstance(exc.value.__cause__, NumericalError)
 
 
@@ -415,6 +418,81 @@ def test_meta_step_reports_failing_task():
     assert exc.value.op_kind == "mul"
     assert isinstance(exc.value.__cause__, NumericalError)
     assert exc.value.__cause__.op_kind == "mul"
+
+
+# ---------------------------------------------------------------------------
+# the stacked meta-batch
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, first_order, seed):
+    pool = demod_task_pool(TaskFamily(), k, 4, 8, seed=seed)
+    arch = mlp_arch((2, 8, 16))
+    lossfn = make_mlp_lossfn(arch)
+    theta = init_params(arch, seed)
+    cfg = TrainConfig(eta_inner=0.3, m=m, first_order=first_order)
+    losses, grads = learners._meta_grad(
+        np.tile(theta.values, (k, 1)),
+        stack_datasets(item.train for item in pool.items),
+        stack_datasets(item.test for item in pool.items),
+        cfg,
+        lossfn,
+    )
+    assert losses.shape == (k,) and grads.shape == (k, len(theta))
+    for row, item in enumerate(pool.items):
+        loss, grad = learners._meta_grad(theta, item.train, item.test, cfg, lossfn)
+        assert losses[row] == loss
+        assert np.array_equal(grads[row], grad)
+    stacked = learners._meta_value_grad(theta, pool, cfg, lossfn, stack_datasets)
+    looped = learners._meta_value_grad(theta, pool, cfg, lossfn)
+    assert stacked[0] == looped[0]
+    assert np.array_equal(stacked[1], looped[1])
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_meta_train_on_stacks_equals_the_per_task_loop(first_order):
+    pool = demod_task_pool(TaskFamily(), 12, 4, 16, seed=62)
+    cfg = TrainConfig(m=2, outer_iters=4, first_order=first_order, seed=3)
+    init = init_params(DEMOD_ARCH, 14)
+    looped = meta_train(subsample_stream(pool, 5), cfg, init=init, lossfn=DEMOD_LOSS)
+    stacked = meta_train(
+        subsample_stream(pool, 5), cfg, init=init, lossfn=DEMOD_LOSS, stack_data=stack_datasets
+    )
+    assert np.array_equal(stacked.params.values, looped.params.values)
+    assert stacked.history == looped.history
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatch):
+    # Task 2's pilots are scaled to 1e200: its relu net survives the first
+    # inner step, but the step's size overflows the next forward.  The stack
+    # raises, and the per-task rerun names task 2 and the failing op.
+    pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=61)
+    items = list(pool.items)
+
+    def huge(d):
+        return Dataset(d.inputs * 1e200, d.targets, d.n_classes)
+
+    items[2] = TaskSplit(items[2].task, huge(items[2].train), huge(items[2].test))
+    arch = mlp_arch((2, 8, 16), hidden="relu")
+    shapes = []  # the parameter shape of each autodiff call
+    for name, index in (("unrolled_meta_gradient", 2), ("eval_with_gradient", 1)):
+        def spy(*args, orig=getattr(learners, name), index=index):
+            shapes.append(np.shape(getattr(args[index], "values", args[index])))
+            return orig(*args)
+
+        monkeypatch.setattr(learners, name, spy)
+    cfg = TrainConfig(m=2, outer_iters=1, first_order=first_order)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
+        meta_train(
+            lambda rng: MetaBatch("demod", tuple(items)), cfg,
+            init=init_params(arch, 1), lossfn=make_mlp_lossfn(arch), stack_data=stack_datasets,
+        )
+    assert "'affine'" in str(exc.value)
+    assert exc.value.op_kind == "affine"
+    assert shapes[0] == (4, param_count(arch))  # the stack ran first
+    assert (param_count(arch),) in shapes  # then the tasks alone
 
 
 # ---------------------------------------------------------------------------
