@@ -93,6 +93,8 @@ class CurveRow:
     n_seeds: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sweep_value, self.mean, self.std))):
+            raise ConfigurationError("sweep value, mean and std must be finite")
         if self.method not in METHOD_LABELS:
             raise ConfigurationError(f"unknown method label '{self.method}'")
         if self.metric not in METRIC_LABELS:
@@ -709,7 +711,12 @@ def load_params(path):
         with np.load(path, allow_pickle=False) as data:
             values = data["values"]
             arch = tuple((int(fi), int(fo), str(act)) for fi, fo, act in json.loads(str(data["arch"])))
-    except (OSError, KeyError, ValueError, TypeError) as err:
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"values must be real numbers, got dtype {values.dtype}")
+        params = ParamVector(values, arch)
+        if not np.isfinite(params.values).all():
+            raise ValueError("values must be finite")
+    except (OSError, KeyError, ValueError, TypeError, ConfigurationError) as err:
         # TypeError: an arch entry that is not a (fan_in, fan_out, act) triple of scalars
         raise ConfigurationError(f"cannot load parameters '{path}': {err}") from err
-    return ParamVector(values, arch)
+    return params

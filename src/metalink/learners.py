@@ -17,22 +17,27 @@ Conventions shared by every loop here:
   choose a loss, so a closed-form objective (a quadratic with a known
   minimum) is just another lossfn, with no wrapper type for its data.
 
-The two baselines run all their tasks in one graph per step, on a task axis
-(see graph): train_joint broadcasts its shared parameters to one row per task
-and descends on the mean of the per-task loss vector, and train_conventional
-trains a stack of per-device models, one row each, on the sum of their
-losses, so each row gets its own gradient and keeps its own guard.
-meta_train, given stack_data, runs each meta-batch as one (K, P) stack too:
-row k of the stacked meta-gradient, exact or first-order, is task k's.  Each
-row of a stack computes bit for bit what it computes alone.  Without
-stack_data (the autoencoder, whose stacked tape would be several times
-larger), and to name the task after a stack raises, meta-training loops over
+The baselines and meta-training run their tasks in one graph per step, on a
+task axis (see graph), and each row of a stack computes bit for bit what it
+computes alone.  train_conventional is adaptation from a random start: it is
+maml_adapt of a (T, P) stack tiled from init, one row per device.
+train_joint broadcasts its shared parameters to one row per task and
+descends on the mean of the per-task loss vector.  meta_train, given
+stack_data, runs each meta-batch as one (K, P) stack: row k of the stacked
+meta-gradient, exact or first-order, is task k's.  Without stack_data (the
+autoencoder, whose stacked tape would be several times larger) it loops over
 the tasks; adaptation and evaluation stay per task.
+
+One rule covers divergence in a stack: a task stack has no guard of its own,
+and if it diverges (an op raises, or a conventional row's loss passes the
+ceiling) its tasks rerun alone.  Conventional tasks rerun each under its own
+guard, named "task <id>"; a meta-batch's tasks rerun one by one inside the
+batch's meta-loss, so the error that meta-training's guard sees names the
+first task that diverges.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,29 +145,25 @@ def _guarded_descent(value_grad, p, eta, n_iters, what):
     return p
 
 
-class _StackDiverged(Exception):
-    """A stacked step diverged in `rows` (every row, when the step raised)."""
+def _value_grad(lossfn, data):
+    """p -> (loss, gradient) of lossfn(., data): what the guarded descent steps on."""
 
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.rows = rows
+    def value_grad(p):
+        r = eval_with_gradient(lossfn, p, data)
+        return r.value, r.gradient
+
+    return value_grad
 
 
 def train_conventional(tasks, config, *, datasets, init):
     """Train one demodulator per task from init, each on its own pilot dataset.
 
-    Runs config.outer_iters full-batch steps at rate config.eta_inner for all
-    tasks at once: row t of a (T, P) parameter stack is task t's model, and
-    the gradient of the summed losses holds task t's own gradient at row t.
-    Returns the trained parameters, one ParamVector per task, each bit for
-    bit what training that task alone gives.
-
-    Each task keeps its own divergence guard.  If a stacked step raises, or
-    a task's loss is above LOSS_CEILING, the stack stops; its failing tasks
-    (all of them, if the step raised) then train alone through the same
-    code, a stack of one, where the guard retries once at half step and its
-    NumericalError names the task, and the tasks between them train again
-    as stacks, so the first task in order that diverges alone is reported.
+    This is adaptation from init: maml_adapt of a (T, P) stack tiled from
+    init, row t task t's, for config.outer_iters steps at config.eta_inner,
+    on a loss that raises where a row is above LOSS_CEILING (the guard's
+    check, at the same points).  If the stack raises, every task trains
+    alone under the guard, and the first that still diverges is named.
+    Returns one ParamVector per task, bit for bit that task trained alone.
     """
     tasks, datasets = tuple(tasks), tuple(datasets)
     if len(tasks) != len(datasets):
@@ -171,43 +172,25 @@ def train_conventional(tasks, config, *, datasets, init):
         raise ConfigurationError("conventional training is defined for demodulator tasks")
     lossfn = make_mlp_lossfn(init.arch)
 
-    def train(rows):
-        data = stack_datasets(datasets[r] for r in rows)
+    def capped(p, data):
+        losses = lossfn(p, data)
+        if (losses.value > LOSS_CEILING).any():
+            raise NumericalError("a task's loss is above the ceiling")
+        return losses
 
-        def value_grad(stack):
-            try:
-                p = graph.inp(stack)
-                losses = lossfn(p, data)
-                (g,) = graph.gradients(graph.asum(losses), [p], create_graph=False)
-            except NumericalError:
-                if len(rows) > 1:
-                    raise _StackDiverged(rows) from None
-                raise
-            over = losses.value > LOSS_CEILING
-            if len(rows) > 1 and over.any():
-                raise _StackDiverged([r for r, bad in zip(rows, over) if bad])
-            # the loss of a stack of one; a larger stack is under the ceiling here
-            return float(losses.value.max()), g.value
-
-        start = np.tile(init.values, (len(rows), 1))
-        try:
-            # only a stack of one reaches the guard's own error, so it names that task
-            trained = _guarded_descent(
-                value_grad, start, config.eta_inner, config.outer_iters, f"task {tasks[rows[0]].id}"
-            )
-        except _StackDiverged as err:
-            out = []
-            for failing, group in itertools.groupby(rows, key=set(err.rows).__contains__):
-                group = list(group)
-                if failing:
-                    for r in group:
-                        out.extend(train([r]))
-                else:
-                    out.extend(train(group))
-            return out
-        return [init.with_values(row) for row in trained]
-
-    return tuple(train(list(range(len(tasks)))))
+    start, data = np.tile(init.values, (len(tasks), 1)), stack_datasets(datasets)
+    try:
+        trained = maml_adapt(start, data, config.eta_inner, config.outer_iters, lossfn=capped)
+    except NumericalError:
+        pass  # every task trains alone below, under the guard, to name the task that diverges
+    else:
+        return tuple(init.with_values(row) for row in trained)
+    return tuple(
+        _guarded_descent(
+            _value_grad(lossfn, pilots), init, config.eta_inner, config.outer_iters, f"task {task.id}"
+        )
+        for task, pilots in zip(tasks, datasets)
+    )
 
 
 def train_joint(meta_batch, config, *, init):
@@ -224,17 +207,16 @@ def train_joint(meta_batch, config, *, init):
         raise ConfigurationError("joint training is defined for demodulator tasks")
     items = meta_batch.items[::-1]
     lossfn = make_mlp_lossfn(init.arch)
-    data = stack_datasets(item.train for item in items)
     n_tasks = len(items)
 
-    def value_grad(params):
-        theta = graph.inp(params.values)
-        per_task = lossfn(graph.bcast(theta, (n_tasks, len(params))), data)
-        total = graph.scale(graph.asum(per_task), 1.0 / n_tasks)
-        (g,) = graph.gradients(total, [theta], create_graph=False)
-        return float(total.value), g.value
+    def mean_loss(theta, data):
+        per_task = lossfn(graph.bcast(theta, (n_tasks, theta.value.shape[0])), data)
+        return graph.scale(graph.asum(per_task), 1.0 / n_tasks)
 
-    return _guarded_descent(value_grad, init, config.eta_inner, config.outer_iters, "joint training")
+    data = stack_datasets(item.train for item in items)
+    return _guarded_descent(
+        _value_grad(mean_loss, data), init, config.eta_inner, config.outer_iters, "joint training"
+    )
 
 
 def maml_adapt(theta, d_tr, eta, m, *, lossfn):

@@ -196,7 +196,7 @@ def mlp_logits_node(p_node, arch, x):
     return h
 
 
-def make_mlp_lossfn(arch, n_classes=None):
+def make_mlp_lossfn(arch):
     """Loss function f(p_node, dataset) -> mean cross-entropy Node.
 
     For a (T, P) parameter stack and a stacked dataset (stack_datasets) the
@@ -204,8 +204,6 @@ def make_mlp_lossfn(arch, n_classes=None):
     """
     _check_arch(arch)
     out_width = arch[-1][1]
-    if n_classes is not None and n_classes != out_width:
-        raise ConfigurationError(f"{n_classes} classes vs output width {out_width}")
 
     def lossfn(p_node, data):
         if len(data) == 0:
@@ -235,8 +233,7 @@ class AutoencoderSpec:
     """Message set size, complex channel uses, and the two nets.
 
     The decoder consumes the channel output of a linear convolution with
-    BLOCK_TAPS taps, which stretches n_uses complex samples to
-    n_uses + BLOCK_TAPS - 1, stacked into reals; hence its fan-in.
+    BLOCK_TAPS taps, rx_width reals per block; hence its fan-in.
     """
 
     n_messages: int = 16
@@ -253,9 +250,13 @@ class AutoencoderSpec:
         return mlp_arch((self.n_messages, *self.enc_hidden, 2 * self.n_uses))
 
     @cached_property
+    def rx_width(self):
+        """Reals per received block: n_uses + BLOCK_TAPS - 1 complex samples, stacked [Re; Im]."""
+        return 2 * (self.n_uses + BLOCK_TAPS - 1)
+
+    @cached_property
     def dec_arch(self):
-        rx_width = 2 * (self.n_uses + BLOCK_TAPS - 1)
-        return mlp_arch((rx_width, *self.dec_hidden, self.n_messages))
+        return mlp_arch((self.rx_width, *self.dec_hidden, self.n_messages))
 
     @cached_property
     def arch(self):

@@ -178,7 +178,7 @@ class AutoencoderBatch:
         messages = np.array(self.messages, dtype=np.int64)
         noise = np.array(self.noise, dtype=np.float64)
         matrix = np.array(self.channel_matrix, dtype=np.float64)
-        rx_width = 2 * (self.spec.n_uses + BLOCK_TAPS - 1)
+        rx_width = self.spec.rx_width
         if messages.ndim != 1 or messages.size < 1:
             raise ConfigurationError("batch needs at least one message")
         if messages.min() < 0 or messages.max() >= self.spec.n_messages:
@@ -207,9 +207,8 @@ def generate_autoencoder_batch(task, n_blocks, rng, spec=None):
             f"task has {task.realization.taps.shape[0]} taps, block channel needs {BLOCK_TAPS}"
         )
     messages = rng.integers(0, spec.n_messages, size=n_blocks)
-    rx_width = 2 * (spec.n_uses + BLOCK_TAPS - 1)
     sigma = math.sqrt(noise_variance(task.realization.snr_db) / 2.0)
-    noise = sigma * rng.standard_normal((n_blocks, rx_width))
+    noise = sigma * rng.standard_normal((n_blocks, spec.rx_width))
     matrix = channel_conv_matrix(task.realization.taps, spec.n_uses)
     return AutoencoderBatch(messages, noise, matrix, spec)
 

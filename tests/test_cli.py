@@ -3,6 +3,7 @@ and one end-to-end subprocess invocation."""
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -75,6 +76,10 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
     # parameter files whose arch is not a list of (fan_in, fan_out, act) triples
     for name, arch in (("flat", "[1, 2]"), ("null", '[[null, 2, "tanh"]]')):
         np.savez(tmp_path / f"{name}.npz", values=np.zeros(3), arch=np.array(arch))
+    # and parameter files whose values are not finite real numbers
+    arch = np.array(json.dumps([[2, 16, "linear"]]))
+    for name, values in (("text", np.zeros(48).astype(str)), ("nan", np.append(np.zeros(47), np.nan))):
+        np.savez(tmp_path / f"{name}.npz", values=values, arch=arch)
     for argv in (
         ["gradcheck", "--bogus"],
         ["sweep-pilots", "--config", str(tmp_path / "missing.cfg")],
@@ -85,9 +90,14 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
         ["sweep-pilots", "--config", str(tmp_path / "t.cfg"), "--out", "a\x00b"],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "flat.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "null.npz")],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "text.npz")],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "nan.npz")],
     ):
         assert cli.main(argv) == cli.EXIT_CONFIG, argv
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "--params" in argv:
+            assert err.startswith(f"config error: cannot load parameters '{argv[-1]}': "), err
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

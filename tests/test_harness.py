@@ -242,6 +242,9 @@ def test_read_curve_rejects_malformed_files(tmp_path):
         ("1.0,maml,ser,0.5,0,1\n2.0,maml,ser,0.5,0,two\n", "d.csv:3: invalid literal"),
         ("1.0,maml,ser,0.5,0,1\n\n2.0,maml,ser,1.5,0,1\n", "d.csv:4: ser mean 1.5 outside"),
         ("1.0,magic,ser,0.5,0,1\n", "d.csv:2: unknown method label"),
+        ("nan,maml,meta_loss,nan,nan,1\n", "d.csv:2: sweep value, mean and std must be finite"),
+        ("1.0,maml,ser,0.5,0,1\ninf,maml,ser,0.5,inf,2\n", "d.csv:3: sweep value, mean and std must be finite"),
+        ("1.0,maml,meta_loss,-inf,0,1\n", "d.csv:2: sweep value, mean and std must be finite"),
     ],
 )
 def test_read_curve_names_the_line_of_a_bad_row(tmp_path, rows, where):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metalink import graph, learners
@@ -247,8 +247,8 @@ def _count_retries(monkeypatch):
 def test_conventional_guard_retries_only_the_diverging_device(monkeypatch):
     # At this rate device 0's loss passes the ceiling at iteration 2 and its
     # half-step retry succeeds; devices 1 and 2 never diverge.  The stack
-    # stops there, device 0 trains alone with exactly one retry, 1 and 2
-    # train again as a stack, and each ends as trained alone.
+    # raises there, every device trains alone, device 0 with exactly one
+    # retry, and each ends as trained alone.
     tasks, pilots = _devices(3, 4, 59)
     cfg = TrainConfig(eta_inner=1.47e5, outer_iters=3, seed=10)
     init = init_params(DEMOD_ARCH, 10)
@@ -258,6 +258,74 @@ def test_conventional_guard_retries_only_the_diverging_device(monkeypatch):
     for task, data, got in zip(tasks, pilots, stacked, strict=True):
         (alone,) = train_conventional([task], cfg, datasets=[data], init=init)
         assert np.array_equal(got.values, alone.values)
+
+
+def _saturated_init():
+    """DEMOD_ARCH weights whose first layer, at 1e9 times Glorot, saturates
+    tanh on ordinary pilots and overflows its affine op on inputs of 1e300."""
+    init = init_params(DEMOD_ARCH, 9)
+    return init.with_values(np.concatenate([1e9 * init.values[:64], init.values[64:]]))
+
+
+def _device_pilots(kind, task, d):
+    pilots = make_pilot_dataset(task, 4, np.random.default_rng([61, d, 1]))
+    if kind == "calm":  # one label at the origin: the first step fits it, and training stops moving
+        return Dataset(np.zeros_like(pilots.inputs), np.full_like(pilots.targets, pilots.targets[0]), 16)
+    if kind == "overflow":  # the first layer's affine op raises at the initial point
+        return Dataset(np.full_like(pilots.inputs, 1e300), pilots.targets, 16)
+    # at rate 4e5 its loss passes the ceiling at iteration 1 or 2 and the
+    # half-step retry succeeds or fails by device; at 1e7 the retry fails
+    return pilots
+
+
+@given(kinds=st.lists(st.sampled_from(["calm", "breach", "overflow"]), min_size=1, max_size=5),
+       eta=st.sampled_from([4e5, 1e7]))
+@example(kinds=["calm", "breach", "overflow"], eta=1e7)
+@example(kinds=["calm", "breach", "breach", "calm"], eta=4e5)
+@example(kinds=["overflow", "calm"], eta=4e5)
+@settings(max_examples=30, deadline=None)
+def test_conventional_equals_each_device_under_its_own_guard(kinds, eta):
+    # The reference trains each device alone, on 1-d parameters, under the
+    # guard; the stack must give its results, or its first device's error.
+    family = TaskFamily()
+    tasks = [family.sample(np.random.default_rng([61, d]), task_id=20 + d) for d in range(len(kinds))]
+    pilots = [_device_pilots(kind, task, d) for d, (kind, task) in enumerate(zip(kinds, tasks))]
+    init = _saturated_init()
+    cfg = TrainConfig(eta_inner=eta, outer_iters=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = []
+        for task, data in zip(tasks, pilots):
+
+            def value_grad(p, data=data):
+                r = eval_with_gradient(DEMOD_LOSS, p, data)
+                return r.value, r.gradient
+
+            try:
+                reference.append(learners._guarded_descent(value_grad, init.values, eta, 3, f"task {task.id}"))
+            except NumericalError as err:
+                first_error = err
+                break
+        else:
+            first_error = None
+        if first_error is None:
+            stacked = train_conventional(tasks, cfg, datasets=pilots, init=init)
+            for got, want in zip(stacked, reference, strict=True):
+                assert np.array_equal(got.values, want)
+        else:
+            with pytest.raises(NumericalError) as exc:
+                train_conventional(tasks, cfg, datasets=pilots, init=init)
+            assert str(exc.value) == str(first_error)
+            assert exc.value.op_kind == first_error.op_kind
+
+
+@pytest.mark.parametrize("kinds, calls", [(["calm", "calm", "calm"], 0), (["calm", "breach", "calm"], 3)])
+def test_conventional_reruns_every_device_under_the_guard_only_when_the_stack_diverges(monkeypatch, kinds, calls):
+    tasks, _ = _devices(len(kinds), 4, 61)
+    pilots = [_device_pilots(kind, task, d) for d, (kind, task) in enumerate(zip(kinds, tasks))]
+    retries = _count_retries(monkeypatch)
+    # at rate 4e5 device 1's half-step retry succeeds, so every device is trained
+    train_conventional(tasks, TrainConfig(eta_inner=4e5, outer_iters=3), datasets=pilots, init=_saturated_init())
+    assert len(retries) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from scipy.stats import chi2
 
 from metalink.channel import (
-    BLOCK_TAPS,
     QAM16,
     ChannelRealization,
     channel_conv_matrix,
@@ -252,7 +251,7 @@ def test_autoencoder_batch_statistics():
 
 def test_constructors_freeze_a_copy_not_the_callers_array():
     spec = AutoencoderSpec()
-    rx_width = 2 * (spec.n_uses + BLOCK_TAPS - 1)
+    rx_width = spec.rx_width
     cases = (
         (Dataset, dict(inputs=np.zeros((2, 2)), targets=np.array([0, 1]), n_classes=2)),
         (ChannelRealization, dict(taps=np.array([1.0 + 0.5j, 0.2j]), snr_db=10.0)),
