@@ -10,14 +10,14 @@ of per-seed mean SER.
 
 import sys
 
-from metalink.cli import Parser, run
+from metalink.cli import Parser, output_path, run
 from metalink.harness import default_config, load_config, median_of_seed_means, run_pilot_sweep, write_curve
 
 
 def main(argv):
     parser = Parser(description=__doc__)
     parser.add_argument("--config", help="key = value config file (default: demod profile)")
-    parser.add_argument("--out", help="CSV path (default: config output_path)")
+    parser.add_argument("--out", type=output_path, help="CSV path (default: config output_path)")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 

@@ -38,6 +38,13 @@ class Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+def output_path(text):
+    """An --out value: any path but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def run(body, argv):
     """body(argv), with errors turned into exit codes and one-line messages.
 
@@ -61,12 +68,13 @@ def _build_parser():
     parser = Parser(prog="metalink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile_default):
+    def common(p, profile_default, trains=True):
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--profile", default=profile_default, help="profile when no --config is given")
         p.add_argument("--seed", type=int, help="override the config's seed / seed list")
-        p.add_argument("--out", help="output path (overrides config.output_path)")
-        p.add_argument("--first-order", action="store_true", help="use the first-order meta-gradient")
+        if trains:
+            p.add_argument("--out", type=output_path, help="output path (overrides config.output_path)")
+            p.add_argument("--first-order", action="store_true", help="use the first-order meta-gradient")
         return p
 
     common(sub.add_parser("meta-train", help="learn an initialization"), "demod")
@@ -79,8 +87,8 @@ def _build_parser():
     check = sub.add_parser("gradcheck", help="run the derivative verification suites")
     check.add_argument("--scale", choices=("small", "full"), default="small")
 
-    ev = sub.add_parser("eval", help="evaluate saved parameters on fresh tasks")
-    common(ev, "demod")
+    # eval adapts with the config's inner steps and writes nothing
+    ev = common(sub.add_parser("eval", help="evaluate saved parameters on fresh tasks"), "demod", trains=False)
     ev.add_argument("--params", required=True, help="path to a .npz saved by meta-train")
 
     return parser
@@ -92,9 +100,9 @@ def _config_from_args(args):
 
     if args.seed is not None:
         config = replace(config, seed=args.seed, seeds=(args.seed,))
-    if args.first_order:
+    if getattr(args, "first_order", False):
         config = replace(config, first_order=True)
-    if args.out:
+    if getattr(args, "out", None) is not None:
         config = replace(config, output_path=args.out)
     return config
 

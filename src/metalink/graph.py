@@ -6,16 +6,24 @@ Differentiating a gradient (Hessian-vector products, unrolled meta-gradients)
 is then just another backward pass over a larger graph, with no
 special-casing and no approximation.
 
+Each kind of node, the leaves input and constant included, has one row in
+the op table (OPS): its name, its value kernel, one VJP builder per parent
+and whether its result is checked for finiteness.  A public builder (add,
+matmat, ...) computes the row's meta and calls its kernel; gradients() reads
+each node's row for its VJPs.
+
 Values are float64 numpy arrays, computed at node construction time.  Every
 node value is finite, and the op that would first produce a nan or inf raises
 NumericalError naming its kind, so divergence surfaces at the first bad node
-instead of as a mystery NaN three modules later.  Leaves and the ops that can
-create a non-finite value from finite inputs (arithmetic, products, sums,
-sqrt, cross-entropy) check their result as they are built.  The remaining
-ops (_FINITE_PRESERVING) only move, copy or zero entries, or map them into a
-bounded range, so finite inputs give finite outputs; since their inputs are
-nodes, and so already finite, they skip the check without weakening the
-invariant.
+instead of as a mystery NaN three modules later.  A row marked checked=False
+cannot turn finite inputs, which nodes are, into a non-finite output, so it
+skips the check without weakening the invariant: transpose, reshape, vslice
+and bcast copy entries, scatter copies its parts into zeros (overlapping
+parts are added, and scatter() checks that case), tanh lies in [-1, 1],
+relu_mask in {0, 1}, relu is an entry or 0, and softmax_rows lies in [0, 1]
+(its shifted exponents are <= 0, an overflowing shift is -inf, whose exp is
+0, and each row sum includes exp(0) = 1).  Every other row checks its result
+as it is built.
 
 Broadcasting has one rule, numpy's: add, mul and div accept any two
 broadcast-compatible operands, and their VJPs sum each adjoint back to its
@@ -57,6 +65,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -64,96 +73,131 @@ from .errors import NumericalError
 
 _uids = itertools.count()
 
+OPS = {}  # the op table: kind -> Op, in the order the rows are stated
+
+
+class Op:
+    """One row of the op table.
+
+    name    the kind, as Node.kind and NumericalError.op_kind give it
+    kernel  the value, (parent values..., meta) -> array
+    vjps    one builder per parent, (node, adjoint) -> the adjoint itself or a
+            node built from it, never a forward node, whose parents a
+            create_graph=False sweep would cut; a row with none adds nothing
+    checked whether the result is checked for finiteness
+    """
+
+    __slots__ = ("name", "kernel", "vjps", "checked")
+
+    def __init__(self, name, kernel, vjps=(), checked=True):
+        self.name, self.kernel, self.vjps, self.checked = name, kernel, vjps, checked
+        OPS[name] = self
+
 
 class Node:
     """A single value in the graph.
 
-    kind    op name, e.g. "matmat" or "softmax_xent"
+    op      its row of the op table; kind is op.name, e.g. "matmat"
     value   cached float64 result, computed eagerly
     parents predecessor nodes, in positional order
-    meta    op-specific static data (slice bounds, targets, a python scalar,
-            whether broadcast operand shapes differ)
+    meta    op-specific static data (a slice, targets, a python scalar, a
+            shape), the kernel's last argument
     uid     creation counter; parent.uid < child.uid always holds
     """
 
-    __slots__ = ("kind", "value", "parents", "meta", "uid", "__weakref__")
+    __slots__ = ("op", "value", "parents", "meta", "uid", "__weakref__")
 
-    def __init__(self, kind, value, parents=(), meta=None):
-        self.kind = kind
+    def __init__(self, op, value, parents=(), meta=None):
+        self.op = op
         self.value = value
         self.parents = parents
         self.meta = meta
         self.uid = next(_uids)
 
+    @property
+    def kind(self):
+        return self.op.name
+
     def __repr__(self):
         return f"Node({self.kind}, uid={self.uid}, shape={np.shape(self.value)})"
 
 
-# Ops that cannot turn finite inputs into a non-finite output: transpose,
-# reshape, vslice and bcast copy existing entries, and scatter copies its
-# parts into zeros (sum, which adds entries, can overflow and is checked, and
-# so is a scatter whose parts overlap and are added, in scatter() itself);
-# tanh lies in [-1, 1], relu_mask in {0, 1} and relu is an entry or 0;
-# softmax_rows lies in [0, 1], because the shifted exponents are <= 0 (an
-# overflowing shift is -inf, whose exp is 0) and each row sum includes
-# exp(0) = 1.
-_FINITE_PRESERVING = frozenset({
-    "transpose", "reshape", "vslice", "scatter", "bcast",
-    "tanh", "relu", "relu_mask", "softmax_rows",
-})
+class _Quiet(threading.local):
+    """The finiteness check sums in a context where numpy ignores overflow and
+    invalid results, at no measurable cost per node, unlike np.errstate.  A
+    context admits one thread at a time, so each thread makes its own."""
 
-# The finiteness check sums in this context, where numpy ignores overflow and
-# invalid results, so finite entries whose sum overflows raise no warning.
-# Unlike an np.errstate block it adds no measurable time per node; it admits one
-# thread at a time, and graphs are built on one thread.
-_QUIET = contextvars.copy_context()
-_QUIET.run(np.seterr, over="ignore", invalid="ignore")
+    def __init__(self):
+        self.run = contextvars.Context().run
+        self.run(np.seterr, over="ignore", invalid="ignore")
+
+
+_QUIET = _Quiet()
 _ADD_REDUCE = np.add.reduce
 
 
-def _check(kind, value):
-    # One reduction catches any nan/inf (inf sums stay non-finite); a
-    # non-finite sum can also come from finite entries that overflow when
-    # added, so it is confirmed entrywise.
+def _check(op, value):
+    # One reduction catches any nan/inf; a non-finite sum can also come from
+    # finite entries that overflow when added, so it is confirmed entrywise.
     if not math.isfinite(_QUIET.run(_ADD_REDUCE, value, None)) and not np.isfinite(value).all():
-        raise NumericalError(f"non-finite value produced by op '{kind}'", op_kind=kind)
+        raise NumericalError(f"non-finite value produced by op '{op.name}'", op_kind=op.name)
 
 
-def _make(kind, value, parents=(), meta=None):
-    value = np.asarray(value, dtype=np.float64)
-    # Every op outside _FINITE_PRESERVING checks its result here, so every
-    # node value is finite and the first bad op is the one that raises.
-    if kind not in _FINITE_PRESERVING:
-        _check(kind, value)
-    return Node(kind, value, parents, meta)
+def _make(op, value, parents=(), meta=None):
+    if type(value) is not np.ndarray:  # a kernel's 0-d result is a numpy scalar
+        value = np.asarray(value)
+    if op.checked:
+        _check(op, value)
+    return Node(op, value, parents, meta)
+
+
+def _sum_to(d, parent):
+    """Adjoint d summed to the shape of parent, which it may broadcast."""
+    shape = parent.value.shape
+    return d if d.value.shape == shape else asum(d, shape)
+
+
+def _summed(i):  # the VJP that sums the adjoint to the shape of parent i
+    return lambda n, g: _sum_to(g, n.parents[i])
 
 
 # ---------------------------------------------------------------------------
-# leaves
+# leaves: the kernel makes the caller's array float64, which every op keeps
+
+_INPUT = Op("input", lambda x: np.asarray(x, dtype=np.float64))
+_CONSTANT = Op("constant", lambda x: np.asarray(x, dtype=np.float64))
+
 
 def inp(x):
     """Leaf the caller will differentiate with respect to."""
-    return _make("input", x)
+    return _make(_INPUT, _INPUT.kernel(x))
 
 
 def const(x):
     """Leaf treated as fixed data; receives no adjoint."""
-    return _make("constant", x)
+    return _make(_CONSTANT, _CONSTANT.kernel(x))
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-#
-# add, mul and div broadcast by numpy's rule; meta records whether the
-# operand shapes differ, so their VJPs look at shapes only when they do.
+# arithmetic: add, mul and div broadcast by numpy's rule
+
+_ADD = Op("add", lambda a, b, _: a + b, (_summed(0), _summed(1)))
+_SCALE = Op("scale", lambda a, c: a * c, (lambda n, g: scale(g, n.meta),))
+_ADD_SCALED = Op("add_scaled", lambda a, b, c: a + b * c, (_summed(0), lambda n, g: scale(g, n.meta)))
+_MUL = Op("mul", lambda a, b, _: a * b, (lambda n, g: _sum_to(mul(g, n.parents[1]), n.parents[0]),
+                                         lambda n, g: _sum_to(mul(g, n.parents[0]), n.parents[1])))
+_DIV = Op("div", lambda a, b, _: a / b, (lambda n, g: _sum_to(div(g, n.parents[1]), n.parents[0]),
+                                         lambda n, g: scale(_sum_to(mul(g, div(n, n.parents[1])), n.parents[1]), -1.0)))
+
 
 def add(a, b):
-    return _make("add", a.value + b.value, (a, b), a.value.shape != b.value.shape)
+    return _make(_ADD, _ADD.kernel(a.value, b.value, None), (a, b))
 
 
 def scale(a, c):
     """a * c for a python scalar c (kept out of the graph)."""
-    return _make("scale", a.value * float(c), (a,), float(c))
+    c = float(c)
+    return _make(_SCALE, _SCALE.kernel(a.value, c), (a,), c)
 
 
 def add_scaled(a, b, c):
@@ -163,22 +207,51 @@ def add_scaled(a, b, c):
     1 - n*n, or a parameter vector stepped by its gradient).
     """
     c = float(c)
-    return _make("add_scaled", a.value + b.value * c, (a, b), c)
+    return _make(_ADD_SCALED, _ADD_SCALED.kernel(a.value, b.value, c), (a, b), c)
 
 
 def mul(a, b):
-    return _make("mul", a.value * b.value, (a, b), a.value.shape != b.value.shape)
+    return _make(_MUL, _MUL.kernel(a.value, b.value, None), (a, b))
 
 
 def div(a, b):
-    return _make("div", a.value / b.value, (a, b), a.value.shape != b.value.shape)
+    return _make(_DIV, _DIV.kernel(a.value, b.value, None), (a, b))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
+_MATMAT = Op("matmat", lambda a, b, _: a @ b, (lambda n, g: matmat(g, transpose(n.parents[1])),
+                                               lambda n, g: matmat(transpose(n.parents[0]), g)))
+_AFFINE = Op("affine", lambda b, h, w, _: h @ w + b, (_summed(0),
+                                                      lambda n, g: matmat(g, transpose(n.parents[2])),
+                                                      lambda n, g: matmat(transpose(n.parents[1]), g)))
+_TRANSPOSE = Op("transpose", lambda a, _: a.swapaxes(-1, -2), (lambda n, g: transpose(g),), checked=False)
+_RESHAPE = Op("reshape", lambda a, shape: a.reshape(shape), (lambda n, g: reshape(g, n.parents[0].value.shape),),
+              checked=False)
+_VSLICE = Op("vslice", lambda a, s: a[..., s],
+             (lambda n, g: scatter((g,), (n.meta.start,), n.parents[0].value.shape[-1]),), checked=False)
+
+
+class _EachPart:
+    """The VJPs of a scatter: part i's adjoint is its slice of the scatter's adjoint."""
+    def __getitem__(self, i):
+        return lambda n, g: vslice(g, n.meta[0][i], n.meta[0][i] + n.parents[i].value.shape[-1])
+
+
+def _scatter_value(*args):
+    *parts, (los, n) = args
+    out = np.zeros(parts[0].shape[:-1] + (n,))
+    for part, lo in zip(parts, los):
+        out[..., lo:lo + part.shape[-1]] += part
+    return out
+
+
+_SCATTER = Op("scatter", _scatter_value, _EachPart(), checked=False)
+
+
 def matmat(a, b):
-    return _make("matmat", a.value @ b.value, (a, b))
+    return _make(_MATMAT, _MATMAT.kernel(a.value, b.value, None), (a, b))
 
 
 def affine(h, w, b):
@@ -188,21 +261,23 @@ def affine(h, w, b):
     h's and w's, the order it built them in for add and then matmat, so a
     further backward adds up their contributions in the same order.
     """
-    return _make("affine", h.value @ w.value + b.value, (b, h, w))
+    return _make(_AFFINE, _AFFINE.kernel(b.value, h.value, w.value, None), (b, h, w))
 
 
 def transpose(a):
     """Swap of the last two axes."""
-    return _make("transpose", a.value.swapaxes(-1, -2), (a,))
+    return _make(_TRANSPOSE, _TRANSPOSE.kernel(a.value, None), (a,))
 
 
 def reshape(a, shape):
-    return _make("reshape", a.value.reshape(shape), (a,), tuple(shape))
+    shape = tuple(shape)
+    return _make(_RESHAPE, _RESHAPE.kernel(a.value, shape), (a,), shape)
 
 
 def vslice(a, lo, hi):
     """Entries lo:hi of a's last axis."""
-    return _make("vslice", a.value[..., lo:hi], (a,), (lo, hi))
+    s = slice(lo, hi)
+    return _make(_VSLICE, _VSLICE.kernel(a.value, s), (a,), s)
 
 
 def scatter(parts, los, n):
@@ -213,90 +288,68 @@ def scatter(parts, los, n):
     checked.  The adjoint of vslice, and of all the slices of one node at
     once in gradients().
     """
-    parts, los = tuple(parts), tuple(los)
-    out = np.zeros(parts[0].value.shape[:-1] + (n,))
-    spans = []
-    for part, lo in zip(parts, los):
-        hi = lo + part.value.shape[-1]
-        out[..., lo:hi] += part.value
-        spans.append((lo, hi))
-    spans.sort()
+    parts, meta = tuple(parts), (tuple(los), n)
+    out = _SCATTER.kernel(*[part.value for part in parts], meta)
+    spans = sorted((lo, lo + part.value.shape[-1]) for part, lo in zip(parts, meta[0]))
     if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
-        _check("scatter", out)
-    return _make("scatter", out, parts, los)
+        _check(_SCATTER, out)
+    return _make(_SCATTER, out, parts, meta)
 
 
 # ---------------------------------------------------------------------------
 # reductions and broadcasts
 
+
+def _sum_value(v, shape):
+    if not shape:
+        return v.sum()
+    if shape == v.shape[1:]:  # rows onto one row
+        return v.sum(axis=0)
+    if shape == v.shape[:-1] + (1,):  # each row of the last axis onto one entry
+        return v.sum(axis=-1, keepdims=True)
+    lead = v.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return v.sum(axis=axes, keepdims=True).reshape(shape)
+
+
+def _bcast_value(v, shape):
+    out = np.empty(shape)
+    out[...] = v
+    return out
+
+
+_SUM = Op("sum", _sum_value, (lambda n, g: bcast(g, n.parents[0].value.shape),))
+_BCAST = Op("bcast", _bcast_value, (lambda n, g: asum(g, n.parents[0].value.shape),), checked=False)
+
+
 def asum(a, shape=()):
     """Sum of a down to `shape`: over the leading axes a has beyond len(shape),
     and over the axes where shape has size 1.  The default sums everything
     to a scalar.  The adjoint of a broadcast to a's shape."""
-    v = a.value
-    if not shape:
-        value = v.sum()
-    elif shape == v.shape[1:]:  # rows onto one row
-        value = v.sum(axis=0)
-    elif shape == v.shape[:-1] + (1,):  # each row of the last axis onto one entry
-        value = v.sum(axis=-1, keepdims=True)
-    else:
-        lead = v.ndim - len(shape)
-        axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
-        value = v.sum(axis=axes, keepdims=True).reshape(shape)
-    return _make("sum", value, (a,))
+    return _make(_SUM, _SUM.kernel(a.value, shape), (a,), shape)
 
 
 def bcast(a, shape):
     """a broadcast to `shape` by numpy's rule; the adjoint of asum."""
-    value = np.empty(shape)
-    value[...] = a.value
-    return _make("bcast", value, (a,))
+    return _make(_BCAST, _BCAST.kernel(a.value, shape), (a,), shape)
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def tanh(a):
-    return _make("tanh", np.tanh(a.value), (a,))
+
+def _tanh_vjp(n, g):
+    return mul(g, add_scaled(_ONE, mul(n, n), -1.0))
 
 
-def relu(a):
-    return _make("relu", np.maximum(a.value, 0.0), (a,))
+def _softmax_value(z, _):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def relu_mask(a):
-    """Indicator (a > 0); the derivative of relu, itself with zero derivative.
-
-    Giving the mask an empty VJP encodes the almost-everywhere convention
-    relu'' = 0, keeping relu networks inside the engine's closure under
-    differentiation.
-    """
-    return _make("relu_mask", (a.value > 0.0).astype(np.float64), (a,))
-
-
-def sqrt(a):
-    return _make("sqrt", np.sqrt(a.value), (a,))
-
-
-def softmax_rows(z):
-    """Stable softmax of each row (last axis) of a 2-d node or of a stack."""
-    shifted = z.value - z.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return _make("softmax_rows", e / e.sum(axis=-1, keepdims=True), (z,))
-
-
-def softmax_xent(z, targets):
-    """Mean cross-entropy of logits z (n, c) against integer targets (n,).
-
-    For a stack, logits (T, n, c) and targets (T, n), the value is the (T,)
-    vector of per-task means.  The per-row max is subtracted before
-    exponentiation; by shift invariance of softmax this changes no value and
-    no derivative of any order, it only keeps exp() in range.
-    """
-    targets = np.asarray(targets)
-    value = _xent_value(z.value, targets)
-    return _make("softmax_xent", value, (z,), targets)
+def _softmax_rows_vjp(n, g):
+    inner = asum(mul(g, n), n.value.shape[:-1] + (1,))
+    return mul(n, add(g, scale(inner, -1.0)))
 
 
 def _xent_value(logits, targets):
@@ -305,25 +358,6 @@ def _xent_value(logits, targets):
     rows = logits.reshape(-1, logits.shape[-1])
     picked = rows[np.arange(rows.shape[0]), targets.ravel()].reshape(targets.shape)
     return (lse - picked).mean(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# VJP table: kind -> one builder per parent, each (node, adjoint) -> Node.
-# A builder may return None for "contributes nothing" (relu_mask).  It
-# returns the adjoint itself or a node built from it, never a node of the
-# forward graph, whose parents a create_graph=False sweep would cut.
-
-# One 0-d constant shared by every tanh VJP.  It is older than any node a
-# caller differentiates with respect to, so the sweep never walks it.
-_ONE = const(1.0)
-
-def _tanh_vjp(n, g):
-    return mul(g, add_scaled(_ONE, mul(n, n), -1.0))
-
-
-def _softmax_rows_vjp(n, g):
-    inner = asum(mul(g, n), n.value.shape[:-1] + (1,))
-    return mul(n, add(g, scale(inner, -1.0)))
 
 
 def _softmax_xent_vjp(n, g):
@@ -337,56 +371,55 @@ def _softmax_xent_vjp(n, g):
     return mul(weight, diff)
 
 
-class _EachPart:
-    """The VJP builders of a scatter, one per part: part i's adjoint is its
-    slice of the scatter's adjoint."""
+_TANH = Op("tanh", lambda a, _: np.tanh(a), (_tanh_vjp,), checked=False)
+_RELU = Op("relu", lambda a, _: np.maximum(a, 0.0), (lambda n, g: mul(g, relu_mask(n.parents[0])),), checked=False)
+_RELU_MASK = Op("relu_mask", lambda a, _: (a > 0.0).astype(np.float64), checked=False)
+_SQRT = Op("sqrt", lambda a, _: np.sqrt(a), (lambda n, g: scale(div(g, n), 0.5),))
+_SOFTMAX_ROWS = Op("softmax_rows", _softmax_value, (_softmax_rows_vjp,), checked=False)
+_SOFTMAX_XENT = Op("softmax_xent", _xent_value, (_softmax_xent_vjp,))
 
-    def __getitem__(self, i):
-        return lambda n, g: vslice(g, n.meta[i], n.meta[i] + n.parents[i].value.shape[-1])
-
-
-def _sum_to(d, parent):
-    """Adjoint d summed to the shape of parent, which it may broadcast."""
-    shape = parent.value.shape
-    return d if d.value.shape == shape else asum(d, shape)
+# One 0-d constant shared by every tanh VJP.  It is older than any node a
+# caller differentiates with respect to, so the sweep never walks it.
+_ONE = const(1.0)
 
 
-def _fit(d, n, i):
-    """Adjoint d of parent i of the broadcasting op n, summed to its shape."""
-    return _sum_to(d, n.parents[i]) if n.meta else d
+def tanh(a):
+    return _make(_TANH, _TANH.kernel(a.value, None), (a,))
 
 
-_VJPS = {
-    "add": (lambda n, g: _fit(g, n, 0), lambda n, g: _fit(g, n, 1)),
-    "scale": (lambda n, g: scale(g, n.meta),),
-    "add_scaled": (lambda n, g: _sum_to(g, n.parents[0]), lambda n, g: scale(g, n.meta)),
-    "mul": (lambda n, g: _fit(mul(g, n.parents[1]), n, 0), lambda n, g: _fit(mul(g, n.parents[0]), n, 1)),
-    "div": (
-        lambda n, g: _fit(div(g, n.parents[1]), n, 0),
-        lambda n, g: scale(_fit(mul(g, div(n, n.parents[1])), n, 1), -1.0),
-    ),
-    "matmat": (
-        lambda n, g: matmat(g, transpose(n.parents[1])),
-        lambda n, g: matmat(transpose(n.parents[0]), g),
-    ),
-    "affine": (
-        lambda n, g: _sum_to(g, n.parents[0]),
-        lambda n, g: matmat(g, transpose(n.parents[2])),
-        lambda n, g: matmat(transpose(n.parents[1]), g),
-    ),
-    "transpose": (lambda n, g: transpose(g),),
-    "reshape": (lambda n, g: reshape(g, n.parents[0].value.shape),),
-    "vslice": (lambda n, g: scatter((g,), (n.meta[0],), n.parents[0].value.shape[-1]),),
-    "scatter": _EachPart(),
-    "sum": (lambda n, g: bcast(g, n.parents[0].value.shape),),
-    "bcast": (lambda n, g: asum(g, n.parents[0].value.shape),),
-    "tanh": (_tanh_vjp,),
-    "relu": (lambda n, g: mul(g, relu_mask(n.parents[0])),),
-    "relu_mask": (lambda n, g: None,),
-    "sqrt": (lambda n, g: scale(div(g, n), 0.5),),
-    "softmax_rows": (_softmax_rows_vjp,),
-    "softmax_xent": (_softmax_xent_vjp,),
-}
+def relu(a):
+    return _make(_RELU, _RELU.kernel(a.value, None), (a,))
+
+
+def relu_mask(a):
+    """Indicator (a > 0); the derivative of relu, itself with zero derivative.
+
+    Giving the mask no VJPs encodes the almost-everywhere convention
+    relu'' = 0, keeping relu networks inside the engine's closure under
+    differentiation.
+    """
+    return _make(_RELU_MASK, _RELU_MASK.kernel(a.value, None), (a,))
+
+
+def sqrt(a):
+    return _make(_SQRT, _SQRT.kernel(a.value, None), (a,))
+
+
+def softmax_rows(z):
+    """Stable softmax of each row (last axis) of a 2-d node or of a stack."""
+    return _make(_SOFTMAX_ROWS, _SOFTMAX_ROWS.kernel(z.value, None), (z,))
+
+
+def softmax_xent(z, targets):
+    """Mean cross-entropy of logits z (n, c) against integer targets (n,).
+
+    For a stack, logits (T, n, c) and targets (T, n), the value is the (T,)
+    vector of per-task means.  The per-row max is subtracted before
+    exponentiation; by shift invariance of softmax this changes no value and
+    no derivative of any order, it only keeps exp() in range.
+    """
+    targets = np.asarray(targets)
+    return _make(_SOFTMAX_XENT, _SOFTMAX_XENT.kernel(z.value, targets), (z,), targets)
 
 
 def gradients(output, wrt, create_graph=True):
@@ -463,22 +496,17 @@ def gradients(output, wrt, create_graph=True):
                 continue
             if uid in wrt_ids:
                 found[uid] = g
-            if node.kind == "vslice":
+            if node.op is _VSLICE:
                 parent = node.parents[0]
                 if parent.uid in active:
                     adjs, los = parts.setdefault(parent.uid, ([], []))
                     adjs.append(g)
-                    los.append(node.meta[0])
+                    los.append(node.meta.start)
                 continue
-            builders = _VJPS.get(node.kind)
-            if builders is None:  # input/constant leaves
-                continue
-            for parent, builder in zip(node.parents, builders):
+            for parent, builder in zip(node.parents, node.op.vjps):
                 if parent.uid not in active:
                     continue
                 contrib = builder(node, g)
-                if contrib is None:
-                    continue
                 prev = adjoint.get(parent.uid)
                 if prev is not None:
                     contrib = add(prev, contrib)

@@ -208,6 +208,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"K_meta_batch {self.K_meta_batch} exceeds n_meta_train_tasks {self.n_meta_train_tasks}"
             )
+        if not self.output_path:
+            raise ConfigurationError("output_path must not be empty")
         if not self.seeds:
             raise ConfigurationError("seeds must not be empty")
         if any(s < 0 for s in self.seeds):
@@ -661,23 +663,23 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
 # single-run entry points used by the CLI
 
 
-def run_meta_train(config, seed=None):
-    """Meta-train one initialization per the config's profile."""
-    seed = config.seed if seed is None else seed
-    _, _, stream, init, lossfn, stack_data = _setup(config, seed)
-    return meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn, stack_data=stack_data)
+def run_meta_train(config):
+    """Meta-train one initialization per the config's profile, from its seed."""
+    _, _, stream, init, lossfn, stack_data = _setup(config, config.seed)
+    return meta_train(stream, config.train_config(config.seed), init=init, lossfn=lossfn, stack_data=stack_data)
 
 
-def evaluate_params(config, params, seed=None):
+def evaluate_params(config, params):
     """Adapt saved parameters to fresh meta-test tasks and report the metric.
 
     Each value is one point of the profile's sweep for the maml method.
     demod: adapt on max(pilot_counts) pilots with m steps, mean SER over
     n_meta_test_tasks devices.  autoencoder: adapt for adapt_iters_max
     iterations, BLER over test channels, measured on the sweep's t = 0
-    evaluation stream.  Returns (metric_name, values).
+    evaluation stream, all drawn from the config's seed.  Returns
+    (metric_name, values).
     """
-    seed = config.seed if seed is None else seed
+    seed = config.seed
     family = TaskFamily(kind=config.profile, snr_db=config.snr_db)
     # demod adapts the saved network on its own architecture, which need not
     # be the profile's: it is the network mlp_forward then scores.

@@ -72,7 +72,8 @@ def test_gradcheck_failure_exits_three(monkeypatch, capsys):
     assert "CHECKS FAILED" in capsys.readouterr().out
 
 
-def test_configuration_errors_exit_one(tmp_path, capsys):
+def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where meta-train saves when --out names no file
     # parameter files whose arch is not a list of (fan_in, fan_out, act) triples
     for name, arch in (("flat", "[1, 2]"), ("null", '[[null, 2, "tanh"]]')):
         np.savez(tmp_path / f"{name}.npz", values=np.zeros(3), arch=np.array(arch))
@@ -80,7 +81,7 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
     arch = np.array(json.dumps([[2, 16, "linear"]]))
     for name, values in (("text", np.zeros(48).astype(str)), ("nan", np.append(np.zeros(47), np.nan))):
         np.savez(tmp_path / f"{name}.npz", values=values, arch=arch)
-    for argv in (
+    cases = [(argv, "config error: ") for argv in (
         ["gradcheck", "--bogus"],
         ["sweep-pilots", "--config", str(tmp_path / "missing.cfg")],
         ["meta-train", "--profile", "qpsk"],
@@ -92,12 +93,25 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
         ["eval", "--profile", "demod", "--params", str(tmp_path / "null.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "text.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "nan.npz")],
-    ):
+    )]
+    # an empty output path is rejected before any training, not replaced by
+    # a default path or found out when the curve is written
+    cases += [
+        (["meta-train", "--config", str(tmp_path / "t.cfg"), "--out", ""], "config error: argument --out: must not be empty"),
+        (
+            ["sweep-pilots", "--config", _write_tiny_demod(tmp_path / "o.cfg", output_path=tmp_path / "o.csv"), "--out", ""],
+            "config error: argument --out: must not be empty",
+        ),
+        (["sweep-pilots", "--config", _write_tiny_demod(tmp_path / "e.cfg", output_path="")], "e.cfg:12: output_path must not be empty"),
+    ]
+    files = sorted(os.listdir(tmp_path))
+    for argv, said in cases:
         assert cli.main(argv) == cli.EXIT_CONFIG, argv
         err = capsys.readouterr().err
-        assert "config error" in err
+        assert said in err, err
         if "--params" in argv:
             assert err.startswith(f"config error: cannot load parameters '{argv[-1]}': "), err
+        assert sorted(os.listdir(tmp_path)) == files, argv
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
@@ -263,14 +277,20 @@ def test_workers_below_one_exit_one(tmp_path, capsys, command, workers):
 
 @pytest.mark.parametrize("command", ["meta-train", "eval"])
 def test_workers_is_rejected_where_it_is_not_honoured(tmp_path, capsys, command):
+    # and eval, which trains nothing and writes nothing, takes neither --out
+    # nor --first-order
     cfg = _write_tiny_demod(tmp_path / "w.cfg", seeds="0")
     out = tmp_path / "p.npz"
-    argv = [command, "--config", cfg, "--out", str(out), "--workers", "2"]
-    if command == "eval":
-        argv += ["--params", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
-    assert not out.exists()
+    if command == "meta-train":
+        runs = [(["--out", str(out)], ["--workers", "2"])]
+    else:
+        params = tmp_path / "theta.npz"
+        save_params(params, init_params(mlp_arch((2, 8, 16)), 4))
+        runs = [(["--params", str(params)], flags) for flags in (["--workers", "2"], ["--out", str(out)], ["--first-order"])]
+    for given, flags in runs:
+        assert cli.main([command, "--config", cfg, *given, *flags]) == cli.EXIT_CONFIG, flags
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -288,6 +308,7 @@ _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
         ("run_phase_rotation_study.py", ["--seeds", "0", "0"]),
         ("run_phase_rotation_study.py", ["--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "-3"]),
         ("run_phase_rotation_study.py", ["--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "0"]),
+        ("run_demod_sweep.py", ["--out", ""]),
     ],
 )
 def test_scripts_report_config_errors_without_a_traceback(tmp_path, script, args):

@@ -3,6 +3,7 @@ differences, determinism of the backward sweep, and closure (gradients are
 nodes, so they can be differentiated again)."""
 
 import math
+import threading
 import warnings
 import weakref
 
@@ -15,8 +16,18 @@ from hypothesis.extra import numpy as hnp
 from metalink import autodiff, graph
 from metalink.errors import NumericalError
 from metalink.learners import DEMOD_ARCH
-from metalink.nn import Dataset, init_params, make_mlp_lossfn, mlp_arch, param_count, stack_datasets
-from metalink.tasks import TaskFamily, make_demod_split
+from metalink.nn import (
+    AutoencoderSpec,
+    Dataset,
+    init_autoencoder_params,
+    init_params,
+    make_autoencoder_lossfn,
+    make_mlp_lossfn,
+    mlp_arch,
+    param_count,
+    stack_datasets,
+)
+from metalink.tasks import TaskFamily, generate_autoencoder_batch, make_demod_split, sample_task
 
 
 def _fd(fn, x, step=1e-6):
@@ -301,6 +312,41 @@ def test_finite_values_whose_sum_overflows_are_accepted():
         graph.inp(np.array([1e308, np.inf]))
 
 
+def test_graphs_build_on_two_threads_at_once():
+    # Each thread checks in its own quiet context: two threads checking
+    # large values at once both finish, and a worker thread's check still
+    # raises on a non-finite value and stays silent on an overflowing sum.
+    big = np.ones(200_000)
+    outcomes = []
+
+    def build():
+        try:
+            a, b = graph.const(big), graph.const(big)
+            for _ in range(300):
+                graph.mul(a, b)
+            outcomes.append("done")
+        except Exception as err:  # noqa: BLE001 - any error fails the test below
+            outcomes.append(repr(err))
+
+    def diverge():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph.const(np.array([1e308, 1e308]))
+            try:
+                with np.errstate(over="ignore"):
+                    graph.mul(graph.const(np.array([1e200])), graph.const(np.array([1e200])))
+            except NumericalError as err:
+                outcomes.append(err.op_kind)
+
+    for targets in ((build, build), (diverge,)):
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert outcomes == ["done", "done", "mul"]
+
+
 def test_overlapping_scatter_is_checked():
     # disjoint parts only move entries; overlapping ones are added and can overflow
     big = graph.const(np.array([1e308, 1e308]))
@@ -312,7 +358,7 @@ def test_overlapping_scatter_is_checked():
 
 
 # ---------------------------------------------------------------------------
-# ops exempt from the eager finiteness check
+# the op table
 
 # one builder per exempt kind, from a finite matrix, its flattening and its
 # first entry as a scalar
@@ -328,15 +374,79 @@ _EXEMPT_BUILDERS = {
     "softmax_rows": lambda mat, vec, sca: graph.softmax_rows(mat),
 }
 
+# and one per checked kind, from the same arguments
+_CHECKED_BUILDERS = {
+    "input": lambda mat, vec, sca: graph.inp(vec.value.tolist()),
+    "constant": lambda mat, vec, sca: graph.const(np.arange(3)),
+    "add": lambda mat, vec, sca: graph.add(mat, sca),
+    "scale": lambda mat, vec, sca: graph.scale(mat, 2.0),
+    "add_scaled": lambda mat, vec, sca: graph.add_scaled(sca, mat, -0.5),
+    "mul": lambda mat, vec, sca: graph.mul(vec, sca),
+    "div": lambda mat, vec, sca: graph.div(mat, graph.const(2.0)),
+    "matmat": lambda mat, vec, sca: graph.matmat(mat, graph.transpose(mat)),
+    "affine": lambda mat, vec, sca: graph.affine(mat, graph.transpose(mat), sca),
+    "sum": lambda mat, vec, sca: graph.asum(mat),
+    "sqrt": lambda mat, vec, sca: graph.sqrt(graph.mul(sca, sca)),
+    "softmax_xent": lambda mat, vec, sca: graph.softmax_xent(mat, np.zeros(mat.value.shape[0], dtype=int)),
+}
+
+
+def test_each_row_is_built_by_its_builder():
+    assert set(_EXEMPT_BUILDERS) | set(_CHECKED_BUILDERS) == set(graph.OPS)
+    assert {kind for kind, op in graph.OPS.items() if not op.checked} == set(_EXEMPT_BUILDERS)
+    x = np.array([[0.5, -1.0], [2.0, 0.25]])
+    mat, vec, sca = graph.inp(x), graph.inp(x.ravel()), graph.inp(x.flat[0])
+    for kind, build in {**_EXEMPT_BUILDERS, **_CHECKED_BUILDERS}.items():
+        node = build(mat, vec, sca)
+        assert node.op is graph.OPS[kind] and node.kind == kind == node.op.name
+        assert type(node.value) is np.ndarray and node.value.dtype == np.float64, kind
+        if kind in ("input", "constant", "relu_mask"):  # no adjoint flows through these
+            assert node.op.vjps == ()
+        elif kind != "scatter":  # a scatter has one VJP per part, however many
+            assert len(node.op.vjps) == len(node.parents), kind
+
+
+def _relu_hvp():
+    arch = mlp_arch((2, 5, 4), hidden="relu")
+    rng = np.random.default_rng(12)
+    data = Dataset(rng.standard_normal((6, 2)), rng.integers(0, 4, 6), 4)
+    theta = init_params(arch, 13).values
+    autodiff.hvp(make_mlp_lossfn(arch), theta, rng.standard_normal(theta.shape), data)
+
+
+def _autoencoder_meta_gradient():
+    spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(6,), dec_hidden=(6,))
+    task = sample_task("autoencoder", np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    train, test = (generate_autoencoder_batch(task, 8, rng, spec) for _ in range(2))
+    lossfn = make_autoencoder_lossfn(spec)
+    autodiff.unrolled_meta_gradient(lossfn, lossfn, init_autoencoder_params(spec, 16).values, 0.1, 2, train, test)
+
+
+def test_every_row_is_used_by_a_model_or_a_vjp(monkeypatch):
+    # The ops of every node built by the demod and autoencoder exact
+    # meta-gradients and a relu network's Hessian-vector product: an op
+    # that no model and no VJP builds has no place in the table.
+    used = set()
+    make = graph._make
+
+    def spy(op, *args):
+        used.add(op.name)
+        return make(op, *args)
+
+    monkeypatch.setattr(graph, "_make", spy)
+    lossfn, theta, split = _demod_problem(2)
+    autodiff.unrolled_meta_gradient(lossfn, lossfn, np.tile(theta, (2, 1)), 0.1, 2,
+                                    stack_datasets([split.train] * 2), stack_datasets([split.test] * 2))
+    _autoencoder_meta_gradient()
+    _relu_hvp()
+    assert used == set(graph.OPS)
+
+
 _FINITE_EXTREMES = st.sampled_from([
     np.finfo(np.float64).max, -np.finfo(np.float64).max, 1e308, -1e308,
     np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny, 5e-324, -5e-324, 0.0, -0.0,
 ])
-
-
-def test_exempt_ops_are_differentiable_op_kinds():
-    assert graph._FINITE_PRESERVING <= set(graph._VJPS)
-    assert set(_EXEMPT_BUILDERS) == graph._FINITE_PRESERVING
 
 
 @given(hnp.arrays(
@@ -390,16 +500,11 @@ def _full_ancestry_gradients(output, wrt, create_graph=True):
             if uid not in adjoint or uid not in active:
                 continue
             node = seen[uid]
-            builders = graph._VJPS.get(node.kind)
-            if builders is None:
-                continue
             g = adjoint[uid]
-            for parent, builder in zip(node.parents, builders):
+            for parent, builder in zip(node.parents, node.op.vjps):
                 if parent.uid not in active:
                     continue
                 contrib = builder(node, g)
-                if contrib is None:
-                    continue
                 prev = adjoint.get(parent.uid)
                 adjoint[parent.uid] = contrib if prev is None else graph.add(prev, contrib)
 
@@ -500,7 +605,7 @@ def test_values_only_sweep_drops_each_adjoint_once_its_node_is_swept(monkeypatch
     # tanh node, the adjoint of the tanh node swept before it must be gone;
     # the node sweep, which keeps the adjoint graph, keeps it alive.
     meta_loss, theta, _ = _unrolled_objective(2)
-    (vjp,) = graph._VJPS["tanh"]
+    (vjp,) = graph.OPS["tanh"].vjps
     refs = []
     alive = []
 
@@ -510,7 +615,7 @@ def test_values_only_sweep_drops_each_adjoint_once_its_node_is_swept(monkeypatch
         refs.append(weakref.ref(g))
         return vjp(n, g)
 
-    monkeypatch.setitem(graph._VJPS, "tanh", (spy,))
+    monkeypatch.setattr(graph.OPS["tanh"], "vjps", (spy,))
     (bare,) = graph.gradients(meta_loss, [theta], create_graph=False)
     assert len(refs) >= 4 and not any(alive)
     assert all(ref() is None for ref in refs)
@@ -556,7 +661,7 @@ def test_fused_ops_give_the_unfused_meta_gradient_bit_for_bit(m, monkeypatch):
     lossfn, theta, split = _demod_problem(m)
     fused = autodiff.unrolled_meta_gradient(lossfn, lossfn, theta, 0.1, m, split.train, split.test)
 
-    monkeypatch.setitem(graph._VJPS, "tanh", (_unfused_tanh_vjp,))
+    monkeypatch.setattr(graph.OPS["tanh"], "vjps", (_unfused_tanh_vjp,))
     unfused_loss = _unfused_mlp_loss(DEMOD_ARCH)
     phi = t = graph.inp(theta)
     for _ in range(m):
