@@ -14,9 +14,10 @@ Two experiments ship with the package, one per profile:
 `metalink meta-train` (run_meta_train) and `metalink eval`
 (evaluate_params) run single steps of the same per-profile pipeline: build
 the task pool, meta-train, adapt on test tasks, evaluate.  Both metrics
-score the network through the forward its training differentiates: SER
-through mlp_forward on fresh symbols, BLER through
-nn.autoencoder_logits_node on a fresh generate_autoencoder_batch draw.
+score receivers on one draw through the forward their training
+differentiates: SER through nn.mlp_logits_node on fresh symbols, BLER
+through nn.autoencoder_logits_node on a fresh generate_autoencoder_batch
+draw.
 
 Determinism contract: everything a run produces is a pure function of the
 config (including its seed list).  Per-purpose rng streams are derived from
@@ -26,7 +27,7 @@ config (including its seed list).  Per-purpose rng streams are derived from
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures  # importing ProcessPoolExecutor by name would load multiprocessing
 import functools
 import json
 import math
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import graph
 from .autodiff import eval_with_gradient
+from .channel import apply_channel_demod
 from .errors import ConfigurationError
 from .learners import (
     DEMOD_ARCH,
@@ -55,7 +57,7 @@ from .nn import (
     init_params,
     make_autoencoder_lossfn,
     make_mlp_lossfn,
-    mlp_forward,
+    mlp_logits_node,
     stack_datasets,
 )
 from .tasks import (
@@ -422,38 +424,38 @@ def read_curve(path):
 # metrics
 
 
-def evaluate_ser(p, task, n_symbols, rng):
-    """Symbol error rate of demodulator p over fresh draws from the task.
+def evaluate_ser(receivers, task, n_symbols, rng):
+    """Symbol error rate of each demodulator on one fresh draw from the task.
 
-    Ties in the argmax resolve to the lowest class index (numpy argmax).
+    The receivers, of one architecture, run as one (R, P) stack, each row bit
+    for bit the receiver alone.  Ties in the argmax resolve to the lowest
+    class index (numpy argmax).
     """
+    receivers = tuple(receivers)
     if task.kind != "demod":
         raise ConfigurationError("evaluate_ser needs a demod task")
+    if n_symbols < 1:
+        raise ConfigurationError(f"n_symbols must be positive, got {n_symbols}")
+    if len({p.arch for p in receivers}) != 1:
+        raise ConfigurationError("evaluate_ser needs one or more receivers, all of one architecture")
     indices = rng.integers(0, 16, size=n_symbols)
-    from .channel import apply_channel_demod
-
     received, labels = apply_channel_demod(indices, task.realization, rng)
-    logits = mlp_forward(p, np.stack([received.real, received.imag], axis=1))
-    predicted = np.argmax(logits, axis=1)
-    return float(np.mean(predicted != labels))
+    stack = graph.const(np.stack([p.values for p in receivers]))
+    logits = mlp_logits_node(stack, receivers[0].arch, np.stack([received.real, received.imag], axis=1)).value
+    return tuple(float(np.mean(predicted != labels)) for predicted in np.argmax(logits, axis=-1))
 
 
-def evaluate_bler(p, spec, task, n_blocks, rng):
-    """Block error rate of the autoencoder p over a fresh batch from the task.
+def evaluate_bler(receivers, spec, task, n_blocks, rng):
+    """Block error rates of autoencoders on one fresh batch from the task.
 
     The batch (messages, then one noise draw) is a generate_autoencoder_batch
     draw, and the logits are the training forward's, autoencoder_logits_node.
-    Ties in the argmax resolve to the lowest message index.  p may also be a
-    tuple of autoencoders, all scored on the one draw; the result is then the
-    tuple of their rates.
+    Returns one rate per receiver.  Ties in the argmax resolve to the lowest
+    message index.
     """
     batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
-
-    def rate(q):
-        logits = autoencoder_logits_node(graph.const(q.values), spec, batch).value
-        return float(np.mean(np.argmax(logits, axis=1) != batch.messages))
-
-    return rate(p) if isinstance(p, ParamVector) else tuple(rate(q) for q in p)
+    logits = (autoencoder_logits_node(graph.const(p.values), spec, batch).value for p in receivers)
+    return tuple(float(np.mean(np.argmax(z, axis=1) != batch.messages)) for z in logits)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +493,36 @@ def _setup(config, seed, family=None):
     return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN, None
 
 
-def _test_task(family, seed, unit):
-    return family.sample(rng_for(seed, SCOPE_TEST_TASK, unit), task_id=unit)
+def _test_tasks(family, seed, n_units):
+    return [family.sample(rng_for(seed, SCOPE_TEST_TASK, unit), task_id=unit) for unit in range(n_units)]
 
 
-def _pilots(task, seed, device, n):
-    return make_pilot_dataset(task, n, rng_for(seed, SCOPE_ADAPT_PILOTS, device, n))
+def _pilots(tasks, seed, n):
+    return [make_pilot_dataset(t, n, rng_for(seed, SCOPE_ADAPT_PILOTS, i, n)) for i, t in enumerate(tasks)]
 
 
-def _ser(config, seed, params, task, device, n):
-    # Same eval stream for every method at a given (device, n): paired
-    # comparisons cut the Monte-Carlo variance of orderings.
-    return evaluate_ser(params, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
+def _adapt(starts, datasets, eta, m, lossfn):
+    """Each of S starts adapted on each of D datasets, as one (D·S, P) maml_adapt.
+
+    Rows are device-major; returns per device the tuple of its S adapted
+    starts, each bit for bit that start adapted on that dataset alone.
+    """
+    stack = np.tile(np.stack([p.values for p in starts]), (len(datasets), 1))
+    data = stack_datasets(d for d in datasets for _ in starts)
+    rows = maml_adapt(stack, data, eta, m, lossfn=lossfn).reshape(len(datasets), len(starts), -1)
+    return [tuple(p.with_values(row) for p, row in zip(starts, device)) for device in rows]
+
+
+def _ser(config, seed, tasks, receivers, n):
+    """Per device, the SERs of its tuple of receivers on its one (device, n) draw.
+
+    All receivers of a device share the draw: paired comparisons cut the
+    Monte-Carlo variance of orderings.
+    """
+    return [
+        evaluate_ser(rs, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
+        for device, (task, rs) in enumerate(zip(tasks, receivers))
+    ]
 
 
 def _adaptation(config, seed, task, unit, starts, lossfn):
@@ -537,27 +557,19 @@ def _pilot_seed_records(config, seed):
     tc_base = replace(tc, outer_iters=config.baseline_iters)
     theta = meta_train(stream, tc, init=init, lossfn=lossfn, stack_data=stack_data).params
     joint = train_joint(pool, tc_base, init=init)
-    tasks = [_test_task(family, seed, device) for device in range(config.n_meta_test_tasks)]
-    pilots = {
-        n: [_pilots(task, seed, device, n) for device, task in enumerate(tasks)] for n in config.pilot_counts
-    }
-    # all the devices of one pilot count train as one stack
-    conventional = {n: train_conventional(tasks, tc_base, datasets=ds, init=init) for n, ds in pilots.items()}
-
-    label = _maml_label(config)
+    tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
+    methods = ("conventional", "joint", "joint+adapt", _maml_label(config))
     records = []
-    for device, task in enumerate(tasks):
-        for n in config.pilot_counts:
-            candidates = (
-                ("conventional", conventional[n][device]),
-                ("joint", joint),
-                ("joint+adapt", maml_adapt(joint, pilots[n][device], tc.eta_inner, tc.m, lossfn=lossfn)),
-                (label, maml_adapt(theta, pilots[n][device], tc.eta_inner, tc.m, lossfn=lossfn)),
-            )
-            for method, params in candidates:
-                ser = _ser(config, seed, params, task, device, n)
+    # one pilot count at a time: its devices train, and adapt, as one stack each
+    for n in config.pilot_counts:
+        pilots = _pilots(tasks, seed, n)
+        conventional = train_conventional(tasks, tc_base, datasets=pilots, init=init)
+        adapted = _adapt((joint, theta), pilots, tc.eta_inner, tc.m, lossfn)
+        receivers = [(c, joint, *a) for c, a in zip(conventional, adapted)]
+        for device, sers in enumerate(_ser(config, seed, tasks, receivers, n)):
+            for method, ser in zip(methods, sers):
                 records.append(SweepRecord(seed, device, float(n), method, "ser", ser))
-    return records
+    return sorted(records, key=lambda r: r.unit)  # per device, pilot counts ascending
 
 
 def _adaptation_seed_records(config, seed):
@@ -567,8 +579,7 @@ def _adaptation_seed_records(config, seed):
 
     methods = (_maml_label(config), "conventional")
     records = []
-    for unit in range(config.n_meta_test_tasks):
-        task = _test_task(family, seed, unit)
+    for unit, task in enumerate(_test_tasks(family, seed, config.n_meta_test_tasks)):
         starts = (theta, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit)))
         # both starts adapt and are scored on the same draws, in lockstep
         trajectory = _adaptation(config, seed, task, unit, starts, lossfn)
@@ -579,15 +590,10 @@ def _adaptation_seed_records(config, seed):
 
 
 def _aggregate(records, n_seeds):
-    keys = sorted({(r.sweep_value, r.method, r.metric) for r in records})
-    rows = []
-    for sweep_value, method, metric in keys:
-        values = np.array(
-            [r.value for r in records if (r.sweep_value, r.method, r.metric) == (sweep_value, method, metric)]
-        )
-        rows.append(
-            CurveRow(sweep_value, method, metric, float(values.mean()), float(values.std()), n_seeds)
-        )
+    groups = {}  # (sweep value, method, metric) -> values in record order
+    for r in records:
+        groups.setdefault((r.sweep_value, r.method, r.metric), []).append(r.value)
+    rows = (CurveRow(*key, float(np.mean(v)), float(np.std(v)), n_seeds) for key, v in sorted(groups.items()))
     return CurveTable(tuple(rows))
 
 
@@ -596,6 +602,7 @@ def _sweep(worker, profile, config, workers):
         raise ConfigurationError(f"this sweep needs profile = {profile}, got '{config.profile}'")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(config.seeds))  # the pool forks every worker up front
     if workers == 1:
         per_seed = [worker(config, s) for s in config.seeds]
     else:
@@ -649,13 +656,10 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
     tc = config.train_config(seed)
     theta = meta_train(stream, tc, init=init, lossfn=lossfn, stack_data=stack_data).params
     joint = train_joint(pool, replace(tc, outer_iters=config.baseline_iters), init=init)
-    joint_ser, maml_ser = [], []
-    for device in range(n_devices):
-        task = _test_task(family, seed, device)
-        joint_ser.append(_ser(config, seed, joint, task, device, 0))
-        pilots = _pilots(task, seed, device, n_pilots)
-        adapted = maml_adapt(theta, pilots, tc.eta_inner, tc.m, lossfn=lossfn)
-        maml_ser.append(_ser(config, seed, adapted, task, device, n_pilots))
+    tasks = _test_tasks(family, seed, n_devices)
+    adapted = _adapt((theta,), _pilots(tasks, seed, n_pilots), tc.eta_inner, tc.m, lossfn)
+    joint_ser = [ser for (ser,) in _ser(config, seed, tasks, [(joint,)] * n_devices, 0)]
+    maml_ser = [ser for (ser,) in _ser(config, seed, tasks, adapted, n_pilots)]
     return float(np.mean(joint_ser)), float(np.mean(maml_ser))
 
 
@@ -681,22 +685,20 @@ def evaluate_params(config, params):
     """
     seed = config.seed
     family = TaskFamily(kind=config.profile, snr_db=config.snr_db)
-    # demod adapts the saved network on its own architecture, which need not
-    # be the profile's: it is the network mlp_forward then scores.
-    lossfn = make_mlp_lossfn(params.arch) if config.profile == "demod" else _AE_LOSSFN
-    n = max(config.pilot_counts)
+    tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
+    if config.profile == "demod":
+        # the saved network adapts, and is scored, on its own architecture,
+        # which need not be the profile's
+        n = max(config.pilot_counts)
+        pilots = _pilots(tasks, seed, n)
+        adapted = _adapt((params,), pilots, config.eta_inner, config.m, make_mlp_lossfn(params.arch))
+        return "ser", [ser for (ser,) in _ser(config, seed, tasks, adapted, n)]
     values = []
-    for unit in range(config.n_meta_test_tasks):
-        task = _test_task(family, seed, unit)
-        if config.profile == "demod":
-            pilots = _pilots(task, seed, unit, n)
-            adapted = maml_adapt(params, pilots, config.eta_inner, config.m, lossfn=lossfn)
-            values.append(_ser(config, seed, adapted, task, unit, n))
-        else:
-            *_, adapted = _adaptation(config, seed, task, unit, (params,), lossfn)
-            (bler,) = _bler(config, seed, adapted, task, unit, 0)
-            values.append(bler)
-    return ("ser" if config.profile == "demod" else "bler"), values
+    for unit, task in enumerate(tasks):
+        *_, adapted = _adaptation(config, seed, task, unit, (params,), _AE_LOSSFN)
+        (bler,) = _bler(config, seed, adapted, task, unit, 0)
+        values.append(bler)
+    return "bler", values
 
 
 def save_params(path, p):

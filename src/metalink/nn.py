@@ -8,10 +8,11 @@ tuple of (fan_in, fan_out, activation) with activation one of
 linear (logits or channel symbols).
 
 Each network has one forward, built from graph nodes: training
-differentiates it to any order, and evaluation reads its value (mlp_forward
-for the demodulator; harness.evaluate_bler reads autoencoder_logits_node on
-a fresh batch).  Like every graph value, evaluation logits are finite: an
-overflow raises NumericalError instead of being argmax-ed.
+differentiates it to any order, and evaluation reads its value
+(harness.evaluate_ser reads mlp_logits_node of a stack of demodulators,
+harness.evaluate_bler autoencoder_logits_node on a fresh batch).  Like every
+graph value, evaluation logits are finite: an overflow raises NumericalError
+instead of being argmax-ed.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def mlp_logits_node(p_node, arch, x):
     """Forward pass as graph nodes; x is an (n, d) array or an (n, d) Node.
 
     p_node may also be a (T, P) stack of parameter vectors, with (T, n, d)
-    inputs: the (T, n, k) logits then hold network t on inputs t at row t.
+    inputs or (n, d) inputs shared by all: the (T, n, k) logits then hold
+    network t on its inputs at row t.
     """
     _check_arch(arch)
     h = x if isinstance(x, graph.Node) else graph.const(np.atleast_2d(np.asarray(x, dtype=np.float64)))
@@ -216,13 +218,6 @@ def make_mlp_lossfn(arch):
         return graph.softmax_xent(logits, data.targets)
 
     return lossfn
-
-
-def mlp_forward(p, x):
-    """Logits of the network p, as a plain array; accepts (d,) or (n, d) input."""
-    x = np.asarray(x, dtype=np.float64)
-    logits = mlp_logits_node(graph.const(p.values), p.arch, np.atleast_2d(x)).value
-    return logits[0] if x.ndim == 1 else logits
 
 
 # ---------------------------------------------------------------------------

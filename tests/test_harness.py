@@ -33,7 +33,15 @@ from metalink.harness import (
     write_config,
     write_curve,
 )
-from metalink.learners import DEMOD_ARCH, TrainConfig, sgd_step, train_conventional
+from metalink.learners import (
+    DEMOD_ARCH,
+    TrainConfig,
+    maml_adapt,
+    meta_train,
+    sgd_step,
+    train_conventional,
+    train_joint,
+)
 from metalink.nn import (
     AutoencoderSpec,
     init_autoencoder_params,
@@ -43,6 +51,7 @@ from metalink.nn import (
 )
 from metalink.channel import ChannelRealization
 from metalink.tasks import (
+    SCOPE_ADAPT_PILOTS,
     SCOPE_ADAPT_STEPS,
     SCOPE_EVAL,
     SCOPE_TASK,
@@ -100,26 +109,60 @@ def test_evaluate_ser_perfect_after_clean_training():
     cfg = TrainConfig(outer_iters=300, seed=1)
     pilots = make_pilot_dataset(task, 64, np.random.default_rng(61))
     (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init_params(DEMOD_ARCH, cfg.seed))
-    assert evaluate_ser(trained, task, 2000, np.random.default_rng(62)) == 0.0
+    assert evaluate_ser((trained,), task, 2000, np.random.default_rng(62)) == (0.0,)
 
 
 def test_evaluate_ser_constant_logits_guess_one_class():
     task = sample_task("demod", np.random.default_rng(63))
     zero = init_params(DEMOD_ARCH, 0).with_values(np.zeros_like(init_params(DEMOD_ARCH, 0).values))
-    ser = evaluate_ser(zero, task, 2000, np.random.default_rng(64))
+    (ser,) = evaluate_ser((zero,), task, 2000, np.random.default_rng(64))
     assert abs(ser - 15.0 / 16.0) < 0.03
 
 
 def test_evaluate_ser_requires_demod_task():
     ae = sample_task("autoencoder", np.random.default_rng(65))
     with pytest.raises(ConfigurationError):
-        evaluate_ser(init_params(DEMOD_ARCH, 0), ae, 100, np.random.default_rng(0))
+        evaluate_ser((init_params(DEMOD_ARCH, 0),), ae, 100, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "receivers,n_symbols,message",
+    [
+        ((init_params(DEMOD_ARCH, 0),), 0, "n_symbols must be positive, got 0"),
+        ((init_params(DEMOD_ARCH, 0),), -5, "n_symbols must be positive, got -5"),
+        ((), 100, "one or more receivers"),
+        ((init_params(DEMOD_ARCH, 0), init_params(mlp_arch((2, 8, 16)), 0)), 100, "one architecture"),
+    ],
+)
+def test_evaluate_ser_rejects_bad_input(receivers, n_symbols, message):
+    task = sample_task("demod", np.random.default_rng(65))
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate_ser(receivers, task, n_symbols, np.random.default_rng(0))
+
+
+_SER_ARCHS = (DEMOD_ARCH, mlp_arch((2, 8, 16), hidden="relu"))
+
+
+@given(
+    arch=st.sampled_from(_SER_ARCHS),
+    init_seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+    scale=st.floats(0.5, 8.0),
+    n_symbols=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_evaluate_ser_of_a_stack_is_each_receiver_scored_alone(arch, init_seeds, scale, n_symbols, seed):
+    task = sample_task("demod", np.random.default_rng(seed))
+    receivers = [p.with_values(scale * p.values) for p in (init_params(arch, s) for s in init_seeds)]
+    stacked = evaluate_ser(receivers, task, n_symbols, np.random.default_rng(seed))
+    alone = tuple(evaluate_ser((p,), task, n_symbols, np.random.default_rng(seed))[0] for p in receivers)
+    assert stacked == alone
 
 
 def test_evaluate_bler_untrained_is_chance_level():
     spec = AutoencoderSpec()
     task = sample_task("autoencoder", np.random.default_rng(66))
-    bler = evaluate_bler(init_autoencoder_params(spec, 2), spec, task, 2000, np.random.default_rng(67))
+    (bler,) = evaluate_bler((init_autoencoder_params(spec, 2),), spec, task, 2000, np.random.default_rng(67))
     assert abs(bler - 15.0 / 16.0) < 0.06
 
 
@@ -128,12 +171,12 @@ def test_evaluate_bler_drops_after_training_on_the_task():
     task = sample_task("autoencoder", np.random.default_rng(68), snr_db=20.0)
     lossfn = make_autoencoder_lossfn(spec)
     p = init_autoencoder_params(spec, 3)
-    before = evaluate_bler(p, spec, task, 1000, np.random.default_rng(69))
+    (before,) = evaluate_bler((p,), spec, task, 1000, np.random.default_rng(69))
     rng = np.random.default_rng(70)
     for _ in range(200):
         batch = generate_autoencoder_batch(task, 128, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.05)
-    after = evaluate_bler(p, spec, task, 1000, np.random.default_rng(69))
+    (after,) = evaluate_bler((p,), spec, task, 1000, np.random.default_rng(69))
     assert after < before - 0.2
 
 
@@ -146,7 +189,7 @@ def test_evaluate_bler_trained_toy_is_error_free_without_noise():
     for _ in range(400):
         batch = generate_autoencoder_batch(delta, 64, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.5)
-    assert evaluate_bler(p, spec, delta, 500, np.random.default_rng(73)) == 0.0
+    assert evaluate_bler((p,), spec, delta, 500, np.random.default_rng(73)) == (0.0,)
 
 
 def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
@@ -159,8 +202,8 @@ def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
     for _ in range(150):
         batch = generate_autoencoder_batch(clean, 128, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.05)
-    at_20 = evaluate_bler(p, spec, clean, 2000, np.random.default_rng(76))
-    at_0 = evaluate_bler(p, spec, noisy, 2000, np.random.default_rng(76))
+    (at_20,) = evaluate_bler((p,), spec, clean, 2000, np.random.default_rng(76))
+    (at_0,) = evaluate_bler((p,), spec, noisy, 2000, np.random.default_rng(76))
     assert at_20 <= at_0
 
 
@@ -168,7 +211,7 @@ def test_evaluate_bler_requires_autoencoder_task():
     spec = AutoencoderSpec()
     demod = sample_task("demod", np.random.default_rng(71))
     with pytest.raises(ConfigurationError):
-        evaluate_bler(init_autoencoder_params(spec, 0), spec, demod, 100, np.random.default_rng(0))
+        evaluate_bler((init_autoencoder_params(spec, 0),), spec, demod, 100, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +505,9 @@ def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
     p = init_autoencoder_params(spec, rng_for(seed, SCOPE_TASK, unit))
     step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
     for t in range(steps + 1):
-        want = evaluate_bler(p, spec, task, cfg.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t))
-        got = [r.value for r in result.records if (r.unit, r.method, r.sweep_value) == (unit, "conventional", t)]
-        assert got == [want]
+        want = evaluate_bler((p,), spec, task, cfg.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t))
+        got = tuple(r.value for r in result.records if (r.unit, r.method, r.sweep_value) == (unit, "conventional", t))
+        assert got == want
         batch = draw(task, cfg.n_train_blocks, step_rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, cfg.eta_inner)
     # records keep their order: per unit, the maml curve, then the conventional one
@@ -495,18 +538,76 @@ def test_evaluate_params_is_the_sweeps_maml_point():
     assert values == [r.value for r in sweep if r.method == "maml" and r.sweep_value == n]
 
 
-def test_pilot_sweep_conventional_records_are_each_device_trained_alone():
-    cfg = _tiny_demod_config(seeds=(4,), seed=4)
+def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
+    seed = 4
+    cfg = _tiny_demod_config(seeds=(seed,), seed=seed)
     records = run_pilot_sweep(cfg).records
-    family, _, _, init, *_ = harness._setup(cfg, 4)
-    tc = replace(cfg.train_config(4), outer_iters=cfg.baseline_iters)
+    family, pool, stream, init, lossfn, stack_data = harness._setup(cfg, seed)
+    tc = cfg.train_config(seed)
+    tc_base = replace(tc, outer_iters=cfg.baseline_iters)
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, stack_data=stack_data).params
+    joint = train_joint(pool, tc_base, init=init)
+    tasks = harness._test_tasks(family, seed, cfg.n_meta_test_tasks)
+    methods = ("conventional", "joint", "joint+adapt", "maml")
+    # per device, pilot counts ascending, the four methods in order
+    assert [(r.unit, r.sweep_value, r.method) for r in records] == [
+        (device, float(n), method) for device in range(len(tasks)) for n in cfg.pilot_counts for method in methods
+    ]
     for r in records:
+        task, n = tasks[r.unit], int(r.sweep_value)
+        pilots = make_pilot_dataset(task, n, rng_for(seed, SCOPE_ADAPT_PILOTS, r.unit, n))
         if r.method == "conventional":
-            task = harness._test_task(family, 4, r.unit)
-            n = int(r.sweep_value)
-            pilots = harness._pilots(task, 4, r.unit, n)
-            (alone,) = train_conventional([task], tc, datasets=[pilots], init=init)
-            assert r.value == harness._ser(cfg, 4, alone, task, r.unit, n)
+            (alone,) = train_conventional([task], tc_base, datasets=[pilots], init=init)
+        elif r.method == "joint":
+            alone = joint
+        else:
+            start = joint if r.method == "joint+adapt" else theta
+            alone = maml_adapt(start, pilots, tc.eta_inner, tc.m, lossfn=lossfn)
+        rng = rng_for(seed, SCOPE_EVAL, r.unit, n)
+        assert (r.value,) == evaluate_ser((alone,), task, cfg.n_eval_symbols_or_blocks, rng), r
+
+
+def test_pilot_sweep_adapts_once_per_pilot_count_and_draws_once_per_device(monkeypatch):
+    cfg = _tiny_demod_config(seeds=(0,), n_meta_test_tasks=3, pilot_counts=(1, 2, 4))
+    calls = {"maml_adapt": [], "evaluate_ser": []}
+    for name in calls:
+        def counted(*args, _orig=getattr(harness, name), _log=calls[name], **kwargs):
+            _log.append(args)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    run_pilot_sweep(cfg)
+    # one (devices x 2 starts) stack per pilot count, four receivers per draw
+    assert [args[0].shape[0] for args in calls["maml_adapt"]] == [3 * 2] * len(cfg.pilot_counts)
+    assert [len(args[0]) for args in calls["evaluate_ser"]] == [4] * (3 * len(cfg.pilot_counts))
+
+
+@pytest.mark.parametrize("workers,n_seeds,forked", [(500, 5, [5]), (2, 5, [2]), (500, 1, []), (1, 3, [])])
+def test_sweep_forks_no_more_workers_than_seeds(monkeypatch, workers, n_seeds, forked):
+    made = []
+
+    class NoProcessPool:  # records max_workers and runs in-process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", NoProcessPool)
+    cfg = _tiny_demod_config(seeds=tuple(range(n_seeds)))
+
+    def worker(config, seed):
+        return [SweepRecord(seed, 0, 1.0, "maml", "ser", 0.5)]
+
+    result = harness._sweep(worker, "demod", cfg, workers)
+    assert made == forked
+    assert [r.seed for r in result.records] == list(range(n_seeds))
 
 
 @pytest.mark.parametrize("n_pilots", [0, -3])

@@ -24,7 +24,6 @@ from metalink.nn import (
     make_autoencoder_lossfn,
     make_mlp_lossfn,
     mlp_arch,
-    mlp_forward,
     mlp_logits_node,
     param_count,
     power_normalize_node,
@@ -101,7 +100,7 @@ def test_dataset_validation():
 def test_zero_parameters_give_uniform_softmax():
     arch = mlp_arch((2, 8, 4))
     p = ParamVector(np.zeros(param_count(arch)), arch)
-    logits = mlp_forward(p, np.array([[0.3, -0.7], [2.0, 1.0]]))
+    logits = mlp_logits_node(graph.const(p.values), arch, np.array([[0.3, -0.7], [2.0, 1.0]])).value
     assert np.array_equal(logits, np.zeros((2, 4)))
     assert np.allclose(graph.softmax_rows(graph.const(logits)).value, 0.25, atol=1e-15)
 
@@ -110,7 +109,7 @@ def test_single_identity_layer_reproduces_input():
     arch = ((2, 2, "linear"),)
     p = ParamVector(np.concatenate([np.eye(2).ravel(), np.zeros(2)]), arch)
     x = np.array([[1.5, -0.25], [0.0, 3.0]])
-    assert np.array_equal(mlp_forward(p, x), x)
+    assert np.array_equal(mlp_logits_node(graph.const(p.values), arch, x).value, x)
 
 
 def test_two_two_two_network_against_hand_computation():
@@ -123,7 +122,7 @@ def test_two_two_two_network_against_hand_computation():
     h1 = math.tanh(x1 * 1.0 + x2 * 2.0 + 0.1)
     h2 = math.tanh(x1 * -1.0 + x2 * 0.5 - 0.2)
     want = np.array([h1 * 1.0 + h2 * 3.0 + 0.5, h1 * 2.0 + h2 * 4.0 - 0.5])
-    got = mlp_forward(p, np.array([x1, x2]))
+    (got,) = mlp_logits_node(graph.const(p.values), arch, np.array([[x1, x2]])).value
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -148,13 +147,13 @@ def test_numpy_forward_equals_graph_forward(hidden):
     h = _numpy_mlp(p.values, arch, x)
     node = mlp_logits_node(graph.inp(p.values), arch, x)
     assert np.array_equal(h, node.value)
-    assert np.array_equal(h, mlp_forward(p, x))
+    assert np.array_equal(h, mlp_logits_node(graph.const(p.values), arch, x).value)
 
 
 def test_forward_rejects_wrong_input_width():
     p = init_params(mlp_arch((2, 4)), 0)
     with pytest.raises(ConfigurationError):
-        mlp_forward(p, np.zeros((3, 5)))
+        mlp_logits_node(graph.const(p.values), p.arch, np.zeros((3, 5)))
 
 
 def test_forward_raises_on_non_finite_logits():
@@ -163,9 +162,10 @@ def test_forward_raises_on_non_finite_logits():
     arch = ((1, 2, "linear"),)
     p = ParamVector(np.array([1e300, -1e300, 0.0, 0.0]), arch)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
-        mlp_forward(p, np.array([[1e10]]))
+        mlp_logits_node(graph.const(p.values), arch, np.array([[1e10]]))
+    q = init_params(mlp_arch((2, 3)), 0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-        mlp_forward(init_params(mlp_arch((2, 3)), 0), np.array([[np.nan, 0.0]]))
+        mlp_logits_node(graph.const(q.values), q.arch, np.array([[np.nan, 0.0]]))
 
 
 def _xent(p, data):
@@ -196,7 +196,7 @@ def test_xent_matches_independent_formula():
     arch = mlp_arch((2, 6, 4))
     p = init_params(arch, 13)
     data = Dataset(rng.standard_normal((8, 2)), rng.integers(0, 4, 8), 4)
-    logits = mlp_forward(p, data.inputs)
+    logits = mlp_logits_node(graph.const(p.values), arch, data.inputs).value
     direct = float(np.mean(logsumexp(logits, axis=1) - logits[np.arange(8), data.targets]))
     assert abs(_xent(p, data) - direct) < 1e-12
 
