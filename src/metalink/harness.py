@@ -14,10 +14,10 @@ Two experiments ship with the package, one per profile:
 `metalink meta-train` (run_meta_train) and `metalink eval`
 (evaluate_params) run single steps of the same per-profile pipeline: build
 the task pool, meta-train, adapt on test tasks, evaluate.  Both metrics
-score receivers on one draw through the forward their training
-differentiates: SER through nn.mlp_logits_node on fresh symbols, BLER
-through nn.autoencoder_logits_node on a fresh generate_autoencoder_batch
-draw.
+score receivers as one stack on one draw through the forward their
+training differentiates: SER through nn.mlp_logits_node on fresh symbols,
+BLER through nn.autoencoder_logits_node on a fresh
+generate_autoencoder_batch draw.
 
 Determinism contract: everything a run produces is a pure function of the
 config (including its seed list).  Per-purpose rng streams are derived from
@@ -424,13 +424,16 @@ def read_curve(path):
 # metrics
 
 
-def evaluate_ser(receivers, task, n_symbols, rng):
-    """Symbol error rate of each demodulator on one fresh draw from the task.
+def _error_rates(receivers, forward, labels):
+    """Argmax error rate of each receiver, run as one (R, P) stack through
+    forward(stack node) -> logits node; ties resolve to the lowest index."""
+    logits = forward(graph.const(np.stack([p.values for p in receivers]))).value
+    return tuple(float(np.mean(predicted != labels)) for predicted in np.argmax(logits, axis=-1))
 
-    The receivers, of one architecture, run as one (R, P) stack, each row bit
-    for bit the receiver alone.  Ties in the argmax resolve to the lowest
-    class index (numpy argmax).
-    """
+
+def evaluate_ser(receivers, task, n_symbols, rng):
+    """Symbol error rate of each demodulator, all of one architecture, on one
+    fresh draw from the task."""
     receivers = tuple(receivers)
     if task.kind != "demod":
         raise ConfigurationError("evaluate_ser needs a demod task")
@@ -440,22 +443,18 @@ def evaluate_ser(receivers, task, n_symbols, rng):
         raise ConfigurationError("evaluate_ser needs one or more receivers, all of one architecture")
     indices = rng.integers(0, 16, size=n_symbols)
     received, labels = apply_channel_demod(indices, task.realization, rng)
-    stack = graph.const(np.stack([p.values for p in receivers]))
-    logits = mlp_logits_node(stack, receivers[0].arch, np.stack([received.real, received.imag], axis=1)).value
-    return tuple(float(np.mean(predicted != labels)) for predicted in np.argmax(logits, axis=-1))
+    x = np.stack([received.real, received.imag], axis=1)
+    return _error_rates(receivers, lambda stack: mlp_logits_node(stack, receivers[0].arch, x), labels)
 
 
 def evaluate_bler(receivers, spec, task, n_blocks, rng):
-    """Block error rates of autoencoders on one fresh batch from the task.
-
-    The batch (messages, then one noise draw) is a generate_autoencoder_batch
-    draw, and the logits are the training forward's, autoencoder_logits_node.
-    Returns one rate per receiver.  Ties in the argmax resolve to the lowest
-    message index.
-    """
+    """Block error rate of each autoencoder, all of the spec's architecture,
+    on one fresh generate_autoencoder_batch draw from the task."""
+    receivers = tuple(receivers)
+    if not receivers or any(p.arch != spec.arch for p in receivers):
+        raise ConfigurationError("evaluate_bler needs one or more receivers, all of the spec's architecture")
     batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
-    logits = (autoencoder_logits_node(graph.const(p.values), spec, batch).value for p in receivers)
-    return tuple(float(np.mean(np.argmax(z, axis=1) != batch.messages)) for z in logits)
+    return _error_rates(receivers, lambda stack: autoencoder_logits_node(stack, spec, batch), batch.messages)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +474,10 @@ def _setup(config, seed, family=None):
     loss, stacker).
 
     The loss is the profile's lossfn(p_node, data), the one every learner
-    and the adaptation trace of the run descend.  The stacker is meta_train's
-    stack_data: stack_datasets for demod, whose meta-batches run as one task
-    stack, and None for the autoencoder, whose stacked meta-gradient would
-    hold a tape several times larger than one task's.  `family` replaces the
-    profile's default task family.
+    and the adaptation trace (a (T, P) stack on one batch) descend.  The
+    stacker is meta_train's stack_data: stack_datasets for demod, and None
+    for the autoencoder, whose K tasks draw K batches into a stacked tape
+    several times one task's.  `family` replaces the profile's default family.
     """
     family = family or TaskFamily(kind=config.profile, snr_db=config.snr_db)
     if config.profile == "demod":
@@ -528,16 +526,17 @@ def _ser(config, seed, tasks, receivers, n):
 def _adaptation(config, seed, task, unit, starts, lossfn):
     """Autoencoder params after t = 0..adapt_iters_max SGD steps on fresh batches.
 
-    Each start adapts on the unit's one stream of batches, so all of them
-    step in lockstep on one draw per step; yields the tuple of their params.
+    The starts adapt as one (S, P) stack on the unit's one stream of
+    batches: one gradient and one step of the stack per draw, each row bit
+    for bit that start adapted alone.  Yields the tuple of their params.
     """
     step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
-    ps = tuple(starts)
-    yield ps
+    stack = np.stack([p.values for p in starts])
+    yield tuple(starts)
     for _ in range(config.adapt_iters_max):
         batch = generate_autoencoder_batch(task, config.n_train_blocks, step_rng, _AE_SPEC)
-        ps = tuple(sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, config.eta_inner) for p in ps)
-        yield ps
+        stack = sgd_step(stack, eval_with_gradient(lossfn, stack, batch).gradient, config.eta_inner)
+        yield tuple(p.with_values(row) for p, row in zip(starts, stack))
 
 
 def _bler(config, seed, params, task, unit, t):
@@ -702,19 +701,27 @@ def evaluate_params(config, params):
 
 
 def save_params(path, p):
-    """Persist a ParamVector as .npz (flat values + architecture)."""
+    """Persist a ParamVector as .npz (flat values + architecture) at exactly path."""
     arch_json = json.dumps([[fi, fo, act] for fi, fo, act in p.arch])
     try:
-        np.savez(path, values=p.values, arch=np.array(arch_json))
+        with open(path, "wb") as fh:
+            np.savez(fh, values=p.values, arch=np.array(arch_json))
     except (OSError, ValueError) as err:
         raise ConfigurationError(f"cannot write parameters '{path}': {err}") from err
+
+
+def _width(x):
+    """A layer width from the arch JSON: an integer, not a bool, float or string."""
+    if type(x) is not int:
+        raise ValueError(f"layer widths must be integers, got {x!r}")
+    return x
 
 
 def load_params(path):
     try:
         with np.load(path, allow_pickle=False) as data:
             values = data["values"]
-            arch = tuple((int(fi), int(fo), str(act)) for fi, fo, act in json.loads(str(data["arch"])))
+            arch = tuple((_width(fi), _width(fo), str(act)) for fi, fo, act in json.loads(str(data["arch"])))
         if values.dtype.kind not in "iuf":
             raise ValueError(f"values must be real numbers, got dtype {values.dtype}")
         params = ParamVector(values, arch)

@@ -8,11 +8,11 @@ tuple of (fan_in, fan_out, activation) with activation one of
 linear (logits or channel symbols).
 
 Each network has one forward, built from graph nodes: training
-differentiates it to any order, and evaluation reads its value
-(harness.evaluate_ser reads mlp_logits_node of a stack of demodulators,
-harness.evaluate_bler autoencoder_logits_node on a fresh batch).  Like every
-graph value, evaluation logits are finite: an overflow raises NumericalError
-instead of being argmax-ed.
+differentiates it to any order, and evaluation reads its value.  Each also
+takes an (S, P) stack on shared inputs, row s bit for bit vector s alone:
+harness scores receivers, and steps the autoencoder trace's starts, as one
+stack.  Like every graph value, evaluation logits are finite: an overflow
+raises NumericalError instead of being argmax-ed.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ def init_autoencoder_params(spec, seed):
 
 
 def power_normalize_node(s, n_uses):
-    """Scale each row to squared norm n_uses (unit average power per use)."""
-    sq = graph.asum(graph.mul(s, s), (s.value.shape[0], 1))
+    """Scale each row (last axis) to squared norm n_uses (unit average power per use)."""
+    sq = graph.asum(graph.mul(s, s), s.value.shape[:-1] + (1,))
     factor = graph.div(graph.const(math.sqrt(n_uses)), graph.sqrt(sq))
     # An explicit bcast, not a broadcasting mul: the product and its VJP both
     # read the stretched factor, and the bcast node sums their adjoints across
@@ -287,12 +287,13 @@ def autoencoder_logits_node(p_node, spec, batch):
     The one encoder -> channel -> decoder composition: one-hot messages are
     encoded to 2*n_uses reals ([Re block; Im block]), power-normalized, sent
     through the batch's real-stacked channel matrix plus its real-stacked
-    noise, and decoded.  Training differentiates it; evaluation reads it.
+    noise, and decoded.  Training differentiates it; evaluation reads it.  An
+    (S, P) stack on the one batch gives (S, n_blocks, n_messages) logits.
     """
     n_enc, n_total = spec.n_enc_params, param_count(spec.arch)
-    if p_node.value.shape[0] != n_total:
+    if p_node.value.shape[-1] != n_total:
         raise ConfigurationError(
-            f"autoencoder needs {n_total} parameters, vector has {p_node.value.shape[0]}"
+            f"autoencoder needs {n_total} parameters, vector has {p_node.value.shape[-1]}"
         )
     messages = np.asarray(batch.messages)
     if messages.size == 0:
@@ -309,10 +310,11 @@ def make_autoencoder_lossfn(spec):
     The batch fixes everything random for the draw (messages, stacked real
     channel matrix, stacked real noise), so the loss is a deterministic,
     smooth function of the joint encoder/decoder parameter vector and can be
-    differentiated to any order.
+    differentiated to any order; for an (S, P) stack it is the (S,) vector.
     """
 
     def lossfn(p_node, batch):
-        return graph.softmax_xent(autoencoder_logits_node(p_node, spec, batch), batch.messages)
+        logits = autoencoder_logits_node(p_node, spec, batch)
+        return graph.softmax_xent(logits, np.broadcast_to(batch.messages, logits.value.shape[:-1]))
 
     return lossfn

@@ -81,6 +81,11 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
     arch = np.array(json.dumps([[2, 16, "linear"]]))
     for name, values in (("text", np.zeros(48).astype(str)), ("nan", np.append(np.zeros(47), np.nan))):
         np.savez(tmp_path / f"{name}.npz", values=values, arch=arch)
+    # and parameter files whose widths are JSON numbers int() would coerce to
+    # a width that fits the values: a float, a bool and a string
+    for name, fan_in, n_values in (("float", "2.9", 48), ("bool", "true", 32), ("string", '"2"', 48)):
+        width_arch = np.array(f'[[{fan_in}, 16, "linear"]]')
+        np.savez(tmp_path / f"{name}.npz", values=np.zeros(n_values), arch=width_arch)
     cases = [(argv, "config error: ") for argv in (
         ["gradcheck", "--bogus"],
         ["sweep-pilots", "--config", str(tmp_path / "missing.cfg")],
@@ -93,6 +98,9 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
         ["eval", "--profile", "demod", "--params", str(tmp_path / "null.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "text.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "nan.npz")],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "float.npz")],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "bool.npz")],
+        ["eval", "--profile", "demod", "--params", str(tmp_path / "string.npz")],
     )]
     # an empty output path is rejected before any training, not replaced by
     # a default path or found out when the curve is written
@@ -130,6 +138,18 @@ def test_meta_train_then_eval_round_trip(tmp_path, capsys):
     assert cli.main(["eval", "--config", cfg, "--params", str(out)]) == cli.EXIT_OK
     text = capsys.readouterr().out
     assert "ser over 2 meta-test tasks" in text
+
+
+def test_meta_train_saves_exactly_the_path_given(tmp_path, capsys):
+    # np.savez appends .npz to a path without it; the saved file must be the
+    # one meta-train names and eval then reads
+    cfg = _write_tiny_ae(tmp_path / "tiny.cfg")
+    out = tmp_path / "theta"
+    assert cli.main(["meta-train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith(f"saved {out}\n")
+    assert cli.main(["eval", "--config", cfg, "--params", str(out)]) == cli.EXIT_OK
+    assert "bler over 2 meta-test tasks" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == ["theta", "tiny.cfg"]
 
 
 @pytest.mark.parametrize(

@@ -44,10 +44,12 @@ from metalink.learners import (
 )
 from metalink.nn import (
     AutoencoderSpec,
+    ParamVector,
     init_autoencoder_params,
     init_params,
     make_autoencoder_lossfn,
     mlp_arch,
+    param_count,
 )
 from metalink.channel import ChannelRealization
 from metalink.tasks import (
@@ -157,6 +159,27 @@ def test_evaluate_ser_of_a_stack_is_each_receiver_scored_alone(arch, init_seeds,
     stacked = evaluate_ser(receivers, task, n_symbols, np.random.default_rng(seed))
     alone = tuple(evaluate_ser((p,), task, n_symbols, np.random.default_rng(seed))[0] for p in receivers)
     assert stacked == alone
+
+
+_AE = AutoencoderSpec()
+
+
+@pytest.mark.parametrize(
+    "receivers,message",
+    [
+        ((), "one or more receivers"),
+        # the spec's parameter count, but not its architecture
+        ((ParamVector(init_autoencoder_params(_AE, 0).values, _AE.dec_arch + _AE.enc_arch),), "spec's architecture"),
+        (
+            (init_autoencoder_params(_AE, 0), init_autoencoder_params(replace(_AE, enc_hidden=(8,)), 0)),
+            "spec's architecture",
+        ),
+    ],
+)
+def test_evaluate_bler_rejects_bad_input(receivers, message):
+    task = sample_task("autoencoder", np.random.default_rng(65))
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate_bler(receivers, _AE, task, 100, np.random.default_rng(0))
 
 
 def test_evaluate_bler_untrained_is_chance_level():
@@ -513,6 +536,29 @@ def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
     # records keep their order: per unit, the maml curve, then the conventional one
     first_unit = [r.method for r in result.records[: 2 * (steps + 1)]]
     assert first_unit == ["maml"] * (steps + 1) + ["conventional"] * (steps + 1)
+
+
+def test_adaptation_trace_runs_both_starts_as_one_stack(monkeypatch):
+    # one (2, P) gradient per (unit, step) and one (2, P) forward per
+    # evaluation draw: no per-start or per-receiver call remains
+    cfg = _tiny_ae_config()
+    grads, forwards = [], []
+    gradient, forward = harness.eval_with_gradient, harness.autoencoder_logits_node
+
+    def spied_gradient(f, p, data=None):
+        grads.append(np.shape(p))
+        return gradient(f, p, data)
+
+    def spied_forward(p_node, spec, batch):
+        forwards.append(p_node.value.shape)
+        return forward(p_node, spec, batch)
+
+    monkeypatch.setattr(harness, "eval_with_gradient", spied_gradient)
+    monkeypatch.setattr(harness, "autoencoder_logits_node", spied_forward)
+    run_adaptation_sweep(cfg)
+    stack = (2, param_count(AutoencoderSpec().arch))
+    assert grads == [stack] * (cfg.n_meta_test_tasks * cfg.adapt_iters_max)
+    assert forwards == [stack] * (cfg.n_meta_test_tasks * (cfg.adapt_iters_max + 1))
 
 
 # ---------------------------------------------------------------------------

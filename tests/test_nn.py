@@ -29,7 +29,7 @@ from metalink.nn import (
     power_normalize_node,
 )
 from metalink.channel import BLOCK_TAPS, ChannelRealization, apply_channel_block
-from metalink.tasks import AutoencoderBatch, Task, generate_autoencoder_batch
+from metalink.tasks import AutoencoderBatch, Task, generate_autoencoder_batch, sample_task
 
 
 def test_mlp_arch_layout():
@@ -366,6 +366,33 @@ def test_autoencoder_forward_matches_training_loss_path():
     stacked = np.concatenate([received.real, received.imag], axis=1)
     numpy_logits = _numpy_mlp(p.values[spec.n_enc_params:], spec.dec_arch, stacked)
     assert np.allclose(graph_logits, numpy_logits, rtol=0, atol=1e-12)
+
+
+_STACK_SPECS = (AutoencoderSpec(), AutoencoderSpec(n_messages=4, n_uses=3, enc_hidden=(6,), dec_hidden=(6, 5)))
+
+
+@given(
+    spec=st.sampled_from(_STACK_SPECS),
+    n_starts=st.integers(1, 4),
+    n_blocks=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_autoencoder_stack_rows_are_each_start_alone(spec, n_starts, n_blocks, seed):
+    rng = np.random.default_rng(seed)
+    task = sample_task("autoencoder", rng, snr_db=float(rng.uniform(0.0, 20.0)))
+    batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
+    starts = [init_autoencoder_params(spec, rng).values for _ in range(n_starts)]
+    lossfn = make_autoencoder_lossfn(spec)
+    logits = autoencoder_logits_node(graph.const(np.stack(starts)), spec, batch).value
+    stacked = eval_with_gradient(lossfn, np.stack(starts), batch)
+    assert logits.shape == (n_starts, n_blocks, spec.n_messages)
+    assert stacked.value.shape == (n_starts,)
+    for row, p in enumerate(starts):
+        alone = eval_with_gradient(lossfn, p, batch)
+        assert np.array_equal(logits[row], autoencoder_logits_node(graph.const(p), spec, batch).value)
+        assert np.array_equal(stacked.value[row], alone.value)
+        assert np.array_equal(stacked.gradient[row], alone.gradient)
 
 
 def test_autoencoder_forward_shapes_and_validation():
