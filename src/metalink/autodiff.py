@@ -9,9 +9,10 @@ No finite differences, no first-order shortcuts, anywhere in this module.
 
 Every entry point also takes a (T, P) stack of parameter vectors, with data
 that f maps to the (T,) vector of per-row losses (nn.stack_datasets for the
-MLP loss).  The sweep then starts from the sum of the rows' losses, so row t
-of the result is row t's own value and derivative, bit for bit what the row
-gives alone: T problems in one graph.
+MLP loss, tasks.stack_autoencoder_batches for the autoencoder's).  The sweep
+then starts from the sum of the rows' losses, so row t of the result is row
+t's own value and derivative, bit for bit what the row gives alone: T
+problems in one graph.
 
 A sweep whose adjoints are only read, not differentiated again (the
 gradient, the second sweep of hvp, the final sweep of the meta-gradient),

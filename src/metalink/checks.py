@@ -6,11 +6,12 @@ Hessian-vector products, a dense-Hessian closed form for one-step
 meta-gradients, and the analytic relation between the full and first-order
 meta-gradients as the inner step vanishes.  A stacked instance covers the
 task axis: its gradient against central differences, and each row against
-the same network's gradient computed alone; a stacked exact meta-gradient
-is held to each row's meta-gradient computed alone.  Tolerances live here,
-in one place, and the check functions take the computed quantities as
-inputs where practical so a corrupted value demonstrably fails (negative
-controls in the test suite rely on that).
+the same network's gradient computed alone; a stacked exact meta-gradient,
+of MLPs and of autoencoders on a batch with a task axis, is held to each
+row's meta-gradient computed alone.  Tolerances live here, in one place,
+and the check functions take the computed quantities as inputs where
+practical so a corrupted value demonstrably fails (negative controls in the
+test suite rely on that).
 """
 
 from __future__ import annotations
@@ -22,8 +23,17 @@ import numpy as np
 
 from . import graph
 from .autodiff import eval_with_gradient, hvp, unrolled_meta_gradient
-from .nn import Dataset, init_params, make_mlp_lossfn, mlp_arch, stack_datasets
-from .tasks import SCOPE_CHECKS, rng_for
+from .nn import (
+    AutoencoderSpec,
+    Dataset,
+    init_autoencoder_params,
+    init_params,
+    make_autoencoder_lossfn,
+    make_mlp_lossfn,
+    mlp_arch,
+    stack_datasets,
+)
+from .tasks import SCOPE_CHECKS, generate_autoencoder_batch, rng_for, sample_task, stack_autoencoder_batches
 
 GRAD_FD_TOL = 1.0e-6
 GRAD_FD_STEP = 1.0e-5
@@ -217,6 +227,17 @@ def check_stacked_gradient(n_tasks=3):
     )
 
 
+def _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, stacker, m, meta_fn):
+    """Largest absolute difference between row t of the stacked m-step
+    meta-loss and meta-gradient and task t's computed alone, over all t."""
+    losses, grads = (meta_fn or unrolled_meta_gradient)(lossfn, lossfn, stack, 0.1, m, stacker(d_tr), stacker(d_te))
+    err = 0.0
+    for t in range(stack.shape[0]):
+        loss, grad = unrolled_meta_gradient(lossfn, lossfn, stack[t], 0.1, m, d_tr[t], d_te[t])
+        err = max(err, abs(float(losses[t]) - loss), float(np.abs(grads[t] - grad).max()))
+    return err
+
+
 def check_stacked_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     """The exact m-step meta-gradient of a (T, P) stack of T tasks.
 
@@ -226,19 +247,27 @@ def check_stacked_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     """
     rng = rng_for(4322, SCOPE_CHECKS, n_tasks)
     arch = mlp_arch((3, 6, 4))
-    lossfn = make_mlp_lossfn(arch)
     d_tr = [Dataset(rng.standard_normal((5, 3)), rng.integers(0, 4, 5), 4) for _ in range(n_tasks)]
     d_te = [Dataset(rng.standard_normal((7, 3)), rng.integers(0, 4, 7), 4) for _ in range(n_tasks)]
     stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
     stack = stack + 0.05 * rng.standard_normal(stack.shape)
-    losses, grads = (meta_fn or unrolled_meta_gradient)(
-        lossfn, lossfn, stack, 0.1, m, stack_datasets(d_tr), stack_datasets(d_te)
-    )
-    err = 0.0
-    for t in range(n_tasks):
-        loss, grad = unrolled_meta_gradient(lossfn, lossfn, stack[t], 0.1, m, d_tr[t], d_te[t])
-        err = max(err, abs(float(losses[t]) - loss), float(np.abs(grads[t] - grad).max()))
+    err = _stacked_meta_rows_error(make_mlp_lossfn(arch), stack, d_tr, d_te, stack_datasets, m, meta_fn)
     return CheckResult(f"stacked (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
+
+
+def check_stacked_autoencoder_meta_gradient(n_tasks=3, m=2, meta_fn=None):
+    """check_stacked_meta_gradient for autoencoder tasks: a (T, P) stack of
+    small encoder/decoder pairs on batches with a task axis, row t on task
+    t's channel draw (tasks.stack_autoencoder_batches)."""
+    rng = rng_for(4323, SCOPE_CHECKS, n_tasks)
+    spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=(5,))
+    tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
+    d_tr = [generate_autoencoder_batch(task, 5, rng, spec) for task in tasks]
+    d_te = [generate_autoencoder_batch(task, 7, rng, spec) for task in tasks]
+    stack = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])
+    lossfn = make_autoencoder_lossfn(spec)
+    err = _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, stack_autoencoder_batches, m, meta_fn)
+    return CheckResult(f"stacked autoencoder (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
 
 
 def closed_form_meta_gradient(lossfn, theta, eta, d_tr, d_te):
@@ -332,7 +361,13 @@ def run_gradcheck(scale="small"):
     n_grad = 20 if scale == "full" else 5
     n_hvp = 10 if scale == "full" else 3
     t0 = time.perf_counter()
-    results = [check_gradients(n_grad), *check_stacked_gradient(), check_stacked_meta_gradient(), check_hvp(n_hvp)]
+    results = [
+        check_gradients(n_grad),
+        *check_stacked_gradient(),
+        check_stacked_meta_gradient(),
+        check_stacked_autoencoder_meta_gradient(),
+        check_hvp(n_hvp),
+    ]
     results.extend(check_hvp_symmetry(n_hvp))
     results.append(check_meta_closed_form(5 if scale == "full" else 2))
     results.append(check_quadratic_oracle())

@@ -23,10 +23,11 @@ computes alone.  train_conventional is adaptation from a random start: it is
 maml_adapt of a (T, P) stack tiled from init, one row per device.
 train_joint broadcasts its shared parameters to one row per task and
 descends on the mean of the per-task loss vector.  meta_train, given
-stack_data, runs each meta-batch as one (K, P) stack: row k of the stacked
-meta-gradient, exact or first-order, is task k's.  Without stack_data (the
-autoencoder, whose stacked tape would be several times larger) it loops over
-the tasks; adaptation and evaluation stay per task.
+stack_data, runs each meta-batch as stacks of at most max_rows tasks (one
+(K, P) stack for demod, stacks of two for the autoencoder, whose task tapes
+are larger): row k of a stacked meta-gradient, exact or first-order, is task
+k's.  Deployment stacks too: harness adapts and scores its receivers as one
+stack per draw.
 
 One rule covers divergence in a stack: a task stack has no guard of its own,
 and if it diverges (an op raises, or a conventional row's loss passes the
@@ -243,28 +244,36 @@ def _meta_grad(theta, d_tr, d_te, config, lossfn):
     return unrolled_meta_gradient(lossfn, lossfn, theta, config.eta_inner, config.m, d_tr, d_te)
 
 
-def _meta_value_grad(theta, meta_batch, config, lossfn, stack_data=None):
+def _meta_value_grad(theta, meta_batch, config, lossfn, stack_data=None, max_rows=None):
     """Meta-loss and meta-gradient averaged over the batch's tasks.
 
-    With stack_data, the K tasks run as one (K, P) stack, row k task k;
-    without it, or if the stack raises, task by task, so that the error
-    names the first task that diverges alone.
+    With stack_data, the K tasks run as consecutive stacks of at most
+    max_rows rows (all K at once when None), row k task k; the rows of all
+    stacks are averaged as the per-task loop averages its tasks.  Without
+    stack_data, or if a stack raises, task by task, so that the error names
+    the first task that diverges alone.
     """
     items = meta_batch.items
     if stack_data is not None:
         flat = theta.values if isinstance(theta, ParamVector) else theta
+        rows = len(items) if max_rows is None else max_rows
+        chunks = [items[lo:lo + rows] for lo in range(0, len(items), rows)]
         try:
-            losses, grads = _meta_grad(
-                np.tile(flat, (len(items), 1)),
-                stack_data([item.train for item in items]),
-                stack_data([item.test for item in items]),
-                config,
-                lossfn,
-            )
+            per_chunk = [
+                _meta_grad(
+                    np.tile(flat, (len(chunk), 1)),
+                    stack_data([item.train for item in chunk]),
+                    stack_data([item.test for item in chunk]),
+                    config,
+                    lossfn,
+                )
+                for chunk in chunks
+            ]
         except NumericalError:
             pass  # rerun task by task below, to name the task that diverges
         else:
-            return float(np.mean(losses)), np.mean(grads, axis=0)
+            losses, grads = zip(*per_chunk)
+            return float(np.mean(np.concatenate(losses))), np.mean(np.concatenate(grads), axis=0)
     losses = []
     grads = []
     for item in items:
@@ -277,7 +286,7 @@ def _meta_value_grad(theta, meta_batch, config, lossfn, stack_data=None):
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 
-def meta_train(task_stream, config, *, init, lossfn, stack_data=None):
+def meta_train(task_stream, config, *, init, lossfn, stack_data=None, max_rows=None):
     """Full meta-training loop over a stream of meta-batches, from init.
 
     task_stream is a callable rng -> MetaBatch; it is drawn once per outer
@@ -291,13 +300,18 @@ def meta_train(task_stream, config, *, init, lossfn, stack_data=None):
     parameters.  Returns the learned initialization and the meta-loss
     history [(iteration, loss at the point stepped from), ...].
 
-    stack_data, if given, maps the train (or test) data of a meta-batch's
-    tasks, in task order, to one data object on which lossfn of a (K, P)
-    parameter stack is the (K,) vector of per-task losses (nn.stack_datasets
-    for the MLP loss).  Each meta-batch then runs as one stack, with the same
-    result bit for bit; the per-task loop remains for losses that do not
-    stack, and reruns a stack that raised, so the error names its task.
+    stack_data, if given, maps the train (or test) data of some of a
+    meta-batch's tasks, in task order, to one data object on which lossfn of
+    a (T, P) parameter stack is the (T,) vector of per-task losses
+    (nn.stack_datasets for the MLP loss, tasks.stack_autoencoder_batches for
+    the autoencoder's).  Each meta-batch then runs as consecutive stacks of
+    at most max_rows tasks (the whole batch when None), one graph per stack,
+    with the same result bit for bit: max_rows bounds the memory of a stacked
+    tape.  The per-task loop remains for losses that do not stack, and reruns
+    a meta-batch whose stack raised, so the error names its task.
     """
+    if max_rows is not None and max_rows < 1:
+        raise ConfigurationError(f"a stack needs at least one row, got max_rows={max_rows}")
     rng = rng_for(config.seed, SCOPE_META_STREAM)
     theta = init
     history = []
@@ -305,7 +319,7 @@ def meta_train(task_stream, config, *, init, lossfn, stack_data=None):
     for it in range(config.outer_iters):
         batch = task_stream(rng)
         theta, loss, grad = _guarded_step(
-            lambda q: _meta_value_grad(q, batch, config, lossfn, stack_data),
+            lambda q: _meta_value_grad(q, batch, config, lossfn, stack_data, max_rows),
             theta, prev, config.eta_outer, "meta-training", it,
         )
         history.append((it, loss))

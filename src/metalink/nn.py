@@ -11,7 +11,9 @@ Each network has one forward, built from graph nodes: training
 differentiates it to any order, and evaluation reads its value.  Each also
 takes an (S, P) stack on shared inputs, row s bit for bit vector s alone:
 harness scores receivers, and steps the autoencoder trace's starts, as one
-stack.  Like every graph value, evaluation logits are finite: an overflow
+stack.  With a leading task axis on the data (stack_datasets, or
+tasks.stack_autoencoder_batches) row t runs on task t's data instead, which
+is how meta-training stacks its tasks.  Like every graph value, evaluation logits are finite: an overflow
 raises NumericalError instead of being argmax-ed.
 """
 
@@ -288,7 +290,9 @@ def autoencoder_logits_node(p_node, spec, batch):
     encoded to 2*n_uses reals ([Re block; Im block]), power-normalized, sent
     through the batch's real-stacked channel matrix plus its real-stacked
     noise, and decoded.  Training differentiates it; evaluation reads it.  An
-    (S, P) stack on the one batch gives (S, n_blocks, n_messages) logits.
+    (S, P) stack on the one batch gives (S, n_blocks, n_messages) logits,
+    and a (T, P) stack on a stack of T tasks' batches (a leading task axis,
+    tasks.stack_autoencoder_batches) runs row t on task t's draw.
     """
     n_enc, n_total = spec.n_enc_params, param_count(spec.arch)
     if p_node.value.shape[-1] != n_total:
@@ -298,9 +302,17 @@ def autoencoder_logits_node(p_node, spec, batch):
     messages = np.asarray(batch.messages)
     if messages.size == 0:
         raise ConfigurationError("cannot evaluate the autoencoder on an empty batch")
+    if messages.ndim > 1 and p_node.value.shape[:-1] != messages.shape[:-1]:
+        raise ConfigurationError(
+            f"a batch of {messages.shape[0]} tasks needs a ({messages.shape[0]}, {n_total}) parameter stack,"
+            f" got {p_node.value.shape}"
+        )
     encoded = mlp_logits_node(graph.vslice(p_node, 0, n_enc), spec.enc_arch, np.eye(spec.n_messages)[messages])
     coded = power_normalize_node(encoded, spec.n_uses)
-    received = graph.affine(coded, graph.const(batch.channel_matrix.T), graph.const(batch.noise))
+    # the transposed view, not a contiguous copy: BLAS reads it as a transposed
+    # operand, and a copy would move the product in the last bits
+    channel = graph.const(np.swapaxes(batch.channel_matrix, -1, -2))
+    received = graph.affine(coded, channel, graph.const(batch.noise))
     return mlp_logits_node(graph.vslice(p_node, n_enc, n_total), spec.dec_arch, received)
 
 

@@ -165,7 +165,9 @@ class AutoencoderBatch:
     channel_matrix is the real-stacked convolution matrix of the task's taps
     and noise the real-stacked additive noise at the task's SNR, so the loss
     built on this batch is exactly the Monte-Carlo sample the transmitter
-    would have seen.
+    would have seen.  A stack of T tasks' draws (stack_autoencoder_batches)
+    carries a leading task axis on every field: messages (T, n), noise
+    (T, n, rx_width) and channel_matrix (T, rx_width, 2 n_uses); len() is n.
     """
 
     messages: np.ndarray
@@ -179,20 +181,39 @@ class AutoencoderBatch:
         noise = np.array(self.noise, dtype=np.float64)
         matrix = np.array(self.channel_matrix, dtype=np.float64)
         rx_width = self.spec.rx_width
-        if messages.ndim != 1 or messages.size < 1:
-            raise ConfigurationError("batch needs at least one message")
+        if messages.ndim not in (1, 2) or messages.size < 1:
+            raise ConfigurationError("batch needs at least one message, as (n,) or a (T, n) stack of T >= 1 tasks")
         if messages.min() < 0 or messages.max() >= self.spec.n_messages:
             raise ConfigurationError("message indices out of range")
-        if noise.shape != (messages.shape[0], rx_width):
-            raise ConfigurationError(f"noise must be ({messages.shape[0]}, {rx_width})")
-        if matrix.shape != (rx_width, 2 * self.spec.n_uses):
-            raise ConfigurationError("channel matrix shape does not match the spec")
+        lead = messages.shape[:-1]
+        if noise.shape != messages.shape + (rx_width,):
+            raise ConfigurationError(f"noise must be {messages.shape + (rx_width,)}, got {noise.shape}")
+        if matrix.shape != lead + (rx_width, 2 * self.spec.n_uses):
+            raise ConfigurationError(
+                f"channel matrix must be {lead + (rx_width, 2 * self.spec.n_uses)} for the spec, got {matrix.shape}"
+            )
         for name, arr in (("messages", messages), ("noise", noise), ("channel_matrix", matrix)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self):
-        return self.messages.shape[0]
+        return self.messages.shape[-1]
+
+
+def stack_autoencoder_batches(batches):
+    """One AutoencoderBatch holding single-task batches of one spec and block
+    count along a leading task axis, in order."""
+    batches = tuple(batches)
+    if not batches or any(b.messages.ndim != 1 for b in batches):
+        raise ConfigurationError("a stack needs one or more single-task batches")
+    if len({(b.spec, len(b)) for b in batches}) != 1:
+        raise ConfigurationError("a stack needs batches of one spec and one block count")
+    return AutoencoderBatch(
+        np.stack([b.messages for b in batches]),
+        np.stack([b.noise for b in batches]),
+        np.stack([b.channel_matrix for b in batches]),
+        batches[0].spec,
+    )
 
 
 def generate_autoencoder_batch(task, n_blocks, rng, spec=None):

@@ -12,6 +12,7 @@ from metalink.checks import (
     check_hvp,
     check_meta_closed_form,
     check_quadratic_oracle,
+    check_stacked_autoencoder_meta_gradient,
     check_stacked_meta_gradient,
     dense_hessian,
     fd_gradient,
@@ -54,11 +55,12 @@ def test_small_gradcheck_passes_quickly():
     report = run_gradcheck("small")
     assert report.passed
     assert report.seconds < 10.0
-    assert len(report.results) == 10
+    assert len(report.results) == 11
     text = report.format()
     assert "all checks passed" in text
     for fragment in (
         "central differences", "hvp", "symmetry", "linearity", "closed form", "oracle", "first-order", "stacked",
+        "stacked autoencoder",
     ):
         assert fragment in text, f"missing {fragment!r} in report"
     with pytest.raises(ValueError):
@@ -102,5 +104,6 @@ def test_stacked_meta_gradient_row_off_by_one_ulp_is_caught():
         grads[-1, 0] = np.nextafter(grads[-1, 0], np.inf)
         return losses, grads
 
-    assert check_stacked_meta_gradient(meta_fn=nudged).passed is False
-    assert check_stacked_meta_gradient().passed
+    for check in (check_stacked_meta_gradient, check_stacked_autoencoder_meta_gradient):
+        assert check(meta_fn=nudged).passed is False, check.__name__
+        assert check().passed, check.__name__

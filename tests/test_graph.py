@@ -27,7 +27,13 @@ from metalink.nn import (
     param_count,
     stack_datasets,
 )
-from metalink.tasks import TaskFamily, generate_autoencoder_batch, make_demod_split, sample_task
+from metalink.tasks import (
+    TaskFamily,
+    generate_autoencoder_batch,
+    make_demod_split,
+    sample_task,
+    stack_autoencoder_batches,
+)
 
 
 def _fd(fn, x, step=1e-6):
@@ -714,5 +720,18 @@ def test_stack_matches_its_rows_bit_for_bit(n_tasks, n, d, k, hidden, seed):
     (g,) = graph.gradients(graph.asum(losses), [p])
     for t, data in enumerate(tasks):
         alone = autodiff.eval_with_gradient(lossfn, params[t], data)
+        assert losses.value[t] == alone.value
+        assert np.array_equal(g.value[t], alone.gradient)
+
+    # an autoencoder stack on a batch with a task axis: row t on task t's draw
+    spec = AutoencoderSpec(n_messages=k + 1, n_uses=d, enc_hidden=(3,), dec_hidden=(3,))
+    ae_loss = make_autoencoder_lossfn(spec)
+    batches = [generate_autoencoder_batch(sample_task("autoencoder", rng), n, rng, spec) for _ in range(n_tasks)]
+    params = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])
+    p = graph.inp(params)
+    losses = ae_loss(p, stack_autoencoder_batches(batches))
+    (g,) = graph.gradients(graph.asum(losses), [p])
+    for t, batch in enumerate(batches):
+        alone = autodiff.eval_with_gradient(ae_loss, params[t], batch)
         assert losses.value[t] == alone.value
         assert np.array_equal(g.value[t], alone.gradient)

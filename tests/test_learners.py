@@ -34,6 +34,7 @@ from metalink.nn import (
 )
 from metalink.tasks import (
     SCOPE_PILOTS_TRAIN,
+    AutoencoderBatch,
     MetaBatch,
     Task,
     TaskFamily,
@@ -44,6 +45,7 @@ from metalink.tasks import (
     make_pilot_dataset,
     rng_for,
     sample_task,
+    stack_autoencoder_batches,
     subsample_stream,
 )
 
@@ -492,30 +494,51 @@ def test_meta_step_reports_failing_task():
 # the stacked meta-batch
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
-def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, first_order, seed):
-    pool = demod_task_pool(TaskFamily(), k, 4, 8, seed=seed)
+_SMALL_AE = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=(5,))
+
+
+def _meta_instances(k, seed):
+    """(meta-batch of k tasks, lossfn, theta, stack_data) for a demod MLP and
+    for a small autoencoder."""
     arch = mlp_arch((2, 8, 16))
-    lossfn = make_mlp_lossfn(arch)
-    theta = init_params(arch, seed)
-    cfg = TrainConfig(eta_inner=0.3, m=m, first_order=first_order)
-    losses, grads = learners._meta_grad(
-        np.tile(theta.values, (k, 1)),
-        stack_datasets(item.train for item in pool.items),
-        stack_datasets(item.test for item in pool.items),
-        cfg,
-        lossfn,
+    demod_pool = demod_task_pool(TaskFamily(), k, 4, 8, seed=seed)
+    ae_stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), k, seed=seed), _SMALL_AE, k, 6)
+    return (
+        (demod_pool, make_mlp_lossfn(arch), init_params(arch, seed), stack_datasets),
+        (
+            ae_stream(np.random.default_rng(seed)),
+            make_autoencoder_lossfn(_SMALL_AE),
+            init_autoencoder_params(_SMALL_AE, seed),
+            stack_autoencoder_batches,
+        ),
     )
-    assert losses.shape == (k,) and grads.shape == (k, len(theta))
-    for row, item in enumerate(pool.items):
-        loss, grad = learners._meta_grad(theta, item.train, item.test, cfg, lossfn)
-        assert losses[row] == loss
-        assert np.array_equal(grads[row], grad)
-    stacked = learners._meta_value_grad(theta, pool, cfg, lossfn, stack_datasets)
-    looped = learners._meta_value_grad(theta, pool, cfg, lossfn)
-    assert stacked[0] == looped[0]
-    assert np.array_equal(stacked[1], looped[1])
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.booleans(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+@example(5, 1, 2, False, 0)  # stacks of 2, 2 and 1
+@example(5, 2, 2, True, 1)
+def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, max_rows, first_order, seed):
+    cfg = TrainConfig(eta_inner=0.3, m=m, first_order=first_order)
+    for batch, lossfn, theta, stack_data in _meta_instances(k, seed):
+        losses, grads = learners._meta_grad(
+            np.tile(theta.values, (k, 1)),
+            stack_data(item.train for item in batch.items),
+            stack_data(item.test for item in batch.items),
+            cfg,
+            lossfn,
+        )
+        assert losses.shape == (k,) and grads.shape == (k, len(theta))
+        for row, item in enumerate(batch.items):
+            loss, grad = learners._meta_grad(theta, item.train, item.test, cfg, lossfn)
+            assert losses[row] == loss
+            assert np.array_equal(grads[row], grad)
+        looped = learners._meta_value_grad(theta, batch, cfg, lossfn)
+        # one stack of all k, and stacks of at most max_rows
+        for rows in (None, max_rows):
+            stacked = learners._meta_value_grad(theta, batch, cfg, lossfn, stack_data, rows)
+            assert stacked[0] == looped[0]
+            assert np.array_equal(stacked[1], looped[1])
 
 
 @pytest.mark.parametrize("first_order", [False, True])
@@ -529,6 +552,27 @@ def test_meta_train_on_stacks_equals_the_per_task_loop(first_order):
     )
     assert np.array_equal(stacked.params.values, looped.params.values)
     assert stacked.history == looped.history
+    # the autoencoder profile's spec, K = 5 tasks as stacks of 2, 2 and 1
+    spec = AutoencoderSpec()
+    stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), 8, seed=63), spec, 5, 16)
+    cfg = replace(cfg, eta_inner=0.05, eta_outer=0.05, outer_iters=3)
+    init, lossfn = init_autoencoder_params(spec, 15), make_autoencoder_lossfn(spec)
+    looped = meta_train(stream, cfg, init=init, lossfn=lossfn)
+    stacked = meta_train(stream, cfg, init=init, lossfn=lossfn, stack_data=stack_autoencoder_batches, max_rows=2)
+    assert np.array_equal(stacked.params.values, looped.params.values)
+    assert stacked.history == looped.history
+
+
+def _spy_on_parameter_shapes(monkeypatch):
+    """The parameter shape of each autodiff call that learners makes, in order."""
+    shapes = []
+    for name, index in (("unrolled_meta_gradient", 2), ("eval_with_gradient", 1)):
+        def spy(*args, orig=getattr(learners, name), index=index):
+            shapes.append(np.shape(getattr(args[index], "values", args[index])))
+            return orig(*args)
+
+        monkeypatch.setattr(learners, name, spy)
+    return shapes
 
 
 @pytest.mark.parametrize("first_order", [False, True])
@@ -544,13 +588,7 @@ def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatc
 
     items[2] = TaskSplit(items[2].task, huge(items[2].train), huge(items[2].test))
     arch = mlp_arch((2, 8, 16), hidden="relu")
-    shapes = []  # the parameter shape of each autodiff call
-    for name, index in (("unrolled_meta_gradient", 2), ("eval_with_gradient", 1)):
-        def spy(*args, orig=getattr(learners, name), index=index):
-            shapes.append(np.shape(getattr(args[index], "values", args[index])))
-            return orig(*args)
-
-        monkeypatch.setattr(learners, name, spy)
+    shapes = _spy_on_parameter_shapes(monkeypatch)
     cfg = TrainConfig(m=2, outer_iters=1, first_order=first_order)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
         meta_train(
@@ -561,6 +599,44 @@ def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatc
     assert exc.value.op_kind == "affine"
     assert shapes[0] == (4, param_count(arch))  # the stack ran first
     assert (param_count(arch),) in shapes  # then the tasks alone
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_stacked_autoencoder_meta_batch_names_the_task_that_diverges(first_order, monkeypatch):
+    # Task 3's noise is 1e308 in every entry, so the decoder's first layer
+    # overflows.  Tasks 0 and 1 run as the first stack, which succeeds; the
+    # second stack (tasks 2 and 3) raises, and the per-task rerun names task 3.
+    spec = AutoencoderSpec()
+    stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), 4, seed=3), spec, 4, 8)
+    items = list(stream(np.random.default_rng(1)).items)
+
+    def huge(b):
+        return AutoencoderBatch(b.messages, np.full_like(b.noise, 1e308), b.channel_matrix, b.spec)
+
+    items[3] = TaskSplit(items[3].task, huge(items[3].train), huge(items[3].test))
+    shapes = _spy_on_parameter_shapes(monkeypatch)
+    cfg = TrainConfig(eta_inner=0.05, m=1, outer_iters=1, first_order=first_order)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[3].task.id}: ") as exc:
+        meta_train(
+            lambda rng: MetaBatch("autoencoder", tuple(items)), cfg, init=init_autoencoder_params(spec, 1),
+            lossfn=make_autoencoder_lossfn(spec), stack_data=stack_autoencoder_batches, max_rows=2,
+        )
+    assert "'affine'" in str(exc.value)
+    assert exc.value.op_kind == "affine"
+    stack, alone = (2, param_count(spec.arch)), (param_count(spec.arch),)
+    # both stacks ran first, the second raising in its first call; then each
+    # task alone up to task 3, which raises in its first call too
+    calls_per_task = 2 if first_order else 1  # first order: the inner step, then the test gradient
+    assert shapes == [stack] * (calls_per_task + 1) + [alone] * (3 * calls_per_task + 1)
+
+
+def test_meta_train_rejects_a_stack_without_rows():
+    pool = demod_task_pool(TaskFamily(), 3, 4, 8, seed=53)
+    with pytest.raises(ConfigurationError, match="at least one row"):
+        meta_train(
+            subsample_stream(pool, 2), TrainConfig(outer_iters=1), init=init_params(DEMOD_ARCH, 1),
+            lossfn=DEMOD_LOSS, stack_data=stack_datasets, max_rows=0,
+        )
 
 
 # ---------------------------------------------------------------------------

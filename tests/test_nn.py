@@ -29,7 +29,7 @@ from metalink.nn import (
     power_normalize_node,
 )
 from metalink.channel import BLOCK_TAPS, ChannelRealization, apply_channel_block
-from metalink.tasks import AutoencoderBatch, Task, generate_autoencoder_batch, sample_task
+from metalink.tasks import AutoencoderBatch, Task, generate_autoencoder_batch, sample_task, stack_autoencoder_batches
 
 
 def test_mlp_arch_layout():
@@ -409,3 +409,71 @@ def test_autoencoder_forward_shapes_and_validation():
         AutoencoderBatch(np.array([16]), batch.noise[:1], batch.channel_matrix, spec)
     with pytest.raises(ConfigurationError):
         autoencoder_logits_node(p, spec, _toy_batch(spec, [1.0, 0.0, 0.0], np.array([], dtype=int)))
+
+
+def _two_task_batches(n_blocks=3, spec=AutoencoderSpec()):
+    rng = np.random.default_rng(61)
+    return [generate_autoencoder_batch(sample_task("autoencoder", rng), n_blocks, rng, spec) for _ in range(2)]
+
+
+def test_stacked_autoencoder_batch_holds_its_tasks_in_order():
+    batches = _two_task_batches()
+    stack = stack_autoencoder_batches(batches)
+    assert stack.messages.shape == (2, 3) and len(stack) == 3
+    assert stack.noise.shape == (2, 3, stack.spec.rx_width)
+    assert stack.channel_matrix.shape == (2, stack.spec.rx_width, 2 * stack.spec.n_uses)
+    for t, batch in enumerate(batches):
+        for name in ("messages", "noise", "channel_matrix"):
+            assert np.array_equal(getattr(stack, name)[t], getattr(batch, name)), name
+
+
+def _stack_fields(**changes):
+    """messages, noise and channel_matrix of a two-task stack, some replaced."""
+    stack = stack_autoencoder_batches(_two_task_batches())
+    fields = {"messages": stack.messages, "noise": stack.noise, "channel_matrix": stack.channel_matrix}
+    return {**fields, **{name: change(fields[name]) for name, change in changes.items()}}
+
+
+@pytest.mark.parametrize(
+    "fields,match",
+    [
+        (_stack_fields(messages=lambda a: a[:1]), "noise must be"),  # T = 1 against T = 2 in the others
+        (_stack_fields(noise=lambda a: a[:1]), "noise must be"),
+        (_stack_fields(channel_matrix=lambda a: a[:1]), "channel matrix must be"),
+        (_stack_fields(channel_matrix=lambda a: a[:, :-1]), "channel matrix must be"),  # wrong r
+        (_stack_fields(channel_matrix=lambda a: a[:, :, :-1]), "channel matrix must be"),  # wrong c
+        (_stack_fields(channel_matrix=lambda a: a[0]), "channel matrix must be"),  # no task axis
+        # an empty stack: T = 0 in every field
+        (_stack_fields(**dict.fromkeys(("messages", "noise", "channel_matrix"), lambda a: a[:0])), "at least one"),
+        (_stack_fields(messages=lambda a: a[None]), "at least one message"),  # two task axes
+    ],
+)
+def test_stacked_autoencoder_batch_validation(fields, match):
+    with pytest.raises(ConfigurationError, match=match):
+        AutoencoderBatch(spec=AutoencoderSpec(), **fields)
+
+
+@pytest.mark.parametrize(
+    "batches,match",
+    [
+        ([], "one or more single-task batches"),
+        ([stack_autoencoder_batches(_two_task_batches())], "one or more single-task batches"),
+        (_two_task_batches(3)[:1] + _two_task_batches(4)[1:], "block count"),
+        (
+            _two_task_batches(3)[:1] + _two_task_batches(3, AutoencoderSpec(n_messages=8))[1:],
+            "one spec",
+        ),
+    ],
+)
+def test_stack_autoencoder_batches_validation(batches, match):
+    with pytest.raises(ConfigurationError, match=match):
+        stack_autoencoder_batches(batches)
+
+
+def test_stacked_batch_needs_one_parameter_row_per_task():
+    spec = AutoencoderSpec()
+    stack = stack_autoencoder_batches(_two_task_batches())
+    p = init_autoencoder_params(spec, 0).values
+    for params in (p, np.stack([p] * 3)):
+        with pytest.raises(ConfigurationError, match="a batch of 2 tasks needs a"):
+            autoencoder_logits_node(graph.const(params), spec, stack)
