@@ -43,8 +43,15 @@ def qam16_modulate(indices):
 
 
 def noise_variance(snr_db):
-    """Total complex noise variance N0 for unit symbol energy; capped at 300 dB."""
-    return 10.0 ** (-min(float(snr_db), _SNR_DB_CAP) / 10.0)
+    """Total complex noise variance N0 for unit symbol energy; capped at 300 dB.
+
+    An SNR below -300 dB, the mirror of the cap, is rejected: from about
+    -3082.5 dB down, N0 overflows a float.
+    """
+    snr_db = float(snr_db)
+    if snr_db < -_SNR_DB_CAP:
+        raise ConfigurationError(f"snr_db must be >= {-_SNR_DB_CAP:g} dB, got {snr_db:g}")
+    return 10.0 ** (-min(snr_db, _SNR_DB_CAP) / 10.0)
 
 
 def awgn(signal, snr_db, rng):

@@ -1,15 +1,25 @@
-"""Command-line interface.
+"""Command-line interface: `metalink <command>`, the one front end.
 
-Subcommands: meta-train, sweep-pilots, sweep-adapt, gradcheck, eval.
+Subcommands: meta-train, sweep-pilots, sweep-adapt, phase-rotation,
+gradcheck, eval.  The sweeps write their curve as CSV, then print per
+pilot count (sweep-pilots) or adaptation checkpoint (sweep-adapt) the
+median over seeds of each method's per-seed mean error rate.
+phase-rotation runs the joint-training degeneracy study on pure phase
+rotations and prints each seed's and the median SERs.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification-check failure.  The scripts in scripts/ parse with Parser
-and run under run(), so they map errors to the same codes and messages.
+3 verification-check failure, 141 stdout closed by its reader (the code a
+shell reports for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from .checks import run_gradcheck
 from .errors import ConfigurationError, NumericalError
@@ -18,8 +28,10 @@ from .harness import (
     evaluate_params,
     load_config,
     load_params,
+    median_of_seed_means,
     run_adaptation_sweep,
     run_meta_train,
+    run_phase_rotation_seed,
     run_pilot_sweep,
     save_params,
     write_curve,
@@ -29,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
+EXIT_PIPE = 141
 
 
 class Parser(argparse.ArgumentParser):
@@ -43,25 +56,6 @@ def output_path(text):
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
-
-
-def run(body, argv):
-    """body(argv), with errors turned into exit codes and one-line messages.
-
-    ConfigurationError (bad arguments included) prints `config error: ...`
-    and gives 1, NumericalError prints `numerical failure: ...` and gives 2;
-    --help prints the usage and gives 0.
-    """
-    try:
-        return body(argv)
-    except SystemExit as done:  # raised only by argparse's --help
-        return done.code
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def _build_parser():
@@ -84,6 +78,15 @@ def _build_parser():
     ):
         sweep.add_argument("--workers", type=int, default=1, help="parallel workers over seeds")
 
+    # the study builds its own demod config from these; no config file applies
+    study = sub.add_parser("phase-rotation", help="joint training vs meta-learning on pure phase rotations")
+    study.add_argument("--snr-db", type=float, default=20.0, help="Es/N0 of every device")
+    study.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="one run per seed")
+    study.add_argument("--tasks", type=int, default=50, help="devices both learners train on")
+    study.add_argument("--outer-iters", type=int, default=1500, help="meta-training iterations")
+    study.add_argument("--devices", type=int, default=10, help="fresh devices each model is scored on")
+    study.add_argument("--pilots", type=int, default=16, help="pilots the meta-learned model adapts on")
+
     check = sub.add_parser("gradcheck", help="run the derivative verification suites")
     check.add_argument("--scale", choices=("small", "full"), default="small")
 
@@ -96,8 +99,6 @@ def _build_parser():
 
 def _config_from_args(args):
     config = load_config(args.config) if args.config else default_config(args.profile)
-    from dataclasses import replace
-
     if args.seed is not None:
         config = replace(config, seed=args.seed, seeds=(args.seed,))
     if getattr(args, "first_order", False):
@@ -124,6 +125,37 @@ def _cmd_sweep(args, runner):
     result = runner(config, workers=args.workers)
     write_curve(result.table, config.output_path)
     print(f"wrote {len(result.table)} rows to {config.output_path}")
+
+    if config.profile == "demod":
+        metric, axis, points = "ser", "pilots", config.pilot_counts
+    else:
+        last = config.adapt_iters_max
+        metric, axis, points = "bler", " iter", sorted({0, 1, 5, 10, last} & set(range(last + 1)))
+    methods = list(dict.fromkeys(r.method for r in result.records))  # in the order the sweep measured them
+    print(f"median over {len(config.seeds)} seeds of per-seed mean {metric.upper()}:")
+    print(f"  {axis}  " + "  ".join(f"{m:>12s}" for m in methods))
+    for x in points:
+        cells = (f"{median_of_seed_means(result.records, m, metric, float(x)):12.4f}" for m in methods)
+        print(f"  {x:{len(axis)}d}  " + "  ".join(cells))
+    return EXIT_OK
+
+
+def _cmd_phase_rotation(args):
+    # a sweep's seed rules hold here too: non-negative, none repeated
+    replace(default_config("demod"), seeds=tuple(args.seeds))
+    joint_means, maml_means = [], []
+    for seed in args.seeds:
+        joint_ser, maml_ser = run_phase_rotation_seed(
+            seed, args.snr_db, args.tasks, args.outer_iters, args.devices, args.pilots
+        )
+        joint_means.append(joint_ser)
+        maml_means.append(maml_ser)
+        print(f"seed {seed}: joint SER {joint_ser:.4f}, adapted-from-meta SER {maml_ser:.4f}")
+    print(
+        f"medians over {len(args.seeds)} seeds at {args.snr_db:g} dB: "
+        f"joint {np.median(joint_means):.4f}, "
+        f"meta-learned + {args.pilots} pilots {np.median(maml_means):.4f}"
+    )
     return EXIT_OK
 
 
@@ -144,20 +176,46 @@ def _cmd_eval(args):
 
 
 def _dispatch(argv):
-    args = _build_parser().parse_args(argv)
-    if args.command == "meta-train":
-        return _cmd_meta_train(args)
-    if args.command == "sweep-pilots":
-        return _cmd_sweep(args, run_pilot_sweep)
-    if args.command == "sweep-adapt":
-        return _cmd_sweep(args, run_adaptation_sweep)
-    if args.command == "gradcheck":
-        return _cmd_gradcheck(args)
-    return _cmd_eval(args)
+    try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "meta-train":
+            return _cmd_meta_train(args)
+        if args.command == "sweep-pilots":
+            return _cmd_sweep(args, run_pilot_sweep)
+        if args.command == "sweep-adapt":
+            return _cmd_sweep(args, run_adaptation_sweep)
+        if args.command == "phase-rotation":
+            return _cmd_phase_rotation(args)
+        if args.command == "gradcheck":
+            return _cmd_gradcheck(args)
+        return _cmd_eval(args)
+    finally:
+        sys.stdout.flush()  # so a reader that has gone shows here, not in the interpreter's exit flush
 
 
 def main(argv=None):
-    return run(_dispatch, argv)
+    """Run one command; errors become exit codes and one-line messages.
+
+    ConfigurationError (bad arguments included) prints `config error: ...`
+    and gives 1, NumericalError prints `numerical failure: ...` and gives 2;
+    --help prints the usage and gives 0.  A closed stdout gives 141 and
+    prints nothing.
+    """
+    try:
+        return _dispatch(argv)
+    except SystemExit as done:  # raised only by argparse's --help
+        return done.code
+    except ConfigurationError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush land
+        # in devnull instead of raising a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ Two experiments ship with the package, one per profile:
   the number of adaptation iterations, starting either from the meta-learned
   initialization or from a random one.
 
+`metalink phase-rotation` (run_phase_rotation_seed, one call per seed) runs
+the demod pipeline on devices that differ only by a phase rotation, where
+joint training learns nearly nothing.
+
 `metalink meta-train` (run_meta_train) and `metalink eval`
 (evaluate_params) run single steps of the same per-profile pipeline: build
 the task pool, meta-train, adapt on test tasks, evaluate.  Both metrics
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import graph
 from .autodiff import eval_with_gradient
-from .channel import apply_channel_demod
+from .channel import apply_channel_demod, noise_variance
 from .errors import ConfigurationError
 from .learners import (
     DEMOD_ARCH,
@@ -204,6 +208,7 @@ class ExperimentConfig:
             raise ConfigurationError("pilot_counts must be strictly ascending")
         if not math.isfinite(self.snr_db):
             raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
+        noise_variance(self.snr_db)  # delegate the -300 dB floor
         self.train_config(self.seed)  # delegate step-size/m/seed validation
         if self.profile == "autoencoder" and self.K_meta_batch > self.n_meta_train_tasks:
             # The demod stream degenerates to the full pool instead; the
@@ -367,9 +372,21 @@ def _format_value(value):
     return str(value)
 
 
+def _config_line(name, value):
+    text = _format_value(value)
+    if isinstance(value, str) and (text != text.strip() or any(c in text for c in "#\r\n")):
+        # load_config strips the value, starts a comment at '#' and ends the line at a break
+        raise ConfigurationError(f"cannot write {name} {text!r} so that load_config reads it back")
+    return f"{name} = {text}"
+
+
 def write_config(config, path):
-    """Write a config as `key = value` lines; load_config() round-trips it."""
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}" for f in fields(config)]
+    """Write a config as `key = value` lines; load_config() round-trips it.
+
+    A string value it would not read back as written (one with a '#', a
+    line break, or surrounding whitespace) is rejected before any write.
+    """
+    lines = [_config_line(f.name, getattr(config, f.name)) for f in fields(config)]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -84,6 +84,13 @@ def test_noise_variance_db_identities():
     assert noise_variance(1e9) == noise_variance(300.0)  # cap
 
 
+def test_noise_variance_rejects_snr_below_the_floor():
+    assert noise_variance(-300.0) == 10.0**30  # the floor itself is honoured
+    for snr_db in (-300.5, -4000.0, -np.inf):
+        with pytest.raises(ConfigurationError, match="snr_db must be >= -300 dB"):
+            noise_variance(snr_db)
+
+
 def test_awgn_vanishes_at_capped_snr():
     rng = np.random.default_rng(0)
     sig = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)

@@ -1,11 +1,10 @@
 """Command-line interface tests: exit codes, file outputs, flag overrides,
-and one end-to-end subprocess invocation."""
+printed tables, and end-to-end subprocess invocations."""
 
 import contextlib
 import io
 import json
 import os
-import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -15,10 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import metalink
 from metalink import cli
 from metalink.checks import CheckReport, CheckResult
-from metalink.harness import CurveTable, load_params, read_curve, save_params
+from metalink.harness import (
+    CurveTable,
+    load_params,
+    median_of_seed_means,
+    read_curve,
+    run_phase_rotation_seed,
+    save_params,
+)
 from metalink.learners import MetaTrainResult
 from metalink.nn import AutoencoderSpec, init_autoencoder_params, init_params, mlp_arch
 
@@ -243,6 +248,7 @@ def test_module_runs_as_subprocess():
         ({"snr_db": "nan"}, []),
         ({"snr_db": "inf"}, []),
         ({"snr_db": "-inf"}, []),
+        ({"snr_db": "-4000"}, []),
     ],
     ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else " ".join(v),
 )
@@ -261,6 +267,7 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, command, extra, flags
         ("profile = demod\nm = 2\neta_inner = nan\n", "n.cfg:3: step sizes must be finite"),
         ("profile = demod\nseeds = 0,0\n\nsnr_db = inf\n", "n.cfg:2: seeds must not repeat"),
         ("# header\nsnr_db = -inf\nprofile = demod\n", "n.cfg:2: snr_db must be finite"),
+        ("profile = demod\nsnr_db = -4000\n", "n.cfg:2: snr_db must be >= -300 dB, got -4000"),
         ("profile = demod\npilot_counts = 4,2\n", "n.cfg:2: pilot_counts must be strictly ascending"),
         ("m = 1\nprofile = qpsk\n", "n.cfg:2: unknown profile"),
         ("profile = autoencoder\nn_meta_train_tasks = 4\n", "n.cfg:2: K_meta_batch 10 exceeds n_meta_train_tasks 4"),
@@ -313,46 +320,102 @@ def test_workers_is_rejected_where_it_is_not_honoured(tmp_path, capsys, command)
         assert not out.exists()
 
 
-_SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep-adapt", "--config", "{bad}"], id="sweep-adapt-config"),
+        pytest.param(["sweep-pilots", "--config", "{bad}"], id="sweep-pilots-ae-config"),
+        pytest.param(["phase-rotation", "--tasks", "0"], id="rotation-tasks-0"),
+        pytest.param(["sweep-pilots", "--workers", "x"], id="sweep-pilots-workers-x"),
+        pytest.param(["sweep-pilots", "--config", "{diverge}"], id="sweep-pilots-diverges"),
+        pytest.param(["phase-rotation", "--seeds", "-1"], id="rotation-seeds-negative"),
+        pytest.param(["phase-rotation", "--seeds", "0", "0"], id="rotation-seeds-repeat"),
+        pytest.param(
+            ["phase-rotation", "--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "-3"],
+            id="rotation-pilots-negative",
+        ),
+        pytest.param(
+            ["phase-rotation", "--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "0"],
+            id="rotation-pilots-0",
+        ),
+        pytest.param(["sweep-pilots", "--out", ""], id="sweep-pilots-empty-out"),
+    ],
+)
+def test_experiment_errors_exit_as_documented(tmp_path, capsys, monkeypatch, argv):
+    # 1 and one `config error` line on bad input, 2 and one `numerical failure` line on divergence
+    monkeypatch.chdir(tmp_path)
+    bad = _write_tiny_ae(tmp_path / "bad.cfg", K_meta_batch=4)
+    diverge = _write_tiny_demod(tmp_path / "diverge.cfg", eta_outer="1e9", seeds="0")
+    code, prefix = (cli.EXIT_NUMERICAL, "numerical failure: ") if "{diverge}" in argv else (cli.EXIT_CONFIG, "config error: ")
+    assert cli.main([a.format(bad=bad, diverge=diverge) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
-    "script,args",
+    "command, write, runner, points",
     [
-        ("run_autoencoder_adaptation.py", ["--config", "{cfg}"]),
-        ("run_demod_sweep.py", ["--config", "{cfg}"]),
-        ("run_phase_rotation_study.py", ["--tasks", "0"]),
-        ("run_demod_sweep.py", ["--workers", "x"]),
-        ("run_demod_sweep.py", ["--config", "{diverge}"]),
-        ("run_phase_rotation_study.py", ["--seeds", "-1"]),
-        ("run_phase_rotation_study.py", ["--seeds", "0", "0"]),
-        ("run_phase_rotation_study.py", ["--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "-3"]),
-        ("run_phase_rotation_study.py", ["--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "0"]),
-        ("run_demod_sweep.py", ["--out", ""]),
+        ("sweep-pilots", _write_tiny_demod, "run_pilot_sweep", (2, 4)),
+        ("sweep-adapt", _write_tiny_ae, "run_adaptation_sweep", (0, 1, 3)),
     ],
 )
-def test_scripts_report_config_errors_without_a_traceback(tmp_path, script, args):
-    # The scripts exit as `metalink` does: 1 on bad input, 2 on divergence.
-    cfg = _write_tiny_ae(tmp_path / "bad.cfg", K_meta_batch=4)
-    diverge = _write_tiny_demod(tmp_path / "diverge.cfg", eta_outer="1e9", seeds="0")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(metalink.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, str(_SCRIPTS / script), *(a.format(cfg=cfg, diverge=diverge) for a in args)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=tmp_path,
-        env=env,
+def test_sweeps_print_the_median_of_seed_means(tmp_path, capsys, monkeypatch, command, write, runner, points):
+    results = []
+    run = getattr(cli, runner)
+
+    def keep_result(config, workers):
+        results.append(run(config, workers))
+        return results[-1]
+
+    monkeypatch.setattr(cli, runner, keep_result)
+    out = tmp_path / "curve.csv"
+    assert cli.main([command, "--config", write(tmp_path / "t.cfg"), "--out", str(out)]) == cli.EXIT_OK
+    (result,) = results
+    metric = result.records[0].metric
+    methods = list(dict.fromkeys(r.method for r in result.records))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {len(result.table)} rows to {out}"
+    assert lines[1] == f"median over {len({r.seed for r in result.records})} seeds of per-seed mean {metric.upper()}:"
+    assert lines[2].split() == [{"ser": "pilots", "bler": "iter"}[metric], *methods]
+    assert len(lines) == 3 + len(points)
+    for line, x in zip(lines[3:], points):
+        cells = [f"{median_of_seed_means(result.records, m, metric, float(x)):.4f}" for m in methods]
+        assert line.split() == [str(x), *cells]
+
+
+def test_phase_rotation_prints_each_seed_and_the_medians(capsys):
+    argv = ["phase-rotation", "--snr-db", "12.5", "--seeds", "3", "1", "--tasks", "2", "--outer-iters", "2"]
+    assert cli.main([*argv, "--devices", "1", "--pilots", "4"]) == cli.EXIT_OK
+    sers = [run_phase_rotation_seed(seed, 12.5, 2, 2, 1, 4) for seed in (3, 1)]
+    (joint0, maml0), (joint1, maml1) = sers
+    assert capsys.readouterr().out == (
+        f"seed 3: joint SER {joint0:.4f}, adapted-from-meta SER {maml0:.4f}\n"
+        f"seed 1: joint SER {joint1:.4f}, adapted-from-meta SER {maml1:.4f}\n"
+        f"medians over 2 seeds at 12.5 dB: joint {np.median([joint0, joint1]):.4f}, "
+        f"meta-learned + 4 pilots {np.median([maml0, maml1]):.4f}\n"
     )
-    code, prefix = (2, "numerical failure: ") if "{diverge}" in args else (1, "config error: ")
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith(prefix)
-    assert "Traceback" not in proc.stderr
 
 
-_SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "gradcheck", "eval"]
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "metalink", "gradcheck", "--scale", "small"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE
+    assert proc.stderr == b""
+
+
+_SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "phase-rotation", "gradcheck", "eval"]
 _FLAGS = [
     "--config", "--profile", "--seed", "--out", "--first-order", "--workers", "--params", "--scale",
+    "--snr-db", "--seeds", "--tasks", "--outer-iters", "--devices", "--pilots",
     "-h", "--help", "demod", "autoencoder", "small", "full", "0", "-1", "2", "x.npz", "",
 ]
 
@@ -361,7 +424,8 @@ def _stub_work(monkeypatch):
     """Replace every sweep, trainer, check and file write in cli's namespace."""
     monkeypatch.setattr(cli, "run_meta_train", lambda config: MetaTrainResult(None, ((0, 1.0),)))
     for name in ("run_pilot_sweep", "run_adaptation_sweep"):
-        monkeypatch.setattr(cli, name, lambda config, workers: SimpleNamespace(table=CurveTable(())))
+        monkeypatch.setattr(cli, name, lambda config, workers: SimpleNamespace(records=(), table=CurveTable(())))
+    monkeypatch.setattr(cli, "run_phase_rotation_seed", lambda *args: (0.5, 0.5))
     monkeypatch.setattr(cli, "run_gradcheck", lambda scale: CheckReport((), 0.0))
     monkeypatch.setattr(cli, "evaluate_params", lambda config, params: ("ser", [0.5]))
     monkeypatch.setattr(cli, "load_params", lambda path: None)

@@ -331,6 +331,15 @@ def test_config_round_trip(tmp_path):
         path = tmp_path / f"{profile}.cfg"
         write_config(cfg, path)
         assert load_config(path) == cfg
+    # a path with inner spaces and an '=' reads back as written
+    cfg = replace(default_config("demod"), output_path="my runs/n=1.csv")
+    write_config(cfg, tmp_path / "odd.cfg")
+    assert load_config(tmp_path / "odd.cfg") == cfg
+    # one that load_config would read back differently is refused, and nothing is written
+    for out in ("run#1.csv", " padded.csv ", "two\nlines.csv", "two\rlines.csv"):
+        with pytest.raises(ConfigurationError, match="cannot write output_path"):
+            write_config(replace(default_config("demod"), output_path=out), tmp_path / "bad.cfg")
+        assert not (tmp_path / "bad.cfg").exists()
 
 
 def test_load_config_overrides_and_comments(tmp_path):
