@@ -8,8 +8,9 @@ the adaptation trajectory inside one graph and differentiating through it.
 No finite differences, no first-order shortcuts, anywhere in this module.
 
 Every entry point also takes a (T, P) stack of parameter vectors, with data
-that f maps to the (T,) vector of per-row losses (nn.stack_datasets for the
-MLP loss, tasks.stack_autoencoder_batches for the autoencoder's).  The sweep
+that f maps to the (T,) vector of per-row losses (f.stack builds it from
+the rows' data: nn.stack_datasets for the MLP loss,
+nn.stack_autoencoder_batches for the autoencoder's).  The sweep
 then starts from the sum of the rows' losses, so row t of the result is row
 t's own value and derivative, bit for bit what the row gives alone: T
 problems in one graph.

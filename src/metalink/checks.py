@@ -31,9 +31,8 @@ from .nn import (
     make_autoencoder_lossfn,
     make_mlp_lossfn,
     mlp_arch,
-    stack_datasets,
 )
-from .tasks import SCOPE_CHECKS, generate_autoencoder_batch, rng_for, sample_task, stack_autoencoder_batches
+from .tasks import SCOPE_CHECKS, generate_autoencoder_batch, rng_for, sample_task
 
 GRAD_FD_TOL = 1.0e-6
 GRAD_FD_STEP = 1.0e-5
@@ -209,7 +208,7 @@ def check_stacked_gradient(n_tasks=3):
     tasks = [Dataset(rng.standard_normal((8, 3)), rng.integers(0, 4, 8), 4) for _ in range(n_tasks)]
     stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
     stack = stack + 0.05 * rng.standard_normal(stack.shape)
-    data = stack_datasets(tasks)
+    data = lossfn.stack(tasks)
 
     def value(x):
         return float(graph.asum(lossfn(graph.const(x.reshape(stack.shape)), data)).value)
@@ -227,10 +226,12 @@ def check_stacked_gradient(n_tasks=3):
     )
 
 
-def _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, stacker, m, meta_fn):
+def _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, m, meta_fn):
     """Largest absolute difference between row t of the stacked m-step
-    meta-loss and meta-gradient and task t's computed alone, over all t."""
-    losses, grads = (meta_fn or unrolled_meta_gradient)(lossfn, lossfn, stack, 0.1, m, stacker(d_tr), stacker(d_te))
+    meta-loss and meta-gradient (data stacked by lossfn.stack) and task t's
+    computed alone, over all t."""
+    stacked = lossfn.stack(d_tr), lossfn.stack(d_te)
+    losses, grads = (meta_fn or unrolled_meta_gradient)(lossfn, lossfn, stack, 0.1, m, *stacked)
     err = 0.0
     for t in range(stack.shape[0]):
         loss, grad = unrolled_meta_gradient(lossfn, lossfn, stack[t], 0.1, m, d_tr[t], d_te[t])
@@ -251,14 +252,14 @@ def check_stacked_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     d_te = [Dataset(rng.standard_normal((7, 3)), rng.integers(0, 4, 7), 4) for _ in range(n_tasks)]
     stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
     stack = stack + 0.05 * rng.standard_normal(stack.shape)
-    err = _stacked_meta_rows_error(make_mlp_lossfn(arch), stack, d_tr, d_te, stack_datasets, m, meta_fn)
+    err = _stacked_meta_rows_error(make_mlp_lossfn(arch), stack, d_tr, d_te, m, meta_fn)
     return CheckResult(f"stacked (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
 
 
 def check_stacked_autoencoder_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     """check_stacked_meta_gradient for autoencoder tasks: a (T, P) stack of
     small encoder/decoder pairs on batches with a task axis, row t on task
-    t's channel draw (tasks.stack_autoencoder_batches)."""
+    t's channel draw (nn.stack_autoencoder_batches)."""
     rng = rng_for(4323, SCOPE_CHECKS, n_tasks)
     spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=(5,))
     tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
@@ -266,7 +267,7 @@ def check_stacked_autoencoder_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     d_te = [generate_autoencoder_batch(task, 7, rng, spec) for task in tasks]
     stack = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])
     lossfn = make_autoencoder_lossfn(spec)
-    err = _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, stack_autoencoder_batches, m, meta_fn)
+    err = _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, m, meta_fn)
     return CheckResult(f"stacked autoencoder (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
 
 

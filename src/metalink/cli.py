@@ -45,10 +45,15 @@ EXIT_PIPE = 141
 
 
 class Parser(argparse.ArgumentParser):
-    """argparse that raises ConfigurationError instead of calling sys.exit(2)."""
+    """argparse that raises ConfigurationError instead of calling sys.exit(2),
+    and whose --help lets a closed stdout's BrokenPipeError out (argparse's
+    own writer swallows it)."""
 
     def error(self, message):
         raise ConfigurationError(message)
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def output_path(text):

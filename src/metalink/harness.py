@@ -62,7 +62,6 @@ from .nn import (
     make_autoencoder_lossfn,
     make_mlp_lossfn,
     mlp_logits_node,
-    stack_datasets,
 )
 from .tasks import (
     SCOPE_ADAPT_PILOTS,
@@ -78,7 +77,6 @@ from .tasks import (
     make_pilot_dataset,
     phase_rotation_family,
     rng_for,
-    stack_autoencoder_batches,
     subsample_stream,
 )
 
@@ -481,13 +479,13 @@ def evaluate_bler(receivers, spec, task, n_blocks, rng):
 
 _AE_SPEC = AutoencoderSpec()
 _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
-# A meta-training stack holds at most two autoencoder tasks, since a stack's
-# tape grows with its rows: one exact meta-iteration of the default profile
-# (K = 10, 128 blocks) peaks at 3.0 MB in stacks of 2, 7.0 MB in stacks of 5
-# and 13.8 MB as one stack (tracemalloc).  On the benchmark's ae_adapt_sweep
-# (2-core box) stacks of 2 cut wall time by 12% at +3.6% peak RSS; stacks of 5
-# would take an exact meta-iteration only from 19.4 to 17.2 ms.
-_AE_STACK_ROWS = 2
+# meta_train's max_rows: an autoencoder stack holds two tasks, as a tape grows
+# with its rows: one exact meta-iteration of the default profile (K = 10, 128
+# blocks) peaks at 3.0 MB in stacks of 2, 7.0 MB in stacks of 5 and 13.8 MB as
+# one stack (tracemalloc).  On the benchmark's ae_adapt_sweep (2-core box)
+# stacks of 2 cut wall time by 12% at +3.6% peak RSS; stacks of 5 would take
+# an exact meta-iteration only from 19.4 to 17.2 ms.
+_STACK_ROWS = {"demod": None, "autoencoder": 2}
 
 
 def _maml_label(config):
@@ -496,13 +494,12 @@ def _maml_label(config):
 
 def _setup(config, seed, family=None):
     """(task family, meta-training pool, meta-batch stream, initial params,
-    loss, stacking).
+    loss).
 
     The loss is the profile's lossfn(p_node, data), the one every learner
-    and the adaptation trace (a (T, P) stack on one batch) descend.
-    stacking holds meta_train's stack_data and max_rows: a demod meta-batch
-    runs as one (K, P) stack of stack_datasets, an autoencoder meta-batch as
-    stacks of at most _AE_STACK_ROWS tasks of stack_autoencoder_batches.
+    and the adaptation trace (a (T, P) stack on one batch) descend; it
+    carries its stacker, lossfn.stack, with which meta_train stacks a
+    meta-batch's tasks, in stacks of at most _STACK_ROWS[profile].
     `family` replaces the profile's default family.
     """
     family = family or TaskFamily(kind=config.profile, snr_db=config.snr_db)
@@ -511,12 +508,10 @@ def _setup(config, seed, family=None):
             family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
         )
         stream = subsample_stream(pool, config.K_meta_batch)
-        stacking = {"stack_data": stack_datasets, "max_rows": None}
-        return family, pool, stream, init_params(DEMOD_ARCH, seed), make_mlp_lossfn(DEMOD_ARCH), stacking
+        return family, pool, stream, init_params(DEMOD_ARCH, seed), make_mlp_lossfn(DEMOD_ARCH)
     pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
     stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
-    stacking = {"stack_data": stack_autoencoder_batches, "max_rows": _AE_STACK_ROWS}
-    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN, stacking
+    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
 
 
 def _test_tasks(family, seed, n_units):
@@ -534,7 +529,7 @@ def _adapt(starts, datasets, eta, m, lossfn):
     starts, each bit for bit that start adapted on that dataset alone.
     """
     stack = np.tile(np.stack([p.values for p in starts]), (len(datasets), 1))
-    data = stack_datasets(d for d in datasets for _ in starts)
+    data = lossfn.stack(d for d in datasets for _ in starts)
     rows = maml_adapt(stack, data, eta, m, lossfn=lossfn).reshape(len(datasets), len(starts), -1)
     return [tuple(p.with_values(row) for p, row in zip(starts, device)) for device in rows]
 
@@ -575,14 +570,14 @@ def _bler(config, seed, params, task, unit, t):
 
 def _pilot_seed_records(config, seed):
     """All raw SER measurements for one seed of the pilot sweep."""
-    family, pool, stream, init, lossfn, stacking = _setup(config, seed)
+    family, pool, stream, init, lossfn = _setup(config, seed)
     tc = config.train_config(seed)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
     tc_base = replace(tc, outer_iters=config.baseline_iters)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, **stacking).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile]).params
     joint = train_joint(pool, tc_base, init=init)
     tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", _maml_label(config))
@@ -601,8 +596,9 @@ def _pilot_seed_records(config, seed):
 
 def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
-    family, _, stream, init, lossfn, stacking = _setup(config, seed)
-    theta = meta_train(stream, config.train_config(seed), init=init, lossfn=lossfn, **stacking).params
+    family, _, stream, init, lossfn = _setup(config, seed)
+    tc = config.train_config(seed)
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile]).params
 
     methods = (_maml_label(config), "conventional")
     records = []
@@ -679,9 +675,9 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
         meta_test_pilots=32,
         n_meta_test_tasks=n_devices,
     )
-    family, pool, stream, init, lossfn, stacking = _setup(config, seed, phase_rotation_family(snr_db))
+    family, pool, stream, init, lossfn = _setup(config, seed, phase_rotation_family(snr_db))
     tc = config.train_config(seed)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, **stacking).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile]).params
     joint = train_joint(pool, replace(tc, outer_iters=config.baseline_iters), init=init)
     tasks = _test_tasks(family, seed, n_devices)
     adapted = _adapt((theta,), _pilots(tasks, seed, n_pilots), tc.eta_inner, tc.m, lossfn)
@@ -696,8 +692,9 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
 
 def run_meta_train(config):
     """Meta-train one initialization per the config's profile, from its seed."""
-    _, _, stream, init, lossfn, stacking = _setup(config, config.seed)
-    return meta_train(stream, config.train_config(config.seed), init=init, lossfn=lossfn, **stacking)
+    _, _, stream, init, lossfn = _setup(config, config.seed)
+    tc = config.train_config(config.seed)
+    return meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile])
 
 
 def evaluate_params(config, params):

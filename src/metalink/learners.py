@@ -15,26 +15,27 @@ Conventions shared by every loop here:
   data the tasks carry; the two baselines are demodulator-only and build
   make_mlp_lossfn(init.arch) themselves.  No learner looks at its data to
   choose a loss, so a closed-form objective (a quadratic with a known
-  minimum) is just another lossfn, with no wrapper type for its data.
+  minimum) is just another lossfn, with no wrapper type for its data; one
+  that meta_train runs carries its stacker too (see meta_train).
 
 The baselines and meta-training run their tasks in one graph per step, on a
 task axis (see graph), and each row of a stack computes bit for bit what it
 computes alone.  train_conventional is adaptation from a random start: it is
 maml_adapt of a (T, P) stack tiled from init, one row per device.
 train_joint broadcasts its shared parameters to one row per task and
-descends on the mean of the per-task loss vector.  meta_train, given
-stack_data, runs each meta-batch as stacks of at most max_rows tasks (one
-(K, P) stack for demod, stacks of two for the autoencoder, whose task tapes
-are larger): row k of a stacked meta-gradient, exact or first-order, is task
-k's.  Deployment stacks too: harness adapts and scores its receivers as one
-stack per draw.
+descends on the mean of the per-task loss vector.  meta_train runs each
+meta-batch as stacks of at most max_rows tasks (harness runs a demod batch
+as one (K, P) stack and an autoencoder batch, whose task tapes are larger,
+as stacks of two): row k of a stacked meta-gradient, exact or first-order,
+is task k's.  Deployment stacks too: harness adapts and scores its
+receivers as one stack per draw.
 
 One rule covers divergence in a stack: a task stack has no guard of its own,
 and if it diverges (an op raises, or a conventional row's loss passes the
 ceiling) its tasks rerun alone.  Conventional tasks rerun each under its own
-guard, named "task <id>"; a meta-batch's tasks rerun one by one inside the
-batch's meta-loss, so the error that meta-training's guard sees names the
-first task that diverges.
+guard, named "task <id>"; a meta-batch reruns as stacks of one task inside
+the batch's meta-loss, so the error that meta-training's guard sees names
+the first task that diverges.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from . import graph
 from .autodiff import eval_with_gradient, unrolled_meta_gradient
 from .errors import ConfigurationError, NumericalError
-from .nn import ParamVector, make_mlp_lossfn, mlp_arch, stack_datasets
+from .nn import ParamVector, make_mlp_lossfn, mlp_arch
 from .tasks import SCOPE_META_STREAM, rng_for
 
 DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
@@ -179,7 +180,7 @@ def train_conventional(tasks, config, *, datasets, init):
             raise NumericalError("a task's loss is above the ceiling")
         return losses
 
-    start, data = np.tile(init.values, (len(tasks), 1)), stack_datasets(datasets)
+    start, data = np.tile(init.values, (len(tasks), 1)), lossfn.stack(datasets)
     try:
         trained = maml_adapt(start, data, config.eta_inner, config.outer_iters, lossfn=capped)
     except NumericalError:
@@ -214,7 +215,7 @@ def train_joint(meta_batch, config, *, init):
         per_task = lossfn(graph.bcast(theta, (n_tasks, theta.value.shape[0])), data)
         return graph.scale(graph.asum(per_task), 1.0 / n_tasks)
 
-    data = stack_datasets(item.train for item in items)
+    data = lossfn.stack(item.train for item in items)
     return _guarded_descent(
         _value_grad(mean_loss, data), init, config.eta_inner, config.outer_iters, "joint training"
     )
@@ -244,49 +245,35 @@ def _meta_grad(theta, d_tr, d_te, config, lossfn):
     return unrolled_meta_gradient(lossfn, lossfn, theta, config.eta_inner, config.m, d_tr, d_te)
 
 
-def _meta_value_grad(theta, meta_batch, config, lossfn, stack_data=None, max_rows=None):
+def _meta_value_grad(theta, meta_batch, config, lossfn, max_rows=None):
     """Meta-loss and meta-gradient averaged over the batch's tasks.
 
-    With stack_data, the K tasks run as consecutive stacks of at most
-    max_rows rows (all K at once when None), row k task k; the rows of all
-    stacks are averaged as the per-task loop averages its tasks.  Without
-    stack_data, or if a stack raises, task by task, so that the error names
-    the first task that diverges alone.
+    The K tasks run as consecutive stacks of at most max_rows rows (all K at
+    once when None), row k task k, and the rows of all stacks are averaged.
+    If a stack raises, the batch reruns as stacks of one row, and the error
+    of the first that raises names its task.
     """
     items = meta_batch.items
-    if stack_data is not None:
-        flat = theta.values if isinstance(theta, ParamVector) else theta
-        rows = len(items) if max_rows is None else max_rows
-        chunks = [items[lo:lo + rows] for lo in range(0, len(items), rows)]
+    flat = theta.values if isinstance(theta, ParamVector) else theta
+    rows = len(items) if max_rows is None else min(max_rows, len(items))
+    while True:
+        per_stack = []
         try:
-            per_chunk = [
-                _meta_grad(
-                    np.tile(flat, (len(chunk), 1)),
-                    stack_data([item.train for item in chunk]),
-                    stack_data([item.test for item in chunk]),
-                    config,
-                    lossfn,
-                )
-                for chunk in chunks
-            ]
-        except NumericalError:
-            pass  # rerun task by task below, to name the task that diverges
-        else:
-            losses, grads = zip(*per_chunk)
-            return float(np.mean(np.concatenate(losses))), np.mean(np.concatenate(grads), axis=0)
-    losses = []
-    grads = []
-    for item in items:
-        try:
-            loss, grad = _meta_grad(theta, item.train, item.test, config, lossfn)
+            for lo in range(0, len(items), rows):
+                chunk = items[lo:lo + rows]
+                d_tr = lossfn.stack([item.train for item in chunk])
+                d_te = lossfn.stack([item.test for item in chunk])
+                per_stack.append(_meta_grad(np.tile(flat, (len(chunk), 1)), d_tr, d_te, config, lossfn))
         except NumericalError as err:
-            raise NumericalError(f"task {item.task.id}: {err}", op_kind=err.op_kind) from err
-        losses.append(loss)
-        grads.append(grad)
-    return float(np.mean(losses)), np.mean(grads, axis=0)
+            if rows > 1:
+                rows = 1  # rerun, so that the error names the first task that diverges alone
+                continue
+            raise NumericalError(f"task {chunk[0].task.id}: {err}", op_kind=err.op_kind) from err
+        losses, grads = zip(*per_stack)
+        return float(np.mean(np.concatenate(losses))), np.mean(np.concatenate(grads), axis=0)
 
 
-def meta_train(task_stream, config, *, init, lossfn, stack_data=None, max_rows=None):
+def meta_train(task_stream, config, *, init, lossfn, max_rows=None):
     """Full meta-training loop over a stream of meta-batches, from init.
 
     task_stream is a callable rng -> MetaBatch; it is drawn once per outer
@@ -300,15 +287,13 @@ def meta_train(task_stream, config, *, init, lossfn, stack_data=None, max_rows=N
     parameters.  Returns the learned initialization and the meta-loss
     history [(iteration, loss at the point stepped from), ...].
 
-    stack_data, if given, maps the train (or test) data of some of a
-    meta-batch's tasks, in task order, to one data object on which lossfn of
-    a (T, P) parameter stack is the (T,) vector of per-task losses
-    (nn.stack_datasets for the MLP loss, tasks.stack_autoencoder_batches for
-    the autoencoder's).  Each meta-batch then runs as consecutive stacks of
-    at most max_rows tasks (the whole batch when None), one graph per stack,
-    with the same result bit for bit: max_rows bounds the memory of a stacked
-    tape.  The per-task loop remains for losses that do not stack, and reruns
-    a meta-batch whose stack raised, so the error names its task.
+    lossfn.stack maps a list of T tasks' train (or test) data to one data
+    object on which lossfn of a (T, P) stack is the (T,) vector of their
+    losses (nn.stack_datasets for the MLP loss, nn.stack_autoencoder_batches
+    for the autoencoder's).  Each meta-batch runs as stacks of at most
+    max_rows tasks (the whole batch when None), one graph per stack:
+    max_rows bounds a stacked tape's memory, and every max_rows gives the
+    same result bit for bit.
     """
     if max_rows is not None and max_rows < 1:
         raise ConfigurationError(f"a stack needs at least one row, got max_rows={max_rows}")
@@ -319,7 +304,7 @@ def meta_train(task_stream, config, *, init, lossfn, stack_data=None, max_rows=N
     for it in range(config.outer_iters):
         batch = task_stream(rng)
         theta, loss, grad = _guarded_step(
-            lambda q: _meta_value_grad(q, batch, config, lossfn, stack_data, max_rows),
+            lambda q: _meta_value_grad(q, batch, config, lossfn, max_rows),
             theta, prev, config.eta_outer, "meta-training", it,
         )
         history.append((it, loss))

@@ -11,10 +11,11 @@ Each network has one forward, built from graph nodes: training
 differentiates it to any order, and evaluation reads its value.  Each also
 takes an (S, P) stack on shared inputs, row s bit for bit vector s alone:
 harness scores receivers, and steps the autoencoder trace's starts, as one
-stack.  With a leading task axis on the data (stack_datasets, or
-tasks.stack_autoencoder_batches) row t runs on task t's data instead, which
-is how meta-training stacks its tasks.  Like every graph value, evaluation logits are finite: an overflow
-raises NumericalError instead of being argmax-ed.
+stack.  With a leading task axis on the data (each loss's `stack`:
+stack_datasets or stack_autoencoder_batches) row t runs on task t's data
+instead, which is how meta-training stacks its tasks.  Like every graph
+value, evaluation logits are finite: an overflow raises NumericalError
+instead of being argmax-ed.
 """
 
 from __future__ import annotations
@@ -159,6 +160,64 @@ def stack_datasets(datasets):
     )
 
 
+@dataclass(frozen=True)
+class AutoencoderBatch:
+    """Everything random in one autoencoder training draw, frozen as data.
+
+    channel_matrix is the real-stacked convolution matrix of the task's taps
+    and noise the real-stacked additive noise at the task's SNR, so the loss
+    built on this batch is exactly the Monte-Carlo sample the transmitter
+    would have seen.  A stack of T tasks' draws (stack_autoencoder_batches)
+    carries a leading task axis on every field: messages (T, n), noise
+    (T, n, rx_width) and channel_matrix (T, rx_width, 2 n_uses); len() is n.
+    """
+
+    messages: np.ndarray
+    noise: np.ndarray
+    channel_matrix: np.ndarray
+    spec: AutoencoderSpec
+
+    def __post_init__(self):
+        # copies: freezing must not reach the caller's arrays
+        messages = np.array(self.messages, dtype=np.int64)
+        noise = np.array(self.noise, dtype=np.float64)
+        matrix = np.array(self.channel_matrix, dtype=np.float64)
+        rx_width = self.spec.rx_width
+        if messages.ndim not in (1, 2) or messages.size < 1:
+            raise ConfigurationError("batch needs at least one message, as (n,) or a (T, n) stack of T >= 1 tasks")
+        if messages.min() < 0 or messages.max() >= self.spec.n_messages:
+            raise ConfigurationError("message indices out of range")
+        lead = messages.shape[:-1]
+        if noise.shape != messages.shape + (rx_width,):
+            raise ConfigurationError(f"noise must be {messages.shape + (rx_width,)}, got {noise.shape}")
+        if matrix.shape != lead + (rx_width, 2 * self.spec.n_uses):
+            raise ConfigurationError(
+                f"channel matrix must be {lead + (rx_width, 2 * self.spec.n_uses)} for the spec, got {matrix.shape}"
+            )
+        for name, arr in (("messages", messages), ("noise", noise), ("channel_matrix", matrix)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self):
+        return self.messages.shape[-1]
+
+
+def stack_autoencoder_batches(batches):
+    """One AutoencoderBatch holding single-task batches of one spec and block
+    count along a leading task axis, in order."""
+    batches = tuple(batches)
+    if not batches or any(b.messages.ndim != 1 for b in batches):
+        raise ConfigurationError("a stack needs one or more single-task batches")
+    if len({(b.spec, len(b)) for b in batches}) != 1:
+        raise ConfigurationError("a stack needs batches of one spec and one block count")
+    return AutoencoderBatch(
+        np.stack([b.messages for b in batches]),
+        np.stack([b.noise for b in batches]),
+        np.stack([b.channel_matrix for b in batches]),
+        batches[0].spec,
+    )
+
+
 # ---------------------------------------------------------------------------
 # graph builders
 
@@ -203,8 +262,8 @@ def mlp_logits_node(p_node, arch, x):
 def make_mlp_lossfn(arch):
     """Loss function f(p_node, dataset) -> mean cross-entropy Node.
 
-    For a (T, P) parameter stack and a stacked dataset (stack_datasets) the
-    loss is the (T,) vector of per-task mean cross-entropies.
+    For a (T, P) parameter stack and a stacked dataset (f.stack, that is
+    stack_datasets) it is the (T,) vector of per-task mean cross-entropies.
     """
     _check_arch(arch)
     out_width = arch[-1][1]
@@ -219,6 +278,7 @@ def make_mlp_lossfn(arch):
         logits = mlp_logits_node(p_node, arch, data.inputs)
         return graph.softmax_xent(logits, data.targets)
 
+    lossfn.stack = stack_datasets
     return lossfn
 
 
@@ -292,7 +352,7 @@ def autoencoder_logits_node(p_node, spec, batch):
     noise, and decoded.  Training differentiates it; evaluation reads it.  An
     (S, P) stack on the one batch gives (S, n_blocks, n_messages) logits,
     and a (T, P) stack on a stack of T tasks' batches (a leading task axis,
-    tasks.stack_autoencoder_batches) runs row t on task t's draw.
+    stack_autoencoder_batches) runs row t on task t's draw.
     """
     n_enc, n_total = spec.n_enc_params, param_count(spec.arch)
     if p_node.value.shape[-1] != n_total:
@@ -322,11 +382,13 @@ def make_autoencoder_lossfn(spec):
     The batch fixes everything random for the draw (messages, stacked real
     channel matrix, stacked real noise), so the loss is a deterministic,
     smooth function of the joint encoder/decoder parameter vector and can be
-    differentiated to any order; for an (S, P) stack it is the (S,) vector.
+    differentiated to any order; for an (S, P) stack it is the (S,) vector,
+    as for a (T, P) stack on T tasks' batches stacked by f.stack.
     """
 
     def lossfn(p_node, batch):
         logits = autoencoder_logits_node(p_node, spec, batch)
         return graph.softmax_xent(logits, np.broadcast_to(batch.messages, logits.value.shape[:-1]))
 
+    lossfn.stack = stack_autoencoder_batches
     return lossfn

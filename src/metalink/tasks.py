@@ -18,7 +18,7 @@ import numpy as np
 from .channel import BLOCK_TAPS, ChannelRealization, channel_conv_matrix, noise_variance, rayleigh_taps
 from .channel import apply_channel_demod
 from .errors import ConfigurationError
-from .nn import AutoencoderSpec, Dataset
+from .nn import AutoencoderBatch, AutoencoderSpec, Dataset
 
 TASK_KINDS = ("demod", "autoencoder")
 
@@ -155,64 +155,6 @@ def make_demod_split(task, n_train, n_test, rng):
         task,
         make_pilot_dataset(task, n_train, rng_train),
         make_pilot_dataset(task, n_test, rng_test),
-    )
-
-
-@dataclass(frozen=True)
-class AutoencoderBatch:
-    """Everything random in one autoencoder training draw, frozen as data.
-
-    channel_matrix is the real-stacked convolution matrix of the task's taps
-    and noise the real-stacked additive noise at the task's SNR, so the loss
-    built on this batch is exactly the Monte-Carlo sample the transmitter
-    would have seen.  A stack of T tasks' draws (stack_autoencoder_batches)
-    carries a leading task axis on every field: messages (T, n), noise
-    (T, n, rx_width) and channel_matrix (T, rx_width, 2 n_uses); len() is n.
-    """
-
-    messages: np.ndarray
-    noise: np.ndarray
-    channel_matrix: np.ndarray
-    spec: AutoencoderSpec
-
-    def __post_init__(self):
-        # copies: freezing must not reach the caller's arrays
-        messages = np.array(self.messages, dtype=np.int64)
-        noise = np.array(self.noise, dtype=np.float64)
-        matrix = np.array(self.channel_matrix, dtype=np.float64)
-        rx_width = self.spec.rx_width
-        if messages.ndim not in (1, 2) or messages.size < 1:
-            raise ConfigurationError("batch needs at least one message, as (n,) or a (T, n) stack of T >= 1 tasks")
-        if messages.min() < 0 or messages.max() >= self.spec.n_messages:
-            raise ConfigurationError("message indices out of range")
-        lead = messages.shape[:-1]
-        if noise.shape != messages.shape + (rx_width,):
-            raise ConfigurationError(f"noise must be {messages.shape + (rx_width,)}, got {noise.shape}")
-        if matrix.shape != lead + (rx_width, 2 * self.spec.n_uses):
-            raise ConfigurationError(
-                f"channel matrix must be {lead + (rx_width, 2 * self.spec.n_uses)} for the spec, got {matrix.shape}"
-            )
-        for name, arr in (("messages", messages), ("noise", noise), ("channel_matrix", matrix)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self):
-        return self.messages.shape[-1]
-
-
-def stack_autoencoder_batches(batches):
-    """One AutoencoderBatch holding single-task batches of one spec and block
-    count along a leading task axis, in order."""
-    batches = tuple(batches)
-    if not batches or any(b.messages.ndim != 1 for b in batches):
-        raise ConfigurationError("a stack needs one or more single-task batches")
-    if len({(b.spec, len(b)) for b in batches}) != 1:
-        raise ConfigurationError("a stack needs batches of one spec and one block count")
-    return AutoencoderBatch(
-        np.stack([b.messages for b in batches]),
-        np.stack([b.noise for b in batches]),
-        np.stack([b.channel_matrix for b in batches]),
-        batches[0].spec,
     )
 
 

@@ -397,19 +397,21 @@ def test_phase_rotation_prints_each_seed_and_the_medians(capsys):
 
 
 def test_closed_stdout_exits_quietly():
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader has gone before the first write
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "metalink", "gradcheck", "--scale", "small"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            timeout=120,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == cli.EXIT_PIPE
-    assert proc.stderr == b""
+    # a command's own output, and argparse's --help, of the program and of a subcommand
+    for argv in (["gradcheck", "--scale", "small"], ["--help"], ["sweep-pilots", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "metalink", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_PIPE, argv
+        assert proc.stderr == b"", argv
 
 
 _SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "phase-rotation", "gradcheck", "eval"]

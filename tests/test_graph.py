@@ -25,6 +25,7 @@ from metalink.nn import (
     make_mlp_lossfn,
     mlp_arch,
     param_count,
+    stack_autoencoder_batches,
     stack_datasets,
 )
 from metalink.tasks import (
@@ -32,7 +33,6 @@ from metalink.tasks import (
     generate_autoencoder_batch,
     make_demod_split,
     sample_task,
-    stack_autoencoder_batches,
 )
 
 

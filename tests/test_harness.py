@@ -599,10 +599,10 @@ def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
     seed = 4
     cfg = _tiny_demod_config(seeds=(seed,), seed=seed)
     records = run_pilot_sweep(cfg).records
-    family, pool, stream, init, lossfn, stacking = harness._setup(cfg, seed)
+    family, pool, stream, init, lossfn = harness._setup(cfg, seed)
     tc = cfg.train_config(seed)
     tc_base = replace(tc, outer_iters=cfg.baseline_iters)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, **stacking).params
+    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=harness._STACK_ROWS["demod"]).params
     joint = train_joint(pool, tc_base, init=init)
     tasks = harness._test_tasks(family, seed, cfg.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", "maml")
@@ -707,12 +707,12 @@ def test_an_autoencoder_meta_iteration_holds_about_two_task_tapes():
     # 4.3 MB in stacks of 3 and 13.8 MB as one stack of 10.  A larger cap is
     # faster but trades peak memory for it; this bound makes that trade show.
     cfg = default_config("autoencoder")
-    _, _, stream, init, lossfn, stacking = harness._setup(cfg, 0)
+    _, _, stream, init, lossfn = harness._setup(cfg, 0)
     batch = stream(rng_for(0, SCOPE_META_STREAM))
     assert len(batch) == 10 and len(batch.items[0].train) == 128
     tracemalloc.start()
     try:
-        learners._meta_value_grad(init, batch, cfg.train_config(0), lossfn, **stacking)
+        learners._meta_value_grad(init, batch, cfg.train_config(0), lossfn, harness._STACK_ROWS["autoencoder"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -22,6 +22,7 @@ from metalink.learners import (
     train_joint,
 )
 from metalink.nn import (
+    AutoencoderBatch,
     AutoencoderSpec,
     Dataset,
     init_autoencoder_params,
@@ -30,11 +31,9 @@ from metalink.nn import (
     make_mlp_lossfn,
     mlp_arch,
     param_count,
-    stack_datasets,
 )
 from metalink.tasks import (
     SCOPE_PILOTS_TRAIN,
-    AutoencoderBatch,
     MetaBatch,
     Task,
     TaskFamily,
@@ -45,7 +44,6 @@ from metalink.tasks import (
     make_pilot_dataset,
     rng_for,
     sample_task,
-    stack_autoencoder_batches,
     subsample_stream,
 )
 
@@ -53,10 +51,19 @@ from metalink.tasks import (
 DEMOD_LOSS = make_mlp_lossfn(DEMOD_ARCH)
 
 
+def _row_sum(x):
+    """Sum over the last axis: a scalar for one vector, (T,) for a (T, P) stack."""
+    lead = x.value.shape[:-1]
+    return graph.reshape(graph.asum(x, lead + (1,)), lead)
+
+
 def quadratic(p, center):
     """0.5 * sum((p - center)^2): a lossfn whose data is the centre array."""
     d = graph.add(p, graph.const(-center))
-    return graph.scale(graph.asum(graph.mul(d, d)), 0.5)
+    return graph.scale(_row_sum(graph.mul(d, d)), 0.5)
+
+
+quadratic.stack = np.stack  # meta_train stacks the tasks' centre arrays
 
 
 def _item(train, test=None, task_id=0):
@@ -477,8 +484,9 @@ def test_meta_step_reports_failing_task():
     # engine's error as its cause.
     def explode(p, _data):
         big = graph.scale(p, 1e200)
-        return graph.asum(graph.mul(big, big))
+        return _row_sum(graph.mul(big, big))
 
+    explode.stack = np.stack
     item = _item(None, task_id=3)
     cfg = TrainConfig(eta_inner=0.1)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="task 3") as exc:
@@ -498,18 +506,17 @@ _SMALL_AE = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=
 
 
 def _meta_instances(k, seed):
-    """(meta-batch of k tasks, lossfn, theta, stack_data) for a demod MLP and
-    for a small autoencoder."""
+    """(meta-batch of k tasks, lossfn, theta) for a demod MLP and for a small
+    autoencoder."""
     arch = mlp_arch((2, 8, 16))
     demod_pool = demod_task_pool(TaskFamily(), k, 4, 8, seed=seed)
     ae_stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), k, seed=seed), _SMALL_AE, k, 6)
     return (
-        (demod_pool, make_mlp_lossfn(arch), init_params(arch, seed), stack_datasets),
+        (demod_pool, make_mlp_lossfn(arch), init_params(arch, seed)),
         (
             ae_stream(np.random.default_rng(seed)),
             make_autoencoder_lossfn(_SMALL_AE),
             init_autoencoder_params(_SMALL_AE, seed),
-            stack_autoencoder_batches,
         ),
     )
 
@@ -520,47 +527,50 @@ def _meta_instances(k, seed):
 @example(5, 2, 2, True, 1)
 def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, max_rows, first_order, seed):
     cfg = TrainConfig(eta_inner=0.3, m=m, first_order=first_order)
-    for batch, lossfn, theta, stack_data in _meta_instances(k, seed):
+    for batch, lossfn, theta in _meta_instances(k, seed):
         losses, grads = learners._meta_grad(
             np.tile(theta.values, (k, 1)),
-            stack_data(item.train for item in batch.items),
-            stack_data(item.test for item in batch.items),
+            lossfn.stack([item.train for item in batch.items]),
+            lossfn.stack([item.test for item in batch.items]),
             cfg,
             lossfn,
         )
         assert losses.shape == (k,) and grads.shape == (k, len(theta))
+        alone = []  # each task's meta-loss and meta-gradient on the flat vector
         for row, item in enumerate(batch.items):
-            loss, grad = learners._meta_grad(theta, item.train, item.test, cfg, lossfn)
+            loss, grad = learners._meta_grad(theta.values, item.train, item.test, cfg, lossfn)
             assert losses[row] == loss
             assert np.array_equal(grads[row], grad)
-        looped = learners._meta_value_grad(theta, batch, cfg, lossfn)
-        # one stack of all k, and stacks of at most max_rows
-        for rows in (None, max_rows):
-            stacked = learners._meta_value_grad(theta, batch, cfg, lossfn, stack_data, rows)
-            assert stacked[0] == looped[0]
-            assert np.array_equal(stacked[1], looped[1])
+            alone.append((loss, grad))
+        want_loss, want_grad = float(np.mean([loss for loss, _ in alone])), np.mean([g for _, g in alone], axis=0)
+        # one stack of all k, stacks of at most max_rows, and stacks of one
+        for rows in (None, max_rows, 1):
+            got_loss, got_grad = learners._meta_value_grad(theta, batch, cfg, lossfn, rows)
+            assert got_loss == want_loss
+            assert np.array_equal(got_grad, want_grad)
 
 
 @pytest.mark.parametrize("first_order", [False, True])
 def test_meta_train_on_stacks_equals_the_per_task_loop(first_order):
+    # stacks of one row are the per-task reference: each row is bit for bit its task alone
     pool = demod_task_pool(TaskFamily(), 12, 4, 16, seed=62)
     cfg = TrainConfig(m=2, outer_iters=4, first_order=first_order, seed=3)
     init = init_params(DEMOD_ARCH, 14)
-    looped = meta_train(subsample_stream(pool, 5), cfg, init=init, lossfn=DEMOD_LOSS)
-    stacked = meta_train(
-        subsample_stream(pool, 5), cfg, init=init, lossfn=DEMOD_LOSS, stack_data=stack_datasets
+    one, two, whole = (
+        meta_train(subsample_stream(pool, 5), cfg, init=init, lossfn=DEMOD_LOSS, max_rows=rows) for rows in (1, 2, None)
     )
-    assert np.array_equal(stacked.params.values, looped.params.values)
-    assert stacked.history == looped.history
-    # the autoencoder profile's spec, K = 5 tasks as stacks of 2, 2 and 1
+    for stacked in (two, whole):
+        assert np.array_equal(stacked.params.values, one.params.values)
+        assert stacked.history == one.history
+    # the autoencoder profile's spec, K = 5 tasks as stacks of 1, of 2, 2 and 1, and of 5
     spec = AutoencoderSpec()
     stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), 8, seed=63), spec, 5, 16)
     cfg = replace(cfg, eta_inner=0.05, eta_outer=0.05, outer_iters=3)
     init, lossfn = init_autoencoder_params(spec, 15), make_autoencoder_lossfn(spec)
-    looped = meta_train(stream, cfg, init=init, lossfn=lossfn)
-    stacked = meta_train(stream, cfg, init=init, lossfn=lossfn, stack_data=stack_autoencoder_batches, max_rows=2)
-    assert np.array_equal(stacked.params.values, looped.params.values)
-    assert stacked.history == looped.history
+    one, two, whole = (meta_train(stream, cfg, init=init, lossfn=lossfn, max_rows=rows) for rows in (1, 2, None))
+    for stacked in (two, whole):
+        assert np.array_equal(stacked.params.values, one.params.values)
+        assert stacked.history == one.history
 
 
 def _spy_on_parameter_shapes(monkeypatch):
@@ -579,7 +589,7 @@ def _spy_on_parameter_shapes(monkeypatch):
 def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatch):
     # Task 2's pilots are scaled to 1e200: its relu net survives the first
     # inner step, but the step's size overflows the next forward.  The stack
-    # raises, and the per-task rerun names task 2 and the failing op.
+    # raises, and the rerun as stacks of one names task 2 and the failing op.
     pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=61)
     items = list(pool.items)
 
@@ -593,19 +603,20 @@ def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatc
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
         meta_train(
             lambda rng: MetaBatch("demod", tuple(items)), cfg,
-            init=init_params(arch, 1), lossfn=make_mlp_lossfn(arch), stack_data=stack_datasets,
+            init=init_params(arch, 1), lossfn=make_mlp_lossfn(arch),
         )
     assert "'affine'" in str(exc.value)
     assert exc.value.op_kind == "affine"
     assert shapes[0] == (4, param_count(arch))  # the stack ran first
-    assert (param_count(arch),) in shapes  # then the tasks alone
+    assert (1, param_count(arch)) in shapes  # then the tasks as stacks of one
 
 
 @pytest.mark.parametrize("first_order", [False, True])
 def test_stacked_autoencoder_meta_batch_names_the_task_that_diverges(first_order, monkeypatch):
     # Task 3's noise is 1e308 in every entry, so the decoder's first layer
     # overflows.  Tasks 0 and 1 run as the first stack, which succeeds; the
-    # second stack (tasks 2 and 3) raises, and the per-task rerun names task 3.
+    # second stack (tasks 2 and 3) raises, and the rerun as stacks of one
+    # names task 3.
     spec = AutoencoderSpec()
     stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), 4, seed=3), spec, 4, 8)
     items = list(stream(np.random.default_rng(1)).items)
@@ -619,15 +630,42 @@ def test_stacked_autoencoder_meta_batch_names_the_task_that_diverges(first_order
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[3].task.id}: ") as exc:
         meta_train(
             lambda rng: MetaBatch("autoencoder", tuple(items)), cfg, init=init_autoencoder_params(spec, 1),
-            lossfn=make_autoencoder_lossfn(spec), stack_data=stack_autoencoder_batches, max_rows=2,
+            lossfn=make_autoencoder_lossfn(spec), max_rows=2,
         )
     assert "'affine'" in str(exc.value)
     assert exc.value.op_kind == "affine"
-    stack, alone = (2, param_count(spec.arch)), (param_count(spec.arch),)
+    stack, alone = (2, param_count(spec.arch)), (1, param_count(spec.arch))
     # both stacks ran first, the second raising in its first call; then each
-    # task alone up to task 3, which raises in its first call too
+    # task as a stack of one up to task 3, which raises in its first call too
     calls_per_task = 2 if first_order else 1  # first order: the inner step, then the test gradient
     assert shapes == [stack] * (calls_per_task + 1) + [alone] * (3 * calls_per_task + 1)
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("max_rows", [1, 3, None])
+def test_a_diverging_stack_reruns_once_as_stacks_of_one(max_rows, first_order, monkeypatch):
+    # Task 2's pilots of 1e300 overflow the first layer's affine op, under
+    # first-layer weights of 1e9, in the first autodiff call that reaches
+    # them.  Stacks of one name it there, with no rerun; a larger stack
+    # raises, and the batch reruns once as stacks of one, up to task 2.
+    pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=64)
+    items = list(pool.items)
+    bad = items[2].train
+    items[2] = replace(items[2], train=Dataset(np.full_like(bad.inputs, 1e300), bad.targets, 16))
+    shapes = _spy_on_parameter_shapes(monkeypatch)
+    cfg = TrainConfig(m=1, outer_iters=1, first_order=first_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
+            meta_train(
+                lambda rng: MetaBatch("demod", tuple(items)), cfg,
+                init=_saturated_init(), lossfn=DEMOD_LOSS, max_rows=max_rows,
+            )
+    assert exc.value.op_kind == "affine"
+    n_params = param_count(DEMOD_ARCH)
+    calls_per_task = 2 if first_order else 1  # first order: the inner step, then the test gradient
+    alone = [(1, n_params)] * (2 * calls_per_task + 1)  # tasks 0 and 1, then task 2's first call
+    first_pass = [] if max_rows == 1 else [(max_rows or len(items), n_params)]
+    assert shapes == first_pass + alone
 
 
 def test_meta_train_rejects_a_stack_without_rows():
@@ -635,7 +673,7 @@ def test_meta_train_rejects_a_stack_without_rows():
     with pytest.raises(ConfigurationError, match="at least one row"):
         meta_train(
             subsample_stream(pool, 2), TrainConfig(outer_iters=1), init=init_params(DEMOD_ARCH, 1),
-            lossfn=DEMOD_LOSS, stack_data=stack_datasets, max_rows=0,
+            lossfn=DEMOD_LOSS, max_rows=0,
         )
 
 
@@ -708,8 +746,9 @@ def _steep(scale):
     """p -> scale * sum(p^2), gradient 2*scale*p; eta*2*scale = 30 diverges."""
 
     def lossfn(p, _data):
-        return graph.scale(graph.asum(graph.mul(p, p)), scale)
+        return graph.scale(_row_sum(graph.mul(p, p)), scale)
 
+    lossfn.stack = np.stack
     return lossfn
 
 

@@ -15,6 +15,7 @@ from metalink.checks import fd_gradient, relative_error
 from metalink.errors import ConfigurationError, NumericalError
 from metalink.learners import sgd_step
 from metalink.nn import (
+    AutoencoderBatch,
     AutoencoderSpec,
     Dataset,
     ParamVector,
@@ -27,9 +28,10 @@ from metalink.nn import (
     mlp_logits_node,
     param_count,
     power_normalize_node,
+    stack_autoencoder_batches,
 )
 from metalink.channel import BLOCK_TAPS, ChannelRealization, apply_channel_block
-from metalink.tasks import AutoencoderBatch, Task, generate_autoencoder_batch, sample_task, stack_autoencoder_batches
+from metalink.tasks import Task, generate_autoencoder_batch, sample_task
 
 
 def test_mlp_arch_layout():

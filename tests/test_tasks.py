@@ -16,11 +16,10 @@ from metalink.channel import (
     tx_nonideality,
 )
 from metalink.errors import ConfigurationError
-from metalink.nn import AutoencoderSpec, Dataset
+from metalink.nn import AutoencoderBatch, AutoencoderSpec, Dataset
 from metalink.tasks import (
     SCOPE_EVAL,
     SCOPE_TASK,
-    AutoencoderBatch,
     MetaBatch,
     Task,
     TaskFamily,
