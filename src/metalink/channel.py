@@ -57,22 +57,17 @@ def noise_variance(snr_db):
 def awgn(signal, snr_db, rng):
     """Add circularly symmetric complex Gaussian noise at the given Es/N0.
 
-    One draw covers the whole signal, and each row along the last axis takes
-    all its real parts, then all its imaginary parts.  So a stack of blocks
-    consumes the stream exactly as one call per block would.
-
-    rng=None selects noiseless mode: the signal passes through untouched
-    (exactly, not merely at high SNR), used by linearity and convolution
-    oracles that demand bit-level agreement.
+    One draw covers the whole signal: all its real parts, then all its
+    imaginary parts.  rng=None selects noiseless mode: the signal passes
+    through exactly, not merely at high SNR, for oracles that demand
+    bit-level agreement.
     """
     signal = np.asarray(signal)
     if rng is None:
         return signal
     sigma = np.sqrt(noise_variance(snr_db) / 2.0)
-    shape = np.atleast_1d(signal).shape
-    z = rng.standard_normal(shape[:-1] + (2,) + shape[-1:])
-    noise = (z[..., 0, :] + 1j * z[..., 1, :]).reshape(signal.shape)
-    return signal + sigma * noise
+    z = rng.standard_normal((2,) + signal.shape)
+    return signal + sigma * (z[0] + 1j * z[1])
 
 
 def rayleigh_taps(n_taps, rng):
@@ -135,13 +130,12 @@ def apply_channel_demod(indices, ch, rng):
     return received, indices
 
 
-def apply_channel_block(symbols, ch, rng):
-    """Multipath use case: full linear convolution with 3 taps, then noise.
+def apply_channel_block(symbols, ch):
+    """Multipath use case: full linear convolution with 3 taps, no noise.
 
     symbols is one block (n,) or a stack of blocks (n_blocks, n); each block
-    of n complex samples comes out as n + 2 samples, and a stack gets noise
-    as if its blocks were sent one call at a time.  rng=None skips the noise
-    (see awgn).
+    of n complex samples comes out as n + 2.  The oracle for
+    channel_conv_matrix, through which the autoencoder runs.
     """
     if ch.taps.shape[0] != BLOCK_TAPS:
         raise ConfigurationError("block channel expects exactly three taps")
@@ -163,7 +157,7 @@ def apply_channel_block(symbols, ch, rng):
         im[..., lag:lag + n] += hr * xi + hi * xr
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
-    return awgn(out, ch.snr_db, rng)
+    return out
 
 
 def channel_conv_matrix(taps, n):

@@ -113,23 +113,15 @@ def dense_hessian(lossfn, p, data):
     return h
 
 
-def _random_instance(i, n_classes=4, hidden=6, activation=None):
-    """Small random MLP classification instance, deterministic in i.
-
-    Unless pinned, the activation alternates so both tanh and relu nets are
-    exercised; checks on second derivatives pin tanh (smooth).
-    """
+def _random_instance(i, n_classes=4, hidden=6):
+    """Small random tanh MLP classification instance, deterministic in i."""
     rng = rng_for(1234, SCOPE_CHECKS, i)
     d = int(rng.integers(2, 5))
-    if activation is None:
-        activation = "relu" if i % 3 == 0 else "tanh"
-    arch = mlp_arch((d, hidden, n_classes), hidden=activation)
+    arch = mlp_arch((d, hidden, n_classes))
     n = int(rng.integers(5, 20))
     data = Dataset(rng.standard_normal((n, d)), rng.integers(0, n_classes, n), n_classes)
     p = init_params(arch, rng)
-    # Move off the zero-bias init so relu kinks are not sitting on the
-    # fd evaluation points.
-    p = p.with_values(p.values + 0.05 * rng.standard_normal(len(p)))
+    p = p.with_values(p.values + 0.05 * rng.standard_normal(len(p)))  # off the zero-bias init
     return make_mlp_lossfn(arch), p, data
 
 
@@ -159,7 +151,7 @@ def check_hvp(n_instances=10, hvp_fn=None):
     """Max relative error of Hessian-vector products vs fd of exact gradients."""
     worst = 0.0
     for i in range(n_instances):
-        lossfn, p, data = _random_instance(i, activation="tanh")
+        lossfn, p, data = _random_instance(i)
         rng = rng_for(99, SCOPE_CHECKS, i)
         v = rng.standard_normal(len(p))
         got = (hvp_fn or hvp)(lossfn, p, v, data)
@@ -177,7 +169,7 @@ def check_hvp_symmetry(n_instances=10):
     worst_sym = 0.0
     worst_lin = 0.0
     for i in range(n_instances):
-        lossfn, p, data = _random_instance(i, activation="tanh")
+        lossfn, p, data = _random_instance(i)
         rng = rng_for(7, SCOPE_CHECKS, i)
         u = rng.standard_normal(len(p))
         v = rng.standard_normal(len(p))

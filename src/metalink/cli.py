@@ -63,6 +63,14 @@ def output_path(text):
     return text
 
 
+def positive_int(text):
+    """A --tasks, --devices or --pilots value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = Parser(prog="metalink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,10 +95,10 @@ def _build_parser():
     study = sub.add_parser("phase-rotation", help="joint training vs meta-learning on pure phase rotations")
     study.add_argument("--snr-db", type=float, default=20.0, help="Es/N0 of every device")
     study.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="one run per seed")
-    study.add_argument("--tasks", type=int, default=50, help="devices both learners train on")
+    study.add_argument("--tasks", type=positive_int, default=50, help="devices both learners train on")
     study.add_argument("--outer-iters", type=int, default=1500, help="meta-training iterations")
-    study.add_argument("--devices", type=int, default=10, help="fresh devices each model is scored on")
-    study.add_argument("--pilots", type=int, default=16, help="pilots the meta-learned model adapts on")
+    study.add_argument("--devices", type=positive_int, default=10, help="fresh devices each model is scored on")
+    study.add_argument("--pilots", type=positive_int, default=16, help="pilots the meta-learned model adapts on")
 
     check = sub.add_parser("gradcheck", help="run the derivative verification suites")
     check.add_argument("--scale", choices=("small", "full"), default="small")

@@ -20,10 +20,9 @@ cannot turn finite inputs, which nodes are, into a non-finite output, so it
 skips the check without weakening the invariant: transpose, reshape, vslice
 and bcast copy entries, scatter copies its parts into zeros (overlapping
 parts are added, and scatter() checks that case), tanh lies in [-1, 1],
-relu_mask in {0, 1}, relu is an entry or 0, and softmax_rows lies in [0, 1]
-(its shifted exponents are <= 0, an overflowing shift is -inf, whose exp is
-0, and each row sum includes exp(0) = 1).  Every other row checks its result
-as it is built.
+and softmax_rows lies in [0, 1] (its shifted exponents are <= 0, an
+overflowing shift is -inf, whose exp is 0, and each row sum includes
+exp(0) = 1).  Every other row checks its result as it is built.
 
 Broadcasting has one rule, numpy's: add, mul and div accept any two
 broadcast-compatible operands, and their VJPs sum each adjoint back to its
@@ -372,8 +371,6 @@ def _softmax_xent_vjp(n, g):
 
 
 _TANH = Op("tanh", lambda a, _: np.tanh(a), (_tanh_vjp,), checked=False)
-_RELU = Op("relu", lambda a, _: np.maximum(a, 0.0), (lambda n, g: mul(g, relu_mask(n.parents[0])),), checked=False)
-_RELU_MASK = Op("relu_mask", lambda a, _: (a > 0.0).astype(np.float64), checked=False)
 _SQRT = Op("sqrt", lambda a, _: np.sqrt(a), (lambda n, g: scale(div(g, n), 0.5),))
 _SOFTMAX_ROWS = Op("softmax_rows", _softmax_value, (_softmax_rows_vjp,), checked=False)
 _SOFTMAX_XENT = Op("softmax_xent", _xent_value, (_softmax_xent_vjp,))
@@ -385,20 +382,6 @@ _ONE = const(1.0)
 
 def tanh(a):
     return _make(_TANH, _TANH.kernel(a.value, None), (a,))
-
-
-def relu(a):
-    return _make(_RELU, _RELU.kernel(a.value, None), (a,))
-
-
-def relu_mask(a):
-    """Indicator (a > 0); the derivative of relu, itself with zero derivative.
-
-    Giving the mask no VJPs encodes the almost-everywhere convention
-    relu'' = 0, keeping relu networks inside the engine's closure under
-    differentiation.
-    """
-    return _make(_RELU_MASK, _RELU_MASK.kernel(a.value, None), (a,))
 
 
 def sqrt(a):

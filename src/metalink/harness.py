@@ -744,7 +744,10 @@ def _width(x):
 
 def load_params(path):
     try:
-        with np.load(path, allow_pickle=False) as data:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("not an .npz archive")
+        with data:
             values = data["values"]
             arch = tuple((_width(fi), _width(fo), str(act)) for fi, fo, act in json.loads(str(data["arch"])))
         if values.dtype.kind not in "iuf":

@@ -3,9 +3,9 @@
 All trainable parameters live in one flat float64 vector so the derivative
 machinery never has to know about layers.  The layout per layer is
 [W (in*out, row-major), b (out)], layers in order.  An architecture is a
-tuple of (fan_in, fan_out, activation) with activation one of
-"tanh" | "relu" | "linear"; the output layer of every network built here is
-linear (logits or channel symbols).
+tuple of (fan_in, fan_out, activation) with activation "tanh" or "linear";
+every network built here has tanh hidden layers and a linear output layer
+(logits or channel symbols).
 
 Each network has one forward, built from graph nodes: training
 differentiates it to any order, and evaluation reads its value.  Each also
@@ -30,11 +30,11 @@ from . import graph
 from .channel import BLOCK_TAPS
 from .errors import ConfigurationError
 
-_ACTIVATIONS = ("tanh", "relu", "linear")
+_ACTIVATIONS = ("tanh", "linear")
 
 
-def mlp_arch(sizes, hidden="tanh"):
-    """Architecture tuple for a fully-connected net with linear output.
+def mlp_arch(sizes):
+    """Architecture tuple for a fully-connected tanh net with linear output.
 
     >>> mlp_arch((2, 32, 16))
     ((2, 32, 'tanh'), (32, 16, 'linear'))
@@ -42,11 +42,9 @@ def mlp_arch(sizes, hidden="tanh"):
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ConfigurationError(f"bad layer sizes {sizes}")
-    if hidden not in _ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation '{hidden}'")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        act = "linear" if i == len(sizes) - 2 else hidden
+        act = "linear" if i == len(sizes) - 2 else "tanh"
         layers.append((fan_in, fan_out, act))
     return tuple(layers)
 
@@ -221,14 +219,6 @@ def stack_autoencoder_batches(batches):
 # ---------------------------------------------------------------------------
 # graph builders
 
-def _activate(z, act):
-    if act == "tanh":
-        return graph.tanh(z)
-    if act == "relu":
-        return graph.relu(z)
-    return z
-
-
 def mlp_logits_node(p_node, arch, x):
     """Forward pass as graph nodes; x is an (n, d) array or an (n, d) Node.
 
@@ -251,7 +241,8 @@ def mlp_logits_node(p_node, arch, x):
         if lead:  # one bias row per task, broadcast over that task's samples
             b = graph.reshape(b, lead + (1, fan_out))
         offset += fan_out
-        h = _activate(graph.affine(h, w, b), act)
+        h = graph.affine(h, w, b)
+        h = graph.tanh(h) if act == "tanh" else h
     if offset != p_node.value.shape[-1]:
         raise ConfigurationError(
             f"architecture consumes {offset} parameters, vector has {p_node.value.shape[-1]}"

@@ -11,7 +11,7 @@ to the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,34 +237,3 @@ def autoencoder_stream(tasks, spec, k, n_blocks):
         return MetaBatch("autoencoder", tuple(items))
 
     return stream
-
-
-# ---------------------------------------------------------------------------
-# hygiene
-
-
-def _rows_intersect(a, b):
-    if a.size == 0 or b.size == 0:
-        return False
-    return bool((a[:, None, :] == b[None, :, :]).all(axis=2).any())
-
-
-def audit_meta_batch(meta_batch):
-    """Raise if any adaptation example also appears on the held-out side.
-
-    The check is exact equality, not tolerance-based: demod pilots are
-    compared by their (re, im) input rows, autoencoder batches by noise rows
-    (message indices repeat by design, so an identical noise row is the
-    fingerprint of a reused draw).  Returns the number of task splits
-    inspected so callers can assert the audit covered the whole batch.
-    """
-    for item in meta_batch.items:
-        if meta_batch.kind == "demod":
-            a, b = item.train.inputs, item.test.inputs
-        else:
-            a, b = item.train.noise, item.test.noise
-        if _rows_intersect(a, b):
-            raise ConfigurationError(
-                f"task {item.task.id}: adaptation data leaked into the held-out set"
-            )
-    return len(meta_batch.items)

@@ -167,7 +167,7 @@ def test_criterion_8_channel_oracles():
         draw = np.random.default_rng(seed)
         taps = rayleigh_taps(3, draw)
         x = draw.standard_normal(length) + 1j * draw.standard_normal(length)
-        got = apply_channel_block(x, ChannelRealization(taps, 10.0), None)
+        got = apply_channel_block(x, ChannelRealization(taps, 10.0))
         want_conv = np.zeros(length + 2, dtype=complex)
         for t in range(length + 2):
             acc = 0j

@@ -130,19 +130,17 @@ def test_awgn_reproducible_from_seed():
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5)])
 def test_awgn_matches_reference_draw_order(shape):
-    # Real parts of a row, then its imaginary parts; rows in order.  A 1-d
-    # or 0-d signal takes exactly the two draws written out here.
+    # All real parts, then all imaginary parts: exactly the two draws
+    # written out here, leaving the generator where they leave it.
     rng = np.random.default_rng(4)
     sig = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = awgn(sig, 6.0, got_rng)
     sigma = np.sqrt(noise_variance(6.0) / 2.0)
-    rows = np.reshape(sig, (-1, shape[-1] if shape else 1))
-    want = np.stack([
-        row + sigma * (want_rng.standard_normal(row.shape) + 1j * want_rng.standard_normal(row.shape))
-        for row in rows
-    ]).reshape(shape)
-    assert got.shape == want.shape
+    want = sig + sigma * (want_rng.standard_normal(shape) + 1j * want_rng.standard_normal(shape))
+    assert got.shape == shape
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert got.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -269,20 +267,20 @@ def _random_channel(seed, snr_db=10.0):
 def test_block_delta_channel_pads_with_zeros():
     ch = ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 10.0)
     x = np.arange(1, 9) * (1.0 + 0.5j)
-    assert np.array_equal(apply_channel_block(x, ch, None), np.concatenate([x, [0.0, 0.0]]))
+    assert np.array_equal(apply_channel_block(x, ch), np.concatenate([x, [0.0, 0.0]]))
 
 
 def test_block_shift_channel_delays_by_one():
     ch = ChannelRealization(np.array([0.0, 1.0, 0.0], dtype=complex), 10.0)
     x = np.arange(1, 6) * (1.0 - 2.0j)
-    assert np.array_equal(apply_channel_block(x, ch, None), np.concatenate([[0.0], x, [0.0]]))
+    assert np.array_equal(apply_channel_block(x, ch), np.concatenate([[0.0], x, [0.0]]))
 
 
 @pytest.mark.parametrize("seed,n", [(10, 8), (11, 5), (12, 1)])
 def test_block_convolution_matches_brute_force_exactly(seed, n):
     ch, rng = _random_channel(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = apply_channel_block(x, ch, None)
+    got = apply_channel_block(x, ch)
     want = np.zeros(n + 2, dtype=complex)
     for t in range(n + 2):
         acc = 0j
@@ -298,8 +296,8 @@ def test_block_channel_linear_in_input_without_noise():
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     a, b = 1.7, -0.3
-    lhs = apply_channel_block(a * x + b * y, ch, None)
-    rhs = a * apply_channel_block(x, ch, None) + b * apply_channel_block(y, ch, None)
+    lhs = apply_channel_block(a * x + b * y, ch)
+    rhs = a * apply_channel_block(x, ch) + b * apply_channel_block(y, ch)
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() < 1e-12 * scale
 
@@ -307,7 +305,7 @@ def test_block_channel_linear_in_input_without_noise():
 def test_block_channel_scaling_by_power_of_two_is_bitwise():
     ch, rng = _random_channel(14)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.array_equal(apply_channel_block(2.0 * x, ch, None), 2.0 * apply_channel_block(x, ch, None))
+    assert np.array_equal(apply_channel_block(2.0 * x, ch), 2.0 * apply_channel_block(x, ch))
 
 
 def test_block_channel_validation_and_reproducibility():
@@ -315,32 +313,25 @@ def test_block_channel_validation_and_reproducibility():
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     for bad in (np.array([], dtype=complex), np.ones((3, 0), dtype=complex), np.ones((2, 2, 4), dtype=complex)):
         with pytest.raises(ConfigurationError):
-            apply_channel_block(bad, ch, None)
+            apply_channel_block(bad, ch)
     single_tap = ChannelRealization(np.array([1.0 + 0.0j]), 10.0)
     with pytest.raises(ConfigurationError):
-        apply_channel_block(x, single_tap, None)
-    a = apply_channel_block(x, ch, np.random.default_rng(16))
-    b = apply_channel_block(x, ch, np.random.default_rng(16))
-    assert np.array_equal(a, b)
+        apply_channel_block(x, single_tap)
+    assert np.array_equal(apply_channel_block(x, ch), apply_channel_block(x, ch))
 
 
-@pytest.mark.parametrize("noisy", [False, True])
-def test_block_channel_batch_equals_per_block_calls(noisy):
-    # Random taps, SNRs and shapes: a stack of blocks in one call gives the
-    # bytes, and leaves the generator in the state, of one call per block.
+def test_block_channel_batch_equals_per_block_calls():
+    # Random taps and shapes: a stack of blocks in one call gives the bytes
+    # of one call per block.
     draw = np.random.default_rng(20)
     for seed in range(200):
         ch = ChannelRealization(rayleigh_taps(3, draw), draw.uniform(-5.0, 30.0))
         n_blocks, n = draw.integers(1, 12), draw.integers(1, 17)
         blocks = draw.standard_normal((n_blocks, n)) + 1j * draw.standard_normal((n_blocks, n))
-        batch_rng = np.random.default_rng(seed) if noisy else None
-        loop_rng = np.random.default_rng(seed) if noisy else None
-        got = apply_channel_block(blocks, ch, batch_rng)
-        want = np.stack([apply_channel_block(block, ch, loop_rng) for block in blocks])
+        got = apply_channel_block(blocks, ch)
+        want = np.stack([apply_channel_block(block, ch) for block in blocks])
         assert got.shape == (n_blocks, n + 2) and got.dtype == np.complex128
         assert got.tobytes() == want.tobytes(), seed
-        if noisy:
-            assert batch_rng.bit_generator.state == loop_rng.bit_generator.state, seed
 
 
 def test_conv_matrix_agrees_with_block_channel():
@@ -351,7 +342,7 @@ def test_conv_matrix_agrees_with_block_channel():
         n = 1 + draw % 16
         m = channel_conv_matrix(ch.taps, n)
         assert m.shape == (2 * (n + 2), 2 * n)
-        y = apply_channel_block(np.concatenate([np.eye(n), 1j * np.eye(n)]), ch, None)
+        y = apply_channel_block(np.concatenate([np.eye(n), 1j * np.eye(n)]), ch)
         assert np.array_equal(m, np.concatenate([y.real, y.imag], axis=1).T)
     with pytest.raises(ConfigurationError):
         channel_conv_matrix(ch.taps, 0)

@@ -109,7 +109,10 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
     )]
     # an empty output path is rejected before any training, not replaced by
     # a default path or found out when the curve is written
+    # a bare .npy array is not a parameter archive
+    np.save(tmp_path / "bare.npy", np.zeros(48))
     cases += [
+        (["eval", "--profile", "demod", "--params", str(tmp_path / "bare.npy")], "not an .npz archive"),
         (["meta-train", "--config", str(tmp_path / "t.cfg"), "--out", ""], "config error: argument --out: must not be empty"),
         (
             ["sweep-pilots", "--config", _write_tiny_demod(tmp_path / "o.cfg", output_path=tmp_path / "o.csv"), "--out", ""],
@@ -157,34 +160,40 @@ def test_meta_train_saves_exactly_the_path_given(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["theta", "tiny.cfg"]
 
 
+_RELU_ARCH = ((2, 32, "relu"), (32, 32, "relu"), (32, 16, "linear"))
+
+
 @pytest.mark.parametrize(
-    "params, code, printed",
+    "params, code, said",
     [
-        # a relu net of the profile's size adapts and is scored on its own activation
+        # a relu net of the profile's size, saved by an older metalink, is
+        # rejected: the networks are tanh nets
         (
-            lambda: init_params(mlp_arch((2, 32, 32, 16), hidden="relu"), 3),
-            cli.EXIT_OK,
-            "ser over 20 meta-test tasks: mean 0.92902, min 0.86900, max 0.98850\n",
+            lambda: SimpleNamespace(values=np.zeros(1680), arch=_RELU_ARCH),
+            cli.EXIT_CONFIG,
+            "config error: cannot load parameters '{path}': unknown activation 'relu'\n",
         ),
-        # so does a smaller net than the profile's
+        # a smaller net than the profile's adapts and is scored
         (
             lambda: init_params(mlp_arch((2, 8, 16)), 4),
             cli.EXIT_OK,
             "ser over 20 meta-test tasks: mean 0.92257, min 0.82450, max 0.99650\n",
         ),
-        (lambda: init_autoencoder_params(AutoencoderSpec(), 5), cli.EXIT_CONFIG, ""),
+        (lambda: init_autoencoder_params(AutoencoderSpec(), 5), cli.EXIT_CONFIG, "config error: "),
     ],
     ids=["relu", "small", "autoencoder"],
 )
-def test_eval_demod_adapts_the_saved_network(tmp_path, capsys, params, code, printed):
+def test_eval_demod_adapts_the_saved_network(tmp_path, capsys, params, code, said):
+    # said is the whole stdout on success, the start of stderr on failure
     path = tmp_path / "p.npz"
     save_params(path, params())
     assert cli.main(["eval", "--profile", "demod", "--params", str(path)]) == code
     captured = capsys.readouterr()
-    assert captured.out == printed
     assert "Traceback" not in captured.err
-    if code == cli.EXIT_CONFIG:
-        assert captured.err.startswith("config error: ")
+    if code == cli.EXIT_OK:
+        assert captured.out == said
+    else:
+        assert captured.out == "" and captured.err.startswith(said.format(path=path))
 
 
 def test_sweep_pilots_writes_deterministic_csv(tmp_path, capsys):
@@ -350,6 +359,13 @@ def test_experiment_errors_exit_as_documented(tmp_path, capsys, monkeypatch, arg
     assert cli.main([a.format(bad=bad, diverge=diverge) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--tasks", "--devices", "--pilots"])
+def test_phase_rotation_rejects_counts_below_one(capsys, flag):
+    # argparse names the flag the user wrote, before anything trains
+    assert cli.main(["phase-rotation", flag, "0"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: argument {flag}: must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize(

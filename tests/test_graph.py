@@ -3,6 +3,8 @@ differences, determinism of the backward sweep, and closure (gradients are
 nodes, so they can be differentiated again)."""
 
 import math
+import pathlib
+import re
 import threading
 import warnings
 import weakref
@@ -89,7 +91,6 @@ _OP_CASES = [
     ("bcast_cols", np.arange(1.0, 4.0), lambda p: graph.bcast(graph.reshape(p, (3, 1)), (3, 4))),
     ("bias_add", np.arange(1.0, 10.0), lambda p: graph.add(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
     ("tanh", np.arange(1.0, 5.0) / 3.0, lambda p: graph.tanh(p)),
-    ("relu", np.array([-2.0, -0.5, 0.7, 3.0]), lambda p: graph.relu(p)),
     ("sqrt", np.arange(1.0, 5.0), lambda p: graph.sqrt(p)),
     ("softmax_rows", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_rows(graph.reshape(p, (2, 3)))),
     ("softmax_xent", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_xent(graph.reshape(p, (2, 3)), np.array([2, 0]))),
@@ -149,8 +150,6 @@ def test_forward_values_simple_ops():
     assert np.array_equal(graph.mul(a, b).value, [4.0, -10.0, 18.0])
     assert np.array_equal(graph.scale(a, 2.0).value, [2.0, -4.0, 6.0])
     assert graph.asum(a).value == 2.0
-    assert np.array_equal(graph.relu(a).value, [1.0, 0.0, 3.0])
-    assert np.array_equal(graph.relu_mask(a).value, [1.0, 0.0, 1.0])
     assert np.array_equal(graph.scatter([graph.vslice(a, 0, 2)], [1], 4).value, [0.0, 1.0, -2.0, 0.0])
     # overlapping parts are added
     assert np.array_equal(graph.scatter([a, b], [0, 1], 4).value, [1.0, 2.0, 8.0, 6.0])
@@ -201,19 +200,6 @@ def test_gradient_closure_second_derivative_is_exact():
     s = graph.asum(graph.mul(g, graph.const(v)))
     (hv,) = graph.gradients(s, [p])
     assert np.allclose(hv.value, 6.0 * x0 * v, rtol=0, atol=1e-12)
-
-
-def test_relu_mask_blocks_second_order_term():
-    # d/dx relu(x) = mask(x); differentiating through the mask contributes
-    # nothing, which encodes relu'' = 0 almost everywhere.
-    x0 = np.array([-1.0, 2.0])
-    v = np.ones(2)
-    p = graph.inp(x0)
-    y = graph.asum(graph.relu(p))
-    (g,) = graph.gradients(y, [p])
-    s = graph.asum(graph.mul(g, graph.const(v)))
-    (hv,) = graph.gradients(s, [p])
-    assert np.array_equal(hv.value, np.zeros(2))
 
 
 def test_unreached_wrt_gets_zero_constant():
@@ -292,14 +278,6 @@ def test_softmax_normalization_property(logits):
     assert np.all(s.value >= 0.0)
 
 
-@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
-@settings(max_examples=60, deadline=None)
-def test_relu_equals_masked_identity(xs):
-    x = np.array(xs)
-    p = graph.inp(x)
-    assert np.array_equal(graph.relu(p).value, graph.mul(p, graph.relu_mask(p)).value)
-
-
 def test_finite_values_whose_sum_overflows_are_accepted():
     # accepted silently: the check's own sum may overflow (1e308 + 1e308)
     # or meet +max and -max, and neither is a warning
@@ -375,8 +353,6 @@ _EXEMPT_BUILDERS = {
     "scatter": lambda mat, vec, sca: graph.scatter([vec, vec], [0, vec.value.size + 1], 2 * vec.value.size + 2),
     "bcast": lambda mat, vec, sca: graph.bcast(mat, (3, *mat.value.shape)),
     "tanh": lambda mat, vec, sca: graph.tanh(mat),
-    "relu": lambda mat, vec, sca: graph.relu(mat),
-    "relu_mask": lambda mat, vec, sca: graph.relu_mask(mat),
     "softmax_rows": lambda mat, vec, sca: graph.softmax_rows(mat),
 }
 
@@ -406,18 +382,10 @@ def test_each_row_is_built_by_its_builder():
         node = build(mat, vec, sca)
         assert node.op is graph.OPS[kind] and node.kind == kind == node.op.name
         assert type(node.value) is np.ndarray and node.value.dtype == np.float64, kind
-        if kind in ("input", "constant", "relu_mask"):  # no adjoint flows through these
+        if kind in ("input", "constant"):  # no adjoint flows through a leaf
             assert node.op.vjps == ()
         elif kind != "scatter":  # a scatter has one VJP per part, however many
             assert len(node.op.vjps) == len(node.parents), kind
-
-
-def _relu_hvp():
-    arch = mlp_arch((2, 5, 4), hidden="relu")
-    rng = np.random.default_rng(12)
-    data = Dataset(rng.standard_normal((6, 2)), rng.integers(0, 4, 6), 4)
-    theta = init_params(arch, 13).values
-    autodiff.hvp(make_mlp_lossfn(arch), theta, rng.standard_normal(theta.shape), data)
 
 
 def _autoencoder_meta_gradient():
@@ -431,8 +399,8 @@ def _autoencoder_meta_gradient():
 
 def test_every_row_is_used_by_a_model_or_a_vjp(monkeypatch):
     # The ops of every node built by the demod and autoencoder exact
-    # meta-gradients and a relu network's Hessian-vector product: an op
-    # that no model and no VJP builds has no place in the table.
+    # meta-gradients: an op that no model and no VJP builds has no place in
+    # the table.
     used = set()
     make = graph._make
 
@@ -445,8 +413,24 @@ def test_every_row_is_used_by_a_model_or_a_vjp(monkeypatch):
     autodiff.unrolled_meta_gradient(lossfn, lossfn, np.tile(theta, (2, 1)), 0.1, 2,
                                     stack_datasets([split.train] * 2), stack_datasets([split.test] * 2))
     _autoencoder_meta_gradient()
-    _relu_hvp()
     assert used == set(graph.OPS)
+
+
+_NUMBER_WORDS = (
+    "zero one two three four five six seven eight nine ten eleven twelve thirteen "
+    "fourteen fifteen sixteen seventeen eighteen nineteen twenty"
+).split()
+
+
+def test_readme_lists_the_op_table():
+    # README's Engine section names every non-leaf row of graph.OPS, in
+    # table order, and counts them
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    count, listed = re.search(r"`metalink\.graph` has (\w+) differentiable op kinds: (.+?`)\.", readme, re.S).groups()
+    names = re.findall(r"`(\w+)`", re.sub(r" \(`\w+`\)", "", listed))  # `sum` (`asum`) is the kind sum
+    ops = [kind for kind in graph.OPS if kind not in ("input", "constant")]
+    assert names == ops
+    assert _NUMBER_WORDS.index(count) == len(ops)
 
 
 _FINITE_EXTREMES = st.sampled_from([
@@ -685,10 +669,10 @@ def test_fused_ops_give_the_unfused_meta_gradient_bit_for_bit(m, monkeypatch):
 
 @given(
     st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
-    st.sampled_from(["tanh", "relu"]), st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_stack_matches_its_rows_bit_for_bit(n_tasks, n, d, k, hidden, seed):
+def test_stack_matches_its_rows_bit_for_bit(n_tasks, n, d, k, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_tasks, n, d))
     w = rng.standard_normal((n_tasks, d, k))
@@ -711,7 +695,7 @@ def test_stack_matches_its_rows_bit_for_bit(n_tasks, n, d, k, hidden, seed):
         for t in range(n_tasks):
             assert np.array_equal(stacked[t], build(*(a[t] for a in arrays)).value), name
 
-    arch = mlp_arch((d, 3, k), hidden=hidden)
+    arch = mlp_arch((d, 3, k))
     lossfn = make_mlp_lossfn(arch)
     params = rng.standard_normal((n_tasks, param_count(arch)))
     tasks = [Dataset(x[t], rng.integers(0, k, n), k) for t in range(n_tasks)]

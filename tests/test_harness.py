@@ -144,7 +144,7 @@ def test_evaluate_ser_rejects_bad_input(receivers, n_symbols, message):
         evaluate_ser(receivers, task, n_symbols, np.random.default_rng(0))
 
 
-_SER_ARCHS = (DEMOD_ARCH, mlp_arch((2, 8, 16), hidden="relu"))
+_SER_ARCHS = (DEMOD_ARCH, mlp_arch((2, 8, 16)))
 
 
 @given(

@@ -587,9 +587,10 @@ def _spy_on_parameter_shapes(monkeypatch):
 
 @pytest.mark.parametrize("first_order", [False, True])
 def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatch):
-    # Task 2's pilots are scaled to 1e200: its relu net survives the first
-    # inner step, but the step's size overflows the next forward.  The stack
-    # raises, and the rerun as stacks of one names task 2 and the failing op.
+    # Task 2's pilots are scaled to 1e200 and the init's first-layer weights
+    # to 1e-200: the first forward stays finite, but the inner step's size
+    # overflows the next forward.  The stack raises, and the rerun as stacks
+    # of one names task 2 and the failing op.
     pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=61)
     items = list(pool.items)
 
@@ -597,13 +598,15 @@ def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatc
         return Dataset(d.inputs * 1e200, d.targets, d.n_classes)
 
     items[2] = TaskSplit(items[2].task, huge(items[2].train), huge(items[2].test))
-    arch = mlp_arch((2, 8, 16), hidden="relu")
+    arch = mlp_arch((2, 8, 16))
+    init = init_params(arch, 1)
+    init = init.with_values(np.concatenate([init.values[:16] * 1e-200, init.values[16:]]))
     shapes = _spy_on_parameter_shapes(monkeypatch)
     cfg = TrainConfig(m=2, outer_iters=1, first_order=first_order)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
         meta_train(
             lambda rng: MetaBatch("demod", tuple(items)), cfg,
-            init=init_params(arch, 1), lossfn=make_mlp_lossfn(arch),
+            init=init, lossfn=make_mlp_lossfn(arch),
         )
     assert "'affine'" in str(exc.value)
     assert exc.value.op_kind == "affine"
