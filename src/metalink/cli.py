@@ -15,6 +15,7 @@ shell reports for a process ended by SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import replace
@@ -42,6 +43,9 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
 EXIT_PIPE = 141
+
+# phase-rotation's flag defaults are the study's own
+_STUDY_DEFAULTS = {name: p.default for name, p in inspect.signature(run_phase_rotation_seed).parameters.items()}
 
 
 class Parser(argparse.ArgumentParser):
@@ -75,16 +79,20 @@ def _build_parser():
     parser = Parser(prog="metalink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile_default, trains=True):
-        p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--profile", default=profile_default, help="profile when no --config is given")
+    def common(p, profile=None, trains=True):
+        # a sweep runs its one profile; meta-train and eval take --config or --profile
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a key = value config file")
+        if profile is None:
+            source.add_argument("--profile", help="profile when no --config is given (default demod)")
+        p.set_defaults(profile=profile)
         p.add_argument("--seed", type=int, help="override the config's seed / seed list")
         if trains:
             p.add_argument("--out", type=output_path, help="output path (overrides config.output_path)")
             p.add_argument("--first-order", action="store_true", help="use the first-order meta-gradient")
         return p
 
-    common(sub.add_parser("meta-train", help="learn an initialization"), "demod")
+    common(sub.add_parser("meta-train", help="learn an initialization"))
     for sweep in (
         common(sub.add_parser("sweep-pilots", help="SER vs pilot count"), "demod"),
         common(sub.add_parser("sweep-adapt", help="BLER vs adaptation iteration"), "autoencoder"),
@@ -93,25 +101,31 @@ def _build_parser():
 
     # the study builds its own demod config from these; no config file applies
     study = sub.add_parser("phase-rotation", help="joint training vs meta-learning on pure phase rotations")
-    study.add_argument("--snr-db", type=float, default=20.0, help="Es/N0 of every device")
+    default = _STUDY_DEFAULTS
+    study.add_argument("--snr-db", type=float, default=default["snr_db"], help="Es/N0 of every device")
     study.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="one run per seed")
-    study.add_argument("--tasks", type=positive_int, default=50, help="devices both learners train on")
-    study.add_argument("--outer-iters", type=int, default=1500, help="meta-training iterations")
-    study.add_argument("--devices", type=positive_int, default=10, help="fresh devices each model is scored on")
-    study.add_argument("--pilots", type=positive_int, default=16, help="pilots the meta-learned model adapts on")
+    study.add_argument("--tasks", type=positive_int, default=default["n_tasks"], help="devices both learners train on")
+    study.add_argument("--outer-iters", type=int, default=default["outer_iters"], help="meta-training iterations")
+    study.add_argument(
+        "--devices", type=positive_int, default=default["n_devices"], help="fresh devices each model is scored on"
+    )
+    study.add_argument(
+        "--pilots", type=positive_int, default=default["n_pilots"], help="pilots the meta-learned model adapts on"
+    )
 
     check = sub.add_parser("gradcheck", help="run the derivative verification suites")
     check.add_argument("--scale", choices=("small", "full"), default="small")
 
     # eval adapts with the config's inner steps and writes nothing
-    ev = common(sub.add_parser("eval", help="evaluate saved parameters on fresh tasks"), "demod", trains=False)
+    ev = common(sub.add_parser("eval", help="evaluate saved parameters on fresh tasks"), trains=False)
     ev.add_argument("--params", required=True, help="path to a .npz saved by meta-train")
 
     return parser
 
 
 def _config_from_args(args):
-    config = load_config(args.config) if args.config else default_config(args.profile)
+    profile = "demod" if args.profile is None else args.profile
+    config = default_config(profile) if args.config is None else load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed, seeds=(args.seed,))
     if getattr(args, "first_order", False):

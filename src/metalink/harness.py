@@ -45,7 +45,6 @@ from .autodiff import eval_with_gradient
 from .channel import apply_channel_demod, noise_variance
 from .errors import ConfigurationError
 from .learners import (
-    DEMOD_ARCH,
     TrainConfig,
     maml_adapt,
     meta_train,
@@ -61,6 +60,7 @@ from .nn import (
     init_params,
     make_autoencoder_lossfn,
     make_mlp_lossfn,
+    mlp_arch,
     mlp_logits_node,
 )
 from .tasks import (
@@ -69,6 +69,7 @@ from .tasks import (
     SCOPE_EVAL,
     SCOPE_TASK,
     SCOPE_TEST_TASK,
+    TASK_KINDS,
     TaskFamily,
     autoencoder_stream,
     autoencoder_task_pool,
@@ -80,7 +81,6 @@ from .tasks import (
     subsample_stream,
 )
 
-PROFILES = ("demod", "autoencoder")
 METHOD_LABELS = ("conventional", "joint", "joint+adapt", "maml", "maml-fo")
 METRIC_LABELS = ("ser", "bler", "meta_loss")
 
@@ -183,7 +183,7 @@ class ExperimentConfig:
     output_path: str
 
     def __post_init__(self):
-        if self.profile not in PROFILES:
+        if self.profile not in TASK_KINDS:
             raise ConfigurationError(f"unknown profile '{self.profile}'")
         for name in (
             "K_meta_batch",
@@ -338,7 +338,7 @@ def load_config(path):
     if "profile" not in pairs:
         raise ConfigurationError(f"{path}: missing required key 'profile'")
     lineno, profile = pairs.pop("profile")
-    if profile not in PROFILES:
+    if profile not in TASK_KINDS:
         raise ConfigurationError(f"{path}:{lineno}: unknown profile '{profile}'")
 
     config = default_config(profile)
@@ -451,8 +451,6 @@ def evaluate_ser(receivers, task, n_symbols, rng):
     """Symbol error rate of each demodulator, all of one architecture, on one
     fresh draw from the task."""
     receivers = tuple(receivers)
-    if task.kind != "demod":
-        raise ConfigurationError("evaluate_ser needs a demod task")
     if n_symbols < 1:
         raise ConfigurationError(f"n_symbols must be positive, got {n_symbols}")
     if len({p.arch for p in receivers}) != 1:
@@ -477,6 +475,8 @@ def evaluate_bler(receivers, spec, task, n_blocks, rng):
 # sweeps
 
 
+DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
+_DEMOD_LOSSFN = make_mlp_lossfn(DEMOD_ARCH)
 _AE_SPEC = AutoencoderSpec()
 _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
 # meta_train's max_rows: an autoencoder stack holds two tasks, as a tape grows
@@ -492,9 +492,9 @@ def _maml_label(config):
     return "maml-fo" if config.first_order else "maml"
 
 
-def _setup(config, seed, family=None):
-    """(task family, meta-training pool, meta-batch stream, initial params,
-    loss).
+def _meta_trained(config, seed, family=None):
+    """(task family, meta-training pool, initial params, loss, MetaTrainResult)
+    of the profile's meta-training stage for one seed.
 
     The loss is the profile's lossfn(p_node, data), the one every learner
     and the adaptation trace (a (T, P) stack on one batch) descend; it
@@ -508,10 +508,14 @@ def _setup(config, seed, family=None):
             family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
         )
         stream = subsample_stream(pool, config.K_meta_batch)
-        return family, pool, stream, init_params(DEMOD_ARCH, seed), make_mlp_lossfn(DEMOD_ARCH)
-    pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
-    stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
-    return family, pool, stream, init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
+        init, lossfn = init_params(DEMOD_ARCH, seed), _DEMOD_LOSSFN
+    else:
+        pool = autoencoder_task_pool(family, config.n_meta_train_tasks, seed)
+        stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
+        init, lossfn = init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
+    tc = config.train_config(seed)
+    result = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile])
+    return family, pool, init, lossfn, result
 
 
 def _test_tasks(family, seed, n_units):
@@ -570,23 +574,21 @@ def _bler(config, seed, params, task, unit, t):
 
 def _pilot_seed_records(config, seed):
     """All raw SER measurements for one seed of the pilot sweep."""
-    family, pool, stream, init, lossfn = _setup(config, seed)
-    tc = config.train_config(seed)
+    family, pool, init, lossfn, result = _meta_trained(config, seed)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
-    tc_base = replace(tc, outer_iters=config.baseline_iters)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile]).params
-    joint = train_joint(pool, tc_base, init=init)
+    tc_base = replace(config.train_config(seed), outer_iters=config.baseline_iters)
+    joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
     tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", _maml_label(config))
     records = []
     # one pilot count at a time: its devices train, and adapt, as one stack each
     for n in config.pilot_counts:
         pilots = _pilots(tasks, seed, n)
-        conventional = train_conventional(tasks, tc_base, datasets=pilots, init=init)
-        adapted = _adapt((joint, theta), pilots, tc.eta_inner, tc.m, lossfn)
+        conventional = train_conventional(tasks, tc_base, datasets=pilots, init=init, lossfn=lossfn)
+        adapted = _adapt((joint, result.params), pilots, config.eta_inner, config.m, lossfn)
         receivers = [(c, joint, *a) for c, a in zip(conventional, adapted)]
         for device, sers in enumerate(_ser(config, seed, tasks, receivers, n)):
             for method, ser in zip(methods, sers):
@@ -596,14 +598,11 @@ def _pilot_seed_records(config, seed):
 
 def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
-    family, _, stream, init, lossfn = _setup(config, seed)
-    tc = config.train_config(seed)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile]).params
-
+    family, _, _, lossfn, result = _meta_trained(config, seed)
     methods = (_maml_label(config), "conventional")
     records = []
     for unit, task in enumerate(_test_tasks(family, seed, config.n_meta_test_tasks)):
-        starts = (theta, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit)))
+        starts = (result.params, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit)))
         # both starts adapt and are scored on the same draws, in lockstep
         trajectory = _adaptation(config, seed, task, unit, starts, lossfn)
         blers = [_bler(config, seed, ps, task, unit, t) for t, ps in enumerate(trajectory)]
@@ -675,12 +674,11 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
         meta_test_pilots=32,
         n_meta_test_tasks=n_devices,
     )
-    family, pool, stream, init, lossfn = _setup(config, seed, phase_rotation_family(snr_db))
-    tc = config.train_config(seed)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile]).params
-    joint = train_joint(pool, replace(tc, outer_iters=config.baseline_iters), init=init)
+    family, pool, init, lossfn, result = _meta_trained(config, seed, phase_rotation_family(snr_db))
+    tc_base = replace(config.train_config(seed), outer_iters=config.baseline_iters)
+    joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
     tasks = _test_tasks(family, seed, n_devices)
-    adapted = _adapt((theta,), _pilots(tasks, seed, n_pilots), tc.eta_inner, tc.m, lossfn)
+    adapted = _adapt((result.params,), _pilots(tasks, seed, n_pilots), config.eta_inner, config.m, lossfn)
     joint_ser = [ser for (ser,) in _ser(config, seed, tasks, [(joint,)] * n_devices, 0)]
     maml_ser = [ser for (ser,) in _ser(config, seed, tasks, adapted, n_pilots)]
     return float(np.mean(joint_ser)), float(np.mean(maml_ser))
@@ -692,9 +690,7 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
 
 def run_meta_train(config):
     """Meta-train one initialization per the config's profile, from its seed."""
-    _, _, stream, init, lossfn = _setup(config, config.seed)
-    tc = config.train_config(config.seed)
-    return meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile])
+    return _meta_trained(config, config.seed)[-1]
 
 
 def evaluate_params(config, params):
@@ -703,8 +699,8 @@ def evaluate_params(config, params):
     Each value is one point of the profile's sweep for the maml method.
     demod: adapt on max(pilot_counts) pilots with m steps, mean SER over
     n_meta_test_tasks devices.  autoencoder: adapt for adapt_iters_max
-    iterations, BLER over test channels, measured on the sweep's t = 0
-    evaluation stream, all drawn from the config's seed.  Returns
+    iterations, BLER over test channels, measured on the sweep's evaluation
+    draw at t = adapt_iters_max, all drawn from the config's seed.  Returns
     (metric_name, values).
     """
     seed = config.seed
@@ -720,7 +716,7 @@ def evaluate_params(config, params):
     values = []
     for unit, task in enumerate(tasks):
         *_, adapted = _adaptation(config, seed, task, unit, (params,), _AE_LOSSFN)
-        (bler,) = _bler(config, seed, adapted, task, unit, 0)
+        (bler,) = _bler(config, seed, adapted, task, unit, config.adapt_iters_max)
         values.append(bler)
     return "bler", values
 

@@ -10,13 +10,12 @@ Conventions shared by every loop here:
 * everything is a pure function of (inputs, init, config): no hidden state,
   no default initialization or data, and repeated calls give bit-identical
   results;
-* the caller owns the loss: meta_train and maml_adapt take lossfn(p_node,
-  data) -> scalar Node, the contract of autodiff, and apply it to whatever
-  data the tasks carry; the two baselines are demodulator-only and build
-  make_mlp_lossfn(init.arch) themselves.  No learner looks at its data to
-  choose a loss, so a closed-form objective (a quadratic with a known
-  minimum) is just another lossfn, with no wrapper type for its data; one
-  that meta_train runs carries its stacker too (see meta_train).
+* the caller owns the loss: every learner takes lossfn(p_node, data) ->
+  scalar Node, the contract of autodiff, and applies it to whatever data
+  the tasks carry.  No learner looks at its data to choose a loss, so a
+  closed-form objective (a quadratic with a known minimum) is just another
+  lossfn, with no wrapper type for its data; one that a learner runs on a
+  task stack carries its stacker too (see meta_train).
 
 The baselines and meta-training run their tasks in one graph per step, on a
 task axis (see graph), and each row of a stack computes bit for bit what it
@@ -48,10 +47,8 @@ import numpy as np
 from . import graph
 from .autodiff import eval_with_gradient, unrolled_meta_gradient
 from .errors import ConfigurationError, NumericalError
-from .nn import ParamVector, make_mlp_lossfn, mlp_arch
+from .nn import ParamVector
 from .tasks import SCOPE_META_STREAM, rng_for
-
-DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
 
 LOSS_CEILING = 1.0e6
 
@@ -157,8 +154,8 @@ def _value_grad(lossfn, data):
     return value_grad
 
 
-def train_conventional(tasks, config, *, datasets, init):
-    """Train one demodulator per task from init, each on its own pilot dataset.
+def train_conventional(tasks, config, *, datasets, init, lossfn):
+    """Train one model per task from init, each on its own dataset, on lossfn.
 
     This is adaptation from init: maml_adapt of a (T, P) stack tiled from
     init, row t task t's, for config.outer_iters steps at config.eta_inner,
@@ -169,10 +166,7 @@ def train_conventional(tasks, config, *, datasets, init):
     """
     tasks, datasets = tuple(tasks), tuple(datasets)
     if len(tasks) != len(datasets):
-        raise ConfigurationError(f"{len(tasks)} tasks but {len(datasets)} pilot datasets")
-    if any(task.kind != "demod" for task in tasks):
-        raise ConfigurationError("conventional training is defined for demodulator tasks")
-    lossfn = make_mlp_lossfn(init.arch)
+        raise ConfigurationError(f"{len(tasks)} tasks but {len(datasets)} datasets")
 
     def capped(p, data):
         losses = lossfn(p, data)
@@ -195,8 +189,8 @@ def train_conventional(tasks, config, *, datasets, init):
     )
 
 
-def train_joint(meta_batch, config, *, init):
-    """Train one shared demodulator on the pooled training data of all tasks.
+def train_joint(meta_batch, config, *, init, lossfn):
+    """Train one shared model on the pooled training data of all tasks.
 
     The objective is the mean of the per-task losses, built in one graph per
     step: theta is broadcast to a (T, P) stack with one row per task, and
@@ -205,10 +199,7 @@ def train_joint(meta_batch, config, *, init):
     first to last, sums the per-task gradients latest task first.  No
     adaptation happens here; this is the common-model baseline.
     """
-    if meta_batch.kind != "demod":
-        raise ConfigurationError("joint training is defined for demodulator tasks")
     items = meta_batch.items[::-1]
-    lossfn = make_mlp_lossfn(init.arch)
     n_tasks = len(items)
 
     def mean_loss(theta, data):

@@ -6,6 +6,11 @@ purpose (scope constant) and indices (task id, pilot count, ...).  Streams
 are therefore disjoint by construction and results never depend on the order
 tasks happen to be processed in, which is what makes sweep output invariant
 to the worker count.
+
+A task is its channel: its tap count says which experiment it serves, one
+tap the demodulator (make_pilot_dataset), BLOCK_TAPS the autoencoder
+(generate_autoencoder_batch), and each rejects the other's.  Only a
+TaskFamily has a kind, one of TASK_KINDS, which chooses what it samples.
 """
 
 from __future__ import annotations
@@ -45,11 +50,6 @@ class Task:
 
     id: int
     realization: ChannelRealization
-    kind: str = "demod"
-
-    def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ConfigurationError(f"unknown task kind '{self.kind}'")
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,11 @@ class TaskSplit:
 
 @dataclass(frozen=True)
 class MetaBatch:
-    """A batch of task splits of one kind, as consumed by meta-training."""
+    """A batch of task splits, as consumed by meta-training."""
 
-    kind: str
     items: tuple
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ConfigurationError(f"unknown task kind '{self.kind}'")
         if not self.items:
             raise ConfigurationError("a meta-batch needs at least one task")
 
@@ -110,9 +107,9 @@ class TaskFamily:
                 eps3 = rng.uniform(0.0, self.eps3_max)
                 phase = rng.uniform(0.0, 2.0 * math.pi)
                 nonideality = (eps3, phase)
-            return Task(task_id, ChannelRealization(taps, self.snr_db, nonideality), "demod")
+            return Task(task_id, ChannelRealization(taps, self.snr_db, nonideality))
         taps = rayleigh_taps(BLOCK_TAPS, rng)
-        return Task(task_id, ChannelRealization(taps, self.snr_db, (0.0, 0.0)), "autoencoder")
+        return Task(task_id, ChannelRealization(taps, self.snr_db, (0.0, 0.0)))
 
 
 def phase_rotation_family(snr_db=20.0):
@@ -137,8 +134,6 @@ def make_pilot_dataset(task, n_pilots, rng):
     every class and small counts never miss classes by chance more than they
     must.  Inputs are (n, 2) stacked [Re, Im].
     """
-    if task.kind != "demod":
-        raise ConfigurationError("pilot datasets are defined for demodulator tasks")
     if n_pilots < 1:
         raise ConfigurationError("need at least one pilot")
     cycles = [rng.permutation(16) for _ in range((n_pilots + 15) // 16)]
@@ -160,8 +155,6 @@ def make_demod_split(task, n_train, n_test, rng):
 
 def generate_autoencoder_batch(task, n_blocks, rng, spec=None):
     """Uniform messages plus one noise draw at the task's SNR."""
-    if task.kind != "autoencoder":
-        raise ConfigurationError("autoencoder batches are defined for autoencoder tasks")
     if n_blocks < 1:
         raise ConfigurationError("need at least one block")
     spec = spec if spec is not None else AutoencoderSpec()
@@ -187,7 +180,7 @@ def demod_task_pool(family, n_tasks, n_train, n_test, seed):
     for i in range(n_tasks):
         task = family.sample(rng_for(seed, SCOPE_TASK, i), task_id=i)
         items.append(make_demod_split(task, n_train, n_test, rng_for(seed, SCOPE_PILOTS_TRAIN, i)))
-    return MetaBatch("demod", tuple(items))
+    return MetaBatch(tuple(items))
 
 
 def subsample_stream(pool, k):
@@ -203,7 +196,7 @@ def subsample_stream(pool, k):
         if k >= len(pool.items):
             return pool
         chosen = sorted(rng.choice(len(pool.items), size=k, replace=False))
-        return MetaBatch(pool.kind, tuple(pool.items[i] for i in chosen))
+        return MetaBatch(tuple(pool.items[i] for i in chosen))
 
     return stream
 
@@ -234,6 +227,6 @@ def autoencoder_stream(tasks, spec, k, n_blocks):
             train = generate_autoencoder_batch(tasks[i], n_blocks, rng, spec)
             test = generate_autoencoder_batch(tasks[i], n_blocks, rng, spec)
             items.append(TaskSplit(tasks[i], train, test))
-        return MetaBatch("autoencoder", tuple(items))
+        return MetaBatch(tuple(items))
 
     return stream

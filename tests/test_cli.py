@@ -2,6 +2,7 @@
 printed tables, and end-to-end subprocess invocations."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from metalink import cli
 from metalink.checks import CheckReport, CheckResult
 from metalink.harness import (
     CurveTable,
+    default_config,
     load_params,
     median_of_seed_means,
     read_curve,
@@ -96,6 +98,7 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
         ["sweep-pilots", "--config", str(tmp_path / "missing.cfg")],
         ["meta-train", "--profile", "qpsk"],
         ["eval", "--profile", "demod"],  # --params is required
+        ["meta-train", "--config", ""],  # an empty path names no config file
         [],
         ["meta-train", "--config", _write_tiny_demod(tmp_path / "t.cfg", seeds="0"), "--out", "a\x00b"],
         ["sweep-pilots", "--config", str(tmp_path / "t.cfg"), "--out", "a\x00b"],
@@ -359,6 +362,56 @@ def test_experiment_errors_exit_as_documented(tmp_path, capsys, monkeypatch, arg
     assert cli.main([a.format(bad=bad, diverge=diverge) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, said",
+    [
+        (["sweep-pilots", "--profile", "demod"], "unrecognized arguments: --profile demod"),
+        (["sweep-adapt", "--profile", "autoencoder"], "unrecognized arguments: --profile autoencoder"),
+        (["meta-train", "--config", "{demod}", "--profile", "autoencoder"], "not allowed with argument --config"),
+        (["meta-train", "--profile", "demod", "--config", "{demod}"], "not allowed with argument --profile"),
+        (["eval", "--config", "{ae}", "--profile", "autoencoder", "--params", "p.npz"], "not allowed with"),
+        (["eval", "--profile", "demod", "--config", "{demod}", "--params", "p.npz"], "not allowed with"),
+    ],
+)
+def test_profile_is_honoured_or_absent(tmp_path, capsys, monkeypatch, argv, said):
+    # a sweep runs its one profile, and a profile never hides behind a config
+    monkeypatch.chdir(tmp_path)
+    files = {"demod": _write_tiny_demod(tmp_path / "d.cfg", seeds="0"), "ae": _write_tiny_ae(tmp_path / "a.cfg")}
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main([a.format(**files) for a in argv]) == cli.EXIT_CONFIG
+    assert said in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize(
+    "argv, profile",
+    [
+        (["meta-train"], "demod"),
+        (["meta-train", "--profile", "autoencoder"], "autoencoder"),
+        (["eval", "--params", "p.npz"], "demod"),
+        (["eval", "--profile", "autoencoder", "--params", "p.npz"], "autoencoder"),
+        (["sweep-pilots"], "demod"),
+        (["sweep-adapt"], "autoencoder"),
+    ],
+)
+def test_commands_without_a_config_run_their_profile(monkeypatch, argv, profile):
+    seen = []
+    _stub_work(monkeypatch)
+    monkeypatch.setattr(cli, "default_config", lambda name: seen.append(name) or default_config(name))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert seen == [profile]
+
+
+def test_phase_rotation_defaults_are_the_studys(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_phase_rotation_seed", lambda *args: calls.append(args) or (0.5, 0.5))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["phase-rotation", "--seeds", "4"]) == cli.EXIT_OK
+    defaults = [p.default for p in inspect.signature(run_phase_rotation_seed).parameters.values()][1:]
+    assert calls == [(4, *defaults)]
 
 
 @pytest.mark.parametrize("flag", ["--tasks", "--devices", "--pilots"])

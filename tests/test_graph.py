@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from metalink import autodiff, graph
 from metalink.errors import NumericalError
-from metalink.learners import DEMOD_ARCH
+from metalink.harness import DEMOD_ARCH
 from metalink.nn import (
     AutoencoderSpec,
     Dataset,

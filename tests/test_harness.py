@@ -14,6 +14,7 @@ from metalink.autodiff import eval_with_gradient
 from metalink.errors import ConfigurationError
 from metalink.harness import (
     CSV_HEADER,
+    DEMOD_ARCH,
     CurveRow,
     CurveTable,
     ExperimentConfig,
@@ -35,10 +36,8 @@ from metalink.harness import (
     write_curve,
 )
 from metalink.learners import (
-    DEMOD_ARCH,
     TrainConfig,
     maml_adapt,
-    meta_train,
     sgd_step,
     train_conventional,
     train_joint,
@@ -49,6 +48,7 @@ from metalink.nn import (
     init_autoencoder_params,
     init_params,
     make_autoencoder_lossfn,
+    make_mlp_lossfn,
     mlp_arch,
     param_count,
 )
@@ -61,6 +61,8 @@ from metalink.tasks import (
     SCOPE_TASK,
     Task,
     TaskFamily,
+    autoencoder_stream,
+    autoencoder_task_pool,
     generate_autoencoder_batch,
     make_pilot_dataset,
     rng_for,
@@ -112,7 +114,8 @@ def test_evaluate_ser_perfect_after_clean_training():
     task = family.sample(np.random.default_rng(60))
     cfg = TrainConfig(outer_iters=300, seed=1)
     pilots = make_pilot_dataset(task, 64, np.random.default_rng(61))
-    (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init_params(DEMOD_ARCH, cfg.seed))
+    init, lossfn = init_params(DEMOD_ARCH, cfg.seed), make_mlp_lossfn(DEMOD_ARCH)
+    (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init, lossfn=lossfn)
     assert evaluate_ser((trained,), task, 2000, np.random.default_rng(62)) == (0.0,)
 
 
@@ -207,7 +210,7 @@ def test_evaluate_bler_drops_after_training_on_the_task():
 
 def test_evaluate_bler_trained_toy_is_error_free_without_noise():
     spec = AutoencoderSpec(n_messages=2, n_uses=3, enc_hidden=(8,), dec_hidden=(8,))
-    delta = Task(0, ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 300.0), "autoencoder")
+    delta = Task(0, ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 300.0))
     lossfn = make_autoencoder_lossfn(spec)
     p = init_autoencoder_params(spec, 5)
     rng = np.random.default_rng(72)
@@ -220,7 +223,7 @@ def test_evaluate_bler_trained_toy_is_error_free_without_noise():
 def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
     spec = AutoencoderSpec()
     noisy = sample_task("autoencoder", np.random.default_rng(74), snr_db=0.0)
-    clean = Task(noisy.id, ChannelRealization(noisy.realization.taps, 20.0), "autoencoder")
+    clean = Task(noisy.id, ChannelRealization(noisy.realization.taps, 20.0))
     lossfn = make_autoencoder_lossfn(spec)
     p = init_autoencoder_params(spec, 6)
     rng = np.random.default_rng(75)
@@ -595,15 +598,23 @@ def test_evaluate_params_is_the_sweeps_maml_point():
     assert values == [r.value for r in sweep if r.method == "maml" and r.sweep_value == n]
 
 
+def test_evaluate_params_is_the_sweeps_maml_point_for_the_autoencoder():
+    cfg = _tiny_ae_config(seeds=(2,), seed=2, n_meta_test_tasks=3)
+    t = cfg.adapt_iters_max
+    sweep = run_adaptation_sweep(cfg).records
+    _, values = evaluate_params(cfg, run_meta_train(cfg).params)
+    assert values == [r.value for r in sweep if r.method == "maml" and r.sweep_value == t]
+
+
 def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
     seed = 4
     cfg = _tiny_demod_config(seeds=(seed,), seed=seed)
     records = run_pilot_sweep(cfg).records
-    family, pool, stream, init, lossfn = harness._setup(cfg, seed)
+    family, pool, init, lossfn, result = harness._meta_trained(cfg, seed)
     tc = cfg.train_config(seed)
     tc_base = replace(tc, outer_iters=cfg.baseline_iters)
-    theta = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=harness._STACK_ROWS["demod"]).params
-    joint = train_joint(pool, tc_base, init=init)
+    theta = result.params
+    joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
     tasks = harness._test_tasks(family, seed, cfg.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", "maml")
     # per device, pilot counts ascending, the four methods in order
@@ -614,7 +625,7 @@ def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
         task, n = tasks[r.unit], int(r.sweep_value)
         pilots = make_pilot_dataset(task, n, rng_for(seed, SCOPE_ADAPT_PILOTS, r.unit, n))
         if r.method == "conventional":
-            (alone,) = train_conventional([task], tc_base, datasets=[pilots], init=init)
+            (alone,) = train_conventional([task], tc_base, datasets=[pilots], init=init, lossfn=lossfn)
         elif r.method == "joint":
             alone = joint
         else:
@@ -707,8 +718,10 @@ def test_an_autoencoder_meta_iteration_holds_about_two_task_tapes():
     # 4.3 MB in stacks of 3 and 13.8 MB as one stack of 10.  A larger cap is
     # faster but trades peak memory for it; this bound makes that trade show.
     cfg = default_config("autoencoder")
-    _, _, stream, init, lossfn = harness._setup(cfg, 0)
+    pool = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), cfg.n_meta_train_tasks, 0)
+    stream = autoencoder_stream(pool, AutoencoderSpec(), cfg.K_meta_batch, cfg.n_train_blocks)
     batch = stream(rng_for(0, SCOPE_META_STREAM))
+    init, lossfn = init_autoencoder_params(AutoencoderSpec(), 0), make_autoencoder_lossfn(AutoencoderSpec())
     assert len(batch) == 10 and len(batch.items[0].train) == 128
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there, and
+the learners take no model from nn."""
 
 import ast
 import pathlib
@@ -35,3 +36,23 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_package_modules_import_only_what_they_use(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _names_from(source, module):
+    """Names the source imports from the package module; '*' for the module itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"metalink.{module}"):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "metalink"):
+            names |= {"*" for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.Import):
+            names |= {"*" for alias in node.names if alias.name == f"metalink.{module}"}
+    return names
+
+
+def test_learners_take_only_param_vector_from_nn():
+    # every learner takes its loss from the caller, so none builds a model
+    assert _names_from("from .nn import ParamVector, make_mlp_lossfn\n", "nn") == {"ParamVector", "make_mlp_lossfn"}
+    assert _names_from("from . import graph, nn\nimport metalink.nn\n", "nn") == {"*"}
+    assert _names_from((_PACKAGE / "learners.py").read_text(), "nn") <= {"ParamVector"}

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from metalink import graph, learners
 from metalink.autodiff import eval_with_gradient
 from metalink.errors import ConfigurationError, NumericalError
+from metalink.harness import DEMOD_ARCH
 from metalink.learners import (
-    DEMOD_ARCH,
     MetaTrainResult,
     TrainConfig,
     maml_adapt,
@@ -68,7 +68,7 @@ quadratic.stack = np.stack  # meta_train stacks the tasks' centre arrays
 
 def _item(train, test=None, task_id=0):
     """A task split carrying `train` and `test` (default: `train`) as its data."""
-    task = Task(task_id, sample_task("demod", np.random.default_rng(0)).realization, "demod")
+    task = Task(task_id, sample_task("demod", np.random.default_rng(0)).realization)
     return TaskSplit(task, train, train if test is None else test)
 
 
@@ -76,7 +76,7 @@ def _item(train, test=None, task_id=0):
 # From theta=0 with eta=0.1, one step lands at phi=0.1, the outer loss is
 # 0.5*1.1^2 = 0.605, and the chain rule gives (1-0.1)*1.1 = 0.99.
 ORACLE_ITEM = _item(np.array([1.0]), np.array([-1.0]))
-ORACLE_BATCH = MetaBatch("demod", (ORACLE_ITEM,))
+ORACLE_BATCH = MetaBatch((ORACLE_ITEM,))
 
 
 def _loss(lossfn, p, data):
@@ -143,7 +143,7 @@ def test_conventional_zero_iters_returns_init():
     task = sample_task("demod", np.random.default_rng(40))
     init = init_params(DEMOD_ARCH, 7)
     pilots = make_pilot_dataset(task, 8, np.random.default_rng(40))
-    (out,) = train_conventional([task], TrainConfig(outer_iters=0), datasets=[pilots], init=init)
+    (out,) = train_conventional([task], TrainConfig(outer_iters=0), datasets=[pilots], init=init, lossfn=DEMOD_LOSS)
     assert np.array_equal(out.values, init.values)
 
 
@@ -152,7 +152,7 @@ def test_conventional_descends_on_pilots():
     cfg = TrainConfig(outer_iters=60, seed=3)
     pilots = make_pilot_dataset(task, 16, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
-    (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init)
+    (trained,) = train_conventional([task], cfg, datasets=[pilots], init=init, lossfn=DEMOD_LOSS)
     assert _loss(DEMOD_LOSS, trained, pilots) <= _loss(DEMOD_LOSS, init, pilots)
 
 
@@ -170,16 +170,9 @@ def test_conventional_solves_separable_toy():
     data = Dataset(inputs, targets, 2)
     task = sample_task("demod", np.random.default_rng(44))
     cfg = TrainConfig(eta_inner=0.5, outer_iters=150)
-    (trained,) = train_conventional([task], cfg, datasets=[data], init=init_params(arch, 0))
-    assert _loss(make_mlp_lossfn(arch), trained, data) < 0.05
-
-
-def test_conventional_rejects_autoencoder_tasks():
-    ae = sample_task("autoencoder", np.random.default_rng(45))
-    demod = sample_task("demod", np.random.default_rng(45))
-    pilots = make_pilot_dataset(demod, 8, np.random.default_rng(45))
-    with pytest.raises(ConfigurationError):
-        train_conventional([demod, ae], TrainConfig(), datasets=[pilots, pilots], init=init_params(DEMOD_ARCH, 0))
+    lossfn = make_mlp_lossfn(arch)
+    (trained,) = train_conventional([task], cfg, datasets=[data], init=init_params(arch, 0), lossfn=lossfn)
+    assert _loss(lossfn, trained, data) < 0.05
 
 
 def test_conventional_is_pure():
@@ -187,8 +180,8 @@ def test_conventional_is_pure():
     cfg = TrainConfig(outer_iters=25, seed=2)
     pilots = make_pilot_dataset(task, 8, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
-    (a,) = train_conventional([task], cfg, datasets=[pilots], init=init)
-    (b,) = train_conventional([task], cfg, datasets=[pilots], init=init)
+    (a,) = train_conventional([task], cfg, datasets=[pilots], init=init, lossfn=DEMOD_LOSS)
+    (b,) = train_conventional([task], cfg, datasets=[pilots], init=init, lossfn=DEMOD_LOSS)
     assert np.array_equal(a.values, b.values)
 
 
@@ -204,10 +197,10 @@ def test_conventional_stack_equals_stacks_of_one(n_pilots):
     tasks, pilots = _devices(5, n_pilots, 57)
     cfg = TrainConfig(outer_iters=12, seed=8)
     init = init_params(DEMOD_ARCH, 8)
-    stacked = train_conventional(tasks, cfg, datasets=pilots, init=init)
+    stacked = train_conventional(tasks, cfg, datasets=pilots, init=init, lossfn=DEMOD_LOSS)
     assert len(stacked) == len(tasks)
     for task, data, got in zip(tasks, pilots, stacked, strict=True):
-        (alone,) = train_conventional([task], cfg, datasets=[data], init=init)
+        (alone,) = train_conventional([task], cfg, datasets=[data], init=init, lossfn=DEMOD_LOSS)
         assert got.arch == DEMOD_ARCH
         assert np.array_equal(got.values, alone.values)
 
@@ -226,7 +219,7 @@ def test_conventional_divergence_names_the_device_in_a_stack(huge):
     cfg = TrainConfig(outer_iters=3, seed=9)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=f"^task {tasks[huge[0]].id}: ") as exc:
-            train_conventional(tasks, cfg, datasets=pilots, init=init)
+            train_conventional(tasks, cfg, datasets=pilots, init=init, lossfn=DEMOD_LOSS)
     assert exc.value.op_kind == "affine"
     assert "'affine'" in str(exc.value)
     assert isinstance(exc.value.__cause__, NumericalError)
@@ -262,10 +255,10 @@ def test_conventional_guard_retries_only_the_diverging_device(monkeypatch):
     cfg = TrainConfig(eta_inner=1.47e5, outer_iters=3, seed=10)
     init = init_params(DEMOD_ARCH, 10)
     retries = _count_retries(monkeypatch)
-    stacked = train_conventional(tasks, cfg, datasets=pilots, init=init)
+    stacked = train_conventional(tasks, cfg, datasets=pilots, init=init, lossfn=DEMOD_LOSS)
     assert sum(retries) == 1
     for task, data, got in zip(tasks, pilots, stacked, strict=True):
-        (alone,) = train_conventional([task], cfg, datasets=[data], init=init)
+        (alone,) = train_conventional([task], cfg, datasets=[data], init=init, lossfn=DEMOD_LOSS)
         assert np.array_equal(got.values, alone.values)
 
 
@@ -317,12 +310,12 @@ def test_conventional_equals_each_device_under_its_own_guard(kinds, eta):
         else:
             first_error = None
         if first_error is None:
-            stacked = train_conventional(tasks, cfg, datasets=pilots, init=init)
+            stacked = train_conventional(tasks, cfg, datasets=pilots, init=init, lossfn=DEMOD_LOSS)
             for got, want in zip(stacked, reference, strict=True):
                 assert np.array_equal(got.values, want)
         else:
             with pytest.raises(NumericalError) as exc:
-                train_conventional(tasks, cfg, datasets=pilots, init=init)
+                train_conventional(tasks, cfg, datasets=pilots, init=init, lossfn=DEMOD_LOSS)
             assert str(exc.value) == str(first_error)
             assert exc.value.op_kind == first_error.op_kind
 
@@ -333,7 +326,8 @@ def test_conventional_reruns_every_device_under_the_guard_only_when_the_stack_di
     pilots = [_device_pilots(kind, task, d) for d, (kind, task) in enumerate(zip(kinds, tasks))]
     retries = _count_retries(monkeypatch)
     # at rate 4e5 device 1's half-step retry succeeds, so every device is trained
-    train_conventional(tasks, TrainConfig(eta_inner=4e5, outer_iters=3), datasets=pilots, init=_saturated_init())
+    cfg = TrainConfig(eta_inner=4e5, outer_iters=3)
+    train_conventional(tasks, cfg, datasets=pilots, init=_saturated_init(), lossfn=DEMOD_LOSS)
     assert len(retries) == calls
 
 
@@ -345,8 +339,9 @@ def test_joint_single_task_matches_conventional_bitwise():
     pool = demod_task_pool(TaskFamily(), 1, 8, 8, seed=47)
     cfg = TrainConfig(outer_iters=30, seed=4)
     init = init_params(DEMOD_ARCH, 4)
-    joint = train_joint(pool, cfg, init=init)
-    (conv,) = train_conventional([pool.items[0].task], cfg, datasets=[pool.items[0].train], init=init)
+    joint = train_joint(pool, cfg, init=init, lossfn=DEMOD_LOSS)
+    (item,) = pool.items
+    (conv,) = train_conventional([item.task], cfg, datasets=[item.train], init=init, lossfn=DEMOD_LOSS)
     assert np.array_equal(joint.values, conv.values)
 
 
@@ -366,17 +361,18 @@ def test_joint_matches_per_task_reference_bitwise():
             total = graph.add(total, branch)
         (g,) = graph.gradients(graph.scale(total, 1.0 / len(branches)), [theta])
         p = p - cfg.eta_inner * g.value
-    assert np.array_equal(train_joint(pool, cfg, init=init).values, p)
+    assert np.array_equal(train_joint(pool, cfg, init=init, lossfn=DEMOD_LOSS).values, p)
 
 
 @pytest.mark.parametrize("copies", [2, 4])
 def test_joint_duplicate_tasks_change_nothing(copies):
     pool = demod_task_pool(TaskFamily(), 1, 8, 8, seed=48)
-    dup = MetaBatch("demod", pool.items * copies)
+    dup = MetaBatch(pool.items * copies)
     cfg = TrainConfig(outer_iters=20, seed=5)
     init = init_params(DEMOD_ARCH, 5)
     assert np.array_equal(
-        train_joint(pool, cfg, init=init).values, train_joint(dup, cfg, init=init).values
+        train_joint(pool, cfg, init=init, lossfn=DEMOD_LOSS).values,
+        train_joint(dup, cfg, init=init, lossfn=DEMOD_LOSS).values,
     )
 
 
@@ -392,16 +388,9 @@ def test_joint_divergence_at_the_initial_point_names_the_op():
     cfg = TrainConfig(outer_iters=3, seed=12)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="^joint training: loss diverged at the initial point: ") as exc:
-            train_joint(MetaBatch("demod", tuple(items)), cfg, init=init)
+            train_joint(MetaBatch(tuple(items)), cfg, init=init, lossfn=DEMOD_LOSS)
     assert exc.value.op_kind == "affine"
     assert isinstance(exc.value.__cause__, NumericalError)
-
-
-def test_joint_rejects_autoencoder_tasks():
-    tasks = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=10.0), 2, seed=62)
-    batch = autoencoder_stream(tasks, AutoencoderSpec(), k=2, n_blocks=4)(np.random.default_rng(0))
-    with pytest.raises(ConfigurationError, match="demodulator"):
-        train_joint(batch, TrainConfig(), init=init_params(DEMOD_ARCH, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +438,7 @@ def test_meta_loss_zero_rate_is_test_loss_at_theta():
 
 def test_meta_loss_duplicate_invariance():
     cfg = TrainConfig(eta_inner=0.1, m=1)
-    dup = MetaBatch("demod", ORACLE_BATCH.items * 3)
+    dup = MetaBatch(ORACLE_BATCH.items * 3)
     assert _meta_loss(dup, cfg, np.array([0.0])) == _meta_loss(ORACLE_BATCH, cfg, np.array([0.0]))
 
 
@@ -490,7 +479,7 @@ def test_meta_step_reports_failing_task():
     item = _item(None, task_id=3)
     cfg = TrainConfig(eta_inner=0.1)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="task 3") as exc:
-        _meta_run(MetaBatch("demod", (item,)), cfg, np.array([2.0]), lossfn=explode)
+        _meta_run(MetaBatch((item,)), cfg, np.array([2.0]), lossfn=explode)
     assert "meta-training: loss diverged at the initial point" in str(exc.value)
     assert "'mul'" in str(exc.value)
     assert exc.value.op_kind == "mul"
@@ -605,7 +594,7 @@ def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatc
     cfg = TrainConfig(m=2, outer_iters=1, first_order=first_order)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
         meta_train(
-            lambda rng: MetaBatch("demod", tuple(items)), cfg,
+            lambda rng: MetaBatch(tuple(items)), cfg,
             init=init, lossfn=make_mlp_lossfn(arch),
         )
     assert "'affine'" in str(exc.value)
@@ -632,7 +621,7 @@ def test_stacked_autoencoder_meta_batch_names_the_task_that_diverges(first_order
     cfg = TrainConfig(eta_inner=0.05, m=1, outer_iters=1, first_order=first_order)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[3].task.id}: ") as exc:
         meta_train(
-            lambda rng: MetaBatch("autoencoder", tuple(items)), cfg, init=init_autoencoder_params(spec, 1),
+            lambda rng: MetaBatch(tuple(items)), cfg, init=init_autoencoder_params(spec, 1),
             lossfn=make_autoencoder_lossfn(spec), max_rows=2,
         )
     assert "'affine'" in str(exc.value)
@@ -660,7 +649,7 @@ def test_a_diverging_stack_reruns_once_as_stacks_of_one(max_rows, first_order, m
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
             meta_train(
-                lambda rng: MetaBatch("demod", tuple(items)), cfg,
+                lambda rng: MetaBatch(tuple(items)), cfg,
                 init=_saturated_init(), lossfn=DEMOD_LOSS, max_rows=max_rows,
             )
     assert exc.value.op_kind == "affine"
@@ -797,7 +786,7 @@ def test_adapt_has_no_guard():
         maml_adapt(np.array([1e200]), None, 0.1, 1, lossfn=explode)
 
 
-STEEP_BATCH = MetaBatch("demod", (_item(None),))
+STEEP_BATCH = MetaBatch((_item(None),))
 
 
 def test_meta_train_guard_initial_point():

@@ -400,7 +400,7 @@ def test_autoencoder_stack_rows_are_each_start_alone(spec, n_starts, n_blocks, s
 def test_autoencoder_forward_shapes_and_validation():
     spec = AutoencoderSpec()
     p = graph.const(init_autoencoder_params(spec, 0).values)
-    task = Task(0, ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 20.0), "autoencoder")
+    task = Task(0, ChannelRealization(np.array([1.0, 0.0, 0.0], dtype=complex), 20.0))
     rng = np.random.default_rng(0)
     for n_blocks in (1, 3):
         batch = generate_autoencoder_batch(task, n_blocks, rng, spec)

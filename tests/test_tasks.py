@@ -20,7 +20,6 @@ from metalink.tasks import (
     SCOPE_EVAL,
     SCOPE_TASK,
     MetaBatch,
-    Task,
     TaskFamily,
     autoencoder_stream,
     autoencoder_task_pool,
@@ -64,9 +63,6 @@ def test_rng_for_separates_paths():
 
 
 def test_task_kind_is_validated():
-    ch = ChannelRealization(np.array([1.0 + 0.0j]), 15.0)
-    with pytest.raises(ConfigurationError):
-        Task(0, ch, "qpsk")
     with pytest.raises(ConfigurationError):
         TaskFamily(kind="qpsk")
     with pytest.raises(ConfigurationError):
@@ -81,7 +77,7 @@ def test_family_sample_deterministic():
     b = fam.sample(np.random.default_rng(5), task_id=2)
     assert np.array_equal(a.realization.taps, b.realization.taps)
     assert a.realization.nonideality == b.realization.nonideality
-    assert a.id == 2 and a.kind == "demod"
+    assert a.id == 2 and a.realization.taps.shape == (1,)
 
 
 def test_demod_family_statistics():
@@ -110,7 +106,6 @@ def test_phase_rotation_family_is_pure_rotation():
 
 def test_autoencoder_family_three_clean_taps():
     t = sample_task("autoencoder", np.random.default_rng(8))
-    assert t.kind == "autoencoder"
     assert t.realization.taps.shape == (3,)
     assert t.realization.nonideality == (0.0, 0.0)
     assert t.realization.snr_db == 10.0
@@ -159,7 +154,7 @@ def test_pilot_dataset_validation():
     with pytest.raises(ConfigurationError):
         make_pilot_dataset(task, 0, np.random.default_rng(0))
     ae = sample_task("autoencoder", np.random.default_rng(17))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="exactly one tap"):
         make_pilot_dataset(ae, 4, np.random.default_rng(0))
 
 
@@ -184,7 +179,7 @@ def test_demod_pool_deterministic_and_indexed():
         assert np.array_equal(x.task.realization.taps, y.task.realization.taps)
         assert np.array_equal(x.train.inputs, y.train.inputs)
         assert np.array_equal(x.test.targets, y.test.targets)
-    assert a.kind == "demod"
+    assert all(it.task.realization.taps.shape == (1,) for it in a.items)
     with pytest.raises(ConfigurationError):
         demod_task_pool(TaskFamily(), 0, 4, 8, seed=0)
 
@@ -211,10 +206,7 @@ def test_subsample_stream_degenerates_to_full_pool():
 
 def test_meta_batch_validation():
     with pytest.raises(ConfigurationError):
-        MetaBatch("demod", ())
-    pool = demod_task_pool(TaskFamily(), 1, 2, 2, seed=24)
-    with pytest.raises(ConfigurationError):
-        MetaBatch("qpsk", pool.items)
+        MetaBatch(())
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +278,8 @@ def test_autoencoder_batch_validation():
         AutoencoderBatch(good.messages, good.noise, good.channel_matrix[:-1], spec)
     with pytest.raises(ConfigurationError):
         generate_autoencoder_batch(task, 0, np.random.default_rng(0))
-    demod = sample_task("demod", np.random.default_rng(31))
-    with pytest.raises(ConfigurationError):
-        generate_autoencoder_batch(demod, 4, np.random.default_rng(0))
-    one_tap = Task(0, ChannelRealization(np.array([1.0 + 0.0j]), 10.0), "autoencoder")
-    with pytest.raises(ConfigurationError):
+    one_tap = sample_task("demod", np.random.default_rng(31))
+    with pytest.raises(ConfigurationError, match="task has 1 taps, block channel needs 3"):
         generate_autoencoder_batch(one_tap, 4, np.random.default_rng(0))
 
 
@@ -308,7 +297,8 @@ def test_autoencoder_pool_and_stream():
     rng = np.random.default_rng(33)
     first = stream(rng)
     second = stream(rng)
-    assert len(first.items) == 2 and first.kind == "autoencoder"
+    assert len(first.items) == 2
+    assert all(item.task.realization.taps.shape == (3,) for item in first.items)
     for item in first.items:
         assert not np.array_equal(item.train.noise, item.test.noise)
         assert np.array_equal(item.train.channel_matrix, item.test.channel_matrix)
