@@ -17,7 +17,11 @@ problems in one graph.
 
 A sweep whose adjoints are only read, not differentiated again (the
 gradient, the second sweep of hvp, the final sweep of the meta-gradient),
-runs with create_graph=False and keeps no adjoint graph.
+runs with create_graph=False: it runs on bare values, builds no nodes and
+keeps no adjoint graph, and checks only the gradient it returns.  A
+non-finite gradient reruns the sweep with checked nodes, so the
+NumericalError names the op that first went non-finite, as it does
+everywhere else.
 """
 
 from __future__ import annotations

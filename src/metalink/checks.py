@@ -8,7 +8,8 @@ meta-gradients as the inner step vanishes.  A stacked instance covers the
 task axis: its gradient against central differences, and each row against
 the same network's gradient computed alone; a stacked exact meta-gradient,
 of MLPs and of autoencoders on a batch with a task axis, is held to each
-row's meta-gradient computed alone.  Tolerances live here, in one place,
+row's meta-gradient computed alone, and its values-only backward sweep to
+the node sweep of the same graph.  Tolerances live here, in one place,
 and the check functions take the computed quantities as inputs where
 practical so a corrupted value demonstrably fails (negative controls in the
 test suite rely on that).
@@ -231,6 +232,30 @@ def _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, m, meta_fn):
     return err
 
 
+def _stacked_mlp_instance(n_tasks):
+    """A (T, P) stack of T small tanh MLPs and their tasks' train and test
+    data, T = n_tasks: (lossfn, stack, train datasets, test datasets)."""
+    rng = rng_for(4322, SCOPE_CHECKS, n_tasks)
+    arch = mlp_arch((3, 6, 4))
+    d_tr = [Dataset(rng.standard_normal((5, 3)), rng.integers(0, 4, 5), 4) for _ in range(n_tasks)]
+    d_te = [Dataset(rng.standard_normal((7, 3)), rng.integers(0, 4, 7), 4) for _ in range(n_tasks)]
+    stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
+    stack = stack + 0.05 * rng.standard_normal(stack.shape)
+    return make_mlp_lossfn(arch), stack, d_tr, d_te
+
+
+def _stacked_autoencoder_instance(n_tasks):
+    """_stacked_mlp_instance for small encoder/decoder pairs, each task's
+    train and test data one channel draw of its own."""
+    rng = rng_for(4323, SCOPE_CHECKS, n_tasks)
+    spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=(5,))
+    tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
+    d_tr = [generate_autoencoder_batch(task, 5, rng, spec) for task in tasks]
+    d_te = [generate_autoencoder_batch(task, 7, rng, spec) for task in tasks]
+    stack = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])
+    return make_autoencoder_lossfn(spec), stack, d_tr, d_te
+
+
 def check_stacked_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     """The exact m-step meta-gradient of a (T, P) stack of T tasks.
 
@@ -238,13 +263,7 @@ def check_stacked_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     t's computed alone by unrolled_meta_gradient, bit for bit (the error is
     the largest absolute difference).  meta_fn replaces the stacked route.
     """
-    rng = rng_for(4322, SCOPE_CHECKS, n_tasks)
-    arch = mlp_arch((3, 6, 4))
-    d_tr = [Dataset(rng.standard_normal((5, 3)), rng.integers(0, 4, 5), 4) for _ in range(n_tasks)]
-    d_te = [Dataset(rng.standard_normal((7, 3)), rng.integers(0, 4, 7), 4) for _ in range(n_tasks)]
-    stack = np.stack([init_params(arch, rng).values for _ in range(n_tasks)])
-    stack = stack + 0.05 * rng.standard_normal(stack.shape)
-    err = _stacked_meta_rows_error(make_mlp_lossfn(arch), stack, d_tr, d_te, m, meta_fn)
+    err = _stacked_meta_rows_error(*_stacked_mlp_instance(n_tasks), m, meta_fn)
     return CheckResult(f"stacked (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
 
 
@@ -252,15 +271,37 @@ def check_stacked_autoencoder_meta_gradient(n_tasks=3, m=2, meta_fn=None):
     """check_stacked_meta_gradient for autoencoder tasks: a (T, P) stack of
     small encoder/decoder pairs on batches with a task axis, row t on task
     t's channel draw (nn.stack_autoencoder_batches)."""
-    rng = rng_for(4323, SCOPE_CHECKS, n_tasks)
-    spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=(5,))
-    tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
-    d_tr = [generate_autoencoder_batch(task, 5, rng, spec) for task in tasks]
-    d_te = [generate_autoencoder_batch(task, 7, rng, spec) for task in tasks]
-    stack = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])
-    lossfn = make_autoencoder_lossfn(spec)
-    err = _stacked_meta_rows_error(lossfn, stack, d_tr, d_te, m, meta_fn)
+    err = _stacked_meta_rows_error(*_stacked_autoencoder_instance(n_tasks), m, meta_fn)
     return CheckResult(f"stacked autoencoder (T={n_tasks}, m={m}) meta-gradient rows vs each row alone", err, 0.0)
+
+
+def _values_only_gradient(output, wrt):
+    (g,) = graph.gradients(output, [wrt], create_graph=False)
+    return g.value
+
+
+def check_values_only_sweep(n_tasks=3, m=2, sweep_fn=None):
+    """The values-only sweep of a stacked exact meta-gradient against the
+    node sweep of the same graph.
+
+    On both stacked meta-gradient instances (MLPs and autoencoders), the
+    m-step meta-loss of the stack is built once and differentiated with
+    respect to the stack twice: with create_graph=False, which builds no
+    nodes and checks only its result, and with nodes, each checked as it is
+    built.  They must agree bit for bit (the error is the largest absolute
+    difference).  sweep_fn(output, wrt) -> array replaces the values-only
+    route.
+    """
+    err = 0.0
+    for lossfn, stack, d_tr, d_te in (_stacked_mlp_instance(n_tasks), _stacked_autoencoder_instance(n_tasks)):
+        theta = phi = graph.inp(stack)
+        for _ in range(m):
+            (g,) = graph.gradients(graph.asum(lossfn(phi, lossfn.stack(d_tr))), [phi])
+            phi = graph.add_scaled(phi, g, -0.1)
+        meta_loss = graph.asum(lossfn(phi, lossfn.stack(d_te)))
+        (kept,) = graph.gradients(meta_loss, [theta])
+        err = max(err, float(np.abs((sweep_fn or _values_only_gradient)(meta_loss, theta) - kept.value).max()))
+    return CheckResult(f"values-only sweep vs node sweep (T={n_tasks}, m={m})", err, 0.0)
 
 
 def closed_form_meta_gradient(lossfn, theta, eta, d_tr, d_te):
@@ -359,6 +400,7 @@ def run_gradcheck(scale="small"):
         *check_stacked_gradient(),
         check_stacked_meta_gradient(),
         check_stacked_autoencoder_meta_gradient(),
+        check_values_only_sweep(),
         check_hvp(n_hvp),
     ]
     results.extend(check_hvp_symmetry(n_hvp))

@@ -13,14 +13,14 @@ matmat, ...) computes the row's meta and calls its kernel; gradients() reads
 each node's row for its VJPs.
 
 Values are float64 numpy arrays, computed at node construction time.  Every
-node value is finite, and the op that would first produce a nan or inf raises
-NumericalError naming its kind, so divergence surfaces at the first bad node
-instead of as a mystery NaN three modules later.  A row marked checked=False
-cannot turn finite inputs, which nodes are, into a non-finite output, so it
-skips the check without weakening the invariant: transpose, reshape, vslice
-and bcast copy entries, scatter copies its parts into zeros (overlapping
-parts are added, and scatter() checks that case), tanh lies in [-1, 1],
-and softmax_rows lies in [0, 1] (its shifted exponents are <= 0, an
+node a caller can hold is finite, and the op that would first produce a nan
+or inf raises NumericalError naming its kind, so divergence surfaces at the
+first bad node instead of as a mystery NaN three modules later.  A row marked
+checked=False cannot turn finite inputs, which nodes are, into a non-finite
+output, so it skips the check without weakening the invariant: transpose,
+reshape, vslice and bcast copy entries, scatter copies its parts into zeros
+(overlapping parts are added, and scatter() checks that case), tanh lies in
+[-1, 1], and softmax_rows lies in [0, 1] (its shifted exponents are <= 0, an
 overflowing shift is -inf, whose exp is 0, and each row sum includes
 exp(0) = 1).  Every other row checks its result as it is built.
 
@@ -47,16 +47,25 @@ tanh VJP.  Each computes the same expression as the ops it fuses and builds
 the same adjoints, so values and derivatives of every order are unchanged.
 
 A caller that only reads the values of the gradients passes
-create_graph=False: the sweep is the same, but the adjoints it builds hold
-no parents, and each is dropped once its node is swept, so no adjoint graph
-outlives the sweep and peak memory is that of the forward graph plus a few
-adjoints.
+create_graph=False, and the sweep runs on bare values: the same builders call
+the same kernels in the same order, so every value is bit for bit the same,
+but in this values mode _make wraps each result in a holder with no uid, no
+parents and no finiteness check, under a numpy context that ignores
+overflow and invalid results, and each adjoint is dropped once its node is swept.  Only the
+returned adjoints become nodes, and each is checked once.  Nothing a caller
+can hold goes unchecked: every divisor and mask the sweep reads is a checked
+forward node, and an inf or nan anywhere in the sweep is carried on into
+some returned adjoint by the sums, products and copies that build them.  If
+one is not finite, the sweep reruns with nodes, checked as they are built,
+so the same NumericalError, naming the same op, is raised as by a checked
+sweep.  The mode is per thread: a thread sweeping values leaves every other
+thread's nodes checked.
 
 Graphs are throwaway: build, differentiate, read values, drop.  Nothing here
-mutates a node after construction, apart from such a sweep cutting the
-parents of the adjoints it has just built, which nothing else holds; node
-ids increase in creation order, which doubles as a topological order for the
-backward sweep.
+mutates a node after construction, apart from a checked rerun of a
+values-only sweep cutting the parents of the adjoints it has just built,
+which nothing else holds; node ids increase in creation order, which doubles
+as a topological order for the backward sweep.
 """
 
 from __future__ import annotations
@@ -121,17 +130,34 @@ class Node:
         return f"Node({self.kind}, uid={self.uid}, shape={np.shape(self.value)})"
 
 
+class _Value:
+    """A result built in values mode: the value, and nothing to differentiate."""
+
+    __slots__ = ("value", "__weakref__")
+
+    def __init__(self, value):
+        self.value = value
+
+
+# True only inside a thread's values context, where _make builds _Values
+_VALUES_ONLY = contextvars.ContextVar("values_only", default=False)
+
+
 class _Quiet(threading.local):
-    """The finiteness check sums in a context where numpy ignores overflow and
-    invalid results, at no measurable cost per node, unlike np.errstate.  A
-    context admits one thread at a time, so each thread makes its own."""
+    """A context in which numpy ignores overflow, invalid results and
+    division by zero, at no measurable cost per call, unlike np.errstate.
+    The finiteness check sums in one; a values-only sweep runs in another,
+    which also sets values mode.  A context admits one thread at a time, so
+    each thread makes its own."""
 
-    def __init__(self):
+    def __init__(self, values_only):
         self.run = contextvars.Context().run
-        self.run(np.seterr, over="ignore", invalid="ignore")
+        self.run(np.seterr, all="ignore")
+        self.run(_VALUES_ONLY.set, values_only)
 
 
-_QUIET = _Quiet()
+_QUIET = _Quiet(False)
+_VALUES = _Quiet(True)
 _ADD_REDUCE = np.add.reduce
 
 
@@ -145,6 +171,8 @@ def _check(op, value):
 def _make(op, value, parents=(), meta=None):
     if type(value) is not np.ndarray:  # a kernel's 0-d result is a numpy scalar
         value = np.asarray(value)
+    if _VALUES_ONLY.get():
+        return _Value(value)
     if op.checked:
         _check(op, value)
     return Node(op, value, parents, meta)
@@ -289,9 +317,10 @@ def scatter(parts, los, n):
     """
     parts, meta = tuple(parts), (tuple(los), n)
     out = _SCATTER.kernel(*[part.value for part in parts], meta)
-    spans = sorted((lo, lo + part.value.shape[-1]) for part, lo in zip(parts, meta[0]))
-    if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
-        _check(_SCATTER, out)
+    if not _VALUES_ONLY.get():
+        spans = sorted((lo, lo + part.value.shape[-1]) for part, lo in zip(parts, meta[0]))
+        if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
+            _check(_SCATTER, out)
     return _make(_SCATTER, out, parts, meta)
 
 
@@ -412,11 +441,11 @@ def gradients(output, wrt, create_graph=True):
     differentiated.  Nodes in `wrt` that `output` does not depend on get a
     zero constant of the right shape.
 
-    With create_graph=False the sweep is the same and the values are bit for
-    bit the same, but every adjoint it builds (each contribution, and each
-    sum of them) holds no parents, and each is dropped once its node is
-    swept.  The returned nodes then only carry values: a caller that reads
-    .value and differentiates no further keeps no adjoint graph alive.
+    With create_graph=False the sweep runs in values mode (see the module
+    docstring): it builds no nodes, keeps each adjoint only until its node
+    is swept, and returns one constant per wrt node, with bit for bit the
+    values the node sweep gives.  A caller that reads .value and
+    differentiates no further keeps no adjoint graph alive.
 
     Deterministic by construction: the sweep visits nodes in descending uid
     order and parents in positional order, so repeated calls on an identical
@@ -455,12 +484,26 @@ def gradients(output, wrt, create_graph=True):
         active.add(uid)
         order.append(node)
 
-    # A node read through vslices (a flat parameter vector, or a stack of
-    # them) has the slices' adjoints collected in `parts`, in sweep order,
-    # and placed by one scatter when the sweep reaches it; that scatter is
-    # then added to the sum of its other adjoints, if it has any.  An
-    # adjoint leaves `adjoint` when its node is swept; those of wrt nodes
-    # are kept in `found`.
+    if not create_graph:
+        found = _VALUES.run(_sweep, output, order, active, wrt_ids, False)
+        try:
+            return [const(found[w.uid].value if w.uid in found else np.zeros_like(w.value)) for w in wrt]
+        except NumericalError:
+            pass  # rerun checked, so that the op that first went non-finite raises
+    found = _sweep(output, order, active, wrt_ids, not create_graph)
+    return [found.get(w.uid) or const(np.zeros_like(w.value)) for w in wrt]
+
+
+def _sweep(output, order, active, wrt_ids, cut):
+    """The reverse sweep over `order`: the adjoints of the wrt nodes, by uid.
+
+    A node read through vslices (a flat parameter vector, or a stack of
+    them) has the slices' adjoints collected in `parts`, in sweep order, and
+    placed by one scatter when the sweep reaches it; that scatter is then
+    added to the sum of its other adjoints, if it has any.  An adjoint
+    leaves `adjoint` when its node is swept; those of wrt nodes are kept in
+    `found`.  With cut, every adjoint built has its parents cut.
+    """
     adjoint = {}
     parts = {}
     found = {}
@@ -473,7 +516,7 @@ def gradients(output, wrt, create_graph=True):
             if pending is not None:
                 placed = scatter(pending[0], pending[1], node.value.shape[-1])
                 g = placed if g is None else add(g, placed)
-                if not create_graph:
+                if cut:
                     g.parents = ()
             if g is None:
                 continue
@@ -493,14 +536,7 @@ def gradients(output, wrt, create_graph=True):
                 prev = adjoint.get(parent.uid)
                 if prev is not None:
                     contrib = add(prev, contrib)
-                if not create_graph:
+                if cut:
                     contrib.parents = ()
                 adjoint[parent.uid] = contrib
-
-    out = []
-    for w in wrt:
-        node = found.get(w.uid)
-        if node is None:
-            node = const(np.zeros_like(w.value))
-        out.append(node)
-    return out
+    return found

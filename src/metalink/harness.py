@@ -440,11 +440,29 @@ def read_curve(path):
 # metrics
 
 
+# Most rows of a draw per forward.  The whole draw at once holds every
+# receiver's intermediates together, and at the default 2,000 rows that is
+# bound by page faults.
+_EVAL_ROWS = 500
+
+
 def _error_rates(receivers, forward, labels):
-    """Argmax error rate of each receiver, run as one (R, P) stack through
-    forward(stack node) -> logits node; ties resolve to the lowest index."""
-    logits = forward(graph.const(np.stack([p.values for p in receivers]))).value
-    return tuple(float(np.mean(predicted != labels)) for predicted in np.argmax(logits, axis=-1))
+    """Argmax error rate of each receiver on a draw of len(labels) rows; ties
+    resolve to the lowest index.  The receivers run as one (R, P) stack
+    through forward(stack node, lo, hi) -> the logits node of rows lo:hi,
+    over the fewest consecutive chunks of at most _EVAL_ROWS rows, as even
+    as they divide: a product over a few rows can take another BLAS kernel
+    and move its last bits, so no chunk is cut short.  Each row's logits
+    are then its own, whatever the chunks."""
+    stack = graph.const(np.stack([p.values for p in receivers]))
+    errors = np.zeros(len(receivers), dtype=np.int64)
+    n = len(labels)
+    chunks = -(-n // _EVAL_ROWS)
+    for i in range(chunks):
+        lo, hi = i * n // chunks, (i + 1) * n // chunks
+        predicted = np.argmax(forward(stack, lo, hi).value, axis=-1)
+        errors += np.count_nonzero(predicted != labels[lo:hi], axis=-1)
+    return tuple(float(e) / n for e in errors)
 
 
 def evaluate_ser(receivers, task, n_symbols, rng):
@@ -458,7 +476,7 @@ def evaluate_ser(receivers, task, n_symbols, rng):
     indices = rng.integers(0, 16, size=n_symbols)
     received, labels = apply_channel_demod(indices, task.realization, rng)
     x = np.stack([received.real, received.imag], axis=1)
-    return _error_rates(receivers, lambda stack: mlp_logits_node(stack, receivers[0].arch, x), labels)
+    return _error_rates(receivers, lambda stack, lo, hi: mlp_logits_node(stack, receivers[0].arch, x[lo:hi]), labels)
 
 
 def evaluate_bler(receivers, spec, task, n_blocks, rng):
@@ -468,7 +486,12 @@ def evaluate_bler(receivers, spec, task, n_blocks, rng):
     if not receivers or any(p.arch != spec.arch for p in receivers):
         raise ConfigurationError("evaluate_bler needs one or more receivers, all of the spec's architecture")
     batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
-    return _error_rates(receivers, lambda stack: autoencoder_logits_node(stack, spec, batch), batch.messages)
+
+    def forward(stack, lo, hi):
+        rows = replace(batch, messages=batch.messages[lo:hi], noise=batch.noise[lo:hi])
+        return autoencoder_logits_node(stack, spec, rows)
+
+    return _error_rates(receivers, forward, batch.messages)
 
 
 # ---------------------------------------------------------------------------

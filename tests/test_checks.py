@@ -14,6 +14,7 @@ from metalink.checks import (
     check_quadratic_oracle,
     check_stacked_autoencoder_meta_gradient,
     check_stacked_meta_gradient,
+    check_values_only_sweep,
     dense_hessian,
     fd_gradient,
     fd_hvp,
@@ -55,12 +56,12 @@ def test_small_gradcheck_passes_quickly():
     report = run_gradcheck("small")
     assert report.passed
     assert report.seconds < 10.0
-    assert len(report.results) == 11
+    assert len(report.results) == 12
     text = report.format()
     assert "all checks passed" in text
     for fragment in (
         "central differences", "hvp", "symmetry", "linearity", "closed form", "oracle", "first-order", "stacked",
-        "stacked autoencoder",
+        "stacked autoencoder", "values-only sweep",
     ):
         assert fragment in text, f"missing {fragment!r} in report"
     with pytest.raises(ValueError):
@@ -107,3 +108,14 @@ def test_stacked_meta_gradient_row_off_by_one_ulp_is_caught():
     for check in (check_stacked_meta_gradient, check_stacked_autoencoder_meta_gradient):
         assert check(meta_fn=nudged).passed is False, check.__name__
         assert check().passed, check.__name__
+
+
+def test_values_only_sweep_off_by_one_ulp_is_caught():
+    def nudged(output, wrt):
+        (g,) = graph.gradients(output, [wrt], create_graph=False)
+        values = g.value.copy()
+        values[-1, -1] = np.nextafter(values[-1, -1], np.inf)
+        return values
+
+    assert check_values_only_sweep(sweep_fn=nudged).passed is False
+    assert check_values_only_sweep().passed

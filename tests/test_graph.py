@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from metalink import autodiff, graph
+from metalink import autodiff, graph, learners
 from metalink.errors import NumericalError
 from metalink.harness import DEMOD_ARCH
+from metalink.learners import TrainConfig
 from metalink.nn import (
     AutoencoderSpec,
     Dataset,
@@ -296,10 +297,12 @@ def test_finite_values_whose_sum_overflows_are_accepted():
         graph.inp(np.array([1e308, np.inf]))
 
 
-def test_graphs_build_on_two_threads_at_once():
+def test_graphs_build_on_two_threads_at_once(monkeypatch):
     # Each thread checks in its own quiet context: two threads checking
     # large values at once both finish, and a worker thread's check still
-    # raises on a non-finite value and stays silent on an overflowing sum.
+    # raises on a non-finite value and stays silent on an overflowing sum,
+    # also while another thread waits inside a values-only sweep, whose
+    # values mode is its own thread's alone.
     big = np.ones(200_000)
     outcomes = []
 
@@ -312,23 +315,43 @@ def test_graphs_build_on_two_threads_at_once():
         except Exception as err:  # noqa: BLE001 - any error fails the test below
             outcomes.append(repr(err))
 
+    meta_loss, theta, _ = _unrolled_objective(2)
+    (want,) = graph.gradients(meta_loss, [theta])
+    inside, diverged = threading.Event(), threading.Event()
+    (vjp,) = graph.OPS["tanh"].vjps
+
+    def held(n, g):  # the sweep stays in values mode until the other thread has diverged
+        inside.set()
+        diverged.wait(timeout=60)
+        return vjp(n, g)
+
+    def sweep():
+        (got,) = graph.gradients(meta_loss, [theta], create_graph=False)
+        outcomes.append("swept" if np.array_equal(got.value, want.value) else "wrong")
+
     def diverge():
+        inside.wait(timeout=60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            graph.const(np.array([1e308, 1e308]))
             try:
+                graph.const(np.array([1e308, 1e308]))
                 with np.errstate(over="ignore"):
                     graph.mul(graph.const(np.array([1e200])), graph.const(np.array([1e200])))
             except NumericalError as err:
                 outcomes.append(err.op_kind)
+            finally:
+                diverged.set()
 
-    for targets in ((build, build), (diverge,)):
+    for targets in ((build, build), (sweep, diverge)):
+        if sweep in targets:
+            monkeypatch.setattr(graph.OPS["tanh"], "vjps", (held,))
         threads = [threading.Thread(target=target) for target in targets]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-    assert outcomes == ["done", "done", "mul"]
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    assert outcomes == ["done", "done", "mul", "swept"]
 
 
 def test_overlapping_scatter_is_checked():
@@ -615,6 +638,140 @@ def test_values_only_sweep_drops_each_adjoint_once_its_node_is_swept(monkeypatch
     (kept,) = graph.gradients(meta_loss, [theta])
     assert all(alive) and all(ref() is not None for ref in refs)
     assert np.array_equal(bare.value, kept.value)
+
+
+def _uids_spent(fn):
+    """The result of fn() and how many node ids it took."""
+    before = graph.const(0.0).uid
+    out = fn()
+    return out, graph.const(0.0).uid - before - 1
+
+
+def test_values_only_sweep_builds_one_node_per_wrt():
+    meta_loss, theta, phi = _unrolled_objective(4, n_tasks=3)
+    idle = graph.inp(np.ones(3))  # the meta-loss does not depend on it
+    for wrt in ([theta], [theta, phi], [phi, idle, theta]):
+        adjoints, spent = _uids_spent(lambda wrt=wrt: graph.gradients(meta_loss, wrt, create_graph=False))
+        assert spent == len(wrt)
+        assert [g.kind for g in adjoints] == ["constant"] * len(wrt)
+    unrelated = graph.asum(idle)
+    _, spent = _uids_spent(lambda: graph.gradients(unrelated, [theta], create_graph=False))
+    assert spent == 1
+    # the node sweep of the same graph builds hundreds
+    _, spent = _uids_spent(lambda: graph.gradients(meta_loss, [theta]))
+    assert spent > 100
+
+
+def test_eval_with_gradient_builds_its_forward_and_one_node_more():
+    lossfn, theta, split = _demod_problem(3)
+    stack = np.tile(theta, (2, 1))
+    data = stack_datasets([split.train] * 2)
+    _, forward = _uids_spent(lambda: graph.asum(lossfn(graph.inp(stack), data)))
+    _, spent = _uids_spent(lambda: autodiff.eval_with_gradient(lossfn, stack, data))
+    assert spent == forward + 1
+
+
+def _meta_gradient_case(kind, n_tasks, m, first_order):
+    """A stacked meta-gradient as meta-training runs it: a thunk of learners._meta_grad."""
+    if kind == "demod":
+        lossfn = make_mlp_lossfn(DEMOD_ARCH)
+        splits = [_demod_problem(20 + t)[2] for t in range(n_tasks)]
+        d_tr, d_te = (stack_datasets([getattr(s, side) for s in splits]) for side in ("train", "test"))
+        theta = init_params(DEMOD_ARCH, 1).values
+    else:
+        spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(6,), dec_hidden=(6,))
+        lossfn = make_autoencoder_lossfn(spec)
+        rng = np.random.default_rng(30 + n_tasks)
+        tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
+        d_tr, d_te = (stack_autoencoder_batches([generate_autoencoder_batch(t, 6, rng, spec) for t in tasks])
+                      for _ in range(2))
+        theta = init_autoencoder_params(spec, 2).values
+    config = TrainConfig(m=m, first_order=first_order)
+    return lambda: learners._meta_grad(np.tile(theta, (n_tasks, 1)), d_tr, d_te, config, lossfn)
+
+
+def _hvp_case(n_tasks):
+    lossfn, theta, split = _demod_problem(40)
+    v = np.random.default_rng(41).standard_normal((n_tasks, theta.size))
+    return lambda: autodiff.hvp(lossfn, np.tile(theta, (n_tasks, 1)), v, stack_datasets([split.train] * n_tasks))
+
+
+class _Poison:
+    """Spies on the values-only sweeps (gradients(..., create_graph=False)).
+
+    checked routes those sweeps through the node sweep, which checks every
+    node as it is built.  While a values-only sweep runs, record lists the
+    (kind, shape, bytes) of each checked node it builds, and every build
+    whose (kind, shape, bytes) is target gets entry `at` of its value set to
+    `bad`.  The values of both routes are the same up to the first poisoned
+    build, which is then the same node in each, however often a route reruns
+    its sweep.
+    """
+
+    def __init__(self, monkeypatch, checked, target=None, at=0, bad=np.inf):
+        self.checked, self.target, self.at, self.bad = checked, target, at, bad
+        self.record = []
+        self.armed = False
+        self._gradients, self._make = graph.gradients, graph._make
+        monkeypatch.setattr(graph, "gradients", self.gradients)
+        monkeypatch.setattr(graph, "_make", self.make)
+
+    def gradients(self, output, wrt, create_graph=True):
+        if create_graph:
+            return self._gradients(output, wrt)
+        self.armed = True
+        try:
+            return self._gradients(output, wrt, create_graph=self.checked)
+        finally:
+            self.armed = False
+
+    def make(self, op, value, *rest):
+        if self.armed and op.checked:
+            value = np.asarray(value)
+            key = (op.name, value.shape, value.tobytes())
+            self.record.append(key)
+            if key == self.target:
+                value = value.copy()
+                value.flat[self.at % value.size] = self.bad
+        return self._make(op, value, *rest)
+
+
+def _raised(run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an escaped RuntimeWarning fails the comparison
+        try:
+            run()
+        except NumericalError as err:
+            return str(err), err.op_kind
+    return None
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from(["demod", "autoencoder"]), st.integers(1, 3), st.integers(1, 4), st.booleans()),
+        st.tuples(st.just("hvp"), st.integers(1, 3)),
+    ),
+    pick=st.integers(0, 2**32 - 1),
+    at=st.integers(0, 2**16),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+@settings(max_examples=100, deadline=None)
+def test_values_only_sweep_raises_what_the_checked_sweep_raises(case, pick, at, bad):
+    # A non-finite entry forced into a random checked node of the values-only
+    # sweep of a random stacked meta-gradient or hvp: the values route must
+    # raise the checked route's error, message and op kind, with no warning.
+    run = _hvp_case(*case[1:]) if case[0] == "hvp" else _meta_gradient_case(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Poison(mp, checked=True)
+        run()
+    target = spy.record[pick % len(spy.record)]
+    outcomes = []
+    for checked in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            _Poison(mp, checked, target, at, bad)
+            outcomes.append(_raised(run))
+    assert outcomes[0] is not None and outcomes[0][1] == target[0]
+    assert outcomes[1] == outcomes[0]
 
 
 # ---------------------------------------------------------------------------

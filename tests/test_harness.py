@@ -3,6 +3,7 @@ structure, and run-to-run byte determinism at toy scale."""
 
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,6 +241,59 @@ def test_evaluate_bler_requires_autoencoder_task():
     demod = sample_task("demod", np.random.default_rng(71))
     with pytest.raises(ConfigurationError):
         evaluate_bler((init_autoencoder_params(spec, 0),), spec, demod, 100, np.random.default_rng(0))
+
+
+
+def _scored_in_chunks(rows, evaluate):
+    """evaluate() with at most `rows` rows per forward: its rates, and the
+    logits of each chunk it ran, in order."""
+    chunks = []
+
+    def spy(forward):
+        def recorded(*args):
+            node = forward(*args)
+            chunks.append(node.value)
+            return node
+        return recorded
+
+    with mock.patch.object(harness, "_EVAL_ROWS", rows), \
+            mock.patch.object(harness, "mlp_logits_node", spy(harness.mlp_logits_node)), \
+            mock.patch.object(harness, "autoencoder_logits_node", spy(harness.autoencoder_logits_node)):
+        return evaluate(), chunks
+
+
+@given(
+    rows=st.integers(64, 600),
+    n=st.integers(1, 1500),
+    n_receivers=st.integers(1, 3),
+    scale=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_scores_do_not_depend_on_the_chunk_size(rows, n, n_receivers, scale, seed):
+    # Chunks of at most `rows` rows, as even as they divide, give the logits
+    # of the whole draw in one forward, bit for bit, and so the same rates.
+    demods = [p.with_values(scale * p.values) for p in (init_params(DEMOD_ARCH, seed + i) for i in range(n_receivers))]
+    aes = [p.with_values(scale * p.values) for p in (init_autoencoder_params(_AE, seed + i) for i in range(n_receivers))]
+    demod_task, ae_task = sample_task("demod", np.random.default_rng(seed)), sample_task("autoencoder", np.random.default_rng(seed))
+    for evaluate in (
+        lambda: evaluate_ser(demods, demod_task, n, np.random.default_rng(seed)),
+        lambda: evaluate_bler(aes, _AE, ae_task, n, np.random.default_rng(seed)),
+    ):
+        whole_rates, (whole,) = _scored_in_chunks(n, evaluate)
+        rates, chunks = _scored_in_chunks(rows, evaluate)
+        sizes = [chunk.shape[-2] for chunk in chunks]
+        assert len(sizes) == -(-n // rows) and max(sizes) - min(sizes) <= 1
+        assert np.array_equal(np.concatenate(chunks, axis=-2), whole)
+        assert rates == whole_rates
+
+
+def test_default_scale_scores_in_chunks_of_500():
+    receivers = (init_autoencoder_params(_AE, 0), init_autoencoder_params(_AE, 1))
+    task = sample_task("autoencoder", np.random.default_rng(77))
+    _, chunks = _scored_in_chunks(harness._EVAL_ROWS, lambda: evaluate_bler(
+        receivers, _AE, task, default_config("autoencoder").n_eval_symbols_or_blocks, np.random.default_rng(78)))
+    assert [chunk.shape for chunk in chunks] == [(2, 500, _AE.n_messages)] * 4
 
 
 # ---------------------------------------------------------------------------
