@@ -8,8 +8,9 @@ phase-rotation runs the joint-training degeneracy study on pure phase
 rotations and prints each seed's and the median SERs.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification-check failure, 141 stdout closed by its reader (the code a
-shell reports for a process ended by SIGPIPE).
+3 verification-check failure, 130 interrupted by Ctrl-C (SIGINT), 141 stdout
+closed by its reader (the codes a shell reports for a process ended by
+SIGINT and by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
+EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 # phase-rotation's flag defaults are the study's own
@@ -225,8 +227,8 @@ def main(argv=None):
 
     ConfigurationError (bad arguments included) prints `config error: ...`
     and gives 1, NumericalError prints `numerical failure: ...` and gives 2;
-    --help prints the usage and gives 0.  A closed stdout gives 141 and
-    prints nothing.
+    --help prints the usage and gives 0.  Ctrl-C prints `interrupted` and
+    gives 130.  A closed stdout gives 141 and prints nothing.
     """
     try:
         return _dispatch(argv)
@@ -238,6 +240,9 @@ def main(argv=None):
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; let that flush land
         # in devnull instead of raising a second time

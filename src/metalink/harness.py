@@ -35,7 +35,11 @@ import concurrent.futures  # importing ProcessPoolExecutor by name would load mu
 import functools
 import json
 import math
+import signal
+import tokenize
 import typing
+import zipfile
+import zlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -504,10 +508,11 @@ _AE_SPEC = AutoencoderSpec()
 _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
 # meta_train's max_rows: an autoencoder stack holds two tasks, as a tape grows
 # with its rows: one exact meta-iteration of the default profile (K = 10, 128
-# blocks) peaks at 3.0 MB in stacks of 2, 7.0 MB in stacks of 5 and 13.8 MB as
-# one stack (tracemalloc).  On the benchmark's ae_adapt_sweep (2-core box)
-# stacks of 2 cut wall time by 12% at +3.6% peak RSS; stacks of 5 would take
-# an exact meta-iteration only from 19.4 to 17.2 ms.
+# blocks) peaks at 2.1 MB in stacks of 2, 3.0 MB in stacks of 3, 4.8 MB in
+# stacks of 5 and 9.3 MB as one stack (tracemalloc).  On the benchmark's
+# ae_adapt_sweep (2-core box, 10 alternating runs each) stacks of 5 cut wall
+# time by 14% but raise peak RSS by 6.9%; stacks of 3 cut it by 3.5%, inside
+# the run-to-run spread, at +2.3% peak RSS.
 _STACK_ROWS = {"demod": None, "autoencoder": 2}
 
 
@@ -642,6 +647,12 @@ def _aggregate(records, n_seeds):
     return CurveTable(tuple(rows))
 
 
+def _ignore_interrupts():
+    # Ctrl-C signals every process of the terminal's group: a pool worker
+    # leaves it to the sweep's own process, which stops the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _sweep(worker, profile, config, workers):
     if config.profile != profile:
         raise ConfigurationError(f"this sweep needs profile = {profile}, got '{config.profile}'")
@@ -651,8 +662,15 @@ def _sweep(worker, profile, config, workers):
     if workers == 1:
         per_seed = [worker(config, s) for s in config.seeds]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(functools.partial(worker, config), config.seeds))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_ignore_interrupts) as pool:
+            try:
+                per_seed = list(pool.map(functools.partial(worker, config), config.seeds))
+            except KeyboardInterrupt:
+                # the workers ignore it, so stop them before the pool waits
+                # for their seeds (Python 3.14 names this terminate_workers)
+                for process in list(pool._processes.values()):
+                    process.terminate()
+                raise
     records = tuple(r for chunk in per_seed for r in chunk)  # seeds order, not completion order
     return SweepResult(records, _aggregate(records, len(config.seeds)))
 
@@ -761,6 +779,11 @@ def _width(x):
     return x
 
 
+# what zipfile, zlib and numpy's .npy header parser raise on a truncated or
+# corrupted archive, besides OSError and ValueError
+_DAMAGED_ARCHIVE = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, tokenize.TokenError)
+
+
 def load_params(path):
     try:
         data = np.load(path, allow_pickle=False)
@@ -774,7 +797,7 @@ def load_params(path):
         params = ParamVector(values, arch)
         if not np.isfinite(params.values).all():
             raise ValueError("values must be finite")
-    except (OSError, KeyError, ValueError, TypeError, ConfigurationError) as err:
+    except (OSError, KeyError, ValueError, TypeError, ConfigurationError, *_DAMAGED_ARCHIVE) as err:
         # TypeError: an arch entry that is not a (fan_in, fan_out, act) triple of scalars
         raise ConfigurationError(f"cannot load parameters '{path}': {err}") from err
     return params

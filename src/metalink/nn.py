@@ -16,6 +16,10 @@ stack_datasets or stack_autoencoder_batches) row t runs on task t's data
 instead, which is how meta-training stacks its tasks.  Like every graph
 value, evaluation logits are finite: an overflow raises NumericalError
 instead of being argmax-ed.
+
+The autoencoder's encoder sees only its n_messages one-hot inputs, so it
+runs once per message, not once per block: the forward encodes the identity
+into a codebook and each block selects its message's codeword from it.
 """
 
 from __future__ import annotations
@@ -337,10 +341,15 @@ def power_normalize_node(s, n_uses):
 def autoencoder_logits_node(p_node, spec, batch):
     """Decoder logits (n_blocks, n_messages) for one frozen draw, as graph nodes.
 
-    The one encoder -> channel -> decoder composition: one-hot messages are
-    encoded to 2*n_uses reals ([Re block; Im block]), power-normalized, sent
-    through the batch's real-stacked channel matrix plus its real-stacked
-    noise, and decoded.  Training differentiates it; evaluation reads it.  An
+    The one encoder -> channel -> decoder composition.  The encoder runs once
+    per message: the n_messages one-hot inputs are encoded to 2*n_uses reals
+    each ([Re block; Im block]) and power-normalized, an (n_messages,
+    2*n_uses) codebook.  Each block selects its message's codeword as the
+    product of its one-hot row with the codebook, which copies the row
+    exactly; in a backward pass it sums the blocks' adjoints per message
+    before they reach the encoder.  The codewords are sent through the
+    batch's real-stacked channel matrix plus its real-stacked noise, and
+    decoded.  Training differentiates it; evaluation reads it.  An
     (S, P) stack on the one batch gives (S, n_blocks, n_messages) logits,
     and a (T, P) stack on a stack of T tasks' batches (a leading task axis,
     stack_autoencoder_batches) runs row t on task t's draw.
@@ -358,8 +367,11 @@ def autoencoder_logits_node(p_node, spec, batch):
             f"a batch of {messages.shape[0]} tasks needs a ({messages.shape[0]}, {n_total}) parameter stack,"
             f" got {p_node.value.shape}"
         )
-    encoded = mlp_logits_node(graph.vslice(p_node, 0, n_enc), spec.enc_arch, np.eye(spec.n_messages)[messages])
-    coded = power_normalize_node(encoded, spec.n_uses)
+    one_hot = np.eye(spec.n_messages)
+    encoded = mlp_logits_node(graph.vslice(p_node, 0, n_enc), spec.enc_arch, one_hot)
+    codebook = power_normalize_node(encoded, spec.n_uses)
+    # each block selects its message's row, exactly: one nonzero term per entry
+    coded = graph.matmat(graph.const(one_hot[messages]), codebook)
     # the transposed view, not a contiguous copy: BLAS reads it as a transposed
     # operand, and a copy would move the product in the last bits
     channel = graph.const(np.swapaxes(batch.channel_matrix, -1, -2))

@@ -6,8 +6,10 @@ import inspect
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from metalink import cli
 from metalink.checks import CheckReport, CheckResult
+from metalink.errors import ConfigurationError
 from metalink.harness import (
     CurveTable,
     default_config,
@@ -27,7 +30,7 @@ from metalink.harness import (
     save_params,
 )
 from metalink.learners import MetaTrainResult
-from metalink.nn import AutoencoderSpec, init_autoencoder_params, init_params, mlp_arch
+from metalink.nn import AutoencoderSpec, ParamVector, init_autoencoder_params, init_params, mlp_arch
 
 
 def _write_tiny_demod(path, **extra):
@@ -131,6 +134,79 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
         if "--params" in argv:
             assert err.startswith(f"config error: cannot load parameters '{argv[-1]}': "), err
         assert sorted(os.listdir(tmp_path)) == files, argv
+
+
+@pytest.fixture(scope="module")
+def saved_params(tmp_path_factory):
+    """The bytes of a parameter archive written by `meta-train`."""
+    where = tmp_path_factory.mktemp("saved")
+    out = where / "theta.npz"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["meta-train", "--config", _write_tiny_demod(where / "t.cfg", seeds="0"), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _flipped(data, offset, *positions):
+    data = bytearray(data)
+    for i in positions:
+        data[offset + i] ^= 0xFF
+    return bytes(data)
+
+
+def test_unreadable_parameter_archives_exit_one_with_one_line(tmp_path, capsys, saved_params):
+    # a file that starts like a zip archive but is not one, the first half of
+    # a valid archive (an interrupted write), a byte flipped inside the
+    # stored values, and two bytes flipped in a compressed archive
+    values = load_params(io.BytesIO(saved_params)).values
+    stored = saved_params.index(values.tobytes())
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, values=values, arch=np.array(json.dumps([[2, 32, "tanh"]])))
+    compressed = buffer.getvalue()
+    files = {
+        "zeros.npz": (b"PK\x03\x04" + bytes(60), "File is not a zip file"),
+        "half.npz": (saved_params[:len(saved_params) // 2], "File is not a zip file"),
+        "flipped.npz": (_flipped(saved_params, stored, 100), "Bad CRC-32"),
+        # the deflate stream starts after the 30-byte local header, the name
+        # and a 20-byte zip64 field; these two bytes are in its code tables
+        "compressed.npz": (_flipped(compressed, 30 + len("values.npy") + 20, 2, 3), "Error -3 while decompressing"),
+    }
+    for name, (data, said) in files.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli.main(["eval", "--profile", "demod", "--params", str(path)]) == cli.EXIT_CONFIG, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot load parameters '{path}': ") and said in err, err
+        assert err.count("\n") == 1, err
+
+
+_DAMAGE = st.lists(
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 2**20), st.just(b"")),
+        st.tuples(st.just("flip"), st.integers(0, 2**20), st.binary(min_size=1, max_size=1).filter(any)),
+        st.tuples(st.just("append"), st.just(0), st.binary(min_size=1, max_size=64)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(damage=_DAMAGE)
+@settings(max_examples=300, deadline=None)
+def test_load_params_gives_params_or_an_error_naming_the_file(tmp_path_factory, saved_params, damage):
+    data = bytearray(saved_params)
+    for kind, where, what in damage:
+        if kind == "truncate":
+            del data[where % (len(data) + 1):]
+        elif kind == "flip" and data:
+            data[where % len(data)] ^= what[0]
+        elif kind == "append":
+            data += what
+    path = tmp_path_factory.getbasetemp() / "fuzz.npz"
+    path.write_bytes(bytes(data))
+    try:
+        assert isinstance(load_params(path), ParamVector)
+    except ConfigurationError as err:
+        assert str(path) in str(err)
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
@@ -482,6 +558,66 @@ def test_closed_stdout_exits_quietly():
         assert proc.returncode == cli.EXIT_PIPE, argv
         assert proc.stderr == b"", argv
 
+
+
+# runs `metalink <args>` with a sweep whose seed 0 ends at once, leaving a
+# worker idle, and whose other seeds run until stopped; each seed writes the
+# pid of its process to a file in <dir> as it starts
+_ONE_SEED_HANGS = """
+import os, pathlib, sys, time
+from metalink import cli, harness
+
+
+def seed_records(config, seed):
+    (pathlib.Path(sys.argv[1]) / f"seed{seed}").write_text(str(os.getpid()))
+    if seed:
+        time.sleep(600)
+    return []
+
+
+harness._pilot_seed_records = seed_records
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupted_sweep_exits_130_with_one_line_and_no_worker_left(tmp_path, workers):
+    # Ctrl-C signals the terminal's whole process group: the sweep's own
+    # process and every worker it forked, busy or idle
+    config = _write_tiny_demod(tmp_path / "t.cfg", seeds="0,1")
+    argv = ["sweep-pilots", "--config", config, "--workers", str(workers), "--out", str(tmp_path / "x.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_SEED_HANGS, str(tmp_path), *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "seed1").exists() or not (tmp_path / "seed1").read_text():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
+            time.sleep(0.05)
+        busy = int((tmp_path / "seed1").read_text())
+        if busy != proc.pid:  # a worker leaves SIGINT to the sweep's own process
+            os.kill(busy, signal.SIGINT)
+        time.sleep(0.3)  # for that, and for seed 0's worker to go back to waiting
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)  # not the 600 s of seed 1
+        assert proc.returncode == cli.EXIT_INTERRUPT
+        assert err == b"interrupted\n"
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(proc.pid, 0)  # any process left in the group
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived the sweep"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
 
 _SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "phase-rotation", "gradcheck", "eval"]
 _FLAGS = [

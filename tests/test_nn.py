@@ -397,6 +397,89 @@ def test_autoencoder_stack_rows_are_each_start_alone(spec, n_starts, n_blocks, s
         assert np.array_equal(stacked.gradient[row], alone.gradient)
 
 
+def _per_block_logits(p_node, spec, batch):
+    """The autoencoder forward composed per block: the encoder and the power
+    normalisation run on every block's one-hot instead of once per message."""
+    n_enc, n_total = spec.n_enc_params, param_count(spec.arch)
+    encoded = mlp_logits_node(graph.vslice(p_node, 0, n_enc), spec.enc_arch, np.eye(spec.n_messages)[batch.messages])
+    coded = power_normalize_node(encoded, spec.n_uses)
+    channel = graph.const(np.swapaxes(batch.channel_matrix, -1, -2))
+    received = graph.affine(coded, channel, graph.const(batch.noise))
+    return mlp_logits_node(graph.vslice(p_node, n_enc, n_total), spec.dec_arch, received)
+
+
+def _per_block_loss(p_node, batch):
+    logits = _per_block_logits(p_node, batch.spec, batch)
+    return graph.softmax_xent(logits, np.broadcast_to(batch.messages, logits.value.shape[:-1]))
+
+
+@given(
+    spec=st.sampled_from(_STACK_SPECS),
+    n_blocks=st.integers(2, 40),
+    stack=st.sampled_from(("none", "starts", "tasks")),
+    n_rows=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_codebook_forward_equals_the_per_block_composition(spec, n_blocks, stack, n_rows, seed):
+    # Block counts below and above n_messages (16 and 4).  Picking a codeword
+    # is an exact product, so the logits keep every bit; the encoder's
+    # adjoints are summed per message first, which moves the last bits of the
+    # gradient.  One block is left out: there numpy's matrix-vector product
+    # ran the per-block encoder, whose sums may differ in the last bit.
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return generate_autoencoder_batch(sample_task("autoencoder", rng), n_blocks, rng, spec)
+
+    batch = draw()
+    params = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_rows)])
+    if stack == "none":
+        params = params[0]
+    elif stack == "tasks":
+        batch = stack_autoencoder_batches([batch] + [draw() for _ in range(n_rows - 1)])
+    logits = autoencoder_logits_node(graph.const(params), spec, batch).value
+    assert np.array_equal(logits, _per_block_logits(graph.const(params), spec, batch).value)
+    got = eval_with_gradient(make_autoencoder_lossfn(spec), params, batch)
+    want = eval_with_gradient(_per_block_loss, params, batch)
+    assert np.array_equal(got.value, want.value)
+    # relative to the gradient's scale too: an entry summed to near zero keeps
+    # the rounding of its larger terms
+    assert np.allclose(got.gradient, want.gradient, rtol=1e-12, atol=1e-12 * np.abs(want.gradient).max())
+
+
+def test_one_block_logits_match_the_per_block_composition_to_rounding():
+    for spec in _STACK_SPECS:
+        rng = np.random.default_rng(17)
+        batch = generate_autoencoder_batch(sample_task("autoencoder", rng), 1, rng, spec)
+        p = graph.const(init_autoencoder_params(spec, rng).values)
+        got = autoencoder_logits_node(p, spec, batch).value
+        assert np.allclose(got, _per_block_logits(p, spec, batch).value, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_blocks", [128, 2000])
+def test_encoder_runs_once_per_message_not_once_per_block(monkeypatch, n_blocks):
+    spec = AutoencoderSpec()
+    built = {"affine": [], "tanh": []}
+    for name, rows in built.items():
+        def spy(*args, _op=getattr(graph, name), _rows=rows):
+            node = _op(*args)
+            _rows.append(node.value.shape[-2])
+            return node
+
+        monkeypatch.setattr(graph, name, spy)
+    rng = np.random.default_rng(3)
+    batch = generate_autoencoder_batch(sample_task("autoencoder", rng), n_blocks, rng, spec)
+    logits = autoencoder_logits_node(graph.const(init_autoencoder_params(spec, 0).values), spec, batch)
+    assert logits.value.shape == (n_blocks, spec.n_messages)
+    # encoder layers first, then the channel and the decoder layers
+    n_enc = len(spec.enc_arch)
+    assert len(built["affine"]) == n_enc + 1 + len(spec.dec_arch)
+    assert built["affine"][:n_enc] == [spec.n_messages] * n_enc
+    assert built["tanh"][:n_enc - 1] == [spec.n_messages] * (n_enc - 1)
+    assert built["affine"][n_enc:] == [n_blocks] * (1 + len(spec.dec_arch))
+
+
 def test_autoencoder_forward_shapes_and_validation():
     spec = AutoencoderSpec()
     p = graph.const(init_autoencoder_params(spec, 0).values)
