@@ -4,27 +4,6 @@ to a new device or channel from a handful of examples.
 The package splits into an exact-derivative engine (graph, autodiff), model
 and channel primitives (nn, channel), task sampling (tasks), training loops
 (learners), verification suites (checks), and experiment orchestration with
-a CLI (harness, cli).
+a CLI (harness, cli).  It imports and exports nothing, so the entry point in
+__main__ runs before numpy loads: import metalink.<module>.
 """
-
-from .autodiff import GradientResult, eval_with_gradient, hvp, unrolled_meta_gradient
-from .errors import ConfigurationError, NumericalError
-from .learners import TrainConfig, maml_adapt, meta_train, sgd_step, train_conventional, train_joint
-from .nn import Dataset, ParamVector
-
-__all__ = [
-    "ConfigurationError",
-    "Dataset",
-    "GradientResult",
-    "NumericalError",
-    "ParamVector",
-    "TrainConfig",
-    "eval_with_gradient",
-    "hvp",
-    "maml_adapt",
-    "meta_train",
-    "sgd_step",
-    "train_conventional",
-    "train_joint",
-    "unrolled_meta_gradient",
-]

@@ -33,7 +33,7 @@ from .nn import (
     make_mlp_lossfn,
     mlp_arch,
 )
-from .tasks import SCOPE_CHECKS, generate_autoencoder_batch, rng_for, sample_task
+from .tasks import SCOPE_CHECKS, TaskFamily, generate_autoencoder_batch, rng_for
 
 GRAD_FD_TOL = 1.0e-6
 GRAD_FD_STEP = 1.0e-5
@@ -249,7 +249,8 @@ def _stacked_autoencoder_instance(n_tasks):
     train and test data one channel draw of its own."""
     rng = rng_for(4323, SCOPE_CHECKS, n_tasks)
     spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(5,), dec_hidden=(5,))
-    tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
+    family = TaskFamily(kind="autoencoder", snr_db=10.0)
+    tasks = [family.sample(rng) for _ in range(n_tasks)]
     d_tr = [generate_autoencoder_batch(task, 5, rng, spec) for task in tasks]
     d_te = [generate_autoencoder_batch(task, 7, rng, spec) for task in tasks]
     stack = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])

@@ -62,10 +62,8 @@ sweep.  The mode is per thread: a thread sweeping values leaves every other
 thread's nodes checked.
 
 Graphs are throwaway: build, differentiate, read values, drop.  Nothing here
-mutates a node after construction, apart from a checked rerun of a
-values-only sweep cutting the parents of the adjoints it has just built,
-which nothing else holds; node ids increase in creation order, which doubles
-as a topological order for the backward sweep.
+mutates a node after construction; node ids increase in creation order,
+which doubles as a topological order for the backward sweep.
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ class Op:
     name    the kind, as Node.kind and NumericalError.op_kind give it
     kernel  the value, (parent values..., meta) -> array
     vjps    one builder per parent, (node, adjoint) -> the adjoint itself or a
-            node built from it, never a forward node, whose parents a
-            create_graph=False sweep would cut; a row with none adds nothing
+            node built from it; a row with none adds nothing
     checked whether the result is checked for finiteness
     """
 
@@ -485,16 +482,16 @@ def gradients(output, wrt, create_graph=True):
         order.append(node)
 
     if not create_graph:
-        found = _VALUES.run(_sweep, output, order, active, wrt_ids, False)
+        found = _VALUES.run(_sweep, output, order, active, wrt_ids)
         try:
             return [const(found[w.uid].value if w.uid in found else np.zeros_like(w.value)) for w in wrt]
         except NumericalError:
             pass  # rerun checked, so that the op that first went non-finite raises
-    found = _sweep(output, order, active, wrt_ids, not create_graph)
+    found = _sweep(output, order, active, wrt_ids)
     return [found.get(w.uid) or const(np.zeros_like(w.value)) for w in wrt]
 
 
-def _sweep(output, order, active, wrt_ids, cut):
+def _sweep(output, order, active, wrt_ids):
     """The reverse sweep over `order`: the adjoints of the wrt nodes, by uid.
 
     A node read through vslices (a flat parameter vector, or a stack of
@@ -502,7 +499,7 @@ def _sweep(output, order, active, wrt_ids, cut):
     placed by one scatter when the sweep reaches it; that scatter is then
     added to the sum of its other adjoints, if it has any.  An adjoint
     leaves `adjoint` when its node is swept; those of wrt nodes are kept in
-    `found`.  With cut, every adjoint built has its parents cut.
+    `found`.
     """
     adjoint = {}
     parts = {}
@@ -516,8 +513,6 @@ def _sweep(output, order, active, wrt_ids, cut):
             if pending is not None:
                 placed = scatter(pending[0], pending[1], node.value.shape[-1])
                 g = placed if g is None else add(g, placed)
-                if cut:
-                    g.parents = ()
             if g is None:
                 continue
             if uid in wrt_ids:
@@ -536,7 +531,5 @@ def _sweep(output, order, active, wrt_ids, cut):
                 prev = adjoint.get(parent.uid)
                 if prev is not None:
                     contrib = add(prev, contrib)
-                if cut:
-                    contrib.parents = ()
                 adjoint[parent.uid] = contrib
     return found

@@ -123,16 +123,6 @@ class CurveTable:
     def __len__(self):
         return len(self.rows)
 
-    def select(self, method=None, metric=None, sweep_value=None):
-        out = self.rows
-        if method is not None:
-            out = [r for r in out if r.method == method]
-        if metric is not None:
-            out = [r for r in out if r.metric == metric]
-        if sweep_value is not None:
-            out = [r for r in out if r.sweep_value == sweep_value]
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -720,9 +710,8 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
     joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
     tasks = _test_tasks(family, seed, n_devices)
     adapted = _adapt((result.params,), _pilots(tasks, seed, n_pilots), config.eta_inner, config.m, lossfn)
-    joint_ser = [ser for (ser,) in _ser(config, seed, tasks, [(joint,)] * n_devices, 0)]
-    maml_ser = [ser for (ser,) in _ser(config, seed, tasks, adapted, n_pilots)]
-    return float(np.mean(joint_ser)), float(np.mean(maml_ser))
+    sers = _ser(config, seed, tasks, [(joint, *a) for a in adapted], n_pilots)
+    return tuple(float(np.mean(column)) for column in zip(*sers))
 
 
 # ---------------------------------------------------------------------------

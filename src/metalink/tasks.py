@@ -23,14 +23,14 @@ import numpy as np
 from .channel import BLOCK_TAPS, ChannelRealization, channel_conv_matrix, noise_variance, rayleigh_taps
 from .channel import apply_channel_demod
 from .errors import ConfigurationError
-from .nn import AutoencoderBatch, AutoencoderSpec, Dataset
+from .nn import AutoencoderBatch, Dataset
 
 TASK_KINDS = ("demod", "autoencoder")
+EPS3_MAX = 0.3
 
 # scope constants for rng_for paths
 SCOPE_TASK = 0
 SCOPE_PILOTS_TRAIN = 1
-SCOPE_PILOTS_TEST = 2
 SCOPE_META_STREAM = 3
 SCOPE_EVAL = 4
 SCOPE_ADAPT_PILOTS = 5
@@ -79,7 +79,7 @@ class MetaBatch:
 class TaskFamily:
     """Distribution over tasks.
 
-    demod default: one Rayleigh tap, cubic distortion eps3 ~ U[0, eps3_max],
+    demod default: one Rayleigh tap, cubic distortion eps3 ~ U[0, EPS3_MAX],
     phase offset ~ U[0, 2pi).  unit_tap=True replaces the Rayleigh draw with
     a pure rotation e^{j theta} (the hard family for joint training, where
     averaging over rotations washes out to no information).
@@ -88,14 +88,11 @@ class TaskFamily:
 
     kind: str = "demod"
     snr_db: float = 15.0
-    eps3_max: float = 0.3
     unit_tap: bool = False
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind '{self.kind}'")
-        if self.eps3_max < 0:
-            raise ConfigurationError("eps3_max must be non-negative")
 
     def sample(self, rng, task_id=0):
         if self.kind == "demod":
@@ -104,7 +101,7 @@ class TaskFamily:
                 nonideality = (0.0, 0.0)
             else:
                 taps = rayleigh_taps(1, rng)
-                eps3 = rng.uniform(0.0, self.eps3_max)
+                eps3 = rng.uniform(0.0, EPS3_MAX)
                 phase = rng.uniform(0.0, 2.0 * math.pi)
                 nonideality = (eps3, phase)
             return Task(task_id, ChannelRealization(taps, self.snr_db, nonideality))
@@ -114,16 +111,7 @@ class TaskFamily:
 
 def phase_rotation_family(snr_db=20.0):
     """Pure-rotation single-tap family at high SNR; no distortion."""
-    return TaskFamily(kind="demod", snr_db=snr_db, eps3_max=0.0, unit_tap=True)
-
-
-def sample_task(kind, rng, task_id=0, snr_db=None):
-    """One task from the default family of the given kind."""
-    if kind not in TASK_KINDS:
-        raise ConfigurationError(f"unknown task kind '{kind}'")
-    default_snr = 15.0 if kind == "demod" else 10.0
-    family = TaskFamily(kind=kind, snr_db=default_snr if snr_db is None else snr_db)
-    return family.sample(rng, task_id)
+    return TaskFamily(kind="demod", snr_db=snr_db, unit_tap=True)
 
 
 def make_pilot_dataset(task, n_pilots, rng):
@@ -153,11 +141,10 @@ def make_demod_split(task, n_train, n_test, rng):
     )
 
 
-def generate_autoencoder_batch(task, n_blocks, rng, spec=None):
+def generate_autoencoder_batch(task, n_blocks, rng, spec):
     """Uniform messages plus one noise draw at the task's SNR."""
     if n_blocks < 1:
         raise ConfigurationError("need at least one block")
-    spec = spec if spec is not None else AutoencoderSpec()
     if task.realization.taps.shape[0] != BLOCK_TAPS:
         raise ConfigurationError(
             f"task has {task.realization.taps.shape[0]} taps, block channel needs {BLOCK_TAPS}"

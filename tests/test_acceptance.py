@@ -108,7 +108,7 @@ def test_criterion_5_demod_pilot_sweep_ordering(demod_sweep):
     # near chance here whether or not it adapts: the task family's uniform
     # phase rotations wash out to almost no shared signal, so joint+adapt is
     # not expected to beat from-scratch training, only to lose to maml.
-    at4 = {r.method: r.mean for r in result.table.select(metric="ser", sweep_value=4.0)}
+    at4 = {r.method: r.mean for r in result.table.rows if (r.metric, r.sweep_value) == ("ser", 4.0)}
     lines.append(f"  aggregate means at n=4: {at4}")
     assert at4["maml"] < at4["joint+adapt"]
     assert at4["maml"] < at4["conventional"]
@@ -128,7 +128,7 @@ def test_criterion_6_autoencoder_adaptation(ae_sweep):
     assert maml_t10 <= 0.5 * rand_t10
     assert maml_t10 < maml_t0
     # chance level before any adaptation from a random start
-    rand_t0_row = result.table.select(method="conventional", metric="bler", sweep_value=0.0)
+    rand_t0_row = [r for r in result.table.rows if (r.method, r.metric, r.sweep_value) == ("conventional", "bler", 0.0)]
     assert abs(rand_t0_row[0].mean - 15.0 / 16.0) < 0.05
     # a row exists for every adaptation step, both inits
     assert len(result.table) == (default_config("autoencoder").adapt_iters_max + 1) * 2

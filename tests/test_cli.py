@@ -17,6 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metalink
+from metalink import __main__ as entry
 from metalink import cli
 from metalink.checks import CheckReport, CheckResult
 from metalink.errors import ConfigurationError
@@ -284,7 +286,7 @@ def test_sweep_pilots_writes_deterministic_csv(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
     table = read_curve(a)
-    assert table.select(method="maml")
+    assert any(row.method == "maml" for row in table.rows)
     assert all(row.metric == "ser" for row in table.rows)
 
 
@@ -295,8 +297,8 @@ def test_sweep_seed_and_first_order_flags(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
     table = read_curve(out)
-    assert table.select(method="maml-fo")
-    assert not table.select(method="maml")
+    assert {row.method for row in table.rows} >= {"maml-fo"}
+    assert all(row.method != "maml" for row in table.rows)
     assert all(row.n_seeds == 1 for row in table.rows)  # --seed collapses the seed list
 
 
@@ -308,7 +310,7 @@ def test_sweep_adapt_writes_bler_curve(tmp_path, capsys):
     table = read_curve(out)
     assert all(row.metric == "bler" for row in table.rows)
     assert {row.method for row in table.rows} == {"maml", "conventional"}
-    assert len(table.select(method="maml")) == 4  # t = 0..3
+    assert sum(row.method == "maml" for row in table.rows) == 4  # t = 0..3
 
 
 def test_module_runs_as_subprocess():
@@ -618,6 +620,56 @@ def test_interrupted_sweep_exits_130_with_one_line_and_no_worker_left(tmp_path, 
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
+
+class _InterruptingImport:
+    """A meta-path finder that delivers Ctrl-C while `name` is imported."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def find_spec(self, name, path=None, target=None):
+        if name == self.name:
+            raise KeyboardInterrupt
+        return None
+
+
+def test_interrupt_while_cli_loads_exits_130_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["metalink", "--help"])
+    assert entry.main() == cli.EXIT_OK  # the entry point runs cli.main
+    capsys.readouterr()
+    monkeypatch.delitem(sys.modules, "metalink.cli")
+    monkeypatch.delattr(metalink, "cli")
+    monkeypatch.setattr(sys, "meta_path", [_InterruptingImport("metalink.cli"), *sys.meta_path])
+    try:
+        code = entry.main()
+    except KeyboardInterrupt:  # escaped: let it fail this test, not stop the run
+        code = None
+    assert code == cli.EXIT_INTERRUPT
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+def test_ctrl_c_during_start_up_exits_130_with_one_line():
+    # Before the interpreter's own start-up (site) has run, no program code
+    # can catch the signal; a bare interpreter start, timed here, says how
+    # long that takes, and the signal lands after it, while cli's imports
+    # load numpy
+    def start_up():
+        began = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        return time.perf_counter() - began
+
+    bare = sorted(start_up() for _ in range(3))[1]
+    for factor in (1.5, 3.0):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "metalink", "gradcheck", "--scale", "full"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        time.sleep(factor * bare)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (cli.EXIT_INTERRUPT, b"interrupted\n"), (factor * bare, err.decode())
+
 
 _SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "phase-rotation", "gradcheck", "eval"]
 _FLAGS = [

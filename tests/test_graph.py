@@ -35,7 +35,6 @@ from metalink.tasks import (
     TaskFamily,
     generate_autoencoder_batch,
     make_demod_split,
-    sample_task,
 )
 
 
@@ -413,7 +412,7 @@ def test_each_row_is_built_by_its_builder():
 
 def _autoencoder_meta_gradient():
     spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(6,), dec_hidden=(6,))
-    task = sample_task("autoencoder", np.random.default_rng(14))
+    task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(14))
     rng = np.random.default_rng(15)
     train, test = (generate_autoencoder_batch(task, 8, rng, spec) for _ in range(2))
     lossfn = make_autoencoder_lossfn(spec)
@@ -682,7 +681,7 @@ def _meta_gradient_case(kind, n_tasks, m, first_order):
         spec = AutoencoderSpec(n_messages=4, n_uses=2, enc_hidden=(6,), dec_hidden=(6,))
         lossfn = make_autoencoder_lossfn(spec)
         rng = np.random.default_rng(30 + n_tasks)
-        tasks = [sample_task("autoencoder", rng) for _ in range(n_tasks)]
+        tasks = [TaskFamily(kind="autoencoder", snr_db=10.0).sample(rng) for _ in range(n_tasks)]
         d_tr, d_te = (stack_autoencoder_batches([generate_autoencoder_batch(t, 6, rng, spec) for t in tasks])
                       for _ in range(2))
         theta = init_autoencoder_params(spec, 2).values
@@ -867,7 +866,7 @@ def test_stack_matches_its_rows_bit_for_bit(n_tasks, n, d, k, seed):
     # an autoencoder stack on a batch with a task axis: row t on task t's draw
     spec = AutoencoderSpec(n_messages=k + 1, n_uses=d, enc_hidden=(3,), dec_hidden=(3,))
     ae_loss = make_autoencoder_lossfn(spec)
-    batches = [generate_autoencoder_batch(sample_task("autoencoder", rng), n, rng, spec) for _ in range(n_tasks)]
+    batches = [generate_autoencoder_batch(TaskFamily(kind="autoencoder", snr_db=10.0).sample(rng), n, rng, spec) for _ in range(n_tasks)]
     params = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_tasks)])
     p = graph.inp(params)
     losses = ae_loss(p, stack_autoencoder_batches(batches))

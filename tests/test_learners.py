@@ -43,7 +43,6 @@ from metalink.tasks import (
     demod_task_pool,
     make_pilot_dataset,
     rng_for,
-    sample_task,
     subsample_stream,
 )
 
@@ -68,7 +67,7 @@ quadratic.stack = np.stack  # meta_train stacks the tasks' centre arrays
 
 def _item(train, test=None, task_id=0):
     """A task split carrying `train` and `test` (default: `train`) as its data."""
-    task = Task(task_id, sample_task("demod", np.random.default_rng(0)).realization)
+    task = Task(task_id, TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(0)).realization)
     return TaskSplit(task, train, train if test is None else test)
 
 
@@ -140,7 +139,7 @@ def test_train_config_validation():
 
 
 def test_conventional_zero_iters_returns_init():
-    task = sample_task("demod", np.random.default_rng(40))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(40))
     init = init_params(DEMOD_ARCH, 7)
     pilots = make_pilot_dataset(task, 8, np.random.default_rng(40))
     (out,) = train_conventional([task], TrainConfig(outer_iters=0), datasets=[pilots], init=init, lossfn=DEMOD_LOSS)
@@ -148,7 +147,7 @@ def test_conventional_zero_iters_returns_init():
 
 
 def test_conventional_descends_on_pilots():
-    task = sample_task("demod", np.random.default_rng(41))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(41))
     cfg = TrainConfig(outer_iters=60, seed=3)
     pilots = make_pilot_dataset(task, 16, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)
@@ -168,7 +167,7 @@ def test_conventional_solves_separable_toy():
     )
     targets = np.repeat([0, 1], n)
     data = Dataset(inputs, targets, 2)
-    task = sample_task("demod", np.random.default_rng(44))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(44))
     cfg = TrainConfig(eta_inner=0.5, outer_iters=150)
     lossfn = make_mlp_lossfn(arch)
     (trained,) = train_conventional([task], cfg, datasets=[data], init=init_params(arch, 0), lossfn=lossfn)
@@ -176,7 +175,7 @@ def test_conventional_solves_separable_toy():
 
 
 def test_conventional_is_pure():
-    task = sample_task("demod", np.random.default_rng(46))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(46))
     cfg = TrainConfig(outer_iters=25, seed=2)
     pilots = make_pilot_dataset(task, 8, rng_for(cfg.seed, SCOPE_PILOTS_TRAIN, task.id))
     init = init_params(DEMOD_ARCH, cfg.seed)

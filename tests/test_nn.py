@@ -31,7 +31,7 @@ from metalink.nn import (
     stack_autoencoder_batches,
 )
 from metalink.channel import BLOCK_TAPS, ChannelRealization, apply_channel_block
-from metalink.tasks import Task, generate_autoencoder_batch, sample_task
+from metalink.tasks import Task, TaskFamily, generate_autoencoder_batch
 
 
 def test_mlp_arch_layout():
@@ -382,7 +382,7 @@ _STACK_SPECS = (AutoencoderSpec(), AutoencoderSpec(n_messages=4, n_uses=3, enc_h
 @settings(max_examples=40, deadline=None)
 def test_autoencoder_stack_rows_are_each_start_alone(spec, n_starts, n_blocks, seed):
     rng = np.random.default_rng(seed)
-    task = sample_task("autoencoder", rng, snr_db=float(rng.uniform(0.0, 20.0)))
+    task = TaskFamily(kind="autoencoder", snr_db=float(rng.uniform(0.0, 20.0))).sample(rng)
     batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
     starts = [init_autoencoder_params(spec, rng).values for _ in range(n_starts)]
     lossfn = make_autoencoder_lossfn(spec)
@@ -430,7 +430,7 @@ def test_codebook_forward_equals_the_per_block_composition(spec, n_blocks, stack
     rng = np.random.default_rng(seed)
 
     def draw():
-        return generate_autoencoder_batch(sample_task("autoencoder", rng), n_blocks, rng, spec)
+        return generate_autoencoder_batch(TaskFamily(kind="autoencoder", snr_db=10.0).sample(rng), n_blocks, rng, spec)
 
     batch = draw()
     params = np.stack([init_autoencoder_params(spec, rng).values for _ in range(n_rows)])
@@ -451,7 +451,7 @@ def test_codebook_forward_equals_the_per_block_composition(spec, n_blocks, stack
 def test_one_block_logits_match_the_per_block_composition_to_rounding():
     for spec in _STACK_SPECS:
         rng = np.random.default_rng(17)
-        batch = generate_autoencoder_batch(sample_task("autoencoder", rng), 1, rng, spec)
+        batch = generate_autoencoder_batch(TaskFamily(kind="autoencoder", snr_db=10.0).sample(rng), 1, rng, spec)
         p = graph.const(init_autoencoder_params(spec, rng).values)
         got = autoencoder_logits_node(p, spec, batch).value
         assert np.allclose(got, _per_block_logits(p, spec, batch).value, rtol=1e-14, atol=1e-14)
@@ -469,7 +469,7 @@ def test_encoder_runs_once_per_message_not_once_per_block(monkeypatch, n_blocks)
 
         monkeypatch.setattr(graph, name, spy)
     rng = np.random.default_rng(3)
-    batch = generate_autoencoder_batch(sample_task("autoencoder", rng), n_blocks, rng, spec)
+    batch = generate_autoencoder_batch(TaskFamily(kind="autoencoder", snr_db=10.0).sample(rng), n_blocks, rng, spec)
     logits = autoencoder_logits_node(graph.const(init_autoencoder_params(spec, 0).values), spec, batch)
     assert logits.value.shape == (n_blocks, spec.n_messages)
     # encoder layers first, then the channel and the decoder layers
@@ -498,7 +498,7 @@ def test_autoencoder_forward_shapes_and_validation():
 
 def _two_task_batches(n_blocks=3, spec=AutoencoderSpec()):
     rng = np.random.default_rng(61)
-    return [generate_autoencoder_batch(sample_task("autoencoder", rng), n_blocks, rng, spec) for _ in range(2)]
+    return [generate_autoencoder_batch(TaskFamily(kind="autoencoder", snr_db=10.0).sample(rng), n_blocks, rng, spec) for _ in range(2)]
 
 
 def test_stacked_autoencoder_batch_holds_its_tasks_in_order():

@@ -29,7 +29,6 @@ from metalink.tasks import (
     make_pilot_dataset,
     phase_rotation_family,
     rng_for,
-    sample_task,
     subsample_stream,
 )
 
@@ -65,10 +64,6 @@ def test_rng_for_separates_paths():
 def test_task_kind_is_validated():
     with pytest.raises(ConfigurationError):
         TaskFamily(kind="qpsk")
-    with pytest.raises(ConfigurationError):
-        TaskFamily(eps3_max=-0.1)
-    with pytest.raises(ConfigurationError):
-        sample_task("qpsk", np.random.default_rng(0))
 
 
 def test_family_sample_deterministic():
@@ -105,12 +100,12 @@ def test_phase_rotation_family_is_pure_rotation():
 
 
 def test_autoencoder_family_three_clean_taps():
-    t = sample_task("autoencoder", np.random.default_rng(8))
+    t = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(8))
     assert t.realization.taps.shape == (3,)
     assert t.realization.nonideality == (0.0, 0.0)
     assert t.realization.snr_db == 10.0
-    assert sample_task("demod", np.random.default_rng(8)).realization.snr_db == 15.0
-    assert sample_task("demod", np.random.default_rng(8), snr_db=3.0).realization.snr_db == 3.0
+    assert TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(8)).realization.snr_db == 15.0
+    assert TaskFamily(kind="demod", snr_db=3.0).sample(np.random.default_rng(8)).realization.snr_db == 3.0
 
 
 def test_pool_tasks_are_serially_uncorrelated():
@@ -125,7 +120,7 @@ def test_pool_tasks_are_serially_uncorrelated():
 
 
 def test_pilot_labels_cycle_through_all_messages():
-    task = sample_task("demod", np.random.default_rng(10))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(10))
     ds = make_pilot_dataset(task, 16, np.random.default_rng(11))
     assert sorted(ds.targets.tolist()) == list(range(16))
     ds4 = make_pilot_dataset(task, 4, np.random.default_rng(12))
@@ -150,16 +145,16 @@ def test_pilot_inputs_are_the_distorted_faded_symbols():
 
 
 def test_pilot_dataset_validation():
-    task = sample_task("demod", np.random.default_rng(16))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(16))
     with pytest.raises(ConfigurationError):
         make_pilot_dataset(task, 0, np.random.default_rng(0))
-    ae = sample_task("autoencoder", np.random.default_rng(17))
+    ae = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(17))
     with pytest.raises(ConfigurationError, match="exactly one tap"):
         make_pilot_dataset(ae, 4, np.random.default_rng(0))
 
 
 def test_demod_split_sides_are_disjoint():
-    task = sample_task("demod", np.random.default_rng(18))
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(18))
     split = make_demod_split(task, 32, 64, np.random.default_rng(19))
     assert split.train.inputs.shape == (32, 2)
     assert split.test.inputs.shape == (64, 2)
@@ -214,9 +209,9 @@ def test_meta_batch_validation():
 
 
 def test_autoencoder_batch_reproducible_and_frozen():
-    task = sample_task("autoencoder", np.random.default_rng(25))
-    a = generate_autoencoder_batch(task, 32, np.random.default_rng(26))
-    b = generate_autoencoder_batch(task, 32, np.random.default_rng(26))
+    task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(25))
+    a = generate_autoencoder_batch(task, 32, np.random.default_rng(26), AutoencoderSpec())
+    b = generate_autoencoder_batch(task, 32, np.random.default_rng(26), AutoencoderSpec())
     assert np.array_equal(a.messages, b.messages)
     assert np.array_equal(a.noise, b.noise)
     assert np.array_equal(a.channel_matrix, channel_conv_matrix(task.realization.taps, 8))
@@ -226,8 +221,8 @@ def test_autoencoder_batch_reproducible_and_frozen():
 
 
 def test_autoencoder_batch_statistics():
-    task = sample_task("autoencoder", np.random.default_rng(27))
-    batch = generate_autoencoder_batch(task, 100_000, np.random.default_rng(28))
+    task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(27))
+    batch = generate_autoencoder_batch(task, 100_000, np.random.default_rng(28), AutoencoderSpec())
     counts = np.bincount(batch.messages, minlength=16)
     expected = len(batch) / 16.0
     stat = float(np.sum((counts - expected) ** 2 / expected))
@@ -267,9 +262,9 @@ def test_constructors_freeze_a_copy_not_the_callers_array():
 
 
 def test_autoencoder_batch_validation():
-    task = sample_task("autoencoder", np.random.default_rng(29))
+    task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(29))
     spec = AutoencoderSpec()
-    good = generate_autoencoder_batch(task, 4, np.random.default_rng(30))
+    good = generate_autoencoder_batch(task, 4, np.random.default_rng(30), spec)
     with pytest.raises(ConfigurationError):
         AutoencoderBatch(good.messages, good.noise[:, :-2], good.channel_matrix, spec)
     with pytest.raises(ConfigurationError):
@@ -277,10 +272,10 @@ def test_autoencoder_batch_validation():
     with pytest.raises(ConfigurationError):
         AutoencoderBatch(good.messages, good.noise, good.channel_matrix[:-1], spec)
     with pytest.raises(ConfigurationError):
-        generate_autoencoder_batch(task, 0, np.random.default_rng(0))
-    one_tap = sample_task("demod", np.random.default_rng(31))
+        generate_autoencoder_batch(task, 0, np.random.default_rng(0), spec)
+    one_tap = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(31))
     with pytest.raises(ConfigurationError, match="task has 1 taps, block channel needs 3"):
-        generate_autoencoder_batch(one_tap, 4, np.random.default_rng(0))
+        generate_autoencoder_batch(one_tap, 4, np.random.default_rng(0), spec)
 
 
 def test_autoencoder_pool_and_stream():
