@@ -18,10 +18,10 @@ joint training learns nearly nothing.
 `metalink meta-train` (run_meta_train) and `metalink eval`
 (evaluate_params) run single steps of the same per-profile pipeline: build
 the task pool, meta-train, adapt on test tasks, evaluate.  Both metrics
-score receivers as one stack on one draw through the forward their
-training differentiates: SER through nn.mlp_logits_node on fresh symbols,
-BLER through nn.autoencoder_logits_node on a fresh
-generate_autoencoder_batch draw.
+score receivers as one stack through the forward their training
+differentiates: SER through nn.mlp_logits_node on one draw of fresh
+symbols, BLER through nn.autoencoder_logits_node on one fresh
+generate_autoencoder_batch draw per test channel.
 
 Determinism contract: everything a run produces is a pure function of the
 config (including its seed list).  Per-purpose rng streams are derived from
@@ -57,6 +57,7 @@ from .learners import (
     train_joint,
 )
 from .nn import (
+    AutoencoderBatch,
     AutoencoderSpec,
     ParamVector,
     autoencoder_logits_node,
@@ -434,29 +435,35 @@ def read_curve(path):
 # metrics
 
 
-# Most rows of a draw per forward.  The whole draw at once holds every
-# receiver's intermediates together, and at the default 2,000 rows that is
-# bound by page faults.
+# Most rows per forward, summed over the draws it stacks.  A forward over
+# whole draws holds every receiver's intermediates together, and at the
+# default 2,000 rows that is bound by page faults.
 _EVAL_ROWS = 500
 
 
 def _error_rates(receivers, forward, labels):
-    """Argmax error rate of each receiver on a draw of len(labels) rows; ties
-    resolve to the lowest index.  The receivers run as one (R, P) stack
-    through forward(stack node, lo, hi) -> the logits node of rows lo:hi,
-    over the fewest consecutive chunks of at most _EVAL_ROWS rows, as even
-    as they divide: a product over a few rows can take another BLAS kernel
-    and move its last bits, so no chunk is cut short.  Each row's logits
-    are then its own, whatever the chunks."""
-    stack = graph.const(np.stack([p.values for p in receivers]))
-    errors = np.zeros(len(receivers), dtype=np.int64)
-    n = len(labels)
-    chunks = -(-n // _EVAL_ROWS)
+    """Argmax error rates on D draws of n rows; ties resolve to the lowest index.
+
+    receivers[d] is the tuple of receivers scored on draw d, labels[d] of
+    the (D, n) labels.  They run as one (R, P) stack, draw-major, through
+    forward(stack node, lo, hi) -> the logits node of rows lo:hi of each
+    row's draw, over the fewest consecutive chunks that hold at most
+    _EVAL_ROWS rows of the D draws together, as even as they divide: a
+    product over a few rows can take another BLAS kernel and move its last
+    bits, so no chunk is cut short.  Each row's logits are then its own,
+    whatever the chunks.  Returns per draw the tuple of its receivers' rates.
+    """
+    owner = np.repeat(np.arange(len(receivers)), [len(rs) for rs in receivers])
+    stack = graph.const(np.stack([p.values for rs in receivers for p in rs]))
+    errors = np.zeros(len(owner), dtype=np.int64)
+    n = labels.shape[-1]
+    chunks = -(-labels.size // _EVAL_ROWS)
     for i in range(chunks):
         lo, hi = i * n // chunks, (i + 1) * n // chunks
         predicted = np.argmax(forward(stack, lo, hi).value, axis=-1)
-        errors += np.count_nonzero(predicted != labels[lo:hi], axis=-1)
-    return tuple(float(e) / n for e in errors)
+        errors += np.count_nonzero(predicted != labels[owner, lo:hi], axis=-1)
+    rates = iter(float(e) / n for e in errors)
+    return [tuple(next(rates) for _ in rs) for rs in receivers]
 
 
 def evaluate_ser(receivers, task, n_symbols, rng):
@@ -470,22 +477,36 @@ def evaluate_ser(receivers, task, n_symbols, rng):
     indices = rng.integers(0, 16, size=n_symbols)
     received, labels = apply_channel_demod(indices, task.realization, rng)
     x = np.stack([received.real, received.imag], axis=1)
-    return _error_rates(receivers, lambda stack, lo, hi: mlp_logits_node(stack, receivers[0].arch, x[lo:hi]), labels)
+    (rates,) = _error_rates([receivers], lambda stack, lo, hi: mlp_logits_node(stack, receivers[0].arch, x[lo:hi]), labels[None])
+    return rates
 
 
-def evaluate_bler(receivers, spec, task, n_blocks, rng):
-    """Block error rate of each autoencoder, all of the spec's architecture,
-    on one fresh generate_autoencoder_batch draw from the task."""
-    receivers = tuple(receivers)
-    if not receivers or any(p.arch != spec.arch for p in receivers):
-        raise ConfigurationError("evaluate_bler needs one or more receivers, all of the spec's architecture")
-    batch = generate_autoencoder_batch(task, n_blocks, rng, spec)
+def evaluate_bler(receivers, spec, tasks, n_blocks, rngs):
+    """Block error rate of each autoencoder, all of the spec's architecture:
+    per task, the tuple of rates of its tuple of receivers (receivers[i]) on
+    one fresh generate_autoencoder_batch draw from tasks[i] with rngs[i].
+
+    All receivers run as one stack, each row on its own task's draw, and a
+    chunk of the forward stacks only its own rows of the draws."""
+    receivers = [tuple(rs) for rs in receivers]
+    tasks, rngs = tuple(tasks), tuple(rngs)
+    if not receivers or not all(receivers) or any(p.arch != spec.arch for rs in receivers for p in rs):
+        raise ConfigurationError("evaluate_bler needs one or more receivers per task, all of the spec's architecture")
+    if not len(receivers) == len(tasks) == len(rngs):
+        raise ConfigurationError("evaluate_bler needs one tuple of receivers and one rng per task")
+    draws = [generate_autoencoder_batch(task, n_blocks, rng, spec) for task, rng in zip(tasks, rngs)]
+    rows = [draw for draw, rs in zip(draws, receivers) for _ in rs]  # each receiver's draw
 
     def forward(stack, lo, hi):
-        rows = replace(batch, messages=batch.messages[lo:hi], noise=batch.noise[lo:hi])
-        return autoencoder_logits_node(stack, spec, rows)
+        chunk = AutoencoderBatch(
+            np.stack([d.messages[lo:hi] for d in rows]),
+            np.stack([d.noise[lo:hi] for d in rows]),
+            np.stack([d.channel_matrix for d in rows]),
+            spec,
+        )
+        return autoencoder_logits_node(stack, spec, chunk)
 
-    return _error_rates(receivers, forward, batch.messages)
+    return _error_rates(receivers, forward, np.stack([d.messages for d in draws]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +517,17 @@ DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
 _DEMOD_LOSSFN = make_mlp_lossfn(DEMOD_ARCH)
 _AE_SPEC = AutoencoderSpec()
 _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
-# meta_train's max_rows: an autoencoder stack holds two tasks, as a tape grows
-# with its rows: one exact meta-iteration of the default profile (K = 10, 128
-# blocks) peaks at 2.1 MB in stacks of 2, 3.0 MB in stacks of 3, 4.8 MB in
-# stacks of 5 and 9.3 MB as one stack (tracemalloc).  On the benchmark's
-# ae_adapt_sweep (2-core box, 10 alternating runs each) stacks of 5 cut wall
-# time by 14% but raise peak RSS by 6.9%; stacks of 3 cut it by 3.5%, inside
-# the run-to-run spread, at +2.3% peak RSS.
+# Most tasks per stack, in meta-training (meta_train's max_rows) and in the
+# autoencoder's deployment (_adaptation's groups of test channels).  An
+# autoencoder stack holds two tasks, as a tape grows with its rows: one
+# exact meta-iteration of the default profile (K = 10, 128 blocks) peaks at
+# 2.1 MB in stacks of 2, 3.0 MB in stacks of 3, 4.8 MB in stacks of 5 and
+# 9.3 MB as one stack (tracemalloc), and one deployment group of two
+# channels at 2.3 MB.  On the benchmark's ae_adapt_sweep (2-core box, 10
+# alternating runs each) training stacks of 5 cut wall time by 14% but
+# raise peak RSS by 6.9%; stacks of 3 cut it by 3.5%, inside the run-to-run
+# spread, at +2.3% peak RSS.  Deployment groups of 3 were no faster than
+# groups of 2.
 _STACK_ROWS = {"demod": None, "autoencoder": 2}
 
 
@@ -568,26 +593,40 @@ def _ser(config, seed, tasks, receivers, n):
     ]
 
 
-def _adaptation(config, seed, task, unit, starts, lossfn):
-    """Autoencoder params after t = 0..adapt_iters_max SGD steps on fresh batches.
+def _adaptation(config, seed, tasks, starts, lossfn, scored):
+    """Autoencoder BLERs after t SGD steps on fresh batches, for each t in scored.
 
-    The starts adapt as one (S, P) stack on the unit's one stream of
-    batches: one gradient and one step of the stack per draw, each row bit
-    for bit that start adapted alone.  Yields the tuple of their params.
+    starts[u] is test unit u's tuple of starting params.  The units deploy
+    in groups of _STACK_ROWS["autoencoder"], each group's starts as one
+    stack, unit-major: per step one gradient and one step of the stack, each
+    unit's rows on the one batch its step stream draws, and at each scored t
+    one evaluate_bler of the stack, each unit's rows on its one evaluation
+    draw at t.  Every row is bit for bit that start adapted and scored
+    alone.  Returns per unit the list, over the scored t, of the tuple of
+    its starts' BLERs.
     """
-    step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
-    stack = np.stack([p.values for p in starts])
-    yield tuple(starts)
-    for _ in range(config.adapt_iters_max):
-        batch = generate_autoencoder_batch(task, config.n_train_blocks, step_rng, _AE_SPEC)
-        stack = sgd_step(stack, eval_with_gradient(lossfn, stack, batch).gradient, config.eta_inner)
-        yield tuple(p.with_values(row) for p, row in zip(starts, stack))
-
-
-def _bler(config, seed, params, task, unit, t):
-    """BLERs of a tuple of params, on the unit's one evaluation draw at t."""
-    rng = rng_for(seed, SCOPE_EVAL, unit, t)
-    return evaluate_bler(params, _AE_SPEC, task, config.n_eval_symbols_or_blocks, rng)
+    curves = []
+    for first in range(0, len(tasks), _STACK_ROWS["autoencoder"]):
+        units = range(first, min(first + _STACK_ROWS["autoencoder"], len(tasks)))
+        group = [tuple(starts[u]) for u in units]
+        step_rngs = [rng_for(seed, SCOPE_ADAPT_STEPS, u) for u in units]
+        stack = np.stack([p.values for ps in group for p in ps])
+        group_curves = [[] for _ in units]
+        for t in range(config.adapt_iters_max + 1):
+            if t:
+                batches = [generate_autoencoder_batch(tasks[u], config.n_train_blocks, rng, _AE_SPEC) for u, rng in zip(units, step_rngs)]
+                data = lossfn.stack(batch for batch, ps in zip(batches, group) for _ in ps)
+                stack = sgd_step(stack, eval_with_gradient(lossfn, stack, data).gradient, config.eta_inner)
+                del batches, data  # not held while the larger evaluation draws are made
+            if t in scored:
+                rows = iter(stack)
+                receivers = [tuple(p.with_values(next(rows)) for p in ps) for ps in group]
+                rngs = [rng_for(seed, SCOPE_EVAL, u, t) for u in units]
+                blers = evaluate_bler(receivers, _AE_SPEC, [tasks[u] for u in units], config.n_eval_symbols_or_blocks, rngs)
+                for curve, bler in zip(group_curves, blers):
+                    curve.append(bler)
+        curves.extend(group_curves)
+    return curves
 
 
 def _pilot_seed_records(config, seed):
@@ -618,12 +657,11 @@ def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
     family, _, _, lossfn, result = _meta_trained(config, seed)
     methods = (_maml_label(config), "conventional")
+    tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
+    # both starts of a unit adapt and are scored on the same draws, in lockstep
+    starts = [(result.params, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, u))) for u in range(len(tasks))]
     records = []
-    for unit, task in enumerate(_test_tasks(family, seed, config.n_meta_test_tasks)):
-        starts = (result.params, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, unit)))
-        # both starts adapt and are scored on the same draws, in lockstep
-        trajectory = _adaptation(config, seed, task, unit, starts, lossfn)
-        blers = [_bler(config, seed, ps, task, unit, t) for t, ps in enumerate(trajectory)]
+    for unit, blers in enumerate(_adaptation(config, seed, tasks, starts, lossfn, range(config.adapt_iters_max + 1))):
         for method, curve in zip(methods, zip(*blers)):
             records.extend(SweepRecord(seed, unit, float(t), method, "bler", b) for t, b in enumerate(curve))
     return records
@@ -743,12 +781,8 @@ def evaluate_params(config, params):
         pilots = _pilots(tasks, seed, n)
         adapted = _adapt((params,), pilots, config.eta_inner, config.m, make_mlp_lossfn(params.arch))
         return "ser", [ser for (ser,) in _ser(config, seed, tasks, adapted, n)]
-    values = []
-    for unit, task in enumerate(tasks):
-        *_, adapted = _adaptation(config, seed, task, unit, (params,), _AE_LOSSFN)
-        (bler,) = _bler(config, seed, adapted, task, unit, config.adapt_iters_max)
-        values.append(bler)
-    return "bler", values
+    blers = _adaptation(config, seed, tasks, [(params,)] * len(tasks), _AE_LOSSFN, (config.adapt_iters_max,))
+    return "bler", [bler for [(bler,)] in blers]
 
 
 def save_params(path, p):

@@ -26,8 +26,9 @@ descends on the mean of the per-task loss vector.  meta_train runs each
 meta-batch as stacks of at most max_rows tasks (harness runs a demod batch
 as one (K, P) stack and an autoencoder batch, whose task tapes are larger,
 as stacks of two): row k of a stacked meta-gradient, exact or first-order,
-is task k's.  Deployment stacks too: harness adapts and scores its
-receivers as one stack per draw.
+is task k's.  Deployment stacks too: harness adapts and scores a pilot
+count's demod receivers as one stack, and the autoencoder's test channels
+in stacks of at most two channels, the cap its meta-training has.
 
 One rule covers divergence in a stack: a task stack has no guard of its own,
 and if it diverges (an op raises, or a conventional row's loss passes the

@@ -10,10 +10,11 @@ every network built here has tanh hidden layers and a linear output layer
 Each network has one forward, built from graph nodes: training
 differentiates it to any order, and evaluation reads its value.  Each also
 takes an (S, P) stack on shared inputs, row s bit for bit vector s alone:
-harness scores receivers, and steps the autoencoder trace's starts, as one
-stack.  With a leading task axis on the data (each loss's `stack`:
-stack_datasets or stack_autoencoder_batches) row t runs on task t's data
-instead, which is how meta-training stacks its tasks.  Like every graph
+harness scores a device's demodulators as one stack.  With a leading task
+axis on the data (each loss's `stack`: stack_datasets or
+stack_autoencoder_batches) row t runs on task t's data instead, which is
+how meta-training stacks its tasks and the autoencoder's deployment its
+test channels.  Like every graph
 value, evaluation logits are finite: an overflow raises NumericalError
 instead of being argmax-ed.
 

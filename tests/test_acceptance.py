@@ -14,7 +14,7 @@ import pytest
 from scipy.special import erfc
 
 from metalink import cli
-from metalink.channel import ChannelRealization, apply_channel_block, apply_channel_demod, qam16_min_distance_detect, rayleigh_taps
+from metalink.channel import ChannelRealization, apply_channel_block, apply_channel_demod, rayleigh_taps
 from metalink.checks import (
     check_gradients,
     check_hvp,
@@ -32,6 +32,7 @@ from metalink.harness import (
     run_pilot_sweep,
     write_config,
 )
+from oracles import qam16_min_distance_detect
 
 
 @pytest.fixture(scope="module")

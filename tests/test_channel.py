@@ -17,12 +17,12 @@ from metalink.channel import (
     awgn,
     channel_conv_matrix,
     noise_variance,
-    qam16_min_distance_detect,
     qam16_modulate,
     rayleigh_taps,
     tx_nonideality,
 )
 from metalink.errors import ConfigurationError
+from oracles import qam16_min_distance_detect
 
 
 def _analytic_qam16_ser(snr_db):

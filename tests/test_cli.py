@@ -648,27 +648,42 @@ def test_interrupt_while_cli_loads_exits_130_with_one_line(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "interrupted\n")
 
 
-def test_ctrl_c_during_start_up_exits_130_with_one_line():
-    # Before the interpreter's own start-up (site) has run, no program code
-    # can catch the signal; a bare interpreter start, timed here, says how
-    # long that takes, and the signal lands after it, while cli's imports
-    # load numpy
-    def start_up():
-        began = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "pass"], check=True)
-        return time.perf_counter() - began
+def _started(command):
+    """A child running command with `-X importtime`, once it reports numpy's
+    first module: that import runs in main(), after the interpreter's own
+    start-up (site), in which no program code can catch a signal."""
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "metalink", *command],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    for line in iter(proc.stderr.readline, b""):
+        if line.startswith(b"import time:") and line.rsplit(b"|", 1)[-1].strip().startswith(b"numpy"):
+            return proc
+    proc.wait()
+    raise AssertionError(f"no numpy import reported, exit {proc.returncode}")
 
-    bare = sorted(start_up() for _ in range(3))[1]
-    for factor in (1.5, 3.0):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "metalink", "gradcheck", "--scale", "full"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        time.sleep(factor * bare)
-        proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=120)
-        assert (proc.returncode, err) == (cli.EXIT_INTERRUPT, b"interrupted\n"), (factor * bare, err.decode())
+
+def test_ctrl_c_during_start_up_exits_130_with_one_line():
+    # The signal follows numpy's first module by offsets spread over the
+    # rest of a start-up, timed on a first one (`--help`): numpy, the
+    # package, and the numpy.random that numpy would load on first use
+    proc = _started(["--help"])
+    began = time.perf_counter()
+    proc.communicate(timeout=120)
+    span = time.perf_counter() - began
+    for k in range(9):
+        proc = _started(["gradcheck", "--scale", "full"])
+        try:
+            time.sleep(span * k / 8)
+            proc.send_signal(signal.SIGINT)
+            rest = proc.stderr.read().splitlines(keepends=True)
+            proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        said = b"".join(line for line in rest if not line.startswith(b"import time:"))
+        assert (proc.returncode, said) == (cli.EXIT_INTERRUPT, b"interrupted\n"), (span * k / 8, said.decode())
 
 
 _SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "phase-rotation", "gradcheck", "eval"]

@@ -184,13 +184,13 @@ _AE = AutoencoderSpec()
 def test_evaluate_bler_rejects_bad_input(receivers, message):
     task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(65))
     with pytest.raises(ConfigurationError, match=message):
-        evaluate_bler(receivers, _AE, task, 100, np.random.default_rng(0))
+        evaluate_bler([receivers], _AE, [task], 100, [np.random.default_rng(0)])
 
 
 def test_evaluate_bler_untrained_is_chance_level():
     spec = AutoencoderSpec()
     task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(66))
-    (bler,) = evaluate_bler((init_autoencoder_params(spec, 2),), spec, task, 2000, np.random.default_rng(67))
+    [(bler,)] = evaluate_bler([(init_autoencoder_params(spec, 2),)], spec, [task], 2000, [np.random.default_rng(67)])
     assert abs(bler - 15.0 / 16.0) < 0.06
 
 
@@ -199,12 +199,12 @@ def test_evaluate_bler_drops_after_training_on_the_task():
     task = TaskFamily(kind="autoencoder", snr_db=20.0).sample(np.random.default_rng(68))
     lossfn = make_autoencoder_lossfn(spec)
     p = init_autoencoder_params(spec, 3)
-    (before,) = evaluate_bler((p,), spec, task, 1000, np.random.default_rng(69))
+    [(before,)] = evaluate_bler([(p,)], spec, [task], 1000, [np.random.default_rng(69)])
     rng = np.random.default_rng(70)
     for _ in range(200):
         batch = generate_autoencoder_batch(task, 128, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.05)
-    (after,) = evaluate_bler((p,), spec, task, 1000, np.random.default_rng(69))
+    [(after,)] = evaluate_bler([(p,)], spec, [task], 1000, [np.random.default_rng(69)])
     assert after < before - 0.2
 
 
@@ -217,7 +217,7 @@ def test_evaluate_bler_trained_toy_is_error_free_without_noise():
     for _ in range(400):
         batch = generate_autoencoder_batch(delta, 64, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.5)
-    assert evaluate_bler((p,), spec, delta, 500, np.random.default_rng(73)) == (0.0,)
+    assert evaluate_bler([(p,)], spec, [delta], 500, [np.random.default_rng(73)]) == [(0.0,)]
 
 
 def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
@@ -230,8 +230,8 @@ def test_evaluate_bler_monotone_in_snr_for_fixed_pair():
     for _ in range(150):
         batch = generate_autoencoder_batch(clean, 128, rng, spec)
         p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, 0.05)
-    (at_20,) = evaluate_bler((p,), spec, clean, 2000, np.random.default_rng(76))
-    (at_0,) = evaluate_bler((p,), spec, noisy, 2000, np.random.default_rng(76))
+    [(at_20,)] = evaluate_bler([(p,)], spec, [clean], 2000, [np.random.default_rng(76)])
+    [(at_0,)] = evaluate_bler([(p,)], spec, [noisy], 2000, [np.random.default_rng(76)])
     assert at_20 <= at_0
 
 
@@ -239,7 +239,7 @@ def test_evaluate_bler_requires_autoencoder_task():
     spec = AutoencoderSpec()
     demod = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(71))
     with pytest.raises(ConfigurationError):
-        evaluate_bler((init_autoencoder_params(spec, 0),), spec, demod, 100, np.random.default_rng(0))
+        evaluate_bler([(init_autoencoder_params(spec, 0),)], spec, [demod], 100, [np.random.default_rng(0)])
 
 
 
@@ -270,29 +270,54 @@ def _scored_in_chunks(rows, evaluate):
 )
 @settings(max_examples=30, deadline=None)
 def test_scores_do_not_depend_on_the_chunk_size(rows, n, n_receivers, scale, seed):
-    # Chunks of at most `rows` rows, as even as they divide, give the logits
-    # of the whole draw in one forward, bit for bit, and so the same rates.
+    # Chunks of at most `rows` rows of all draws together, as even as they
+    # divide, give the logits of the whole draws in one forward, bit for
+    # bit, and so the same rates.
     demods = [p.with_values(scale * p.values) for p in (init_params(DEMOD_ARCH, seed + i) for i in range(n_receivers))]
     aes = [p.with_values(scale * p.values) for p in (init_autoencoder_params(_AE, seed + i) for i in range(n_receivers))]
     demod_task, ae_task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(seed)), TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(seed))
-    for evaluate in (
-        lambda: evaluate_ser(demods, demod_task, n, np.random.default_rng(seed)),
-        lambda: evaluate_bler(aes, _AE, ae_task, n, np.random.default_rng(seed)),
+    other_task = TaskFamily(kind="autoencoder", snr_db=5.0).sample(np.random.default_rng(seed + 1))
+    for n_draws, evaluate in (
+        (1, lambda: evaluate_ser(demods, demod_task, n, np.random.default_rng(seed))),
+        (1, lambda: evaluate_bler([aes], _AE, [ae_task], n, [np.random.default_rng(seed)])),
+        (2, lambda: evaluate_bler(
+            [aes, aes[:1]], _AE, [ae_task, other_task], n, [np.random.default_rng(seed), np.random.default_rng(seed + 1)])),
     ):
-        whole_rates, (whole,) = _scored_in_chunks(n, evaluate)
+        whole_rates, (whole,) = _scored_in_chunks(n_draws * n, evaluate)
         rates, chunks = _scored_in_chunks(rows, evaluate)
         sizes = [chunk.shape[-2] for chunk in chunks]
-        assert len(sizes) == -(-n // rows) and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == -(-n_draws * n // rows) and max(sizes) - min(sizes) <= 1
         assert np.array_equal(np.concatenate(chunks, axis=-2), whole)
         assert rates == whole_rates
 
 
 def test_default_scale_scores_in_chunks_of_500():
+    # 500 rows of all draws together: a deployment group's two channels
+    # (two receivers each) run in chunks of 250 blocks, four rows each
     receivers = (init_autoencoder_params(_AE, 0), init_autoencoder_params(_AE, 1))
-    task = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(77))
-    _, chunks = _scored_in_chunks(harness._EVAL_ROWS, lambda: evaluate_bler(
-        receivers, _AE, task, default_config("autoencoder").n_eval_symbols_or_blocks, np.random.default_rng(78)))
-    assert [chunk.shape for chunk in chunks] == [(2, 500, _AE.n_messages)] * 4
+    tasks = TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(77)), TaskFamily(kind="autoencoder", snr_db=10.0).sample(np.random.default_rng(79))
+    n_blocks = default_config("autoencoder").n_eval_symbols_or_blocks
+    for n_tasks, shape, count in ((1, (2, 500), 4), (2, (4, 250), 8)):
+        _, chunks = _scored_in_chunks(harness._EVAL_ROWS, lambda: evaluate_bler(
+            [receivers] * n_tasks, _AE, tasks[:n_tasks], n_blocks, [np.random.default_rng(78 + i) for i in range(n_tasks)]))
+        assert [chunk.shape for chunk in chunks] == [shape + (_AE.n_messages,)] * count
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (2, 1), (1, 3), (2, 2, 1)])
+def test_evaluate_bler_scores_each_task_on_its_own_draw(counts):
+    # receivers of several tasks in one stack: each rate is that receiver
+    # scored alone on its own task's draw
+    family = TaskFamily(kind="autoencoder", snr_db=8.0)
+    tasks = [family.sample(np.random.default_rng(80 + i)) for i in range(len(counts))]
+    receivers = [tuple(init_autoencoder_params(_AE, 10 * i + j) for j in range(c)) for i, c in enumerate(counts)]
+    got = evaluate_bler(receivers, _AE, tasks, 300, [np.random.default_rng(90 + i) for i in range(len(counts))])
+    want = [
+        tuple(evaluate_bler([(p,)], _AE, [task], 300, [np.random.default_rng(90 + i)])[0][0] for p in rs)
+        for i, (task, rs) in enumerate(zip(tasks, receivers))
+    ]
+    assert got == want
+    with pytest.raises(ConfigurationError, match="one rng per task"):
+        evaluate_bler(receivers, _AE, tasks, 300, [np.random.default_rng(0)] * (len(counts) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +617,7 @@ def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
     p = init_autoencoder_params(spec, rng_for(seed, SCOPE_TASK, unit))
     step_rng = rng_for(seed, SCOPE_ADAPT_STEPS, unit)
     for t in range(steps + 1):
-        want = evaluate_bler((p,), spec, task, cfg.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, unit, t))
+        [want] = evaluate_bler([(p,)], spec, [task], cfg.n_eval_symbols_or_blocks, [rng_for(seed, SCOPE_EVAL, unit, t)])
         got = tuple(r.value for r in result.records if (r.unit, r.method, r.sweep_value) == (unit, "conventional", t))
         assert got == want
         batch = draw(task, cfg.n_train_blocks, step_rng, spec)
@@ -603,26 +628,90 @@ def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
 
 
 def test_adaptation_trace_runs_both_starts_as_one_stack(monkeypatch):
-    # one (2, P) gradient per (unit, step) and one (2, P) forward per
-    # evaluation draw: no per-start or per-receiver call remains
-    cfg = _tiny_ae_config()
+    # Units deploy in groups of two, each group's starts as one stack: one
+    # (4, P) gradient per group and step, and one (4, P) forward per group,
+    # t and chunk of 500 rows of both draws (here two of 150 blocks each).
+    # The odd third unit is a group of its own, a (2, P) stack of one
+    # chunk.  No per-unit, per-start or per-receiver call remains.
+    cfg = _tiny_ae_config(n_meta_test_tasks=3, n_eval_symbols_or_blocks=300)
     grads, forwards = [], []
     gradient, forward = harness.eval_with_gradient, harness.autoencoder_logits_node
 
     def spied_gradient(f, p, data=None):
-        grads.append(np.shape(p))
+        grads.append((np.shape(p), data.messages.shape))
         return gradient(f, p, data)
 
     def spied_forward(p_node, spec, batch):
-        forwards.append(p_node.value.shape)
+        forwards.append((p_node.value.shape, batch.messages.shape))
         return forward(p_node, spec, batch)
 
     monkeypatch.setattr(harness, "eval_with_gradient", spied_gradient)
     monkeypatch.setattr(harness, "autoencoder_logits_node", spied_forward)
     run_adaptation_sweep(cfg)
-    stack = (2, param_count(AutoencoderSpec().arch))
-    assert grads == [stack] * (cfg.n_meta_test_tasks * cfg.adapt_iters_max)
-    assert forwards == [stack] * (cfg.n_meta_test_tasks * (cfg.adapt_iters_max + 1))
+    n_params, steps, n = param_count(AutoencoderSpec().arch), cfg.adapt_iters_max, cfg.n_train_blocks
+    assert grads == [((4, n_params), (4, n))] * steps + [((2, n_params), (2, n))] * steps
+    assert forwards == [((4, n_params), (4, 150))] * (2 * (steps + 1)) + [((2, n_params), (2, 300))] * (steps + 1)
+
+
+def _deployed_alone(cfg, seed, task, unit, start, lossfn):
+    """BLERs at t = 0..adapt_iters_max of one start adapted and scored alone."""
+    p, step_rng, blers = start, rng_for(seed, SCOPE_ADAPT_STEPS, unit), []
+    for t in range(cfg.adapt_iters_max + 1):
+        if t:
+            batch = generate_autoencoder_batch(task, cfg.n_train_blocks, step_rng, _AE)
+            p = sgd_step(p, eval_with_gradient(lossfn, p, batch).gradient, cfg.eta_inner)
+        rng = rng_for(seed, SCOPE_EVAL, unit, t)
+        [(bler,)] = evaluate_bler([(p,)], _AE, [task], cfg.n_eval_symbols_or_blocks, [rng])
+        blers.append(bler)
+    return blers
+
+
+@given(
+    n_units=st.integers(1, 5),
+    first_order=st.booleans(),
+    n_blocks=st.integers(1, 700),
+    seed=st.integers(0, 2**10),
+)
+@settings(max_examples=12, deadline=None)
+def test_adaptation_sweep_records_are_each_unit_deployed_and_scored_alone(n_units, first_order, n_blocks, seed):
+    # groups of two units, an odd count leaving a group of one, and draws
+    # long enough to be chunked: every record is what its start gives
+    # adapted and scored alone
+    cfg = _tiny_ae_config(
+        seeds=(seed,), seed=seed, n_meta_test_tasks=n_units, first_order=first_order,
+        outer_iters=1, adapt_iters_max=2, n_train_blocks=8, n_eval_symbols_or_blocks=n_blocks,
+    )
+    records = run_adaptation_sweep(cfg).records
+    meta, lossfn = run_meta_train(cfg).params, make_autoencoder_lossfn(_AE)
+    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), seed, n_units)
+    want = []
+    for unit, task in enumerate(tasks):
+        starts = {"maml-fo" if first_order else "maml": meta, "conventional": init_autoencoder_params(_AE, rng_for(seed, SCOPE_TASK, unit))}
+        for method, start in starts.items():
+            curve = _deployed_alone(cfg, seed, task, unit, start, lossfn)
+            want.extend(SweepRecord(seed, unit, float(t), method, "bler", b) for t, b in enumerate(curve))
+    assert records == tuple(want)
+
+
+def test_a_deployment_group_holds_less_than_a_meta_iteration():
+    # One group's adaptation step and its scoring at the default profile
+    # (two channels, two starts each, 128 training and 2,000 evaluation
+    # blocks), within the 2.5 MB bound of a meta-iteration's tapes
+    # (test_an_autoencoder_meta_iteration_holds_about_two_task_tapes).
+    # tracemalloc peaks, measured: 1.67 MB for the two channels one at a
+    # time, 2.34 MB as one group, 3.64 MB as one group whose four rows each
+    # hold a copy of their channel's whole evaluation draw.
+    cfg = replace(default_config("autoencoder"), adapt_iters_max=1)
+    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), 0, 2)
+    meta, lossfn = init_autoencoder_params(_AE, 0), make_autoencoder_lossfn(_AE)
+    starts = [(meta, init_autoencoder_params(_AE, rng_for(0, SCOPE_TASK, unit))) for unit in range(2)]
+    tracemalloc.start()
+    try:
+        harness._adaptation(cfg, 0, tasks, starts, lossfn, (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,6 @@ def _unreferenced(sources):
 # outside it.
 _REACHED_FROM_OUTSIDE = {
     "channel.apply_channel_block": "perfbench wraps it; it leaves with ROADMAP items 2 and 5",
-    "channel.qam16_min_distance_detect": "criterion 8's reference detector",
     "harness.read_curve": "README-documented API that criterion 9 uses",
     "harness.write_config": "README-documented API that criterion 9 uses",
 }
