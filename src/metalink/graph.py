@@ -40,11 +40,16 @@ adjoint of a node read through several slices (a flat parameter vector) as
 one scatter of all the slice adjoints, instead of one zero-padded copy per
 slice added up in turn.
 
-Two fused ops keep the tape short where the models and the meta-gradient
+Three fused ops keep the tape short where the models and the meta-gradient
 spend their nodes: affine(h, w, b) is h @ w + b, one node per network layer,
-and add_scaled(a, b, c) is a + c * b, one node per inner SGD step and per
-tanh VJP.  Each computes the same expression as the ops it fuses and builds
-the same adjoints, so values and derivatives of every order are unchanged.
+add_scaled(a, b, c) is a + c * b, one node per inner SGD step, and
+tanh_grad(g, n) is g * (1 - n*n), one node per tanh VJP.  Each computes the
+same expression as the ops it fuses and builds the same adjoints in the same
+order, so values and derivatives are bit for bit unchanged: of every order
+for affine and add_scaled, and to second order, that of every meta-gradient
+and Hessian-vector product here, for tanh_grad.  A third sweep passes each
+adjoint of 1 - n*n on to n apart, where the three nodes summed them first,
+so its last bits can move.
 
 A caller that only reads the values of the gradients passes
 create_graph=False, and the sweep runs on bare values: the same builders call
@@ -227,8 +232,8 @@ def scale(a, c):
 def add_scaled(a, b, c):
     """a + c * b for a python scalar c, as one node: add(a, scale(b, c)).
 
-    b has the result's shape and a broadcasts to it (the 0-d one of tanh's
-    1 - n*n, or a parameter vector stepped by its gradient).
+    b has the result's shape and a broadcasts to it (in an inner SGD step,
+    a parameter vector stepped by its gradient, both of one shape).
     """
     c = float(c)
     return _make(_ADD_SCALED, _ADD_SCALED.kernel(a.value, b.value, c), (a, b), c)
@@ -363,8 +368,12 @@ def bcast(a, shape):
 # nonlinearities
 
 
-def _tanh_vjp(n, g):
-    return mul(g, add_scaled(_ONE, mul(n, n), -1.0))
+def _tanh_grad(g, u, v):
+    return _make(_TANH_GRAD, _TANH_GRAD.kernel(g.value, u.value, v.value, None), (g, u, v))
+
+
+def _tanh_grad_vjp(i):  # of factor i of u*v, u (1) or v (2): -(adjoint * g) times the other factor
+    return lambda n, g: mul(scale(mul(g, n.parents[0]), -1.0), n.parents[3 - i])
 
 
 def _softmax_value(z, _):
@@ -396,18 +405,27 @@ def _softmax_xent_vjp(n, g):
     return mul(weight, diff)
 
 
-_TANH = Op("tanh", lambda a, _: np.tanh(a), (_tanh_vjp,), checked=False)
+_TANH = Op("tanh", lambda a, _: np.tanh(a), (lambda n, g: tanh_grad(g, n),), checked=False)
+_TANH_GRAD = Op("tanh_grad", lambda g, u, v, _: g * (1 - u * v),
+                (lambda n, g: _tanh_grad(g, *n.parents[1:]), _tanh_grad_vjp(1), _tanh_grad_vjp(2)))
 _SQRT = Op("sqrt", lambda a, _: np.sqrt(a), (lambda n, g: scale(div(g, n), 0.5),))
 _SOFTMAX_ROWS = Op("softmax_rows", _softmax_value, (_softmax_rows_vjp,), checked=False)
 _SOFTMAX_XENT = Op("softmax_xent", _xent_value, (_softmax_xent_vjp,))
 
-# One 0-d constant shared by every tanh VJP.  It is older than any node a
-# caller differentiates with respect to, so the sweep never walks it.
-_ONE = const(1.0)
-
 
 def tanh(a):
     return _make(_TANH, _TANH.kernel(a.value, None), (a,))
+
+
+def tanh_grad(g, n):
+    """g * (1 - n*n), the VJP of n = tanh(a) for adjoint g, as one node.
+
+    The fusion of mul(g, add_scaled(1, mul(n, n), -1.0)).  Its parents are
+    (g, n, n), the two n's the two factors of n*n: the sweep builds g's
+    adjoint first and then n's two contributions, one at a time, the order
+    it built them in for the three nodes.
+    """
+    return _tanh_grad(g, n, n)
 
 
 def sqrt(a):

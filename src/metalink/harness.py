@@ -519,16 +519,17 @@ _AE_SPEC = AutoencoderSpec()
 _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
 # Most tasks per stack, in meta-training (meta_train's max_rows) and in the
 # autoencoder's deployment (_adaptation's groups of test channels).  An
-# autoencoder stack holds two tasks, as a tape grows with its rows: one
+# autoencoder stack holds five tasks, as a tape grows with its rows: one
 # exact meta-iteration of the default profile (K = 10, 128 blocks) peaks at
-# 2.1 MB in stacks of 2, 3.0 MB in stacks of 3, 4.8 MB in stacks of 5 and
-# 9.3 MB as one stack (tracemalloc), and one deployment group of two
-# channels at 2.3 MB.  On the benchmark's ae_adapt_sweep (2-core box, 10
-# alternating runs each) training stacks of 5 cut wall time by 14% but
-# raise peak RSS by 6.9%; stacks of 3 cut it by 3.5%, inside the run-to-run
-# spread, at +2.3% peak RSS.  Deployment groups of 3 were no faster than
-# groups of 2.
-_STACK_ROWS = {"demod": None, "autoencoder": 2}
+# 1.9 MB in stacks of 2, 2.7 MB in stacks of 3, 4.4 MB in stacks of 5
+# (0.88 MB per row; 1.7 MB at first order) and 8.6 MB as one stack
+# (tracemalloc), and one deployment group of five channels at 3.8 MB.  On
+# the benchmark's ae_adapt_sweep (2-core box, 12 alternating pairs), stacks
+# of 5 with the one-node tanh VJP (graph.tanh_grad) against stacks of 2
+# with the three-node one cut wall time by 28% and raise peak RSS by 7.4%.
+# Deployment alone, at the default 2,000-block draws, is slower in groups of
+# 5 (2.2 -> 2.5 s per seed), which meta-training more than pays for.
+_STACK_ROWS = {"demod": None, "autoencoder": 5}
 
 
 def _maml_label(config):

@@ -91,6 +91,11 @@ _OP_CASES = [
     ("bcast_cols", np.arange(1.0, 4.0), lambda p: graph.bcast(graph.reshape(p, (3, 1)), (3, 4))),
     ("bias_add", np.arange(1.0, 10.0), lambda p: graph.add(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
     ("tanh", np.arange(1.0, 5.0) / 3.0, lambda p: graph.tanh(p)),
+    ("tanh_grad", np.arange(1.0, 7.0) / 8.0, lambda p: graph.tanh_grad(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
+    # each of its three VJPs alone: g * (1 - u*v) with two of g, u, v fixed
+    ("tanh_grad_g", np.arange(1.0, 4.0) / 3.0, lambda p: graph._tanh_grad(p, graph.const([0.5, -0.25, 0.75]), graph.const([0.3, 0.6, -0.9]))),
+    ("tanh_grad_u", np.arange(-2.0, 1.0) / 3.0, lambda p: graph._tanh_grad(graph.const([1.5, -2.0, 0.5]), p, graph.const([0.3, 0.6, -0.9]))),
+    ("tanh_grad_v", np.arange(-1.0, 2.0) / 3.0, lambda p: graph._tanh_grad(graph.const([1.5, -2.0, 0.5]), graph.const([0.5, -0.25, 0.75]), p)),
     ("sqrt", np.arange(1.0, 5.0), lambda p: graph.sqrt(p)),
     ("softmax_rows", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_rows(graph.reshape(p, (2, 3)))),
     ("softmax_xent", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_xent(graph.reshape(p, (2, 3)), np.array([2, 0]))),
@@ -389,6 +394,7 @@ _CHECKED_BUILDERS = {
     "div": lambda mat, vec, sca: graph.div(mat, graph.const(2.0)),
     "matmat": lambda mat, vec, sca: graph.matmat(mat, graph.transpose(mat)),
     "affine": lambda mat, vec, sca: graph.affine(mat, graph.transpose(mat), sca),
+    "tanh_grad": lambda mat, vec, sca: graph.tanh_grad(mat, graph.tanh(mat)),
     "sum": lambda mat, vec, sca: graph.asum(mat),
     "sqrt": lambda mat, vec, sca: graph.sqrt(graph.mul(sca, sca)),
     "softmax_xent": lambda mat, vec, sca: graph.softmax_xent(mat, np.zeros(mat.value.shape[0], dtype=int)),
@@ -795,17 +801,32 @@ def _unfused_mlp_loss(arch):
     return lossfn
 
 
+_ONE = graph.const(1.0)
+
+
 def _unfused_tanh_vjp(n, g):
-    return graph.mul(g, graph.add(graph._ONE, graph.scale(graph.mul(n, n), -1.0)))
+    return graph.mul(g, graph.add(_ONE, graph.scale(graph.mul(n, n), -1.0)))
+
+
+def _three_node_tanh_vjp(n, g):
+    return graph.mul(g, graph.add_scaled(_ONE, graph.mul(n, n), -1.0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_fused_ops_give_the_unfused_meta_gradient_bit_for_bit(m, monkeypatch):
-    # affine for add(matmat), add_scaled for add(scale) in the inner step and
-    # in the tanh VJP: the same values, and adjoints built in the same order,
-    # so second-order sums are added up in the same order too
+    # affine for add(matmat), add_scaled for add(scale) in the inner step,
+    # and tanh_grad for the tanh VJP: the same values, and adjoints built in
+    # the same order, so second-order sums are added up in the same order
+    # too.  At m = 1 and 2 also a (T, P) autoencoder meta-gradient, as
+    # meta-training runs it, against the tanh VJP that tanh_grad replaced.
     lossfn, theta, split = _demod_problem(m)
     fused = autodiff.unrolled_meta_gradient(lossfn, lossfn, theta, 0.1, m, split.train, split.test)
+    if m <= 2:
+        ae_meta_grad = _meta_gradient_case("autoencoder", 3, m, False)
+        ae_fused = ae_meta_grad()
+        monkeypatch.setattr(graph.OPS["tanh"], "vjps", (_three_node_tanh_vjp,))
+        ae_unfused = ae_meta_grad()
+        assert np.array_equal(ae_fused[0], ae_unfused[0]) and np.array_equal(ae_fused[1], ae_unfused[1])
 
     monkeypatch.setattr(graph.OPS["tanh"], "vjps", (_unfused_tanh_vjp,))
     unfused_loss = _unfused_mlp_loss(DEMOD_ARCH)
@@ -817,6 +838,17 @@ def test_fused_ops_give_the_unfused_meta_gradient_bit_for_bit(m, monkeypatch):
     (grad,) = graph.gradients(meta_loss, [t])
     assert fused[0] == float(meta_loss.value)
     assert np.array_equal(fused[1], grad.value)
+
+
+def test_a_tanh_vjp_builds_one_node():
+    n = graph.tanh(graph.inp(np.arange(-3.0, 3.0).reshape(2, 3) / 2.0))
+    g = graph.inp(np.arange(6.0).reshape(2, 3))
+    (vjp,) = graph.OPS["tanh"].vjps
+    adjoint, spent = _uids_spent(lambda: vjp(n, g))
+    assert spent == 1
+    assert adjoint.kind == "tanh_grad" and adjoint.parents == (g, n, n)
+    three, spent = _uids_spent(lambda: _three_node_tanh_vjp(n, g))
+    assert spent == 3 and np.array_equal(adjoint.value, three.value)
 
 
 # ---------------------------------------------------------------------------

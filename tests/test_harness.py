@@ -628,12 +628,13 @@ def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
 
 
 def test_adaptation_trace_runs_both_starts_as_one_stack(monkeypatch):
-    # Units deploy in groups of two, each group's starts as one stack: one
-    # (4, P) gradient per group and step, and one (4, P) forward per group,
-    # t and chunk of 500 rows of both draws (here two of 150 blocks each).
-    # The odd third unit is a group of its own, a (2, P) stack of one
-    # chunk.  No per-unit, per-start or per-receiver call remains.
-    cfg = _tiny_ae_config(n_meta_test_tasks=3, n_eval_symbols_or_blocks=300)
+    # Units deploy in groups of five, each group's starts as one stack: one
+    # (10, P) gradient per group and step, and one (10, P) forward per group,
+    # t and chunk of 500 rows of the five draws (here two of 100 blocks
+    # each).  The last two of seven units are a group of their own, a (4, P)
+    # stack of one chunk.  No per-unit, per-start or per-receiver call
+    # remains.
+    cfg = _tiny_ae_config(n_meta_test_tasks=7, n_eval_symbols_or_blocks=200)
     grads, forwards = [], []
     gradient, forward = harness.eval_with_gradient, harness.autoencoder_logits_node
 
@@ -649,8 +650,9 @@ def test_adaptation_trace_runs_both_starts_as_one_stack(monkeypatch):
     monkeypatch.setattr(harness, "autoencoder_logits_node", spied_forward)
     run_adaptation_sweep(cfg)
     n_params, steps, n = param_count(AutoencoderSpec().arch), cfg.adapt_iters_max, cfg.n_train_blocks
-    assert grads == [((4, n_params), (4, n))] * steps + [((2, n_params), (2, n))] * steps
-    assert forwards == [((4, n_params), (4, 150))] * (2 * (steps + 1)) + [((2, n_params), (2, 300))] * (steps + 1)
+    assert harness._STACK_ROWS["autoencoder"] == 5
+    assert grads == [((10, n_params), (10, n))] * steps + [((4, n_params), (4, n))] * steps
+    assert forwards == [((10, n_params), (10, 100))] * (2 * (steps + 1)) + [((4, n_params), (4, 200))] * (steps + 1)
 
 
 def _deployed_alone(cfg, seed, task, unit, start, lossfn):
@@ -667,16 +669,16 @@ def _deployed_alone(cfg, seed, task, unit, start, lossfn):
 
 
 @given(
-    n_units=st.integers(1, 5),
+    n_units=st.integers(1, 7),
     first_order=st.booleans(),
     n_blocks=st.integers(1, 700),
     seed=st.integers(0, 2**10),
 )
 @settings(max_examples=12, deadline=None)
 def test_adaptation_sweep_records_are_each_unit_deployed_and_scored_alone(n_units, first_order, n_blocks, seed):
-    # groups of two units, an odd count leaving a group of one, and draws
-    # long enough to be chunked: every record is what its start gives
-    # adapted and scored alone
+    # groups of five units, a count that five does not divide leaving a
+    # partial group, and draws long enough to be chunked: every record is
+    # what its start gives adapted and scored alone
     cfg = _tiny_ae_config(
         seeds=(seed,), seed=seed, n_meta_test_tasks=n_units, first_order=first_order,
         outer_iters=1, adapt_iters_max=2, n_train_blocks=8, n_eval_symbols_or_blocks=n_blocks,
@@ -693,25 +695,30 @@ def test_adaptation_sweep_records_are_each_unit_deployed_and_scored_alone(n_unit
     assert records == tuple(want)
 
 
+# Most tape per task row that an autoencoder stack at the cap may hold, in
+# meta-training and in deployment.
+_TAPE_MB_PER_ROW = 0.92
+
+
 def test_a_deployment_group_holds_less_than_a_meta_iteration():
     # One group's adaptation step and its scoring at the default profile
-    # (two channels, two starts each, 128 training and 2,000 evaluation
-    # blocks), within the 2.5 MB bound of a meta-iteration's tapes
-    # (test_an_autoencoder_meta_iteration_holds_about_two_task_tapes).
-    # tracemalloc peaks, measured: 1.67 MB for the two channels one at a
-    # time, 2.34 MB as one group, 3.64 MB as one group whose four rows each
-    # hold a copy of their channel's whole evaluation draw.
+    # (five channels, two starts each, 128 training and 2,000 evaluation
+    # blocks), within the bound of a meta-iteration's tapes, 0.92 MB per
+    # row of a stack at the cap (_TAPE_MB_PER_ROW).  tracemalloc peaks,
+    # measured: 2.34 MB for a group of two channels, 3.79 MB for the group
+    # of five.
+    rows = harness._STACK_ROWS["autoencoder"]
     cfg = replace(default_config("autoencoder"), adapt_iters_max=1)
-    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), 0, 2)
+    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), 0, rows)
     meta, lossfn = init_autoencoder_params(_AE, 0), make_autoencoder_lossfn(_AE)
-    starts = [(meta, init_autoencoder_params(_AE, rng_for(0, SCOPE_TASK, unit))) for unit in range(2)]
+    starts = [(meta, init_autoencoder_params(_AE, rng_for(0, SCOPE_TASK, unit))) for unit in range(rows)]
     tracemalloc.start()
     try:
         harness._adaptation(cfg, 0, tasks, starts, lossfn, (1,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak < _TAPE_MB_PER_ROW * rows * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -865,14 +872,15 @@ def test_run_meta_train_and_evaluate_autoencoder():
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
-def test_an_autoencoder_meta_iteration_holds_about_two_task_tapes():
+def test_an_autoencoder_meta_iteration_holds_one_task_tape_per_stacked_row():
     # One exact meta-iteration of the default autoencoder profile (K = 10,
-    # 128 blocks) as meta-training runs it.  tracemalloc peaks, measured:
-    # 1.2 MB one task at a time, 2.1 MB in stacks of 2 (the profile's cap),
-    # 3.0 MB in stacks of 3 and 9.3 MB as one stack of 10.  A larger cap is
-    # faster but trades peak memory for it, and so does an encoder run once
-    # per block instead of once per message (3.0 MB in stacks of 2); this
-    # bound makes either show.
+    # 128 blocks) as meta-training runs it, in stacks of the profile's cap
+    # of 5.  tracemalloc peaks, measured: 1.10 MB one task at a time,
+    # 1.94 MB in stacks of 2, 4.40 MB in stacks of 5 (0.88 MB per row) and
+    # 8.57 MB as one stack of 10.  The bound of 0.92 MB per row fails a
+    # tanh VJP of three nodes (4.76 MB in stacks of 5) and an encoder run
+    # once per block instead of once per message (6.41 MB).
+    rows = harness._STACK_ROWS["autoencoder"]
     cfg = default_config("autoencoder")
     pool = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), cfg.n_meta_train_tasks, 0)
     stream = autoencoder_stream(pool, AutoencoderSpec(), cfg.K_meta_batch, cfg.n_train_blocks)
@@ -881,8 +889,24 @@ def test_an_autoencoder_meta_iteration_holds_about_two_task_tapes():
     assert len(batch) == 10 and len(batch.items[0].train) == 128
     tracemalloc.start()
     try:
-        learners._meta_value_grad(init, batch, cfg.train_config(0), lossfn, harness._STACK_ROWS["autoencoder"])
+        learners._meta_value_grad(init, batch, cfg.train_config(0), lossfn, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak < _TAPE_MB_PER_ROW * rows * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_a_default_autoencoder_meta_iteration_runs_as_two_stacks_of_five(monkeypatch):
+    shapes = []
+    meta_grad = learners._meta_grad
+
+    def spied(theta, d_tr, d_te, config, lossfn):
+        shapes.append((theta.shape, d_tr.messages.shape, d_te.messages.shape))
+        return meta_grad(theta, d_tr, d_te, config, lossfn)
+
+    monkeypatch.setattr(learners, "_meta_grad", spied)
+    cfg = replace(default_config("autoencoder"), outer_iters=1)
+    harness._meta_trained(cfg, 0)
+    n_params, n = param_count(AutoencoderSpec().arch), cfg.n_train_blocks
+    assert cfg.K_meta_batch == 10
+    assert shapes == [((5, n_params), (5, n), (5, n))] * 2
