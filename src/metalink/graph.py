@@ -47,7 +47,8 @@ tanh_grad(g, n) is g * (1 - n*n), one node per tanh VJP.  Each computes the
 same expression as the ops it fuses and builds the same adjoints in the same
 order, so values and derivatives are bit for bit unchanged: of every order
 for affine and add_scaled, and to second order, that of every meta-gradient
-and Hessian-vector product here, for tanh_grad.  A third sweep passes each
+and Hessian-vector product here, for tanh_grad, which doubles the equal
+terms the two factors of n*n pass to n at once.  A third sweep passes each
 adjoint of 1 - n*n on to n apart, where the three nodes summed them first,
 so its last bits can move.
 
@@ -368,14 +369,6 @@ def bcast(a, shape):
 # nonlinearities
 
 
-def _tanh_grad(g, u, v):
-    return _make(_TANH_GRAD, _TANH_GRAD.kernel(g.value, u.value, v.value, None), (g, u, v))
-
-
-def _tanh_grad_vjp(i):  # of factor i of u*v, u (1) or v (2): -(adjoint * g) times the other factor
-    return lambda n, g: mul(scale(mul(g, n.parents[0]), -1.0), n.parents[3 - i])
-
-
 def _softmax_value(z, _):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -406,8 +399,9 @@ def _softmax_xent_vjp(n, g):
 
 
 _TANH = Op("tanh", lambda a, _: np.tanh(a), (lambda n, g: tanh_grad(g, n),), checked=False)
-_TANH_GRAD = Op("tanh_grad", lambda g, u, v, _: g * (1 - u * v),
-                (lambda n, g: _tanh_grad(g, *n.parents[1:]), _tanh_grad_vjp(1), _tanh_grad_vjp(2)))
+_TANH_GRAD = Op("tanh_grad", lambda g, n, _: g * (1 - n * n),
+                (lambda n, g: tanh_grad(g, n.parents[1]),
+                 lambda n, g: scale(mul(mul(g, n.parents[0]), n.parents[1]), -2.0)))
 _SQRT = Op("sqrt", lambda a, _: np.sqrt(a), (lambda n, g: scale(div(g, n), 0.5),))
 _SOFTMAX_ROWS = Op("softmax_rows", _softmax_value, (_softmax_rows_vjp,), checked=False)
 _SOFTMAX_XENT = Op("softmax_xent", _xent_value, (_softmax_xent_vjp,))
@@ -421,11 +415,12 @@ def tanh_grad(g, n):
     """g * (1 - n*n), the VJP of n = tanh(a) for adjoint g, as one node.
 
     The fusion of mul(g, add_scaled(1, mul(n, n), -1.0)).  Its parents are
-    (g, n, n), the two n's the two factors of n*n: the sweep builds g's
-    adjoint first and then n's two contributions, one at a time, the order
-    it built them in for the three nodes.
+    (g, n): the sweep builds g's adjoint first and then n's, the two equal
+    terms -(adjoint * g) * n of n*n's factors as one, doubled, which is
+    exact.  A second sweep reaches this node before any other adjoint of n,
+    so n's adjoint is the sum the three nodes built, bit for bit.
     """
-    return _tanh_grad(g, n, n)
+    return _make(_TANH_GRAD, _TANH_GRAD.kernel(g.value, n.value, None), (g, n))
 
 
 def sqrt(a):

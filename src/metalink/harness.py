@@ -12,13 +12,14 @@ Two experiments ship with the package, one per profile:
   initialization or from a random one.
 
 `metalink phase-rotation` (run_phase_rotation_seed, one call per seed) runs
-the demod pipeline on devices that differ only by a phase rotation, where
-joint training learns nearly nothing.
+one seed of the pilot sweep, at one pilot count, on devices that differ
+only by a phase rotation, where joint training learns nearly nothing.
 
 `metalink meta-train` (run_meta_train) and `metalink eval`
 (evaluate_params) run single steps of the same per-profile pipeline: build
-the task pool, meta-train, adapt on test tasks, evaluate.  Both metrics
-score receivers as one stack through the forward their training
+the task pool, meta-train (_meta_trained), adapt on test tasks and
+evaluate (_pilot_sers for demod, _adaptation for the autoencoder).  Both
+metrics score receivers as one stack through the forward their training
 differentiates: SER through nn.mlp_logits_node on one draw of fresh
 symbols, BLER through nn.autoencoder_logits_node on one fresh
 generate_autoencoder_batch draw per test channel.
@@ -570,24 +571,18 @@ def _pilots(tasks, seed, n):
     return [make_pilot_dataset(t, n, rng_for(seed, SCOPE_ADAPT_PILOTS, i, n)) for i, t in enumerate(tasks)]
 
 
-def _adapt(starts, datasets, eta, m, lossfn):
-    """Each of S starts adapted on each of D datasets, as one (D·S, P) maml_adapt.
+def _pilot_sers(config, seed, tasks, n, lossfn, fixed, starts, pilots):
+    """Per device, the SERs on its one (device, n) draw of its tuple of fixed
+    receivers fixed[d], then of each start adapted on its pilots[d].
 
-    Rows are device-major; returns per device the tuple of its S adapted
-    starts, each bit for bit that start adapted on that dataset alone.
+    The S starts adapt as one (D·S, P) maml_adapt, device-major, each row bit
+    for bit that start adapted alone.  All receivers of a device share the
+    draw: paired comparisons cut the Monte-Carlo variance of orderings.
     """
-    stack = np.tile(np.stack([p.values for p in starts]), (len(datasets), 1))
-    data = lossfn.stack(d for d in datasets for _ in starts)
-    rows = maml_adapt(stack, data, eta, m, lossfn=lossfn).reshape(len(datasets), len(starts), -1)
-    return [tuple(p.with_values(row) for p, row in zip(starts, device)) for device in rows]
-
-
-def _ser(config, seed, tasks, receivers, n):
-    """Per device, the SERs of its tuple of receivers on its one (device, n) draw.
-
-    All receivers of a device share the draw: paired comparisons cut the
-    Monte-Carlo variance of orderings.
-    """
+    stack = np.tile(np.stack([p.values for p in starts]), (len(tasks), 1))
+    data = lossfn.stack(d for d in pilots for _ in starts)
+    rows = iter(maml_adapt(stack, data, config.eta_inner, config.m, lossfn=lossfn))
+    receivers = [(*fs, *(p.with_values(next(rows)) for p in starts)) for fs in fixed]
     return [
         evaluate_ser(rs, task, config.n_eval_symbols_or_blocks, rng_for(seed, SCOPE_EVAL, device, n))
         for device, (task, rs) in enumerate(zip(tasks, receivers))
@@ -630,9 +625,10 @@ def _adaptation(config, seed, tasks, starts, lossfn, scored):
     return curves
 
 
-def _pilot_seed_records(config, seed):
-    """All raw SER measurements for one seed of the pilot sweep."""
-    family, pool, init, lossfn, result = _meta_trained(config, seed)
+def _pilot_seed_records(config, seed, family=None):
+    """All raw SER measurements for one seed of the pilot sweep, on the
+    profile's device family or on `family`."""
+    family, pool, init, lossfn, result = _meta_trained(config, seed, family)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
@@ -646,9 +642,9 @@ def _pilot_seed_records(config, seed):
     for n in config.pilot_counts:
         pilots = _pilots(tasks, seed, n)
         conventional = train_conventional(tasks, tc_base, datasets=pilots, init=init, lossfn=lossfn)
-        adapted = _adapt((joint, result.params), pilots, config.eta_inner, config.m, lossfn)
-        receivers = [(c, joint, *a) for c, a in zip(conventional, adapted)]
-        for device, sers in enumerate(_ser(config, seed, tasks, receivers, n)):
+        fixed = [(c, joint) for c in conventional]
+        per_device = _pilot_sers(config, seed, tasks, n, lossfn, fixed, (joint, result.params), pilots)
+        for device, sers in enumerate(per_device):
             for method, ser in zip(methods, sers):
                 records.append(SweepRecord(seed, device, float(n), method, "ser", ser))
     return sorted(records, key=lambda r: r.unit)  # per device, pilot counts ascending
@@ -728,10 +724,11 @@ def median_of_seed_means(records, method, metric, sweep_value):
 def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_devices=10, n_pilots=16):
     """Joint training against meta-learning on pure phase rotations, one seed.
 
-    Both learn from n_tasks rotation-only devices (8 adaptation and 32 test
-    pilots each).  Returns (mean SER of the joint model, mean SER of the
-    meta-learned model adapted on n_pilots pilots) over n_devices fresh
-    devices, each measured on 2000 symbols.
+    One pilot-sweep seed at n_pilots pilots, on rotation-only devices, n_tasks
+    of them to train on (8 adaptation and 32 test pilots each).  Returns (mean
+    SER of the joint model, mean SER of the meta-learned model adapted on
+    n_pilots pilots) over n_devices fresh devices, each measured on 2000
+    symbols; the sweep's other two receivers are scored too, and dropped.
     """
     if n_pilots < 1:
         raise ConfigurationError(f"need at least one pilot, got {n_pilots}")
@@ -739,18 +736,14 @@ def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_d
         default_config("demod"),
         snr_db=snr_db,
         outer_iters=outer_iters,
+        pilot_counts=(n_pilots,),
         n_meta_train_tasks=n_tasks,
         meta_train_pilots=8,
         meta_test_pilots=32,
         n_meta_test_tasks=n_devices,
     )
-    family, pool, init, lossfn, result = _meta_trained(config, seed, phase_rotation_family(snr_db))
-    tc_base = replace(config.train_config(seed), outer_iters=config.baseline_iters)
-    joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
-    tasks = _test_tasks(family, seed, n_devices)
-    adapted = _adapt((result.params,), _pilots(tasks, seed, n_pilots), config.eta_inner, config.m, lossfn)
-    sers = _ser(config, seed, tasks, [(joint, *a) for a in adapted], n_pilots)
-    return tuple(float(np.mean(column)) for column in zip(*sers))
+    records = _pilot_seed_records(config, seed, phase_rotation_family(snr_db))
+    return tuple(float(np.mean([r.value for r in records if r.method == method])) for method in ("joint", "maml"))
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +772,9 @@ def evaluate_params(config, params):
         # the saved network adapts, and is scored, on its own architecture,
         # which need not be the profile's
         n = max(config.pilot_counts)
-        pilots = _pilots(tasks, seed, n)
-        adapted = _adapt((params,), pilots, config.eta_inner, config.m, make_mlp_lossfn(params.arch))
-        return "ser", [ser for (ser,) in _ser(config, seed, tasks, adapted, n)]
+        lossfn = make_mlp_lossfn(params.arch)
+        sers = _pilot_sers(config, seed, tasks, n, lossfn, [()] * len(tasks), (params,), _pilots(tasks, seed, n))
+        return "ser", [ser for (ser,) in sers]
     blers = _adaptation(config, seed, tasks, [(params,)] * len(tasks), _AE_LOSSFN, (config.adapt_iters_max,))
     return "bler", [bler for [(bler,)] in blers]
 

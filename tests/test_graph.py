@@ -92,10 +92,9 @@ _OP_CASES = [
     ("bias_add", np.arange(1.0, 10.0), lambda p: graph.add(graph.reshape(graph.vslice(p, 0, 6), (2, 3)), graph.vslice(p, 6, 9))),
     ("tanh", np.arange(1.0, 5.0) / 3.0, lambda p: graph.tanh(p)),
     ("tanh_grad", np.arange(1.0, 7.0) / 8.0, lambda p: graph.tanh_grad(graph.vslice(p, 0, 3), graph.vslice(p, 3, 6))),
-    # each of its three VJPs alone: g * (1 - u*v) with two of g, u, v fixed
-    ("tanh_grad_g", np.arange(1.0, 4.0) / 3.0, lambda p: graph._tanh_grad(p, graph.const([0.5, -0.25, 0.75]), graph.const([0.3, 0.6, -0.9]))),
-    ("tanh_grad_u", np.arange(-2.0, 1.0) / 3.0, lambda p: graph._tanh_grad(graph.const([1.5, -2.0, 0.5]), p, graph.const([0.3, 0.6, -0.9]))),
-    ("tanh_grad_v", np.arange(-1.0, 2.0) / 3.0, lambda p: graph._tanh_grad(graph.const([1.5, -2.0, 0.5]), graph.const([0.5, -0.25, 0.75]), p)),
+    # each of its two VJPs alone: g * (1 - n*n) with one of g, n fixed
+    ("tanh_grad_g", np.arange(1.0, 4.0) / 3.0, lambda p: graph.tanh_grad(p, graph.const([0.5, -0.25, 0.75]))),
+    ("tanh_grad_n", np.arange(-2.0, 1.0) / 3.0, lambda p: graph.tanh_grad(graph.const([1.5, -2.0, 0.5]), p)),
     ("sqrt", np.arange(1.0, 5.0), lambda p: graph.sqrt(p)),
     ("softmax_rows", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_rows(graph.reshape(p, (2, 3)))),
     ("softmax_xent", np.arange(-3.0, 3.0) / 2.0, lambda p: graph.softmax_xent(graph.reshape(p, (2, 3)), np.array([2, 0]))),
@@ -846,9 +845,38 @@ def test_a_tanh_vjp_builds_one_node():
     (vjp,) = graph.OPS["tanh"].vjps
     adjoint, spent = _uids_spent(lambda: vjp(n, g))
     assert spent == 1
-    assert adjoint.kind == "tanh_grad" and adjoint.parents == (g, n, n)
+    assert adjoint.kind == "tanh_grad" and adjoint.parents == (g, n)
     three, spent = _uids_spent(lambda: _three_node_tanh_vjp(n, g))
     assert spent == 3 and np.array_equal(adjoint.value, three.value)
+
+
+@pytest.mark.parametrize("m,ops", [(1, 117), (4, 375)])
+def test_a_stacked_meta_gradient_sweeps_four_ops_per_tanh_vjp_node(m, ops, monkeypatch):
+    # The final values-only sweep of a (4, P) demod meta-gradient: each
+    # tanh_grad node (two per inner step) costs one op for g's adjoint and
+    # three for n's.
+    spent, sweeping = [], [False]
+    gradients, make = graph.gradients, graph._make
+
+    def counted(output, wrt, create_graph=True):
+        if create_graph:
+            return gradients(output, wrt)
+        spent.append(0)
+        sweeping[0] = True
+        try:
+            return gradients(output, wrt, create_graph=False)
+        finally:
+            sweeping[0] = False
+
+    def spied(*args):
+        if sweeping[0]:
+            spent[-1] += 1
+        return make(*args)
+
+    monkeypatch.setattr(graph, "gradients", counted)
+    monkeypatch.setattr(graph, "_make", spied)
+    _meta_gradient_case("demod", 4, m, False)()
+    assert spent == [ops]
 
 
 # ---------------------------------------------------------------------------

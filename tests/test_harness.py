@@ -66,6 +66,7 @@ from metalink.tasks import (
     autoencoder_task_pool,
     generate_autoencoder_batch,
     make_pilot_dataset,
+    phase_rotation_family,
     rng_for,
 )
 
@@ -782,7 +783,7 @@ def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
 
 
 def test_pilot_sweep_adapts_once_per_pilot_count_and_draws_once_per_device(monkeypatch):
-    cfg = _tiny_demod_config(seeds=(0,), n_meta_test_tasks=3, pilot_counts=(1, 2, 4))
+    cfg = _tiny_demod_config(seeds=(0, 1), n_meta_test_tasks=3, pilot_counts=(1, 2, 4))
     calls = {"maml_adapt": [], "evaluate_ser": []}
     for name in calls:
         def counted(*args, _orig=getattr(harness, name), _log=calls[name], **kwargs):
@@ -791,9 +792,9 @@ def test_pilot_sweep_adapts_once_per_pilot_count_and_draws_once_per_device(monke
 
         monkeypatch.setattr(harness, name, counted)
     run_pilot_sweep(cfg)
-    # one (devices x 2 starts) stack per pilot count, four receivers per draw
-    assert [args[0].shape[0] for args in calls["maml_adapt"]] == [3 * 2] * len(cfg.pilot_counts)
-    assert [len(args[0]) for args in calls["evaluate_ser"]] == [4] * (3 * len(cfg.pilot_counts))
+    # one (devices x 2 starts) stack per seed and pilot count, four receivers per draw
+    assert [args[0].shape[0] for args in calls["maml_adapt"]] == [3 * 2] * (2 * len(cfg.pilot_counts))
+    assert [len(args[0]) for args in calls["evaluate_ser"]] == [4] * (2 * 3 * len(cfg.pilot_counts))
 
 
 @pytest.mark.parametrize("workers,n_seeds,forked", [(500, 5, [5]), (2, 5, [2]), (500, 1, []), (1, 3, [])])
@@ -837,8 +838,8 @@ def test_phase_rotation_rejects_a_pilot_count_before_training(monkeypatch, n_pil
 
 
 def test_phase_rotation_scores_both_receivers_on_one_draw_per_device(monkeypatch):
-    # joint and the adapted model share each device's (device, n_pilots) draw,
-    # as every receiver of a pilot-sweep device does
+    # joint and the adapted model share each device's (device, n_pilots) draw
+    # with the pilot sweep's two other receivers, which the study scores too
     calls = []
     score = harness.evaluate_ser
 
@@ -848,7 +849,45 @@ def test_phase_rotation_scores_both_receivers_on_one_draw_per_device(monkeypatch
 
     monkeypatch.setattr(harness, "evaluate_ser", counted)
     run_phase_rotation_seed(5, n_tasks=2, outer_iters=1, n_devices=3, n_pilots=4)
-    assert calls == [(2, rng_for(5, SCOPE_EVAL, device, 4).bit_generator.state) for device in range(3)]
+    assert calls == [(4, rng_for(5, SCOPE_EVAL, device, 4).bit_generator.state) for device in range(3)]
+
+
+def test_phase_rotation_is_the_joint_and_maml_means_of_a_pilot_sweep_seed():
+    seed, n_pilots, n_devices = 6, 3, 3
+    got = run_phase_rotation_seed(seed, snr_db=12.5, n_tasks=3, outer_iters=2, n_devices=n_devices, n_pilots=n_pilots)
+    config = replace(
+        default_config("demod"),
+        snr_db=12.5,
+        outer_iters=2,
+        pilot_counts=(n_pilots,),
+        n_meta_train_tasks=3,
+        meta_train_pilots=8,
+        meta_test_pilots=32,
+        n_meta_test_tasks=n_devices,
+    )
+    records = harness._pilot_seed_records(config, seed, phase_rotation_family(12.5))
+    for method, mean in zip(("joint", "maml"), got, strict=True):
+        sers = [r.value for r in records if r.method == method]
+        assert len(sers) == n_devices and mean == float(np.mean(sers))
+
+
+def test_phase_rotation_and_demod_eval_adapt_as_one_stack(monkeypatch):
+    # they deploy through the pilot sweep's stage: one stacked maml_adapt of
+    # every device's starts, joint and maml in the study, the saved params in eval
+    shapes = []
+    adapt = harness.maml_adapt
+
+    def counted(theta, *args, **kwargs):
+        shapes.append(theta.shape[0])
+        return adapt(theta, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "maml_adapt", counted)
+    run_phase_rotation_seed(5, n_tasks=2, outer_iters=1, n_devices=3, n_pilots=4)
+    assert shapes == [3 * 2]
+    shapes.clear()
+    evaluate_params(_tiny_demod_config(n_meta_test_tasks=3), init_params(DEMOD_ARCH, 0))
+    assert shapes == [3]
+
 
 def test_median_of_seed_means():
     records = [

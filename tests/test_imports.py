@@ -59,8 +59,8 @@ def test_learners_take_only_param_vector_from_nn():
 
 
 def _bindings(tree):
-    """(public name, statement) for each name a top-level def, class or
-    assignment binds."""
+    """(name, statement) for each name, public or private, a top-level def,
+    class or assignment binds."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             targets = [stmt.name]
@@ -70,7 +70,7 @@ def _bindings(tree):
             targets = [stmt.target.id]
         else:
             continue
-        yield from ((name, stmt) for name in targets if not name.startswith("_"))
+        yield from ((name, stmt) for name in targets)
 
 
 def _loads(node):
@@ -78,9 +78,9 @@ def _loads(node):
 
 
 def _unreferenced(sources):
-    """'module.name' for each public module-level name of the package
-    sources (module -> source) that no other module imports or reads as
-    module.name, and that its own module reads nowhere outside the
+    """'module.name' for each module-level name, public or private, of the
+    package sources (module -> source) that no other module imports or
+    reads as module.name, and that its own module reads nowhere outside the
     statement defining it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     reached = set()  # (module, name)
@@ -104,8 +104,8 @@ def _unreferenced(sources):
     return sorted(found)
 
 
-# Public names that nothing in the package reaches, each kept for a reader
-# outside it.
+# Module-level names that nothing in the package reaches, each kept for a
+# reader outside it.
 _REACHED_FROM_OUTSIDE = {
     "channel.apply_channel_block": "perfbench wraps it; it leaves with ROADMAP items 2 and 5",
     "harness.read_curve": "README-documented API that criterion 9 uses",
@@ -115,11 +115,12 @@ _REACHED_FROM_OUTSIDE = {
 
 def test_the_check_finds_unreferenced_names():
     sources = {
-        "a": "def used():\n    return 1\n\ndef unread():\n    return unread()\n\nLIMIT = 3\n",
+        "a": "def used():\n    return _scale(1)\n\ndef _scale(x):\n    return x\n\ndef _unread():\n    return 1\n\n"
+             "def unread():\n    return unread()\n\nLIMIT = 3\n",
         "b": "from .a import used\nfrom . import c\nX = c.Y\nprint(X)\n",
         "c": "Y = 1\nZ = 2\n\ndef main():\n    return Z\n\nif __name__ == '__main__':\n    main()\n",
     }
-    assert _unreferenced(sources) == ["a.LIMIT", "a.unread"]
+    assert _unreferenced(sources) == ["a.LIMIT", "a._unread", "a.unread"]
 
 
 def test_every_public_name_in_the_package_is_reached():
