@@ -8,9 +8,9 @@ phase-rotation runs the joint-training degeneracy study on pure phase
 rotations and prints each seed's and the median SERs.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification-check failure, 130 interrupted by Ctrl-C (SIGINT), 141 stdout
-closed by its reader (the codes a shell reports for a process ended by
-SIGINT and by SIGPIPE).
+3 verification-check failure, 4 out of memory (a size no allocation can
+hold), 130 interrupted by Ctrl-C (SIGINT), 141 stdout closed by its reader
+(the codes a shell reports for a process ended by SIGINT and by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
+EXIT_MEMORY = 4
 EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
@@ -142,8 +143,10 @@ def _cmd_meta_train(args):
     result = run_meta_train(config)
     out = args.out or f"meta_params_{config.profile}.npz"
     save_params(out, result.params)
-    first = result.history[0][1] if result.history else float("nan")
-    last = result.history[-1][1] if result.history else float("nan")
+    if not result.history:
+        print(f"meta-trained {config.profile}: no iteration ran (outer_iters = 0), saved the initialization {out}")
+        return EXIT_OK
+    first, last = result.history[0][1], result.history[-1][1]
     print(f"meta-trained {config.profile}: {len(result.history)} iterations, "
           f"meta-loss {first:.4f} -> {last:.4f}, saved {out}")
     return EXIT_OK
@@ -226,8 +229,9 @@ def main(argv=None):
     """Run one command; errors become exit codes and one-line messages.
 
     ConfigurationError (bad arguments included) prints `config error: ...`
-    and gives 1, NumericalError prints `numerical failure: ...` and gives 2;
-    --help prints the usage and gives 0.  Ctrl-C prints `interrupted` and
+    and gives 1, NumericalError prints `numerical failure: ...` and gives 2,
+    MemoryError (a sweep worker's too) prints `out of memory: ...` and gives
+    4; --help prints the usage and gives 0.  Ctrl-C prints `interrupted` and
     gives 130.  A closed stdout gives 141 and prints nothing.
     """
     try:
@@ -240,6 +244,9 @@ def main(argv=None):
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as err:  # numpy's names the size it could not allocate
+        print(f"out of memory: {err}" if str(err) else "out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT

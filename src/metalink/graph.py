@@ -52,6 +52,26 @@ terms the two factors of n*n pass to n at once.  A third sweep passes each
 adjoint of 1 - n*n on to n apart, where the three nodes summed them first,
 so its last bits can move.
 
+Memory.  The engine makes and frees an array at every node, of 100 KB - 1 MB
+in an autoencoder meta-gradient.  glibc's defaults hand such memory back to
+the OS when it is freed (the top of the heap once 128 KiB of it is free, and
+each allocation over a threshold that slides up to 32 MiB from a mapping of
+its own), so the next node faulted the same pages in again, zeroed: 31k-33k
+minor faults per repetition of the autoencoder benchmark workload, 15k-18k of
+the demod sweep one, and 6.8k-7.4k over ten warm autoencoder meta-gradients.
+At import this module sets glibc's trim threshold to 256 MiB and its mmap
+threshold to 32 MiB (setting either one stops the sliding), so freed memory
+stays in the heap for the next node: each of those counts falls below 100.
+The setting is process-wide, forked sweep workers inherit it, and a libc
+without mallopt keeps its own.
+The fused kernels, and those of softmax_rows and softmax_xent, compute into
+the array they have just made (out = h @ w, then out += b), never into a
+parent's value; where broadcasting would widen that array they evaluate the
+plain expression, and a + b equals b + a exactly, so every value is bit for
+bit unchanged.  softmax_xent keeps the softmax that its log-sum-exp already
+computes in its meta, next to the targets, and its VJP's softmax_rows node
+holds that array instead of computing it again.
+
 A caller that only reads the values of the gradients passes
 create_graph=False, and the sweep runs on bare values: the same builders call
 the same kernels in the same order, so every value is bit for bit the same,
@@ -75,6 +95,7 @@ which doubles as a topological order for the backward sweep.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import itertools
 import math
 import threading
@@ -85,6 +106,23 @@ from .errors import NumericalError
 
 _uids = itertools.count()
 
+
+def _keep_freed_heap():
+    # Keep freed memory in the heap (see Memory in the module docstring).
+    # Both thresholds are set: with only the mmap one fixed, the top of the
+    # heap is still trimmed at 128 KiB, and an autoencoder benchmark
+    # repetition still took 25k faults, against 32k with neither.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: trim only a free top of 256 MiB
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit cap, 32 MiB
+
+
+_keep_freed_heap()
+
 OPS = {}  # the op table: kind -> Op, in the order the rows are stated
 
 
@@ -92,7 +130,8 @@ class Op:
     """One row of the op table.
 
     name    the kind, as Node.kind and NumericalError.op_kind give it
-    kernel  the value, (parent values..., meta) -> array
+    kernel  the value, (parent values..., meta) -> array; softmax_xent's
+            returns (value, softmax), and the node keeps the softmax
     vjps    one builder per parent, (node, adjoint) -> the adjoint itself or a
             node built from it; a row with none adds nothing
     checked whether the result is checked for finiteness
@@ -181,6 +220,17 @@ def _make(op, value, parents=(), meta=None):
     return Node(op, value, parents, meta)
 
 
+def _into(ufunc, fresh, other):
+    """ufunc(fresh, other), written into fresh, an array the calling kernel
+    has just made and no node holds.  Where other would widen it by
+    broadcasting, or fresh is a numpy scalar (a 0-d product), the result is a
+    new array of the same values."""
+    try:
+        return ufunc(fresh, other, out=fresh)
+    except (TypeError, ValueError):
+        return ufunc(fresh, other)
+
+
 def _sum_to(d, parent):
     """Adjoint d summed to the shape of parent, which it may broadcast."""
     shape = parent.value.shape
@@ -213,7 +263,7 @@ def const(x):
 
 _ADD = Op("add", lambda a, b, _: a + b, (_summed(0), _summed(1)))
 _SCALE = Op("scale", lambda a, c: a * c, (lambda n, g: scale(g, n.meta),))
-_ADD_SCALED = Op("add_scaled", lambda a, b, c: a + b * c, (_summed(0), lambda n, g: scale(g, n.meta)))
+_ADD_SCALED = Op("add_scaled", lambda a, b, c: _into(np.add, b * c, a), (_summed(0), lambda n, g: scale(g, n.meta)))
 _MUL = Op("mul", lambda a, b, _: a * b, (lambda n, g: _sum_to(mul(g, n.parents[1]), n.parents[0]),
                                          lambda n, g: _sum_to(mul(g, n.parents[0]), n.parents[1])))
 _DIV = Op("div", lambda a, b, _: a / b, (lambda n, g: _sum_to(div(g, n.parents[1]), n.parents[0]),
@@ -253,7 +303,7 @@ def div(a, b):
 
 _MATMAT = Op("matmat", lambda a, b, _: a @ b, (lambda n, g: matmat(g, transpose(n.parents[1])),
                                                lambda n, g: matmat(transpose(n.parents[0]), g)))
-_AFFINE = Op("affine", lambda b, h, w, _: h @ w + b, (_summed(0),
+_AFFINE = Op("affine", lambda b, h, w, _: _into(np.add, h @ w, b), (_summed(0),
                                                       lambda n, g: matmat(g, transpose(n.parents[2])),
                                                       lambda n, g: matmat(transpose(n.parents[1]), g)))
 _TRANSPOSE = Op("transpose", lambda a, _: a.swapaxes(-1, -2), (lambda n, g: transpose(g),), checked=False)
@@ -370,8 +420,10 @@ def bcast(a, shape):
 
 
 def _softmax_value(z, _):
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_rows_vjp(n, g):
@@ -380,26 +432,42 @@ def _softmax_rows_vjp(n, g):
 
 
 def _xent_value(logits, targets):
-    m = logits.max(axis=-1)
-    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    """The mean cross-entropy, and the softmax of the logits, which the node
+    keeps for its VJP: the exponentials and row sums of the log-sum-exp are
+    those _softmax_value computes, so it is softmax_rows' value bit for bit."""
+    m = logits.max(axis=-1, keepdims=True)
+    e = logits - m
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = _into(np.add, np.log(s[..., 0]), m[..., 0])
     rows = logits.reshape(-1, logits.shape[-1])
     picked = rows[np.arange(rows.shape[0]), targets.ravel()].reshape(targets.shape)
-    return (lse - picked).mean(axis=-1)
+    e /= s
+    return _into(np.subtract, lse, picked).mean(axis=-1), e
 
 
 def _softmax_xent_vjp(n, g):
     logits = n.parents[0]
+    targets, probs = n.meta
     *_, n_rows, n_cols = logits.value.shape
-    onehot = (n.meta[..., None] == np.arange(n_cols)).astype(np.float64)
-    diff = add(softmax_rows(logits), const(-onehot))
+    onehot = (targets[..., None] == np.arange(n_cols)).astype(np.float64)
+    diff = add(softmax_rows(logits, probs), const(-onehot))
     weight = scale(g, 1.0 / n_rows)
     if g.value.ndim:  # one weight per task of a stack, over its (n, c) block
         weight = reshape(weight, g.value.shape + (1, 1))
     return mul(weight, diff)
 
 
+def _tanh_grad_value(g, n, _):
+    t = n * n
+    if type(t) is not np.ndarray:  # a 0-d product is a numpy scalar
+        return g * (1 - t)
+    np.subtract(1, t, out=t)
+    return _into(np.multiply, t, g)
+
+
 _TANH = Op("tanh", lambda a, _: np.tanh(a), (lambda n, g: tanh_grad(g, n),), checked=False)
-_TANH_GRAD = Op("tanh_grad", lambda g, n, _: g * (1 - n * n),
+_TANH_GRAD = Op("tanh_grad", _tanh_grad_value,
                 (lambda n, g: tanh_grad(g, n.parents[1]),
                  lambda n, g: scale(mul(mul(g, n.parents[0]), n.parents[1]), -2.0)))
 _SQRT = Op("sqrt", lambda a, _: np.sqrt(a), (lambda n, g: scale(div(g, n), 0.5),))
@@ -427,9 +495,15 @@ def sqrt(a):
     return _make(_SQRT, _SQRT.kernel(a.value, None), (a,))
 
 
-def softmax_rows(z):
-    """Stable softmax of each row (last axis) of a 2-d node or of a stack."""
-    return _make(_SOFTMAX_ROWS, _SOFTMAX_ROWS.kernel(z.value, None), (z,))
+def softmax_rows(z, value=None):
+    """Stable softmax of each row (last axis) of a 2-d node or of a stack.
+
+    `value` is that softmax already computed, as softmax_xent keeps it for
+    its VJP; the node then holds that array.
+    """
+    if value is None:
+        value = _SOFTMAX_ROWS.kernel(z.value, None)
+    return _make(_SOFTMAX_ROWS, value, (z,))
 
 
 def softmax_xent(z, targets):
@@ -441,7 +515,8 @@ def softmax_xent(z, targets):
     no derivative of any order, it only keeps exp() in range.
     """
     targets = np.asarray(targets)
-    return _make(_SOFTMAX_XENT, _SOFTMAX_XENT.kernel(z.value, targets), (z,), targets)
+    value, probs = _SOFTMAX_XENT.kernel(z.value, targets)
+    return _make(_SOFTMAX_XENT, value, (z,), (targets, probs))
 
 
 def gradients(output, wrt, create_graph=True):

@@ -23,6 +23,7 @@ from metalink import cli
 from metalink.checks import CheckReport, CheckResult
 from metalink.errors import ConfigurationError
 from metalink.harness import (
+    DEMOD_ARCH,
     CurveTable,
     default_config,
     load_params,
@@ -227,6 +228,41 @@ def test_meta_train_then_eval_round_trip(tmp_path, capsys):
     assert cli.main(["eval", "--config", cfg, "--params", str(out)]) == cli.EXIT_OK
     text = capsys.readouterr().out
     assert "ser over 2 meta-test tasks" in text
+
+
+def test_meta_train_with_no_iterations_says_it_saved_the_initialization(tmp_path, capsys):
+    cfg = _write_tiny_demod(tmp_path / "tiny.cfg", outer_iters=0)
+    out = tmp_path / "theta.npz"
+    assert cli.main(["meta-train", "--config", cfg, "--seed", "3", "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"meta-trained demod: no iteration ran (outer_iters = 0), saved the initialization {out}\n"
+    assert np.array_equal(load_params(out).values, init_params(DEMOD_ARCH, 3).values)
+
+
+# Symbols no allocation can hold: 8e17 bytes of symbol indices lie beyond any
+# 64-bit address space, so numpy refuses them at once whatever the kernel's
+# overcommit policy.
+_NO_MACHINE_HOLDS = 10**17
+
+
+def test_a_size_no_allocation_holds_exits_four_with_one_line(tmp_path, capsys, saved_params):
+    params = tmp_path / "theta.npz"
+    params.write_bytes(saved_params)
+    cfg = _write_tiny_demod(tmp_path / "huge.cfg", seeds="0", n_eval_symbols_or_blocks=_NO_MACHINE_HOLDS)
+    assert cli.main(["eval", "--config", cfg, "--params", str(params)]) == cli.EXIT_MEMORY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("out of memory: Unable to allocate ") and captured.err.count("\n") == 1
+
+
+def test_a_sweep_workers_memory_error_reaches_the_sweep_as_one_line(tmp_path, capsys):
+    cfg = _write_tiny_demod(
+        tmp_path / "huge.cfg", outer_iters=1, baseline_iters=1, pilot_counts="2", n_eval_symbols_or_blocks=_NO_MACHINE_HOLDS
+    )
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep-pilots", "--config", cfg, "--workers", "2", "--out", str(out)]) == cli.EXIT_MEMORY
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("out of memory: Unable to allocate ") and captured.err.count("\n") == 1
 
 
 def test_meta_train_saves_exactly_the_path_given(tmp_path, capsys):

@@ -186,6 +186,98 @@ def test_softmax_xent_matches_direct_formula():
     assert abs(loss.value - direct) < 1e-12
 
 
+def _plain_xent(logits, targets):  # the cross-entropy as one expression, with no array reused
+    m = logits.max(axis=-1)
+    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    rows = logits.reshape(-1, logits.shape[-1])
+    return (lse - rows[np.arange(rows.shape[0]), targets.ravel()].reshape(targets.shape)).mean(axis=-1)
+
+
+_R = np.random.default_rng(21)
+# kind -> (its kernel's arguments, meta last; the plain numpy expression), for
+# operands of equal shapes, operands that broadcast into the kernel's first
+# product, and operands that widen it or leave it a numpy scalar
+_KERNEL_CASES = {
+    "affine": [
+        ((b, h, w, None), lambda b, h, w, _: h @ w + b)
+        for b, h, w in (
+            (_R.standard_normal((4, 3)), _R.standard_normal((4, 2)), _R.standard_normal((2, 3))),
+            (_R.standard_normal(3), _R.standard_normal((2, 4, 2)), _R.standard_normal((2, 2, 3))),
+            (_R.standard_normal((2, 1, 3)), _R.standard_normal((4, 2)), _R.standard_normal((2, 3))),
+            (_R.standard_normal(()), _R.standard_normal(2), _R.standard_normal(2)),
+        )
+    ],
+    "add_scaled": [
+        ((a, b, -0.3), lambda a, b, c: a + b * c)
+        for a, b in (
+            (_R.standard_normal((3, 5)), _R.standard_normal((3, 5))),
+            (_R.standard_normal(()), _R.standard_normal((3, 5))),
+            (_R.standard_normal((2, 3, 5)), _R.standard_normal(5)),
+            (_R.standard_normal(5), _R.standard_normal(())),
+        )
+    ],
+    "tanh_grad": [
+        ((g, n, None), lambda g, n, _: g * (1 - n * n))
+        for g, n in (
+            (_R.standard_normal((3, 5)), np.tanh(_R.standard_normal((3, 5)))),
+            (_R.standard_normal(5), np.tanh(_R.standard_normal((2, 3, 5)))),
+            (_R.standard_normal((2, 3, 5)), np.tanh(_R.standard_normal(5))),
+            (_R.standard_normal((3, 5)), np.tanh(_R.standard_normal(()))),
+        )
+    ],
+    "softmax_rows": [
+        ((z, None), lambda z, _: np.exp(z - z.max(axis=-1, keepdims=True))
+         / np.exp(z - z.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True))
+        for z in (_R.standard_normal((6, 4)) * 30, _R.standard_normal((3, 6, 16)) * 30)
+    ],
+    "softmax_xent": [
+        ((z, t), lambda z, t: _plain_xent(z, t))
+        for z, t in (
+            (_R.standard_normal((6, 4)) * 30, _R.integers(0, 4, 6)),
+            (_R.standard_normal((3, 6, 16)) * 30, _R.integers(0, 16, (3, 6))),
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_CASES))
+def test_in_place_kernels_equal_their_plain_expressions(kind):
+    # A fused kernel computes into the array it has just made; the values are
+    # the plain expression's bit for bit, and no argument is written to.
+    for args, plain in _KERNEL_CASES[kind]:
+        held = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+        got = graph.OPS[kind].kernel(*args)
+        if kind == "softmax_xent":
+            got, _ = got
+        want = plain(*args)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (kind, np.shape(got))
+        assert all(np.array_equal(a, h) for a, h in zip(args, held) if isinstance(a, np.ndarray)), kind
+
+
+def test_the_cross_entropy_keeps_the_softmax_its_vjp_reads():
+    for z, t in ((_R.standard_normal((7, 5)) * 20, _R.integers(0, 5, 7)),
+                 (_R.standard_normal((3, 8, 16)) * 20, _R.integers(0, 16, (3, 8)))):
+        logits = graph.inp(z)
+        loss = graph.softmax_xent(logits, t)
+        targets, probs = loss.meta
+        assert np.array_equal(targets, t)
+        assert np.array_equal(probs, graph.softmax_rows(logits).value)
+        # the VJP's softmax_rows node is the kept array, on the logits
+        (g,) = graph.gradients(graph.asum(loss), [logits])
+        kept = [n for n in _ancestry(g) if n.kind == "softmax_rows"]
+        assert len(kept) == 1 and kept[0].value is probs and kept[0].parents == (logits,)
+
+
+def _ancestry(node):
+    seen, stack = {}, [node]
+    while stack:
+        n = stack.pop()
+        if n.uid not in seen:
+            seen[n.uid] = n
+            stack.extend(n.parents)
+    return seen.values()
+
+
 def test_gradient_of_quadratic_is_exact():
     x0 = np.array([1.0, -2.0, 0.5])
     p = graph.inp(x0)

@@ -1,9 +1,15 @@
 """Experiment harness tests: metrics, config parsing, CSV persistence, sweep
 structure, and run-to-run byte determinism at toy scale."""
 
+import ctypes
 import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -920,19 +926,45 @@ def test_an_autoencoder_meta_iteration_holds_one_task_tape_per_stacked_row():
     # tanh VJP of three nodes (4.76 MB in stacks of 5) and an encoder run
     # once per block instead of once per message (6.41 MB).
     rows = harness._STACK_ROWS["autoencoder"]
+    meta_value_grad = _default_autoencoder_meta_iteration()
+    tracemalloc.start()
+    try:
+        meta_value_grad()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _TAPE_MB_PER_ROW * rows * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def _default_autoencoder_meta_iteration():
+    """One exact meta-iteration's meta-gradient of the default autoencoder
+    profile, on seed 0's first meta-batch, in stacks of the profile's cap."""
     cfg = default_config("autoencoder")
     pool = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), cfg.n_meta_train_tasks, 0)
     stream = autoencoder_stream(pool, AutoencoderSpec(), cfg.K_meta_batch, cfg.n_train_blocks)
     batch = stream(rng_for(0, SCOPE_META_STREAM))
     init, lossfn = init_autoencoder_params(AutoencoderSpec(), 0), make_autoencoder_lossfn(AutoencoderSpec())
     assert len(batch) == 10 and len(batch.items[0].train) == 128
-    tracemalloc.start()
-    try:
-        learners._meta_value_grad(init, batch, cfg.train_config(0), lossfn, rows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < _TAPE_MB_PER_ROW * rows * 2**20, f"peak {peak / 2**20:.2f} MB"
+    rows, tc = harness._STACK_ROWS["autoencoder"], cfg.train_config(0)
+    return lambda: learners._meta_value_grad(init, batch, tc, lossfn, rows)
+
+
+@pytest.mark.skipif(
+    resource is None or not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs getrusage and a libc with mallopt"
+)
+def test_warm_autoencoder_meta_iterations_fault_in_no_memory():
+    # The engine frees and makes arrays of 100 KB - 1 MB at every node.  With
+    # glibc's default settings each comes back as fresh pages from the OS, so
+    # ten warm meta-iterations took 6.8k-7.4k minor faults (measured); with
+    # graph's mallopt settings freed memory stays in the heap, and they take
+    # 10-22.
+    meta_value_grad = _default_autoencoder_meta_iteration()
+    meta_value_grad()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        meta_value_grad()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, f"{faults} minor page faults"
 
 
 def test_a_default_autoencoder_meta_iteration_runs_as_two_stacks_of_five(monkeypatch):

@@ -107,7 +107,7 @@ def _unreferenced(sources):
 # Module-level names that nothing in the package reaches, each kept for a
 # reader outside it.
 _REACHED_FROM_OUTSIDE = {
-    "channel.apply_channel_block": "perfbench wraps it; it leaves with ROADMAP items 2 and 5",
+    "channel.apply_channel_block": "perfbench wraps it; it leaves with ROADMAP items 2 and 7",
     "harness.read_curve": "README-documented API that criterion 9 uses",
     "harness.write_config": "README-documented API that criterion 9 uses",
 }
