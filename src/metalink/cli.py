@@ -1,11 +1,10 @@
 """Command-line interface: `metalink <command>`, the one front end.
 
-Subcommands: meta-train, sweep-pilots, sweep-adapt, phase-rotation,
-gradcheck, eval.  The sweeps write their curve as CSV, then print per
-pilot count (sweep-pilots) or adaptation checkpoint (sweep-adapt) the
-median over seeds of each method's per-seed mean error rate.
-phase-rotation runs the joint-training degeneracy study on pure phase
-rotations and prints each seed's and the median SERs.
+Subcommands: meta-train, sweep-pilots, sweep-adapt, gradcheck, eval.  The
+sweeps write their curve as CSV, then print per pilot count (sweep-pilots)
+or adaptation checkpoint (sweep-adapt) the median over seeds of each
+method's per-seed mean error rate.  The joint-training degeneracy study on
+pure phase rotations is `sweep-pilots --config configs/phase_rotation.cfg`.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 verification-check failure, 4 out of memory (a size no allocation can
@@ -16,12 +15,9 @@ hold), 130 interrupted by Ctrl-C (SIGINT), 141 stdout closed by its reader
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .checks import run_gradcheck
 from .errors import ConfigurationError, NumericalError
@@ -33,7 +29,6 @@ from .harness import (
     median_of_seed_means,
     run_adaptation_sweep,
     run_meta_train,
-    run_phase_rotation_seed,
     run_pilot_sweep,
     save_params,
     write_curve,
@@ -46,10 +41,6 @@ EXIT_CHECK = 3
 EXIT_MEMORY = 4
 EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
-
-# phase-rotation's flag defaults are the study's own
-_STUDY_DEFAULTS = {name: p.default for name, p in inspect.signature(run_phase_rotation_seed).parameters.items()}
-
 
 class Parser(argparse.ArgumentParser):
     """argparse that raises ConfigurationError instead of calling sys.exit(2),
@@ -68,14 +59,6 @@ def output_path(text):
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
-
-
-def positive_int(text):
-    """A --tasks, --devices or --pilots value: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _build_parser():
@@ -101,20 +84,6 @@ def _build_parser():
         common(sub.add_parser("sweep-adapt", help="BLER vs adaptation iteration"), "autoencoder"),
     ):
         sweep.add_argument("--workers", type=int, default=1, help="parallel workers over seeds")
-
-    # the study builds its own demod config from these; no config file applies
-    study = sub.add_parser("phase-rotation", help="joint training vs meta-learning on pure phase rotations")
-    default = _STUDY_DEFAULTS
-    study.add_argument("--snr-db", type=float, default=default["snr_db"], help="Es/N0 of every device")
-    study.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="one run per seed")
-    study.add_argument("--tasks", type=positive_int, default=default["n_tasks"], help="devices both learners train on")
-    study.add_argument("--outer-iters", type=int, default=default["outer_iters"], help="meta-training iterations")
-    study.add_argument(
-        "--devices", type=positive_int, default=default["n_devices"], help="fresh devices each model is scored on"
-    )
-    study.add_argument(
-        "--pilots", type=positive_int, default=default["n_pilots"], help="pilots the meta-learned model adapts on"
-    )
 
     check = sub.add_parser("gradcheck", help="run the derivative verification suites")
     check.add_argument("--scale", choices=("small", "full"), default="small")
@@ -172,25 +141,6 @@ def _cmd_sweep(args, runner):
     return EXIT_OK
 
 
-def _cmd_phase_rotation(args):
-    # a sweep's seed rules hold here too: non-negative, none repeated
-    replace(default_config("demod"), seeds=tuple(args.seeds))
-    joint_means, maml_means = [], []
-    for seed in args.seeds:
-        joint_ser, maml_ser = run_phase_rotation_seed(
-            seed, args.snr_db, args.tasks, args.outer_iters, args.devices, args.pilots
-        )
-        joint_means.append(joint_ser)
-        maml_means.append(maml_ser)
-        print(f"seed {seed}: joint SER {joint_ser:.4f}, adapted-from-meta SER {maml_ser:.4f}")
-    print(
-        f"medians over {len(args.seeds)} seeds at {args.snr_db:g} dB: "
-        f"joint {np.median(joint_means):.4f}, "
-        f"meta-learned + {args.pilots} pilots {np.median(maml_means):.4f}"
-    )
-    return EXIT_OK
-
-
 def _cmd_gradcheck(args):
     report = run_gradcheck(args.scale)
     print(report.format())
@@ -216,8 +166,6 @@ def _dispatch(argv):
             return _cmd_sweep(args, run_pilot_sweep)
         if args.command == "sweep-adapt":
             return _cmd_sweep(args, run_adaptation_sweep)
-        if args.command == "phase-rotation":
-            return _cmd_phase_rotation(args)
         if args.command == "gradcheck":
             return _cmd_gradcheck(args)
         return _cmd_eval(args)

@@ -11,8 +11,8 @@ Two experiments ship with the package, one per profile:
   the number of adaptation iterations, starting either from the meta-learned
   initialization or from a random one.
 
-`metalink phase-rotation` (run_phase_rotation_seed, one call per seed) runs
-one seed of the pilot sweep, at one pilot count, on devices that differ
+The phase-rotation study is the pilot sweep on a config of its own
+(configs/phase_rotation.cfg): its `unit_tap` key draws devices that differ
 only by a phase rotation, where joint training learns nearly nothing.
 
 `metalink meta-train` (run_meta_train) and `metalink eval`
@@ -82,7 +82,6 @@ from .tasks import (
     demod_task_pool,
     generate_autoencoder_batch,
     make_pilot_dataset,
-    phase_rotation_family,
     rng_for,
     subsample_stream,
 )
@@ -147,6 +146,10 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # configuration
 
+# The largest index numpy holds (2**63 - 1 on a 64-bit host).  A config
+# integer above it cannot size any draw, so it is refused before training.
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -155,6 +158,8 @@ class ExperimentConfig:
     Training fields mirror TrainConfig; K_meta_batch is the number of tasks
     the meta-train stream draws per outer iteration.  `seed` seeds single
     runs (meta-train/eval subcommands) while `seeds` drives sweeps.
+    `unit_tap` (demod only) draws every device from the pure-rotation family
+    (TaskFamily.unit_tap).
     """
 
     profile: str
@@ -177,10 +182,16 @@ class ExperimentConfig:
     n_train_blocks: int
     seeds: tuple
     output_path: str
+    unit_tap: bool = False
 
     def __post_init__(self):
         if self.profile not in TASK_KINDS:
             raise ConfigurationError(f"unknown profile '{self.profile}'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(type(v) is int and v > _INDEX_MAX for v in entries):
+                raise ConfigurationError(f"{f.name} must be at most {_INDEX_MAX}, got {value}")
         for name in (
             "K_meta_batch",
             "baseline_iters",
@@ -204,6 +215,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
         noise_variance(self.snr_db)  # delegate the -300 dB floor
         self.train_config(self.seed)  # delegate step-size/m/seed validation
+        self.family()  # delegate the unit_tap check: only demod has one
         if self.profile == "autoencoder" and self.K_meta_batch > self.n_meta_train_tasks:
             # The demod stream degenerates to the full pool instead; the
             # autoencoder stream cannot.
@@ -228,6 +240,9 @@ class ExperimentConfig:
             first_order=self.first_order,
             seed=seed,
         )
+
+    def family(self):
+        return TaskFamily(kind=self.profile, snr_db=self.snr_db, unit_tap=self.unit_tap)
 
 
 def default_config(profile):
@@ -532,8 +547,9 @@ _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
 # the benchmark's ae_adapt_sweep (2-core box, 12 alternating pairs), stacks
 # of 5 with the one-node tanh VJP (graph.tanh_grad) against stacks of 2
 # with the three-node one cut wall time by 28% and raise peak RSS by 7.4%.
-# Deployment alone, at the default 2,000-block draws, is slower in groups of
-# 5 (2.2 -> 2.5 s per seed), which meta-training more than pays for.
+# Deployment alone, at the default 2,000-block draws and with freed heap
+# kept (graph's allocator settings), ties: 1.57 s per seed in groups of 2,
+# 1.56 s in groups of 5.
 _STACK_ROWS = {"demod": None, "autoencoder": 5}
 
 
@@ -541,17 +557,16 @@ def _maml_label(config):
     return "maml-fo" if config.first_order else "maml"
 
 
-def _meta_trained(config, seed, family=None):
-    """(task family, meta-training pool, initial params, loss, MetaTrainResult)
-    of the profile's meta-training stage for one seed.
+def _meta_trained(config, seed):
+    """(meta-training pool, initial params, loss, MetaTrainResult) of the
+    profile's meta-training stage for one seed, on the config's family.
 
     The loss is the profile's lossfn(p_node, data), the one every learner
     and the adaptation trace (a (T, P) stack on one batch) descend; it
     carries its stacker, lossfn.stack, with which meta_train stacks a
     meta-batch's tasks, in stacks of at most _STACK_ROWS[profile].
-    `family` replaces the profile's default family.
     """
-    family = family or TaskFamily(kind=config.profile, snr_db=config.snr_db)
+    family = config.family()
     if config.profile == "demod":
         pool = demod_task_pool(
             family, config.n_meta_train_tasks, config.meta_train_pilots, config.meta_test_pilots, seed
@@ -564,7 +579,7 @@ def _meta_trained(config, seed, family=None):
         init, lossfn = init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
     tc = config.train_config(seed)
     result = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile])
-    return family, pool, init, lossfn, result
+    return pool, init, lossfn, result
 
 
 def _test_tasks(family, seed, n_units):
@@ -629,17 +644,16 @@ def _adaptation(config, seed, tasks, starts, lossfn, scored):
     return curves
 
 
-def _pilot_seed_records(config, seed, family=None):
-    """All raw SER measurements for one seed of the pilot sweep, on the
-    profile's device family or on `family`."""
-    family, pool, init, lossfn, result = _meta_trained(config, seed, family)
+def _pilot_seed_records(config, seed):
+    """All raw SER measurements for one seed of the pilot sweep."""
+    pool, init, lossfn, result = _meta_trained(config, seed)
     # Meta-training runs outer_iters meta-updates; the per-device baseline and
     # the joint baseline get baseline_iters plain SGD steps (they see far more
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
     tc_base = replace(config.train_config(seed), outer_iters=config.baseline_iters)
     joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
-    tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
+    tasks = _test_tasks(config.family(), seed, config.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", _maml_label(config))
     records = []
     # one pilot count at a time: its devices train, and adapt, as one stack each
@@ -656,9 +670,9 @@ def _pilot_seed_records(config, seed, family=None):
 
 def _adaptation_seed_records(config, seed):
     """All raw BLER measurements for one seed of the adaptation sweep."""
-    family, _, _, lossfn, result = _meta_trained(config, seed)
+    _, _, lossfn, result = _meta_trained(config, seed)
     methods = (_maml_label(config), "conventional")
-    tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
+    tasks = _test_tasks(config.family(), seed, config.n_meta_test_tasks)
     # both starts of a unit adapt and are scored on the same draws, in lockstep
     starts = [(result.params, init_autoencoder_params(_AE_SPEC, rng_for(seed, SCOPE_TASK, u))) for u in range(len(tasks))]
     records = []
@@ -725,31 +739,6 @@ def median_of_seed_means(records, method, metric, sweep_value):
     return float(np.median([np.mean(vals) for vals in by_seed.values()]))
 
 
-def run_phase_rotation_seed(seed, snr_db=20.0, n_tasks=50, outer_iters=1500, n_devices=10, n_pilots=16):
-    """Joint training against meta-learning on pure phase rotations, one seed.
-
-    One pilot-sweep seed at n_pilots pilots, on rotation-only devices, n_tasks
-    of them to train on (8 adaptation and 32 test pilots each).  Returns (mean
-    SER of the joint model, mean SER of the meta-learned model adapted on
-    n_pilots pilots) over n_devices fresh devices, each measured on 2000
-    symbols; the sweep's other two receivers are scored too, and dropped.
-    """
-    if n_pilots < 1:
-        raise ConfigurationError(f"need at least one pilot, got {n_pilots}")
-    config = replace(
-        default_config("demod"),
-        snr_db=snr_db,
-        outer_iters=outer_iters,
-        pilot_counts=(n_pilots,),
-        n_meta_train_tasks=n_tasks,
-        meta_train_pilots=8,
-        meta_test_pilots=32,
-        n_meta_test_tasks=n_devices,
-    )
-    records = _pilot_seed_records(config, seed, phase_rotation_family(snr_db))
-    return tuple(float(np.mean([r.value for r in records if r.method == method])) for method in ("joint", "maml"))
-
-
 # ---------------------------------------------------------------------------
 # single-run entry points used by the CLI
 
@@ -770,8 +759,7 @@ def evaluate_params(config, params):
     (metric_name, values).
     """
     seed = config.seed
-    family = TaskFamily(kind=config.profile, snr_db=config.snr_db)
-    tasks = _test_tasks(family, seed, config.n_meta_test_tasks)
+    tasks = _test_tasks(config.family(), seed, config.n_meta_test_tasks)
     if config.profile == "demod":
         # the saved network adapts, and is scored, on its own architecture,
         # which need not be the profile's

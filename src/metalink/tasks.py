@@ -81,9 +81,10 @@ class TaskFamily:
 
     demod default: one Rayleigh tap, cubic distortion eps3 ~ U[0, EPS3_MAX],
     phase offset ~ U[0, 2pi).  unit_tap=True replaces the Rayleigh draw with
-    a pure rotation e^{j theta} (the hard family for joint training, where
-    averaging over rotations washes out to no information).
-    autoencoder: three Rayleigh taps, no transmitter non-ideality.
+    a pure rotation e^{j theta} and no distortion (the hard family for joint
+    training, where averaging over rotations washes out to no information).
+    autoencoder: three Rayleigh taps, no transmitter non-ideality; it has no
+    unit_tap variant.
     """
 
     kind: str = "demod"
@@ -93,6 +94,8 @@ class TaskFamily:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind '{self.kind}'")
+        if self.unit_tap and self.kind != "demod":
+            raise ConfigurationError(f"unit_tap is a demod family; the {self.kind} family has none")
 
     def sample(self, rng, task_id=0):
         if self.kind == "demod":
@@ -107,11 +110,6 @@ class TaskFamily:
             return Task(task_id, ChannelRealization(taps, self.snr_db, nonideality))
         taps = rayleigh_taps(BLOCK_TAPS, rng)
         return Task(task_id, ChannelRealization(taps, self.snr_db, (0.0, 0.0)))
-
-
-def phase_rotation_family(snr_db=20.0):
-    """Pure-rotation single-tap family at high SNR; no distortion."""
-    return TaskFamily(kind="demod", snr_db=snr_db, unit_tap=True)
 
 
 def make_pilot_dataset(task, n_pilots, rng):

@@ -8,6 +8,7 @@ test prints the measured numbers so a failing run shows how far off it was.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from metalink.checks import (
 )
 from metalink.harness import (
     default_config,
+    load_config,
     median_of_seed_means,
     read_curve,
     run_adaptation_sweep,
-    run_phase_rotation_seed,
     run_pilot_sweep,
     write_config,
 )
@@ -137,15 +138,18 @@ def test_criterion_6_autoencoder_adaptation(ae_sweep):
 
 
 def test_criterion_7_joint_training_degeneracy_on_rotations():
-    joint_means, maml_means = zip(*(run_phase_rotation_seed(seed) for seed in (0, 1, 2)))
-    joint_med = float(np.median(joint_means))
-    maml_med = float(np.median(maml_means))
+    t0 = time.perf_counter()
+    result = run_pilot_sweep(load_config(Path(__file__).resolve().parent.parent / "configs" / "phase_rotation.cfg"))
+    elapsed = time.perf_counter() - t0
+    joint_med = median_of_seed_means(result.records, "joint", "ser", 16.0)
+    maml_med = median_of_seed_means(result.records, "maml", "ser", 16.0)
     print(
         f"criterion 7: pure rotations at 20 dB, joint SER {joint_med:.4f} (>= 0.5), "
-        f"maml after 16 pilots {maml_med:.4f} (<= 0.2)"
+        f"maml after 16 pilots {maml_med:.4f} (<= 0.2) ({elapsed:.0f}s)"
     )
     assert joint_med >= 0.5
     assert maml_med <= 0.2
+    assert elapsed < 5 * 60
 
 
 def test_criterion_8_channel_oracles():

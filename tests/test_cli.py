@@ -2,7 +2,6 @@
 printed tables, and end-to-end subprocess invocations."""
 
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -10,6 +9,8 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,17 +20,17 @@ from hypothesis import strategies as st
 
 import metalink
 from metalink import __main__ as entry
-from metalink import cli
+from metalink import cli, harness
 from metalink.checks import CheckReport, CheckResult
 from metalink.errors import ConfigurationError
 from metalink.harness import (
     DEMOD_ARCH,
     CurveTable,
     default_config,
+    load_config,
     load_params,
     median_of_seed_means,
     read_curve,
-    run_phase_rotation_seed,
     save_params,
 )
 from metalink.learners import MetaTrainResult
@@ -53,6 +54,23 @@ def _write_tiny_demod(path, **extra):
     lines.update(extra)
     path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     return str(path)
+
+
+_ROTATION = Path(__file__).resolve().parent.parent / "configs" / "phase_rotation.cfg"
+
+
+def _write_rotation(path, **changes):
+    """The phase-rotation study's config with some of its values changed."""
+    lines = []
+    for line in _ROTATION.read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {changes[key]}" if key in changes else line)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("trained before the config was checked")
 
 
 def _write_tiny_ae(path, **extra):
@@ -265,6 +283,23 @@ def test_a_sweep_workers_memory_error_reaches_the_sweep_as_one_line(tmp_path, ca
     assert captured.err.startswith("out of memory: Unable to allocate ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["sweep-pilots", "eval"])
+def test_an_integer_no_index_holds_exits_one_naming_its_line(tmp_path, capsys, monkeypatch, saved_params, command):
+    # above the largest numpy index, no draw can be sized: refused on load,
+    # where 10**17 above still reaches the allocation
+    monkeypatch.setattr(harness, "meta_train", _no_training)
+    params = tmp_path / "theta.npz"
+    params.write_bytes(saved_params)
+    cfg = _write_tiny_demod(tmp_path / "huge.cfg", seeds="0", n_eval_symbols_or_blocks=10**20)
+    argv = ["--params", str(params)] if command == "eval" else ["--out", str(tmp_path / "x.csv")]
+    assert cli.main([command, "--config", cfg, *argv]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "x.csv").exists()
+    assert captured.err == (
+        f"config error: {cfg}:8: n_eval_symbols_or_blocks must be at most {np.iinfo(np.intp).max}, got {10**20}\n"
+    )
+
+
 def test_meta_train_saves_exactly_the_path_given(tmp_path, capsys):
     # np.savez appends .npz to a path without it; the saved file must be the
     # one meta-train names and eval then reads
@@ -447,35 +482,36 @@ def test_workers_is_rejected_where_it_is_not_honoured(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, rotation",
     [
-        pytest.param(["sweep-adapt", "--config", "{bad}"], id="sweep-adapt-config"),
-        pytest.param(["sweep-pilots", "--config", "{bad}"], id="sweep-pilots-ae-config"),
-        pytest.param(["phase-rotation", "--tasks", "0"], id="rotation-tasks-0"),
-        pytest.param(["sweep-pilots", "--workers", "x"], id="sweep-pilots-workers-x"),
-        pytest.param(["sweep-pilots", "--config", "{diverge}"], id="sweep-pilots-diverges"),
-        pytest.param(["phase-rotation", "--seeds", "-1"], id="rotation-seeds-negative"),
-        pytest.param(["phase-rotation", "--seeds", "0", "0"], id="rotation-seeds-repeat"),
-        pytest.param(
-            ["phase-rotation", "--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "-3"],
-            id="rotation-pilots-negative",
-        ),
-        pytest.param(
-            ["phase-rotation", "--seeds", "0", "--tasks", "2", "--outer-iters", "1", "--devices", "1", "--pilots", "0"],
-            id="rotation-pilots-0",
-        ),
-        pytest.param(["sweep-pilots", "--out", ""], id="sweep-pilots-empty-out"),
+        pytest.param(["sweep-adapt", "--config", "{bad}"], {}, id="sweep-adapt-config"),
+        pytest.param(["sweep-pilots", "--config", "{bad}"], {}, id="sweep-pilots-ae-config"),
+        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"n_meta_train_tasks": 0}, id="rotation-tasks-0"),
+        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"n_meta_test_tasks": 0}, id="rotation-devices-0"),
+        pytest.param(["sweep-pilots", "--workers", "x"], {}, id="sweep-pilots-workers-x"),
+        pytest.param(["sweep-pilots", "--config", "{diverge}"], {}, id="sweep-pilots-diverges"),
+        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"seeds": -1}, id="rotation-seeds-negative"),
+        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"seeds": "0,0"}, id="rotation-seeds-repeat"),
+        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"pilot_counts": -3}, id="rotation-pilots-negative"),
+        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"pilot_counts": 0}, id="rotation-pilots-0"),
+        pytest.param(["sweep-pilots", "--out", ""], {}, id="sweep-pilots-empty-out"),
     ],
 )
-def test_experiment_errors_exit_as_documented(tmp_path, capsys, monkeypatch, argv):
-    # 1 and one `config error` line on bad input, 2 and one `numerical failure` line on divergence
+def test_experiment_errors_exit_as_documented(tmp_path, capsys, monkeypatch, argv, rotation):
+    # 1 and one `config error` line on bad input, before anything trains;
+    # 2 and one `numerical failure` line on divergence
     monkeypatch.chdir(tmp_path)
     bad = _write_tiny_ae(tmp_path / "bad.cfg", K_meta_batch=4)
     diverge = _write_tiny_demod(tmp_path / "diverge.cfg", eta_outer="1e9", seeds="0")
+    rotated = _write_rotation(tmp_path / "rotation.cfg", **rotation)
     code, prefix = (cli.EXIT_NUMERICAL, "numerical failure: ") if "{diverge}" in argv else (cli.EXIT_CONFIG, "config error: ")
-    assert cli.main([a.format(bad=bad, diverge=diverge) for a in argv]) == code
+    if code == cli.EXIT_CONFIG:
+        monkeypatch.setattr(harness, "meta_train", _no_training)
+    assert cli.main([a.format(bad=bad, diverge=diverge, rotation=rotated) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    if rotation:  # the study's config names the line of the bad key
+        assert err.startswith(f"config error: {rotated}:"), err
 
 
 @pytest.mark.parametrize(
@@ -519,20 +555,21 @@ def test_commands_without_a_config_run_their_profile(monkeypatch, argv, profile)
     assert seen == [profile]
 
 
-def test_phase_rotation_defaults_are_the_studys(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "run_phase_rotation_seed", lambda *args: calls.append(args) or (0.5, 0.5))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["phase-rotation", "--seeds", "4"]) == cli.EXIT_OK
-    defaults = [p.default for p in inspect.signature(run_phase_rotation_seed).parameters.values()][1:]
-    assert calls == [(4, *defaults)]
-
-
-@pytest.mark.parametrize("flag", ["--tasks", "--devices", "--pilots"])
-def test_phase_rotation_rejects_counts_below_one(capsys, flag):
-    # argparse names the flag the user wrote, before anything trains
-    assert cli.main(["phase-rotation", flag, "0"]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: argument {flag}: must be at least 1, got 0\n"
+def test_phase_rotation_defaults_are_the_studys():
+    # the study's settings; every other key keeps its demod default
+    study = dict(
+        unit_tap=True,
+        snr_db=20.0,
+        n_meta_train_tasks=50,
+        outer_iters=1500,
+        n_meta_test_tasks=10,
+        pilot_counts=(16,),
+        meta_train_pilots=8,
+        meta_test_pilots=32,
+        seeds=(0, 1, 2),
+        output_path="phase_rotation_ser.csv",
+    )
+    assert load_config(_ROTATION) == replace(default_config("demod"), **study)
 
 
 @pytest.mark.parametrize(
@@ -566,17 +603,18 @@ def test_sweeps_print_the_median_of_seed_means(tmp_path, capsys, monkeypatch, co
         assert line.split() == [str(x), *cells]
 
 
-def test_phase_rotation_prints_each_seed_and_the_medians(capsys):
-    argv = ["phase-rotation", "--snr-db", "12.5", "--seeds", "3", "1", "--tasks", "2", "--outer-iters", "2"]
-    assert cli.main([*argv, "--devices", "1", "--pilots", "4"]) == cli.EXIT_OK
-    sers = [run_phase_rotation_seed(seed, 12.5, 2, 2, 1, 4) for seed in (3, 1)]
-    (joint0, maml0), (joint1, maml1) = sers
-    assert capsys.readouterr().out == (
-        f"seed 3: joint SER {joint0:.4f}, adapted-from-meta SER {maml0:.4f}\n"
-        f"seed 1: joint SER {joint1:.4f}, adapted-from-meta SER {maml1:.4f}\n"
-        f"medians over 2 seeds at 12.5 dB: joint {np.median([joint0, joint1]):.4f}, "
-        f"meta-learned + 4 pilots {np.median([maml0, maml1]):.4f}\n"
-    )
+def test_phase_rotation_prints_the_medians_at_16_pilots(tmp_path, capsys):
+    # the study's stdout is the sweep's: the CSV line, then per receiver the
+    # median over seeds of its per-seed mean SER at the one pilot count
+    cfg = _write_rotation(tmp_path / "r.cfg", n_meta_train_tasks=2, outer_iters=2, n_meta_test_tasks=1, seeds="3,1")
+    out = tmp_path / "r.csv"
+    assert cli.main(["sweep-pilots", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    records = harness.run_pilot_sweep(load_config(cfg)).records
+    methods = ("conventional", "joint", "joint+adapt", "maml")
+    cells = [f"{median_of_seed_means(records, m, 'ser', 16.0):.4f}" for m in methods]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"wrote 4 rows to {out}", "median over 2 seeds of per-seed mean SER:"]
+    assert [line.split() for line in lines[2:]] == [["pilots", *methods], ["16", *cells]]
 
 
 def test_closed_stdout_exits_quietly():
@@ -722,10 +760,9 @@ def test_ctrl_c_during_start_up_exits_130_with_one_line():
         assert (proc.returncode, said) == (cli.EXIT_INTERRUPT, b"interrupted\n"), (span * k / 8, said.decode())
 
 
-_SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "phase-rotation", "gradcheck", "eval"]
+_SUBCOMMANDS = ["meta-train", "sweep-pilots", "sweep-adapt", "gradcheck", "eval"]
 _FLAGS = [
     "--config", "--profile", "--seed", "--out", "--first-order", "--workers", "--params", "--scale",
-    "--snr-db", "--seeds", "--tasks", "--outer-iters", "--devices", "--pilots",
     "-h", "--help", "demod", "autoencoder", "small", "full", "0", "-1", "2", "x.npz", "",
 ]
 
@@ -735,7 +772,6 @@ def _stub_work(monkeypatch):
     monkeypatch.setattr(cli, "run_meta_train", lambda config: MetaTrainResult(None, ((0, 1.0),)))
     for name in ("run_pilot_sweep", "run_adaptation_sweep"):
         monkeypatch.setattr(cli, name, lambda config, workers: SimpleNamespace(records=(), table=CurveTable(())))
-    monkeypatch.setattr(cli, "run_phase_rotation_seed", lambda *args: (0.5, 0.5))
     monkeypatch.setattr(cli, "run_gradcheck", lambda scale: CheckReport((), 0.0))
     monkeypatch.setattr(cli, "evaluate_params", lambda config, params: ("ser", [0.5]))
     monkeypatch.setattr(cli, "load_params", lambda path: None)

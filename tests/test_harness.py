@@ -4,6 +4,7 @@ structure, and run-to-run byte determinism at toy scale."""
 import ctypes
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 try:
@@ -36,7 +37,6 @@ from metalink.harness import (
     read_curve,
     run_adaptation_sweep,
     run_meta_train,
-    run_phase_rotation_seed,
     run_pilot_sweep,
     save_params,
     write_config,
@@ -72,9 +72,10 @@ from metalink.tasks import (
     autoencoder_task_pool,
     generate_autoencoder_batch,
     make_pilot_dataset,
-    phase_rotation_family,
     rng_for,
 )
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _tiny_demod_config(**overrides):
@@ -93,6 +94,13 @@ def _tiny_demod_config(**overrides):
     )
     small.update(overrides)
     return replace(base, **small)
+
+
+def _tiny_rotation_config(**overrides):
+    """The phase-rotation study's config at toy scale."""
+    small = dict(seeds=(5,), n_meta_train_tasks=2, outer_iters=1, n_meta_test_tasks=3, pilot_counts=(4,))
+    small.update(overrides)
+    return replace(load_config(_CONFIGS / "phase_rotation.cfg"), **small)
 
 
 def _tiny_ae_config(**overrides):
@@ -510,6 +518,37 @@ def test_experiment_config_validation():
         default_config("qpsk")
 
 
+def test_unit_tap_loads_only_under_the_profile_that_honours_it(tmp_path):
+    path = tmp_path / "u.cfg"
+    path.write_text("profile = demod\nunit_tap = true\n")
+    assert load_config(path) == replace(default_config("demod"), unit_tap=True)
+    # write_config writes every field, so the autoencoder reads a false one back
+    path.write_text("profile = autoencoder\nunit_tap = false\n")
+    assert load_config(path) == default_config("autoencoder")
+    path.write_text("profile = autoencoder\n\nunit_tap = true\n")
+    with pytest.raises(ConfigurationError, match="u.cfg:3: unit_tap is a demod family; the autoencoder family has none"):
+        load_config(path)
+
+
+def test_an_integer_no_index_holds_is_refused():
+    top = int(np.iinfo(np.intp).max)
+    base = default_config("demod")
+    assert replace(base, n_eval_symbols_or_blocks=top).n_eval_symbols_or_blocks == top
+    assert replace(base, n_eval_symbols_or_blocks=10**17).n_eval_symbols_or_blocks == 10**17
+    ints = [f.name for f in fields(ExperimentConfig) if type(getattr(base, f.name)) is int]
+    assert {"m", "seed", "n_eval_symbols_or_blocks"} <= set(ints)
+    for name, value in [*((name, top + 1) for name in ints), ("pilot_counts", (2, top + 1)), ("seeds", (top + 1,))]:
+        with pytest.raises(ConfigurationError, match=f"{name} must be at most {top}, got"):
+            replace(base, **{name: value})
+
+
+def test_shipped_configs_load_and_the_defaults_are_the_profiles():
+    loaded = {path.stem: load_config(path) for path in sorted(_CONFIGS.glob("*.cfg"))}
+    assert {"demod_default", "autoencoder_default", "demod_smoke", "phase_rotation"} <= set(loaded)
+    for profile in ("demod", "autoencoder"):
+        assert loaded[f"{profile}_default"] == default_config(profile)
+
+
 def test_autoencoder_meta_batch_must_fit_the_task_pool():
     ae = default_config("autoencoder")
     assert replace(ae, K_meta_batch=7, n_meta_train_tasks=7).K_meta_batch == 7
@@ -763,12 +802,12 @@ def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
     seed = 4
     cfg = _tiny_demod_config(seeds=(seed,), seed=seed)
     records = run_pilot_sweep(cfg).records
-    family, pool, init, lossfn, result = harness._meta_trained(cfg, seed)
+    pool, init, lossfn, result = harness._meta_trained(cfg, seed)
     tc = cfg.train_config(seed)
     tc_base = replace(tc, outer_iters=cfg.baseline_iters)
     theta = result.params
     joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
-    tasks = harness._test_tasks(family, seed, cfg.n_meta_test_tasks)
+    tasks = harness._test_tasks(cfg.family(), seed, cfg.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", "maml")
     # per device, pilot counts ascending, the four methods in order
     assert [(r.unit, r.sweep_value, r.method) for r in records] == [
@@ -832,20 +871,21 @@ def test_sweep_forks_no_more_workers_than_seeds(monkeypatch, workers, n_seeds, f
 
 
 @pytest.mark.parametrize("n_pilots", [0, -3])
-def test_phase_rotation_rejects_a_pilot_count_before_training(monkeypatch, n_pilots):
+def test_phase_rotation_rejects_a_pilot_count_before_training(tmp_path, monkeypatch, n_pilots):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before checking the pilot count")
 
     monkeypatch.setattr(harness, "meta_train", no_training)
     monkeypatch.setattr(harness, "train_joint", no_training)
-    with pytest.raises(ConfigurationError, match="need at least one pilot"):
-        run_phase_rotation_seed(0, n_tasks=2, outer_iters=1, n_devices=1, n_pilots=n_pilots)
-
+    path = tmp_path / "rotation.cfg"
+    path.write_text((_CONFIGS / "phase_rotation.cfg").read_text().replace("pilot_counts = 16", f"pilot_counts = {n_pilots}"))
+    with pytest.raises(ConfigurationError, match=r"rotation.cfg:\d+: pilot counts must be positive"):
+        run_pilot_sweep(load_config(path))
 
 
 def test_phase_rotation_scores_both_receivers_on_one_draw_per_device(monkeypatch):
     # joint and the adapted model share each device's (device, n_pilots) draw
-    # with the pilot sweep's two other receivers, which the study scores too
+    # with the pilot sweep's two other receivers
     calls = []
     score = harness.evaluate_ser
 
@@ -854,27 +894,25 @@ def test_phase_rotation_scores_both_receivers_on_one_draw_per_device(monkeypatch
         return score(receivers, task, n_symbols, rng)
 
     monkeypatch.setattr(harness, "evaluate_ser", counted)
-    run_phase_rotation_seed(5, n_tasks=2, outer_iters=1, n_devices=3, n_pilots=4)
+    run_pilot_sweep(_tiny_rotation_config())
     assert calls == [(4, rng_for(5, SCOPE_EVAL, device, 4).bit_generator.state) for device in range(3)]
 
 
-def test_phase_rotation_is_the_joint_and_maml_means_of_a_pilot_sweep_seed():
-    seed, n_pilots, n_devices = 6, 3, 3
-    got = run_phase_rotation_seed(seed, snr_db=12.5, n_tasks=3, outer_iters=2, n_devices=n_devices, n_pilots=n_pilots)
-    config = replace(
-        default_config("demod"),
-        snr_db=12.5,
-        outer_iters=2,
-        pilot_counts=(n_pilots,),
-        n_meta_train_tasks=3,
-        meta_train_pilots=8,
-        meta_test_pilots=32,
-        n_meta_test_tasks=n_devices,
-    )
-    records = harness._pilot_seed_records(config, seed, phase_rotation_family(12.5))
-    for method, mean in zip(("joint", "maml"), got, strict=True):
-        sers = [r.value for r in records if r.method == method]
-        assert len(sers) == n_devices and mean == float(np.mean(sers))
+def test_unit_tap_reaches_every_stage_that_draws_devices(monkeypatch):
+    # meta-train's pool, the sweep's pool and test devices, and eval's test
+    # devices all come from the config's family
+    families = []
+    for name in ("demod_task_pool", "_test_tasks"):
+        def spy(family, *args, _orig=getattr(harness, name)):
+            families.append(family)
+            return _orig(family, *args)
+
+        monkeypatch.setattr(harness, name, spy)
+    config = _tiny_rotation_config(snr_db=12.5, n_meta_test_tasks=1)
+    run_meta_train(config)
+    run_pilot_sweep(config)
+    evaluate_params(config, init_params(DEMOD_ARCH, 0))
+    assert families == [TaskFamily(kind="demod", snr_db=12.5, unit_tap=True)] * 4
 
 
 def test_phase_rotation_and_demod_eval_adapt_as_one_stack(monkeypatch):
@@ -888,7 +926,7 @@ def test_phase_rotation_and_demod_eval_adapt_as_one_stack(monkeypatch):
         return adapt(theta, *args, **kwargs)
 
     monkeypatch.setattr(harness, "maml_adapt", counted)
-    run_phase_rotation_seed(5, n_tasks=2, outer_iters=1, n_devices=3, n_pilots=4)
+    run_pilot_sweep(_tiny_rotation_config())
     assert shapes == [3 * 2]
     shapes.clear()
     evaluate_params(_tiny_demod_config(n_meta_test_tasks=3), init_params(DEMOD_ARCH, 0))

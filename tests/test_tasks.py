@@ -27,7 +27,6 @@ from metalink.tasks import (
     generate_autoencoder_batch,
     make_demod_split,
     make_pilot_dataset,
-    phase_rotation_family,
     rng_for,
     subsample_stream,
 )
@@ -64,6 +63,10 @@ def test_rng_for_separates_paths():
 def test_task_kind_is_validated():
     with pytest.raises(ConfigurationError):
         TaskFamily(kind="qpsk")
+    # the autoencoder family has no rotation variant; its unit_tap = False is the default
+    with pytest.raises(ConfigurationError, match="unit_tap is a demod family; the autoencoder family has none"):
+        TaskFamily(kind="autoencoder", unit_tap=True)
+    assert TaskFamily(kind="autoencoder", unit_tap=False) == TaskFamily(kind="autoencoder")
 
 
 def test_family_sample_deterministic():
@@ -90,7 +93,7 @@ def test_demod_family_statistics():
 
 
 def test_phase_rotation_family_is_pure_rotation():
-    fam = phase_rotation_family()
+    fam = TaskFamily(kind="demod", snr_db=20.0, unit_tap=True)
     rng = np.random.default_rng(7)
     for i in range(50):
         t = fam.sample(rng, task_id=i)
