@@ -487,7 +487,6 @@ def test_workers_is_rejected_where_it_is_not_honoured(tmp_path, capsys, command)
         pytest.param(["sweep-adapt", "--config", "{bad}"], {}, id="sweep-adapt-config"),
         pytest.param(["sweep-pilots", "--config", "{bad}"], {}, id="sweep-pilots-ae-config"),
         pytest.param(["sweep-pilots", "--config", "{rotation}"], {"n_meta_train_tasks": 0}, id="rotation-tasks-0"),
-        pytest.param(["sweep-pilots", "--config", "{rotation}"], {"n_meta_test_tasks": 0}, id="rotation-devices-0"),
         pytest.param(["sweep-pilots", "--workers", "x"], {}, id="sweep-pilots-workers-x"),
         pytest.param(["sweep-pilots", "--config", "{diverge}"], {}, id="sweep-pilots-diverges"),
         pytest.param(["sweep-pilots", "--config", "{rotation}"], {"seeds": -1}, id="rotation-seeds-negative"),
@@ -570,6 +569,26 @@ def test_phase_rotation_defaults_are_the_studys():
         output_path="phase_rotation_ser.csv",
     )
     assert load_config(_ROTATION) == replace(default_config("demod"), **study)
+
+
+@pytest.mark.parametrize(
+    "key, said",
+    [
+        pytest.param("n_meta_train_tasks", "n_meta_train_tasks must be positive", id="--tasks"),
+        pytest.param("n_meta_test_tasks", "n_meta_test_tasks must be positive", id="--devices"),
+        pytest.param("pilot_counts", "pilot counts must be positive", id="--pilots"),
+    ],
+)
+def test_phase_rotation_rejects_counts_below_one(tmp_path, capsys, monkeypatch, key, said):
+    # the study's counts of training tasks, test devices and pilots (the ids
+    # are the flags of its former subcommand): a 0 is named with its line,
+    # before anything trains
+    monkeypatch.setattr(harness, "meta_train", _no_training)
+    cfg = _write_rotation(tmp_path / "r.cfg", **{key: 0})
+    line = 1 + [ln.partition("=")[0].strip() for ln in Path(cfg).read_text().splitlines()].index(key)
+    assert cli.main(["sweep-pilots", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {cfg}:{line}: {said}\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(
