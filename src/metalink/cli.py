@@ -107,10 +107,17 @@ def _config_from_args(args):
     return config
 
 
+def _check_writable(path):
+    """Refuse, before any training, an output path naming no file in an existing directory."""
+    if "\0" in path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"cannot write '{path}': it names no file in an existing directory")
+
+
 def _cmd_meta_train(args):
     config = _config_from_args(args)
-    result = run_meta_train(config)
     out = args.out or f"meta_params_{config.profile}.npz"
+    _check_writable(out)
+    result = run_meta_train(config)
     save_params(out, result.params)
     if not result.history:
         print(f"meta-trained {config.profile}: no iteration ran (outer_iters = 0), saved the initialization {out}")
@@ -123,6 +130,7 @@ def _cmd_meta_train(args):
 
 def _cmd_sweep(args, runner):
     config = _config_from_args(args)
+    _check_writable(config.output_path)
     result = runner(config, workers=args.workers)
     write_curve(result.table, config.output_path)
     print(f"wrote {len(result.table)} rows to {config.output_path}")

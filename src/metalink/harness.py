@@ -68,6 +68,7 @@ from .nn import (
     make_mlp_lossfn,
     mlp_arch,
     mlp_logits_node,
+    pool_datasets,
 )
 from .tasks import (
     SCOPE_ADAPT_PILOTS,
@@ -652,7 +653,7 @@ def _pilot_seed_records(config, seed):
     # gradients per iteration, so tying the two budgets together would either
     # starve meta-training or drag the sweep out for nothing).
     tc_base = replace(config.train_config(seed), outer_iters=config.baseline_iters)
-    joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
+    joint = train_joint(pool_datasets(item.train for item in pool.items), tc_base, init=init, lossfn=lossfn)
     tasks = _test_tasks(config.family(), seed, config.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", _maml_label(config))
     records = []

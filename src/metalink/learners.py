@@ -17,12 +17,12 @@ Conventions shared by every loop here:
   lossfn, with no wrapper type for its data; one that a learner runs on a
   task stack carries its stacker too (see meta_train).
 
-The baselines and meta-training run their tasks in one graph per step, on a
-task axis (see graph), and each row of a stack computes bit for bit what it
-computes alone.  train_conventional is adaptation from a random start: it is
-maml_adapt of a (T, P) stack tiled from init, one row per device.
-train_joint broadcasts its shared parameters to one row per task and
-descends on the mean of the per-task loss vector.  meta_train runs each
+The conventional baseline and meta-training run their tasks in one graph
+per step, on a task axis (see graph), and each row of a stack computes bit
+for bit what it computes alone.  train_conventional is adaptation from a
+random start: it is maml_adapt of a (T, P) stack tiled from init, one row
+per device.  train_joint needs no task axis: it is one network's guarded
+descent on the tasks' pooled data (nn.pool_datasets).  meta_train runs each
 meta-batch as stacks of at most max_rows tasks (harness runs a demod batch
 as one (K, P) stack and an autoencoder batch, whose task tapes are larger,
 as stacks of five): row k of a stacked meta-gradient, exact or first-order,
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph
 from .autodiff import eval_with_gradient, unrolled_meta_gradient
 from .errors import ConfigurationError, NumericalError
 from .nn import ParamVector
@@ -190,27 +189,12 @@ def train_conventional(tasks, config, *, datasets, init, lossfn):
     )
 
 
-def train_joint(meta_batch, config, *, init, lossfn):
-    """Train one shared model on the pooled training data of all tasks.
-
-    The objective is the mean of the per-task losses, built in one graph per
-    step: theta is broadcast to a (T, P) stack with one row per task, and
-    the stacked loss gives the (T,) vector of per-task losses.  The rows go
-    in reverse task order, so the broadcast's adjoint, which adds the rows
-    first to last, sums the per-task gradients latest task first.  No
-    adaptation happens here; this is the common-model baseline.
-    """
-    items = meta_batch.items[::-1]
-    n_tasks = len(items)
-
-    def mean_loss(theta, data):
-        per_task = lossfn(graph.bcast(theta, (n_tasks, theta.value.shape[0])), data)
-        return graph.scale(graph.asum(per_task), 1.0 / n_tasks)
-
-    data = lossfn.stack(item.train for item in items)
-    return _guarded_descent(
-        _value_grad(mean_loss, data), init, config.eta_inner, config.outer_iters, "joint training"
-    )
+def train_joint(data, config, *, init, lossfn):
+    """Train one shared model on data, many tasks' pooled training data
+    (nn.pool_datasets): a guarded descent of lossfn from init for
+    config.outer_iters steps at config.eta_inner.  No adaptation happens
+    here; this is the common-model baseline."""
+    return _guarded_descent(_value_grad(lossfn, data), init, config.eta_inner, config.outer_iters, "joint training")
 
 
 def maml_adapt(theta, d_tr, eta, m, *, lossfn):

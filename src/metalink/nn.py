@@ -163,6 +163,13 @@ def stack_datasets(datasets):
     )
 
 
+def pool_datasets(datasets):
+    """One (T·n, d) Dataset of the rows of T equally shaped (n, d) task datasets,
+    in order: its mean loss is the mean of the per-task losses."""
+    stack = stack_datasets(datasets)
+    return Dataset(stack.inputs.reshape(-1, stack.inputs.shape[-1]), stack.targets.reshape(-1), stack.n_classes)
+
+
 @dataclass(frozen=True)
 class AutoencoderBatch:
     """Everything random in one autoencoder training draw, frozen as data.

@@ -116,14 +116,15 @@ def make_pilot_dataset(task, n_pilots, rng):
     """n_pilots labelled received samples from the task's channel.
 
     Pilot symbol indices are drawn as whole random permutations of the 16
-    messages, concatenated and truncated, so any 16 consecutive pilots cover
+    messages, concatenated and truncated, so pilots 16i to 16i + 15 cover
     every class and small counts never miss classes by chance more than they
-    must.  Inputs are (n, 2) stacked [Re, Im].
+    must.  The permutations are the rows of one array, so a count no
+    allocation can hold fails at once.  Inputs are (n, 2) stacked [Re, Im].
     """
     if n_pilots < 1:
         raise ConfigurationError("need at least one pilot")
-    cycles = [rng.permutation(16) for _ in range((n_pilots + 15) // 16)]
-    indices = np.concatenate(cycles)[:n_pilots]
+    cycles = np.tile(np.arange(16), ((n_pilots + 15) // 16, 1))
+    indices = rng.permuted(cycles, axis=1).ravel()[:n_pilots]
     received, labels = apply_channel_demod(indices, task.realization, rng)
     inputs = np.stack([received.real, received.imag], axis=1)
     return Dataset(inputs, labels, 16)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from metalink import graph
 from metalink.channel import QAM16, tx_nonideality
 from metalink.errors import ConfigurationError
 
@@ -19,3 +20,20 @@ def qam16_min_distance_detect(received, ch):
     received = np.asarray(received)
     distance = np.abs(received[..., None] - reference)
     return np.argmin(distance, axis=-1)
+
+
+def per_task_mean_loss(lossfn, theta, datasets):
+    """The mean of one loss branch per task on a shared theta node: the
+    branches added in task order, then scaled by 1/k."""
+    branches = [lossfn(theta, d) for d in datasets]
+    total = branches[0]
+    for branch in branches[1:]:
+        total = graph.add(total, branch)
+    return graph.scale(total, 1.0 / len(branches))
+
+
+def pilot_indices(n_pilots, rng):
+    """make_pilot_dataset's pilot symbol indices, drawn one permutation of
+    the 16 messages at a time and truncated to n_pilots."""
+    cycles = [rng.permutation(16) for _ in range((n_pilots + 15) // 16)]
+    return np.concatenate(cycles)[:n_pilots]

@@ -105,6 +105,7 @@ def test_gradcheck_failure_exits_three(monkeypatch, capsys):
 
 def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where meta-train saves when --out names no file
+    monkeypatch.setattr(harness, "meta_train", _no_training)
     # parameter files whose arch is not a list of (fan_in, fan_out, act) triples
     for name, arch in (("flat", "[1, 2]"), ("null", '[[null, 2, "tanh"]]')):
         np.savez(tmp_path / f"{name}.npz", values=np.zeros(3), arch=np.array(arch))
@@ -117,6 +118,7 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
     for name, fan_in, n_values in (("float", "2.9", 48), ("bool", "true", 32), ("string", '"2"', 48)):
         width_arch = np.array(f'[[{fan_in}, 16, "linear"]]')
         np.savez(tmp_path / f"{name}.npz", values=np.zeros(n_values), arch=width_arch)
+    tiny = _write_tiny_demod(tmp_path / "t.cfg", seeds="0")
     cases = [(argv, "config error: ") for argv in (
         ["gradcheck", "--bogus"],
         ["sweep-pilots", "--config", str(tmp_path / "missing.cfg")],
@@ -124,8 +126,6 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
         ["eval", "--profile", "demod"],  # --params is required
         ["meta-train", "--config", ""],  # an empty path names no config file
         [],
-        ["meta-train", "--config", _write_tiny_demod(tmp_path / "t.cfg", seeds="0"), "--out", "a\x00b"],
-        ["sweep-pilots", "--config", str(tmp_path / "t.cfg"), "--out", "a\x00b"],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "flat.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "null.npz")],
         ["eval", "--profile", "demod", "--params", str(tmp_path / "text.npz")],
@@ -140,13 +140,25 @@ def test_configuration_errors_exit_one(tmp_path, capsys, monkeypatch):
     np.save(tmp_path / "bare.npy", np.zeros(48))
     cases += [
         (["eval", "--profile", "demod", "--params", str(tmp_path / "bare.npy")], "not an .npz archive"),
-        (["meta-train", "--config", str(tmp_path / "t.cfg"), "--out", ""], "config error: argument --out: must not be empty"),
+        (["meta-train", "--config", tiny, "--out", ""], "config error: argument --out: must not be empty"),
         (
             ["sweep-pilots", "--config", _write_tiny_demod(tmp_path / "o.cfg", output_path=tmp_path / "o.csv"), "--out", ""],
             "config error: argument --out: must not be empty",
         ),
         (["sweep-pilots", "--config", _write_tiny_demod(tmp_path / "e.cfg", output_path="")], "e.cfg:12: output_path must not be empty"),
     ]
+    # an output path that names a directory, or a file in a directory that
+    # does not exist, is refused before any training, not when it is written
+    nowhere, unwritable = str(tmp_path / "nowhere" / "x.out"), "it names no file in an existing directory"
+    for command in ("meta-train", "sweep-pilots"):
+        cases += [
+            ([command, "--config", tiny, "--out", out], f"config error: cannot write '{out}': {unwritable}")
+            for out in (nowhere, str(tmp_path), "a\x00b")
+        ]
+    cases.append((
+        ["sweep-pilots", "--config", _write_tiny_demod(tmp_path / "n.cfg", output_path=nowhere)],
+        f"config error: cannot write '{nowhere}': {unwritable}",
+    ))
     files = sorted(os.listdir(tmp_path))
     for argv, said in cases:
         assert cli.main(argv) == cli.EXIT_CONFIG, argv
@@ -262,14 +274,24 @@ def test_meta_train_with_no_iterations_says_it_saved_the_initialization(tmp_path
 _NO_MACHINE_HOLDS = 10**17
 
 
-def test_a_size_no_allocation_holds_exits_four_with_one_line(tmp_path, capsys, saved_params):
+def test_a_size_no_allocation_holds_exits_four_with_one_line(tmp_path, capsys, monkeypatch, saved_params):
+    # a pilot count's symbol indices are drawn as one array too, not grown a
+    # permutation at a time, so a huge count fails at once, before training
+    monkeypatch.setattr(harness, "meta_train", _no_training)
     params = tmp_path / "theta.npz"
     params.write_bytes(saved_params)
-    cfg = _write_tiny_demod(tmp_path / "huge.cfg", seeds="0", n_eval_symbols_or_blocks=_NO_MACHINE_HOLDS)
-    assert cli.main(["eval", "--config", cfg, "--params", str(params)]) == cli.EXIT_MEMORY
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("out of memory: Unable to allocate ") and captured.err.count("\n") == 1
+    evaluate, train = ("eval", "--params", str(params)), ("meta-train", "--out", str(tmp_path / "p.npz"))
+    for key, (command, *argv) in (
+        ("n_eval_symbols_or_blocks", evaluate),
+        ("pilot_counts", evaluate),
+        ("meta_train_pilots", train),
+        ("meta_test_pilots", train),
+    ):
+        cfg = _write_tiny_demod(tmp_path / "huge.cfg", seeds="0", **{key: _NO_MACHINE_HOLDS})
+        assert cli.main([command, "--config", cfg, *argv]) == cli.EXIT_MEMORY, key
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "p.npz").exists(), key
+        assert captured.err.startswith("out of memory: Unable to allocate ") and captured.err.count("\n") == 1, key
 
 
 def test_a_sweep_workers_memory_error_reaches_the_sweep_as_one_line(tmp_path, capsys):

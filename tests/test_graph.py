@@ -664,8 +664,8 @@ def test_pruned_sweep_is_bit_identical_on_hvp(monkeypatch):
 
 
 def test_pruned_sweep_is_bit_identical_on_joint_loss():
-    # the joint loss as train_joint builds it: theta broadcast to one row per
-    # task, the mean of the stacked per-task losses
+    # a mean of per-task losses through a stacked broadcast: theta broadcast
+    # to one row per task, the mean of the stacked per-task losses
     lossfn, theta, _ = _demod_problem(7)
     data = stack_datasets(_demod_problem(seed)[2].train for seed in (8, 9, 10))
     p = graph.inp(theta)

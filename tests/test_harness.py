@@ -58,6 +58,7 @@ from metalink.nn import (
     make_mlp_lossfn,
     mlp_arch,
     param_count,
+    pool_datasets,
 )
 from metalink.channel import ChannelRealization
 from metalink.tasks import (
@@ -806,7 +807,7 @@ def test_pilot_sweep_records_are_each_receiver_deployed_and_scored_alone():
     tc = cfg.train_config(seed)
     tc_base = replace(tc, outer_iters=cfg.baseline_iters)
     theta = result.params
-    joint = train_joint(pool, tc_base, init=init, lossfn=lossfn)
+    joint = train_joint(pool_datasets(item.train for item in pool.items), tc_base, init=init, lossfn=lossfn)
     tasks = harness._test_tasks(cfg.family(), seed, cfg.n_meta_test_tasks)
     methods = ("conventional", "joint", "joint+adapt", "maml")
     # per device, pilot counts ascending, the four methods in order

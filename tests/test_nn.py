@@ -27,8 +27,10 @@ from metalink.nn import (
     mlp_arch,
     mlp_logits_node,
     param_count,
+    pool_datasets,
     power_normalize_node,
     stack_autoencoder_batches,
+    stack_datasets,
 )
 from metalink.channel import BLOCK_TAPS, ChannelRealization, apply_channel_block
 from metalink.tasks import Task, TaskFamily, generate_autoencoder_batch
@@ -97,6 +99,29 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)  # target out of range
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 4)
     assert len(empty) == 0
+
+
+def test_pool_datasets_concatenates_rows_in_order():
+    a = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]), 4)
+    b = Dataset(-np.arange(6.0).reshape(3, 2), np.array([3, 3, 1]), 4)
+    pooled = pool_datasets(iter([a, b]))
+    assert np.array_equal(pooled.inputs, np.concatenate([a.inputs, b.inputs]))
+    assert np.array_equal(pooled.targets, [0, 1, 2, 3, 3, 1])
+    assert pooled.n_classes == 4 and len(pooled) == 6
+
+
+def _zeros(n, d=2, n_classes=4):
+    return Dataset(np.zeros((n, d)), np.zeros(n, dtype=int), n_classes)
+
+
+@pytest.mark.parametrize(
+    "datasets",
+    [[], [_zeros(2), _zeros(2, d=3)], [_zeros(2), _zeros(2, n_classes=5)], [_zeros(2), _zeros(3)], [stack_datasets([_zeros(2)] * 2)]],
+    ids=["none", "widths", "class-counts", "lengths", "stacked"],
+)
+def test_pool_datasets_rejects_datasets_of_different_shapes(datasets):
+    with pytest.raises(ConfigurationError, match=r"^a stack needs \(n, d\) datasets of one shape and class count, got "):
+        pool_datasets(datasets)
 
 
 def test_zero_parameters_give_uniform_softmax():

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from metalink.channel import (
     QAM16,
     ChannelRealization,
+    apply_channel_demod,
     channel_conv_matrix,
     noise_variance,
     tx_nonideality,
@@ -30,6 +33,7 @@ from metalink.tasks import (
     rng_for,
     subsample_stream,
 )
+from oracles import pilot_indices
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,20 @@ def test_pilot_labels_cycle_through_all_messages():
     counts = np.bincount(ds35.targets, minlength=16)
     assert counts.min() >= 2 and counts.max() <= 3
     assert ds35.inputs.shape == (35, 2)
+
+
+@given(n_pilots=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_pilots_are_drawn_as_one_permutation_per_sixteen(n_pilots, seed):
+    # the same pilots as drawing the permutations one at a time, and the
+    # generator left where that leaves it
+    task = TaskFamily(kind="demod", snr_db=15.0).sample(np.random.default_rng(seed), task_id=0)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ds = make_pilot_dataset(task, n_pilots, rng)
+    received, labels = apply_channel_demod(pilot_indices(n_pilots, ref_rng), task.realization, ref_rng)
+    assert np.array_equal(ds.targets, labels)
+    assert np.array_equal(ds.inputs, np.stack([received.real, received.imag], axis=1))
+    assert rng.random() == ref_rng.random()
 
 
 def test_pilot_inputs_are_the_distorted_faded_symbols():
