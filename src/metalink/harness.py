@@ -453,12 +453,12 @@ def read_curve(path):
 
 
 # Most rows per forward, summed over the draws it stacks.  A forward over
-# whole draws holds every receiver's intermediates together.  Under glibc's
-# default allocator settings that was bound by page faults; under graph's it
-# is not (one BLAS thread, 2-core host): four receivers on one 2,000-symbol
-# SER draw take 5.1 ms in chunks of 500 and 5.9 ms whole, and a group of
-# five 2,000-block BLER draws of two receivers each 24.9 ms in chunks of
-# 500, 19.1 ms in chunks of 2,000 and 19.9 ms whole.
+# whole draws holds every receiver's intermediates together (one BLAS
+# thread, 2-core host): four receivers on one 2,000-symbol SER draw take
+# 5.1 ms in chunks of 500 and 5.9 ms whole.  500 rows of each draw would
+# score a deployment group of five 2,000-block BLER draws, two receivers
+# each, in 10.0 ms instead of 12.6, but its peak would go 3.7 -> 8.4 MB,
+# and ten draws of one receiver 4.8 -> 10.1 MB, above a meta-batch's tape.
 _EVAL_ROWS = 500
 
 
@@ -538,20 +538,6 @@ DEMOD_ARCH = mlp_arch((2, 32, 32, 16))
 _DEMOD_LOSSFN = make_mlp_lossfn(DEMOD_ARCH)
 _AE_SPEC = AutoencoderSpec()
 _AE_LOSSFN = make_autoencoder_lossfn(_AE_SPEC)
-# Most tasks per stack, in meta-training (meta_train's max_rows) and in the
-# autoencoder's deployment (_adaptation's groups of test channels).  An
-# autoencoder stack holds five tasks, as a tape grows with its rows: one
-# exact meta-iteration of the default profile (K = 10, 128 blocks) peaks at
-# 1.9 MB in stacks of 2, 2.7 MB in stacks of 3, 4.4 MB in stacks of 5
-# (0.88 MB per row; 1.7 MB at first order) and 8.6 MB as one stack
-# (tracemalloc), and one deployment group of five channels at 3.8 MB.  On
-# the benchmark's ae_adapt_sweep (2-core box, 12 alternating pairs), stacks
-# of 5 with the one-node tanh VJP (graph.tanh_grad) against stacks of 2
-# with the three-node one cut wall time by 28% and raise peak RSS by 7.4%.
-# Deployment alone, at the default 2,000-block draws and with freed heap
-# kept (graph's allocator settings), ties: 1.57 s per seed in groups of 2,
-# 1.56 s in groups of 5.
-_STACK_ROWS = {"demod": None, "autoencoder": 5}
 
 
 def _maml_label(config):
@@ -565,7 +551,7 @@ def _meta_trained(config, seed):
     The loss is the profile's lossfn(p_node, data), the one every learner
     and the adaptation trace (a (T, P) stack on one batch) descend; it
     carries its stacker, lossfn.stack, with which meta_train stacks a
-    meta-batch's tasks, in stacks of at most _STACK_ROWS[profile].
+    meta-batch's tasks.
     """
     family = config.family()
     if config.profile == "demod":
@@ -579,7 +565,7 @@ def _meta_trained(config, seed):
         stream = autoencoder_stream(pool, _AE_SPEC, config.K_meta_batch, config.n_train_blocks)
         init, lossfn = init_autoencoder_params(_AE_SPEC, seed), _AE_LOSSFN
     tc = config.train_config(seed)
-    result = meta_train(stream, tc, init=init, lossfn=lossfn, max_rows=_STACK_ROWS[config.profile])
+    result = meta_train(stream, tc, init=init, lossfn=lossfn)
     return pool, init, lossfn, result
 
 
@@ -613,17 +599,21 @@ def _adaptation(config, seed, tasks, starts, lossfn, scored):
     """Autoencoder BLERs after t SGD steps on fresh batches, for each t in scored.
 
     starts[u] is test unit u's tuple of starting params.  The units deploy
-    in groups of _STACK_ROWS["autoencoder"], each group's starts as one
-    stack, unit-major: per step one gradient and one step of the stack, each
-    unit's rows on the one batch its step stream draws, and at each scored t
-    one evaluate_bler of the stack, each unit's rows on its one evaluation
-    draw at t.  Every row is bit for bit that start adapted and scored
+    in groups of K_meta_batch // len(starts[u]) units (at least one), each
+    group's starts as one stack, unit-major: per step one gradient and one
+    step of the stack, each unit's rows on the one batch its step stream
+    draws, and at each scored t one evaluate_bler of the stack, each unit's
+    rows on its one evaluation draw at t.  Every row is bit for bit that start adapted and scored
     alone.  Returns per unit the list, over the scored t, of the tuple of
     its starts' BLERs.
     """
+    # A meta-batch's exact tape (0.86 MB per row) is the largest array set a
+    # run holds; a deployment row holds less (3.7-4.8 MB per 10 rows), so a
+    # group stacks no more rows than a meta-batch.
+    per_group = max(1, config.K_meta_batch // len(starts[0]))
     curves = []
-    for first in range(0, len(tasks), _STACK_ROWS["autoencoder"]):
-        units = range(first, min(first + _STACK_ROWS["autoencoder"], len(tasks)))
+    for first in range(0, len(tasks), per_group):
+        units = range(first, min(first + per_group, len(tasks)))
         group = [tuple(starts[u]) for u in units]
         step_rngs = [rng_for(seed, SCOPE_ADAPT_STEPS, u) for u in units]
         stack = np.stack([p.values for ps in group for p in ps])

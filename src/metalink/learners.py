@@ -23,12 +23,11 @@ for bit what it computes alone.  train_conventional is adaptation from a
 random start: it is maml_adapt of a (T, P) stack tiled from init, one row
 per device.  train_joint needs no task axis: it is one network's guarded
 descent on the tasks' pooled data (nn.pool_datasets).  meta_train runs each
-meta-batch as stacks of at most max_rows tasks (harness runs a demod batch
-as one (K, P) stack and an autoencoder batch, whose task tapes are larger,
-as stacks of five): row k of a stacked meta-gradient, exact or first-order,
-is task k's.  Deployment stacks too: harness adapts and scores a pilot
-count's demod receivers as one stack, and the autoencoder's test channels
-in groups of at most five channels, the cap its meta-training has.
+meta-batch of K tasks as one (K, P) stack: row k of the stacked
+meta-gradient, exact or first-order, is task k's.  Deployment stacks too:
+harness adapts and scores a pilot count's demod receivers as one stack, and
+the autoencoder's test channels in groups that hold at most a meta-batch's
+rows.
 
 One rule covers divergence in a stack: a task stack has no guard of its own,
 and if it diverges (an op raises, or a conventional row's loss passes the
@@ -221,35 +220,40 @@ def _meta_grad(theta, d_tr, d_te, config, lossfn):
     return unrolled_meta_gradient(lossfn, lossfn, theta, config.eta_inner, config.m, d_tr, d_te)
 
 
-def _meta_value_grad(theta, meta_batch, config, lossfn, max_rows=None):
+def _meta_value_grad(theta, meta_batch, config, lossfn):
     """Meta-loss and meta-gradient averaged over the batch's tasks.
 
-    The K tasks run as consecutive stacks of at most max_rows rows (all K at
-    once when None), row k task k, and the rows of all stacks are averaged.
-    If a stack raises, the batch reruns as stacks of one row, and the error
-    of the first that raises names its task.
+    The K tasks run as one (K, P) stack, row k task k.  If it raises, the
+    batch reruns as stacks of one row, and the error of the first that
+    raises names its task.
     """
     items = meta_batch.items
     flat = theta.values if isinstance(theta, ParamVector) else theta
-    rows = len(items) if max_rows is None else min(max_rows, len(items))
-    while True:
-        per_stack = []
-        try:
-            for lo in range(0, len(items), rows):
-                chunk = items[lo:lo + rows]
-                d_tr = lossfn.stack([item.train for item in chunk])
-                d_te = lossfn.stack([item.test for item in chunk])
-                per_stack.append(_meta_grad(np.tile(flat, (len(chunk), 1)), d_tr, d_te, config, lossfn))
-        except NumericalError as err:
-            if rows > 1:
-                rows = 1  # rerun, so that the error names the first task that diverges alone
-                continue
-            raise NumericalError(f"task {chunk[0].task.id}: {err}", op_kind=err.op_kind) from err
+
+    def stacked(tasks):
+        d_tr = lossfn.stack([item.train for item in tasks])
+        d_te = lossfn.stack([item.test for item in tasks])
+        return _meta_grad(np.tile(flat, (len(tasks), 1)), d_tr, d_te, config, lossfn)
+
+    def averaged(per_stack):
         losses, grads = zip(*per_stack)
         return float(np.mean(np.concatenate(losses))), np.mean(np.concatenate(grads), axis=0)
 
+    if len(items) > 1:
+        try:
+            return averaged([stacked(items)])
+        except NumericalError:
+            pass  # every task reruns alone below, so the error names the first that diverges
+    per_task = []
+    for item in items:
+        try:
+            per_task.append(stacked((item,)))
+        except NumericalError as err:
+            raise NumericalError(f"task {item.task.id}: {err}", op_kind=err.op_kind) from err
+    return averaged(per_task)
 
-def meta_train(task_stream, config, *, init, lossfn, max_rows=None):
+
+def meta_train(task_stream, config, *, init, lossfn):
     """Full meta-training loop over a stream of meta-batches, from init.
 
     task_stream is a callable rng -> MetaBatch; it is drawn once per outer
@@ -266,13 +270,8 @@ def meta_train(task_stream, config, *, init, lossfn, max_rows=None):
     lossfn.stack maps a list of T tasks' train (or test) data to one data
     object on which lossfn of a (T, P) stack is the (T,) vector of their
     losses (nn.stack_datasets for the MLP loss, nn.stack_autoencoder_batches
-    for the autoencoder's).  Each meta-batch runs as stacks of at most
-    max_rows tasks (the whole batch when None), one graph per stack:
-    max_rows bounds a stacked tape's memory, and every max_rows gives the
-    same result bit for bit.
+    for the autoencoder's).  Each meta-batch runs as one stack, one graph.
     """
-    if max_rows is not None and max_rows < 1:
-        raise ConfigurationError(f"a stack needs at least one row, got max_rows={max_rows}")
     rng = rng_for(config.seed, SCOPE_META_STREAM)
     theta = init
     history = []
@@ -280,7 +279,7 @@ def meta_train(task_stream, config, *, init, lossfn, max_rows=None):
     for it in range(config.outer_iters):
         batch = task_stream(rng)
         theta, loss, grad = _guarded_step(
-            lambda q: _meta_value_grad(q, batch, config, lossfn, max_rows),
+            lambda q: _meta_value_grad(q, batch, config, lossfn),
             theta, prev, config.eta_outer, "meta-training", it,
         )
         history.append((it, loss))

@@ -675,13 +675,13 @@ def test_adaptation_sweep_draws_once_for_both_starts(monkeypatch):
 
 
 def test_adaptation_trace_runs_both_starts_as_one_stack(monkeypatch):
-    # Units deploy in groups of five, each group's starts as one stack: one
-    # (10, P) gradient per group and step, and one (10, P) forward per group,
-    # t and chunk of 500 rows of the five draws (here two of 100 blocks
-    # each).  The last two of seven units are a group of their own, a (4, P)
-    # stack of one chunk.  No per-unit, per-start or per-receiver call
-    # remains.
-    cfg = _tiny_ae_config(n_meta_test_tasks=7, n_eval_symbols_or_blocks=200)
+    # Units deploy in groups of K_meta_batch // 2 (two starts each), each
+    # group's starts as one stack: here five units, one (10, P) gradient per
+    # group and step, and one (10, P) forward per group, t and chunk of 500
+    # rows of the five draws (here two of 100 blocks each).  The last two of
+    # seven units are a group of their own, a (4, P) stack of one chunk.  No
+    # per-unit, per-start or per-receiver call remains.
+    cfg = _tiny_ae_config(K_meta_batch=10, n_meta_train_tasks=10, n_meta_test_tasks=7, n_eval_symbols_or_blocks=200)
     grads, forwards = [], []
     gradient, forward = harness.eval_with_gradient, harness.autoencoder_logits_node
 
@@ -697,9 +697,10 @@ def test_adaptation_trace_runs_both_starts_as_one_stack(monkeypatch):
     monkeypatch.setattr(harness, "autoencoder_logits_node", spied_forward)
     run_adaptation_sweep(cfg)
     n_params, steps, n = param_count(AutoencoderSpec().arch), cfg.adapt_iters_max, cfg.n_train_blocks
-    assert harness._STACK_ROWS["autoencoder"] == 5
-    assert grads == [((10, n_params), (10, n))] * steps + [((4, n_params), (4, n))] * steps
-    assert forwards == [((10, n_params), (10, 100))] * (2 * (steps + 1)) + [((4, n_params), (4, 200))] * (steps + 1)
+    rows = 2 * (cfg.K_meta_batch // 2)  # a group's five units, two starts each
+    assert rows == 10
+    assert grads == [((rows, n_params), (rows, n))] * steps + [((4, n_params), (4, n))] * steps
+    assert forwards == [((rows, n_params), (rows, 100))] * (2 * (steps + 1)) + [((4, n_params), (4, 200))] * (steps + 1)
 
 
 def _deployed_alone(cfg, seed, task, unit, start, lossfn):
@@ -717,18 +718,20 @@ def _deployed_alone(cfg, seed, task, unit, start, lossfn):
 
 @given(
     n_units=st.integers(1, 7),
+    k_meta=st.integers(1, 10),
     first_order=st.booleans(),
-    n_blocks=st.integers(1, 700),
+    n_blocks=st.integers(1, 1200),
     seed=st.integers(0, 2**10),
 )
 @settings(max_examples=12, deadline=None)
-def test_adaptation_sweep_records_are_each_unit_deployed_and_scored_alone(n_units, first_order, n_blocks, seed):
-    # groups of five units, a count that five does not divide leaving a
-    # partial group, and draws long enough to be chunked: every record is
-    # what its start gives adapted and scored alone
+def test_adaptation_sweep_records_are_each_unit_deployed_and_scored_alone(n_units, k_meta, first_order, n_blocks, seed):
+    # groups of k_meta // 2 units (at least one), a count that the group
+    # size does not divide leaving a partial group, and draws long enough to
+    # be chunked: every record is what its start gives adapted and scored
+    # alone
     cfg = _tiny_ae_config(
-        seeds=(seed,), seed=seed, n_meta_test_tasks=n_units, first_order=first_order,
-        outer_iters=1, adapt_iters_max=2, n_train_blocks=8, n_eval_symbols_or_blocks=n_blocks,
+        seeds=(seed,), seed=seed, n_meta_test_tasks=n_units, first_order=first_order, K_meta_batch=k_meta,
+        n_meta_train_tasks=10, outer_iters=1, adapt_iters_max=2, n_train_blocks=8, n_eval_symbols_or_blocks=n_blocks,
     )
     records = run_adaptation_sweep(cfg).records
     meta, lossfn = run_meta_train(cfg).params, make_autoencoder_lossfn(_AE)
@@ -742,30 +745,42 @@ def test_adaptation_sweep_records_are_each_unit_deployed_and_scored_alone(n_unit
     assert records == tuple(want)
 
 
-# Most tape per task row that an autoencoder stack at the cap may hold, in
-# meta-training and in deployment.
+def test_deployment_groups_move_no_bit():
+    # Only K_meta_batch differs, so only the group size moves: in the sweep's
+    # deployment (two starts per unit) groups of one unit against five, in
+    # eval (one start per unit) groups of two units against all seven.
+    cfg = _tiny_ae_config(n_meta_train_tasks=10, n_meta_test_tasks=7, adapt_iters_max=2, n_eval_symbols_or_blocks=600)
+    small, large = replace(cfg, K_meta_batch=2), replace(cfg, K_meta_batch=10)
+    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), 0, 7)
+    params, lossfn = init_autoencoder_params(_AE, 4), make_autoencoder_lossfn(_AE)
+    starts = [(params, init_autoencoder_params(_AE, rng_for(0, SCOPE_TASK, unit))) for unit in range(7)]
+    scored = range(cfg.adapt_iters_max + 1)
+    assert harness._adaptation(small, 0, tasks, starts, lossfn, scored) == harness._adaptation(large, 0, tasks, starts, lossfn, scored)
+    assert evaluate_params(small, params) == evaluate_params(large, params)
+
+
+# Most tape per task row that an autoencoder meta-batch's stack may hold.
 _TAPE_MB_PER_ROW = 0.92
 
 
 def test_a_deployment_group_holds_less_than_a_meta_iteration():
     # One group's adaptation step and its scoring at the default profile
     # (five channels, two starts each, 128 training and 2,000 evaluation
-    # blocks), within the bound of a meta-iteration's tapes, 0.92 MB per
-    # row of a stack at the cap (_TAPE_MB_PER_ROW).  tracemalloc peaks,
-    # measured: 2.34 MB for a group of two channels, 3.79 MB for the group
-    # of five.
-    rows = harness._STACK_ROWS["autoencoder"]
+    # blocks), within 0.92 MB (_TAPE_MB_PER_ROW) per channel: half the
+    # bound of a meta-iteration's tape, whose stack holds as many rows as
+    # the group.  tracemalloc peak, measured: 3.66 MB.
     cfg = replace(default_config("autoencoder"), adapt_iters_max=1)
-    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), 0, rows)
+    channels = cfg.K_meta_batch // 2
+    tasks = harness._test_tasks(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), 0, channels)
     meta, lossfn = init_autoencoder_params(_AE, 0), make_autoencoder_lossfn(_AE)
-    starts = [(meta, init_autoencoder_params(_AE, rng_for(0, SCOPE_TASK, unit))) for unit in range(rows)]
+    starts = [(meta, init_autoencoder_params(_AE, rng_for(0, SCOPE_TASK, unit))) for unit in range(channels)]
     tracemalloc.start()
     try:
         harness._adaptation(cfg, 0, tasks, starts, lossfn, (1,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < _TAPE_MB_PER_ROW * rows * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak < _TAPE_MB_PER_ROW * channels * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -958,13 +973,13 @@ def test_run_meta_train_and_evaluate_autoencoder():
 
 def test_an_autoencoder_meta_iteration_holds_one_task_tape_per_stacked_row():
     # One exact meta-iteration of the default autoencoder profile (K = 10,
-    # 128 blocks) as meta-training runs it, in stacks of the profile's cap
-    # of 5.  tracemalloc peaks, measured: 1.10 MB one task at a time,
-    # 1.94 MB in stacks of 2, 4.40 MB in stacks of 5 (0.88 MB per row) and
-    # 8.57 MB as one stack of 10.  The bound of 0.92 MB per row fails a
-    # tanh VJP of three nodes (4.76 MB in stacks of 5) and an encoder run
-    # once per block instead of once per message (6.41 MB).
-    rows = harness._STACK_ROWS["autoencoder"]
+    # 128 blocks) as meta-training runs it, one stack of 10.  tracemalloc
+    # peaks, measured: 1.10 MB one task at a time, 4.40 MB as a stack of 5
+    # and 8.64 MB as one stack of 10 (0.86 MB per row).  The bound of
+    # 0.92 MB per row fails a tanh VJP of three nodes (4.76 MB as a stack of
+    # 5) and an encoder run once per block instead of once per message
+    # (6.41 MB as a stack of 5).
+    rows = default_config("autoencoder").K_meta_batch
     meta_value_grad = _default_autoencoder_meta_iteration()
     tracemalloc.start()
     try:
@@ -977,15 +992,15 @@ def test_an_autoencoder_meta_iteration_holds_one_task_tape_per_stacked_row():
 
 def _default_autoencoder_meta_iteration():
     """One exact meta-iteration's meta-gradient of the default autoencoder
-    profile, on seed 0's first meta-batch, in stacks of the profile's cap."""
+    profile, on seed 0's first meta-batch, as one stack."""
     cfg = default_config("autoencoder")
     pool = autoencoder_task_pool(TaskFamily(kind="autoencoder", snr_db=cfg.snr_db), cfg.n_meta_train_tasks, 0)
     stream = autoencoder_stream(pool, AutoencoderSpec(), cfg.K_meta_batch, cfg.n_train_blocks)
     batch = stream(rng_for(0, SCOPE_META_STREAM))
     init, lossfn = init_autoencoder_params(AutoencoderSpec(), 0), make_autoencoder_lossfn(AutoencoderSpec())
     assert len(batch) == 10 and len(batch.items[0].train) == 128
-    rows, tc = harness._STACK_ROWS["autoencoder"], cfg.train_config(0)
-    return lambda: learners._meta_value_grad(init, batch, tc, lossfn, rows)
+    tc = cfg.train_config(0)
+    return lambda: learners._meta_value_grad(init, batch, tc, lossfn)
 
 
 @pytest.mark.skipif(
@@ -1006,7 +1021,7 @@ def test_warm_autoencoder_meta_iterations_fault_in_no_memory():
     assert faults < 100, f"{faults} minor page faults"
 
 
-def test_a_default_autoencoder_meta_iteration_runs_as_two_stacks_of_five(monkeypatch):
+def test_a_default_autoencoder_meta_iteration_runs_as_one_stack(monkeypatch):
     shapes = []
     meta_grad = learners._meta_grad
 
@@ -1019,4 +1034,4 @@ def test_a_default_autoencoder_meta_iteration_runs_as_two_stacks_of_five(monkeyp
     harness._meta_trained(cfg, 0)
     n_params, n = param_count(AutoencoderSpec().arch), cfg.n_train_blocks
     assert cfg.K_meta_batch == 10
-    assert shapes == [((5, n_params), (5, n), (5, n))] * 2
+    assert shapes == [((10, n_params), (10, n), (10, n))]

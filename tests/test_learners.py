@@ -526,11 +526,11 @@ def _meta_instances(k, seed):
     )
 
 
-@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.booleans(), st.integers(0, 2**16))
+@given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
-@example(5, 1, 2, False, 0)  # stacks of 2, 2 and 1
-@example(5, 2, 2, True, 1)
-def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, max_rows, first_order, seed):
+@example(5, 1, False, 0)
+@example(5, 2, True, 1)
+def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, first_order, seed):
     cfg = TrainConfig(eta_inner=0.3, m=m, first_order=first_order)
     for batch, lossfn, theta in _meta_instances(k, seed):
         losses, grads = learners._meta_grad(
@@ -546,36 +546,46 @@ def test_stacked_meta_gradient_rows_equal_the_per_task_loop(k, m, max_rows, firs
             loss, grad = learners._meta_grad(theta.values, item.train, item.test, cfg, lossfn)
             assert losses[row] == loss
             assert np.array_equal(grads[row], grad)
+            # a batch of one task is a stack of one row
+            one_loss, one_grad = learners._meta_value_grad(theta, MetaBatch((item,)), cfg, lossfn)
+            assert one_loss == loss
+            assert np.array_equal(one_grad, grad)
             alone.append((loss, grad))
-        want_loss, want_grad = float(np.mean([loss for loss, _ in alone])), np.mean([g for _, g in alone], axis=0)
-        # one stack of all k, stacks of at most max_rows, and stacks of one
-        for rows in (None, max_rows, 1):
-            got_loss, got_grad = learners._meta_value_grad(theta, batch, cfg, lossfn, rows)
-            assert got_loss == want_loss
-            assert np.array_equal(got_grad, want_grad)
+        # the batch as one stack averages the tasks' own results
+        got_loss, got_grad = learners._meta_value_grad(theta, batch, cfg, lossfn)
+        assert got_loss == float(np.mean([loss for loss, _ in alone]))
+        assert np.array_equal(got_grad, np.mean([g for _, g in alone], axis=0))
 
 
 @pytest.mark.parametrize("first_order", [False, True])
-def test_meta_train_on_stacks_equals_the_per_task_loop(first_order):
-    # stacks of one row are the per-task reference: each row is bit for bit its task alone
+def test_meta_train_on_stacks_equals_the_per_task_loop(first_order, monkeypatch):
+    # The reference runs every meta-batch as batches of one task, each a
+    # stack of one row, and averages them: each row of the one stack is bit
+    # for bit its task alone, so the two runs are equal.
+    stacked_value_grad = learners._meta_value_grad
+
+    def per_task_value_grad(theta, meta_batch, config, lossfn):
+        alone = [stacked_value_grad(theta, MetaBatch((item,)), config, lossfn) for item in meta_batch.items]
+        return float(np.mean([loss for loss, _ in alone])), np.mean([grad for _, grad in alone], axis=0)
+
+    def both(stream, cfg, init, lossfn):
+        stacked = meta_train(stream, cfg, init=init, lossfn=lossfn)
+        with monkeypatch.context() as patch:
+            patch.setattr(learners, "_meta_value_grad", per_task_value_grad)
+            return stacked, meta_train(stream, cfg, init=init, lossfn=lossfn)
+
     pool = demod_task_pool(TaskFamily(), 12, 4, 16, seed=62)
     cfg = TrainConfig(m=2, outer_iters=4, first_order=first_order, seed=3)
-    init = init_params(DEMOD_ARCH, 14)
-    one, two, whole = (
-        meta_train(subsample_stream(pool, 5), cfg, init=init, lossfn=DEMOD_LOSS, max_rows=rows) for rows in (1, 2, None)
-    )
-    for stacked in (two, whole):
-        assert np.array_equal(stacked.params.values, one.params.values)
-        assert stacked.history == one.history
-    # the autoencoder profile's spec, K = 5 tasks as stacks of 1, of 2, 2 and 1, and of 5
+    stacked, alone = both(subsample_stream(pool, 5), cfg, init_params(DEMOD_ARCH, 14), DEMOD_LOSS)
+    assert np.array_equal(stacked.params.values, alone.params.values)
+    assert stacked.history == alone.history
+    # the autoencoder profile's spec, K = 5 tasks
     spec = AutoencoderSpec()
     stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), 8, seed=63), spec, 5, 16)
     cfg = replace(cfg, eta_inner=0.05, eta_outer=0.05, outer_iters=3)
-    init, lossfn = init_autoencoder_params(spec, 15), make_autoencoder_lossfn(spec)
-    one, two, whole = (meta_train(stream, cfg, init=init, lossfn=lossfn, max_rows=rows) for rows in (1, 2, None))
-    for stacked in (two, whole):
-        assert np.array_equal(stacked.params.values, one.params.values)
-        assert stacked.history == one.history
+    stacked, alone = both(stream, cfg, init_autoencoder_params(spec, 15), make_autoencoder_lossfn(spec))
+    assert np.array_equal(stacked.params.values, alone.params.values)
+    assert stacked.history == alone.history
 
 
 def _spy_on_parameter_shapes(monkeypatch):
@@ -622,9 +632,8 @@ def test_stacked_meta_batch_names_the_task_that_diverges(first_order, monkeypatc
 @pytest.mark.parametrize("first_order", [False, True])
 def test_stacked_autoencoder_meta_batch_names_the_task_that_diverges(first_order, monkeypatch):
     # Task 3's noise is 1e308 in every entry, so the decoder's first layer
-    # overflows.  Tasks 0 and 1 run as the first stack, which succeeds; the
-    # second stack (tasks 2 and 3) raises, and the rerun as stacks of one
-    # names task 3.
+    # overflows.  The stack of all four tasks raises, and the rerun as
+    # stacks of one names task 3.
     spec = AutoencoderSpec()
     stream = autoencoder_stream(autoencoder_task_pool(TaskFamily(kind="autoencoder"), 4, seed=3), spec, 4, 8)
     items = list(stream(np.random.default_rng(1)).items)
@@ -638,51 +647,46 @@ def test_stacked_autoencoder_meta_batch_names_the_task_that_diverges(first_order
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"task {items[3].task.id}: ") as exc:
         meta_train(
             lambda rng: MetaBatch(tuple(items)), cfg, init=init_autoencoder_params(spec, 1),
-            lossfn=make_autoencoder_lossfn(spec), max_rows=2,
+            lossfn=make_autoencoder_lossfn(spec),
         )
     assert "'affine'" in str(exc.value)
     assert exc.value.op_kind == "affine"
-    stack, alone = (2, param_count(spec.arch)), (1, param_count(spec.arch))
-    # both stacks ran first, the second raising in its first call; then each
-    # task as a stack of one up to task 3, which raises in its first call too
+    stack, alone = (4, param_count(spec.arch)), (1, param_count(spec.arch))
+    # the stack ran first, raising in its first call; then each task as a
+    # stack of one up to task 3, which raises in its first call too
     calls_per_task = 2 if first_order else 1  # first order: the inner step, then the test gradient
-    assert shapes == [stack] * (calls_per_task + 1) + [alone] * (3 * calls_per_task + 1)
+    assert shapes == [stack] + [alone] * (3 * calls_per_task + 1)
 
 
 @pytest.mark.parametrize("first_order", [False, True])
-@pytest.mark.parametrize("max_rows", [1, 3, None])
-def test_a_diverging_stack_reruns_once_as_stacks_of_one(max_rows, first_order, monkeypatch):
+@pytest.mark.parametrize("k", [1, 3, None])
+def test_a_diverging_stack_reruns_once_as_stacks_of_one(k, first_order, monkeypatch):
     # Task 2's pilots of 1e300 overflow the first layer's affine op, under
     # first-layer weights of 1e9, in the first autodiff call that reaches
-    # them.  Stacks of one name it there, with no rerun; a larger stack
-    # raises, and the batch reruns once as stacks of one, up to task 2.
+    # them.  The meta-batch is task 2 and the k - 1 tasks before it (the
+    # pool's four tasks when None).  A batch of one names it there, with no
+    # rerun; a larger stack raises, and the batch reruns once as stacks of
+    # one, up to task 2.
     pool = demod_task_pool(TaskFamily(), 4, 4, 8, seed=64)
     items = list(pool.items)
     bad = items[2].train
     items[2] = replace(items[2], train=Dataset(np.full_like(bad.inputs, 1e300), bad.targets, 16))
+    batch = items if k is None else items[3 - k:3]
     shapes = _spy_on_parameter_shapes(monkeypatch)
     cfg = TrainConfig(m=1, outer_iters=1, first_order=first_order)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=f"task {items[2].task.id}: ") as exc:
             meta_train(
-                lambda rng: MetaBatch(tuple(items)), cfg,
-                init=_saturated_init(), lossfn=DEMOD_LOSS, max_rows=max_rows,
+                lambda rng: MetaBatch(tuple(batch)), cfg,
+                init=_saturated_init(), lossfn=DEMOD_LOSS,
             )
     assert exc.value.op_kind == "affine"
     n_params = param_count(DEMOD_ARCH)
     calls_per_task = 2 if first_order else 1  # first order: the inner step, then the test gradient
-    alone = [(1, n_params)] * (2 * calls_per_task + 1)  # tasks 0 and 1, then task 2's first call
-    first_pass = [] if max_rows == 1 else [(max_rows or len(items), n_params)]
+    before = batch.index(items[2])  # the tasks that run alone before task 2
+    alone = [(1, n_params)] * (before * calls_per_task + 1)  # then task 2's first call
+    first_pass = [] if len(batch) == 1 else [(len(batch), n_params)]
     assert shapes == first_pass + alone
-
-
-def test_meta_train_rejects_a_stack_without_rows():
-    pool = demod_task_pool(TaskFamily(), 3, 4, 8, seed=53)
-    with pytest.raises(ConfigurationError, match="at least one row"):
-        meta_train(
-            subsample_stream(pool, 2), TrainConfig(outer_iters=1), init=init_params(DEMOD_ARCH, 1),
-            lossfn=DEMOD_LOSS, max_rows=0,
-        )
 
 
 # ---------------------------------------------------------------------------
